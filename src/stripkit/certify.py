@@ -3,7 +3,9 @@ conditions.
 
 Probability estimates over uniformly random supports come in two flavors:
 exhaustive enumeration of all k-subsets (exact, budget-capped) and Monte
-Carlo with per-trial derived rng streams plus 99% Clopper-Pearson intervals.
+Carlo with 99% Clopper-Pearson intervals. Monte Carlo draws come in blocks
+of MC_BLOCK trials, one derived rng stream per (seed, property, block), so
+the draws of a T-trial call are the first T of any longer call.
 """
 
 from __future__ import annotations
@@ -16,11 +18,14 @@ from typing import Optional
 import numpy as np
 from scipy import stats
 
+from .coherence import SUPPORT_CHUNK, hollow_gram_norms
 from .dictionaries import Dictionary
 from .seeding import derive_rng
 
 EXHAUSTIVE_CAP = 10 ** 6
 CI_LEVEL = 0.99
+# Monte Carlo trials per derived rng stream. Changing it changes every MC draw.
+MC_BLOCK = 1024
 
 
 class BudgetError(ValueError):
@@ -81,18 +86,6 @@ def sample_support(N: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.choice(N, size=k, replace=False))
 
 
-def _sinc_stat(d: Dictionary, support, gram) -> float:
-    """max over i outside the support of ||Phi_I^H phi_i||_2^2."""
-    idx = np.asarray(support)
-    if gram is not None:
-        cross = gram[idx, :]
-    else:
-        cross = d.entries[:, idx].conj().T @ d.entries
-    col_sq = (np.abs(cross) ** 2).sum(axis=0)
-    col_sq[idx] = -np.inf
-    return float(col_sq.max())
-
-
 def _maybe_gram(d: Dictionary) -> Optional[np.ndarray]:
     # full Gram caching pays off until it stops fitting comfortably
     return d.gram() if d.N <= 3000 else None
@@ -109,39 +102,49 @@ def _enumerate_supports(N: int, k: int, cap: int) -> np.ndarray:
     return flat.reshape(total, k)
 
 
-def _mc_supports(N: int, k: int, seed: int, label: str, trials: int) -> np.ndarray:
-    """One support per trial, each from its own (seed, label, trial) stream."""
-    sups = np.empty((trials, k), dtype=np.int64)
-    for t in range(trials):
-        sups[t] = sample_support(N, k, derive_rng(seed, label, t))
+def _floyd_supports(N: int, k: int, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """``rows`` sorted uniform k-subsets of range(N): Floyd's algorithm run on
+    every row at once. Column c draws t ~ U[0, j], j = N-k+c, and takes j
+    wherever t is already in the row. Memory is O(rows k), whatever N is."""
+    sups = np.empty((rows, k), dtype=np.int64)
+    for c in range(k):
+        j = N - k + c
+        t = rng.integers(0, j + 1, size=rows)
+        sups[:, c] = np.where((sups[:, :c] == t[:, None]).any(axis=1), j, t)
+    sups.sort(axis=1)
     return sups
 
 
-_CHUNK = 4096
+def _mc_draws(N: int, k: int, seed: int, label: str, trials: int, probe: bool):
+    """``trials`` uniform supports (trials, k) and, with ``probe``, a uniform
+    index outside each one (else None).
+
+    Block b of MC_BLOCK trials draws its supports, then its outside indices,
+    from the stream (seed, label, b). Every block is drawn whole and the last
+    one truncated, so a T-trial call sees the first T rows of a longer call.
+    """
+    sups, probes = [], []
+    for b in range(-(-trials // MC_BLOCK)):
+        rng = derive_rng(seed, label, b)
+        block = _floyd_supports(N, k, rng, MC_BLOCK)
+        sups.append(block)
+        if probe:
+            # r-th index outside the sorted support
+            r = rng.integers(0, N - k, size=MC_BLOCK)
+            for c in range(k):
+                r += block[:, c] <= r
+            probes.append(r)
+    return (np.concatenate(sups)[:trials],
+            np.concatenate(probes)[:trials] if probe else None)
 
 
-def _hollow_norms(d: Dictionary, supports: np.ndarray, gram) -> np.ndarray:
-    """Spectral norms of Phi_I^H Phi_I - Id for a batch of supports (B, k)."""
+def _sinc_stats(d: Dictionary, supports: np.ndarray, gram, probes=None):
+    """Worst outside-column energy max_{i not in I} ||Phi_I^H phi_i||^2 of each
+    support (B, k), and the energy at each of ``probes`` (B,) if given."""
     B, k = supports.shape
     out = np.empty(B)
-    eye = np.eye(k)
-    for lo in range(0, B, _CHUNK):
-        sup = supports[lo:lo + _CHUNK]
-        if gram is not None:
-            sub = gram[sup[:, :, None], sup[:, None, :]]
-        else:
-            cols = d.entries[:, sup]                       # (m, b, k)
-            sub = np.einsum("mbi,mbj->bij", cols.conj(), cols)
-        vals = np.linalg.eigvalsh(sub - eye)
-        out[lo:lo + _CHUNK] = np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
-    return out
-
-
-def _sinc_stats(d: Dictionary, supports: np.ndarray, gram) -> np.ndarray:
-    """Batch version of the worst outside-column correlation energy."""
-    B, k = supports.shape
-    out = np.empty(B)
-    chunk = max(1, min(_CHUNK, 2 ** 24 // max(1, k * d.N)))
+    at_probe = None if probes is None else np.empty(B)
+    chunk = max(1, min(SUPPORT_CHUNK, 2 ** 24 // max(1, k * d.N)))
     for lo in range(0, B, chunk):
         sup = supports[lo:lo + chunk]
         if gram is not None:
@@ -150,68 +153,72 @@ def _sinc_stats(d: Dictionary, supports: np.ndarray, gram) -> np.ndarray:
             cols = d.entries[:, sup]                       # (m, b, k)
             cross = np.einsum("mbi,mn->bin", cols.conj(), d.entries)
         col_sq = (np.abs(cross) ** 2).sum(axis=1)          # (b, N)
+        if probes is not None:
+            at_probe[lo:lo + chunk] = np.take_along_axis(
+                col_sq, probes[lo:lo + chunk, None], axis=1)[:, 0]
         np.put_along_axis(col_sq, sup, -np.inf, axis=1)
         out[lo:lo + chunk] = col_sq.max(axis=1)
-    return out
+    return out, at_probe
+
+
+def _estimate(prop: str, d: Dictionary, k: int, k_max: int, params: dict,
+              statistic, method: str, trials: int, seed: int, cap: int,
+              probe: bool = False) -> CertificationReport:
+    """Probability over uniform k-subsets that ``statistic`` flags a success.
+
+    ``statistic(supports, probes)`` returns a boolean success per support and
+    per-support weights (or None); weights average into ``wsinc_lhs``. A None
+    statistic means the property holds vacuously.
+    """
+    if not (1 <= k <= k_max):
+        raise ValueError(f"need 1 <= k <= {k_max}, got k={k}")
+    if method not in ("exhaustive", "monte_carlo"):
+        raise ValueError(f"unknown method {method!r}")
+    mc = method == "monte_carlo"
+    if mc and trials < 1:
+        raise ValueError("need at least one trial")
+    if statistic is None:
+        return CertificationReport(prop, params, method, 1, 1, 1.0, (1.0, 1.0),
+                                   seed=seed)
+    hit, weight = statistic(*(_mc_draws(d.N, k, seed, prop, trials, probe) if mc
+                              else (_enumerate_supports(d.N, k, cap), None)))
+    n, hits = hit.size, int(hit.sum())
+    est = hits / n
+    return CertificationReport(
+        prop, params, method, n, hits, est,
+        clopper_pearson(hits, n) if mc else (est, est), seed=seed if mc else None,
+        wsinc_lhs=None if weight is None else float(weight.sum() / n))
 
 
 def strip_estimate(d: Dictionary, k: int, delta: float, method: str = "monte_carlo",
                    trials: int = 10_000, seed: int = 0,
                    cap: int = EXHAUSTIVE_CAP) -> CertificationReport:
     """P over uniform k-subsets I of ||Phi_I^H Phi_I - Id|| <= delta."""
-    if not (1 <= k <= d.N):
-        raise ValueError("need 1 <= k <= N")
-    gram = _maybe_gram(d)
-    params = {"k": k, "delta": delta}
-    if method == "exhaustive":
-        supports = _enumerate_supports(d.N, k, cap)
-        total = supports.shape[0]
-        hits = int((_hollow_norms(d, supports, gram) <= delta).sum())
-        est = hits / total
-        return CertificationReport("strip", params, "exhaustive", total, hits,
-                                   est, (est, est))
-    if method != "monte_carlo":
-        raise ValueError(f"unknown method {method!r}")
-    supports = _mc_supports(d.N, k, seed, "strip", trials)
-    hits = int((_hollow_norms(d, supports, gram) <= delta).sum())
-    est = hits / trials
-    return CertificationReport("strip", params, "monte_carlo", trials, hits,
-                               est, clopper_pearson(hits, trials), seed=seed)
+    def statistic(sups, _):
+        return hollow_gram_norms(d, sups, _maybe_gram(d)) <= delta, None
+    return _estimate("strip", d, k, d.N, {"k": k, "delta": delta}, statistic,
+                     method, trials, seed, cap)
 
 
 def sinc_estimate(d: Dictionary, k: int, alpha: float, method: str = "monte_carlo",
                   trials: int = 10_000, seed: int = 0,
                   cap: int = EXHAUSTIVE_CAP) -> CertificationReport:
     """P over uniform k-subsets I of max_{i not in I} ||Phi_I^H phi_i||^2 <= alpha."""
-    if not (1 <= k <= d.N):
-        raise ValueError("need 1 <= k <= N")
-    if k == d.N:
-        # no outside column: the condition is vacuous
-        return CertificationReport("sinc", {"k": k, "alpha": alpha}, method,
-                                   1, 1, 1.0, (1.0, 1.0), seed=seed)
-    gram = _maybe_gram(d)
-    params = {"k": k, "alpha": alpha}
-    if method == "exhaustive":
-        supports = _enumerate_supports(d.N, k, cap)
-        total = supports.shape[0]
-        hits = int((_sinc_stats(d, supports, gram) <= alpha).sum())
-        est = hits / total
-        return CertificationReport("sinc", params, "exhaustive", total, hits,
-                                   est, (est, est))
-    if method != "monte_carlo":
-        raise ValueError(f"unknown method {method!r}")
-    supports = _mc_supports(d.N, k, seed, "sinc", trials)
-    hits = int((_sinc_stats(d, supports, gram) <= alpha).sum())
-    est = hits / trials
-    return CertificationReport("sinc", params, "monte_carlo", trials, hits,
-                               est, clopper_pearson(hits, trials), seed=seed)
+    def statistic(sups, _):
+        return _sinc_stats(d, sups, _maybe_gram(d))[0] <= alpha, None
+    # k = N leaves no outside column: the condition is vacuous
+    return _estimate("sinc", d, k, d.N, {"k": k, "alpha": alpha},
+                     None if k == d.N else statistic, method, trials, seed, cap)
 
 
-def wsinc_weight(delta: float, t: float) -> float:
-    """Discount factor exp(-(1-delta)^2 / (8 t^2)); 0 at t = 0."""
-    if t <= 0.0:
-        return 0.0 if delta < 1.0 else 1.0
-    return math.exp(-((1.0 - delta) ** 2) / (8.0 * t * t))
+def wsinc_weight(delta: float, t):
+    """Discount factor exp(-(1-delta)^2 / (8 t^2)), elementwise; at t = 0 it
+    is 0 (1 when delta >= 1)."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.exp(-((1.0 - delta) ** 2) / (8.0 * t * t))
+    w = np.where(t > 0.0, w, 0.0 if delta < 1.0 else 1.0)
+    return w if w.ndim else float(w)
 
 
 def wsinc_estimate(d: Dictionary, k: int, delta: float, alpha: float,
@@ -224,32 +231,14 @@ def wsinc_estimate(d: Dictionary, k: int, delta: float, alpha: float,
     ``successes`` counts the violation events themselves, so the plain
     estimate is P(I in A_alpha); at delta = 1 the weighted sum equals it.
     """
-    if not (1 <= k < d.N):
-        raise ValueError("need 1 <= k < N")
-    gram = _maybe_gram(d)
-    total = 0.0
-    violations = 0
-    for t in range(trials):
-        rng = derive_rng(seed, "wsinc", t)
-        sup = sample_support(d.N, k, rng)
-        outside = np.setdiff1d(np.arange(d.N), sup, assume_unique=True)
-        i = int(rng.choice(outside))
-        if _sinc_stat(d, sup, gram) > alpha:
-            violations += 1
-            idx = np.asarray(sup)
-            if gram is not None:
-                cross = gram[idx, i]
-            else:
-                cross = d.entries[:, idx].conj().T @ d.entries[:, i]
-            tval = float(np.linalg.norm(cross))
-            total += wsinc_weight(delta, tval)
-    est = violations / trials
-    threshold = None if eps is None else eps ** 2 / (d.N - k)
-    return CertificationReport(
-        "wsinc", {"k": k, "delta": delta, "alpha": alpha}, "monte_carlo",
-        trials, violations, est, clopper_pearson(violations, trials),
-        seed=seed, wsinc_lhs=total / trials, wsinc_threshold=threshold,
-    )
+    def statistic(sups, probes):
+        worst, energy = _sinc_stats(d, sups, _maybe_gram(d), probes)
+        violated = worst > alpha
+        return violated, np.where(violated, wsinc_weight(delta, np.sqrt(energy)), 0.0)
+    rep = _estimate("wsinc", d, k, d.N - 1, {"k": k, "delta": delta, "alpha": alpha},
+                    statistic, "monte_carlo", trials, seed, EXHAUSTIVE_CAP, probe=True)
+    rep.wsinc_threshold = None if eps is None else eps ** 2 / (d.N - k)
+    return rep
 
 
 # ---------------------------------------------------------------------------

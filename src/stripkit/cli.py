@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 an asserted floor failed, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import csv
+import inspect
 import json
 import math
 import sys
@@ -103,9 +105,20 @@ def _cmd_check(args) -> int:
         if key in kw:
             kw[key] = int(kw[key])
     fn = ct.EVALUATORS[args.condition]
+    accepted = inspect.signature(fn).parameters
+    unknown = [key for key in kw if key not in accepted]
+    missing = [key for key, p in accepted.items()
+               if p.default is p.empty and key not in kw]
+    if unknown or missing:
+        raise ValueError(f"{args.condition}: unknown keys {unknown}, missing keys "
+                         f"{missing}; accepted keys: {', '.join(accepted)}")
     verdict = fn(**kw)
     _emit(verdict.as_dict(), args.out)
     return 0
+
+
+RECOVER_FIELDS = ("trial", "converged", "iterations", "objective", "err_on_l2",
+                  "err_off_l1", "bound_on", "bound_off", "recovery_l2")
 
 
 def _cmd_recover(args) -> int:
@@ -136,9 +149,8 @@ def _cmd_recover(args) -> int:
                "sigma": args.sigma, "seed": args.seed, "records": records}
     _emit(payload, args.out)
     if args.csv:
-        import csv as _csv
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=list(records[0]))
+            writer = csv.DictWriter(fh, fieldnames=RECOVER_FIELDS)
             writer.writeheader()
             writer.writerows(records)
     return 0

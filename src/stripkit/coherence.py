@@ -201,19 +201,29 @@ def tight_frame_mean_sq(m: int, N: int) -> float:
     return (N - m) / (m * (N - 1))
 
 
-def gram_submatrix(d: Dictionary, support) -> np.ndarray:
-    sub = d.entries[:, support]
-    return sub.conj().T @ sub
+# supports per batch in the support-batched statistics
+SUPPORT_CHUNK = 4096
+
+
+def hollow_gram_norms(d: Dictionary, supports: np.ndarray,
+                      gram: Optional[np.ndarray] = None) -> np.ndarray:
+    """Spectral norms of Phi_I^H Phi_I - Id for a batch of supports (B, k)."""
+    B, k = supports.shape
+    out = np.empty(B)
+    eye = np.eye(k)
+    for lo in range(0, B, SUPPORT_CHUNK):
+        sup = supports[lo:lo + SUPPORT_CHUNK]
+        if gram is not None:
+            sub = gram[sup[:, :, None], sup[:, None, :]]
+        else:
+            cols = d.entries[:, sup]                       # (m, b, k)
+            sub = np.einsum("mbi,mbj->bij", cols.conj(), cols)
+        vals = np.linalg.eigvalsh(sub - eye)
+        out[lo:lo + SUPPORT_CHUNK] = np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
+    return out
 
 
 def hollow_gram_norm(d: Dictionary, support,
                      gram: Optional[np.ndarray] = None) -> float:
     """Spectral norm of Phi_I^H Phi_I - Id for one support I."""
-    idx = np.asarray(support)
-    if gram is not None:
-        sub = gram[np.ix_(idx, idx)]
-    else:
-        sub = gram_submatrix(d, idx)
-    hollow = sub - np.eye(len(idx), dtype=sub.dtype)
-    vals = np.linalg.eigvalsh(hollow)
-    return float(max(abs(vals[0]), abs(vals[-1])))
+    return float(hollow_gram_norms(d, np.asarray(support)[None, :], gram)[0])

@@ -2,6 +2,9 @@
 
 Every stochastic routine takes (master_seed, labels...) and builds its own
 generator, so results are identical for any worker count or trial order.
+Recovery trials use one stream per trial. Monte Carlo certification uses one
+stream per block of trials, (seed, property, block), and draws the whole
+block from it, so a shorter run's draws are a prefix of a longer run's.
 """
 
 from __future__ import annotations

@@ -417,12 +417,13 @@ def cp_conditions(d: Dictionary, support, signs, z: np.ndarray,
     lhs3 = term_noise + math.sqrt(8.0 * math.log(N)) * term_sign
     margin3 = (2.0 - math.sqrt(2.0)) * math.sqrt(2.0 * math.log(N)) - lhs3
 
+    # plain bool / float, not numpy scalars, so reports built from these serialize
     return LassoConditions(
-        inverse_gram_ok=margin1 >= 0,
-        noise_correlation_ok=margin2 >= 0,
-        certificate_ok=margin3 >= 0,
-        margins={"inverse_gram": margin1, "noise_correlation": margin2,
-                 "certificate": margin3},
+        inverse_gram_ok=bool(margin1 >= 0),
+        noise_correlation_ok=bool(margin2 >= 0),
+        certificate_ok=bool(margin3 >= 0),
+        margins={"inverse_gram": float(margin1), "noise_correlation": float(margin2),
+                 "certificate": float(margin3)},
     )
 
 

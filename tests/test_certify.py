@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stripkit as sk
-from stripkit.certify import BudgetError, wsinc_weight
+from stripkit.certify import (MC_BLOCK, BudgetError, _mc_draws, _sinc_stats,
+                              wsinc_weight)
+from stripkit.coherence import hollow_gram_norms
 from stripkit.seeding import derive_rng
 
 EDGE = 1 + 1e-10   # ulp guard for floors evaluated exactly at (k-1) mu
@@ -330,3 +332,103 @@ def test_per_trial_streams_are_stable():
     a = derive_rng(3, "strip", 5)
     b = derive_rng(3, "strip", 5)
     assert np.array_equal(sk.sample_support(20, 4, a), sk.sample_support(20, 4, b))
+
+
+class TestBatchedDraws:
+    def test_prefix_stable(self):
+        short, _ = _mc_draws(2048, 5, 7, "strip", 500, probe=False)
+        long_, _ = _mc_draws(2048, 5, 7, "strip", 3000, probe=False)
+        assert short.shape == (500, 5) and long_.shape == (3000, 5)
+        assert np.array_equal(short, long_[:500])
+        assert (np.diff(long_, axis=1) > 0).all()
+        assert long_.min() >= 0 and long_.max() < 2048
+
+    def test_probe_prefix_stable(self):
+        sups, probes = _mc_draws(40, 3, 2, "wsinc", 700, probe=True)
+        sups2, probes2 = _mc_draws(40, 3, 2, "wsinc", MC_BLOCK + 5, probe=True)
+        assert np.array_equal(sups, sups2[:700])
+        assert np.array_equal(probes, probes2[:700])
+
+    def test_pairs_and_outside_index_uniform(self):
+        # every (pair, outside index) cell of N=5, k=2 has probability 1/30
+        trials = 60_000
+        sups, probes = _mc_draws(5, 2, 3, "wsinc", trials, probe=True)
+        assert not (sups == probes[:, None]).any()
+        pairs = {pair: i for i, pair in enumerate(combinations(range(5), 2))}
+        cells = np.zeros((len(pairs), 5))
+        for (a, b), i in zip(sups, probes):
+            cells[pairs[(a, b)], i] += 1
+        pair_freq = cells.sum(axis=1) / trials
+        assert np.abs(pair_freq - 0.1).max() < 0.006
+        joint = cells[cells > 0] / trials
+        assert joint.size == 30
+        assert np.abs(joint - 1 / 30).max() < 0.004
+
+    def test_huge_n_needs_no_n_sized_buffer(self):
+        # Floyd's algorithm needs no N-sized buffer; a huge N is fine
+        sups, probes = _mc_draws(10 ** 12, 4, 0, "sinc", 3, probe=True)
+        assert sups.shape == (3, 4) and (np.diff(sups, axis=1) > 0).all()
+        assert not (sups == probes[:, None]).any()
+
+
+def test_batched_wsinc_matches_per_trial_loop():
+    d = sk.build_gaussian(6, 12, seed=2)
+    k, delta, alpha, trials, seed = 2, 0.5, 0.05, 3000, 11
+    rep = sk.wsinc_estimate(d, k, delta, alpha, trials=trials, seed=seed)
+    sups, probes = _mc_draws(d.N, k, seed, "wsinc", trials, probe=True)
+    gram = d.gram()
+    total, violations = 0.0, 0
+    for sup, i in zip(sups, probes):
+        energy = (gram[sup, :] ** 2).sum(axis=0)
+        energy[sup] = -np.inf
+        if energy.max() > alpha:
+            violations += 1
+            total += wsinc_weight(delta, float(np.linalg.norm(gram[sup, i])))
+    assert rep.successes == violations > 0
+    assert rep.wsinc_lhs == pytest.approx(total / trials, rel=1e-12)
+
+
+def test_wsinc_weight_vectorized():
+    t = np.array([0.0, 0.1, 1.0])
+    assert np.allclose(wsinc_weight(0.5, t), [wsinc_weight(0.5, x) for x in t])
+    assert wsinc_weight(0.5, 0.0) == 0.0
+    assert wsinc_weight(1.0, 0.0) == 1.0
+    assert list(wsinc_weight(1.0, t)) == [1.0, 1.0, 1.0]
+
+
+def test_gram_free_path_matches_direct():
+    # N > 3000 takes the entries path for every statistic
+    d = sk.build_gaussian(8, 3072, seed=5)
+    k, trials, seed = 3, 40, 4
+    sups, probes = _mc_draws(d.N, k, seed, "wsinc", trials, probe=True)
+    a = d.entries
+    norms, worst, at_probe = [], [], []
+    for sup, i in zip(sups, probes):
+        sub = a[:, sup].T @ a[:, sup] - np.eye(k)
+        norms.append(np.linalg.norm(sub, 2))
+        energy = ((a[:, sup].T @ a) ** 2).sum(axis=0)
+        at_probe.append(energy[i])
+        energy[sup] = -np.inf
+        worst.append(energy.max())
+    got_worst, got_probe = _sinc_stats(d, sups, None, probes)
+    assert np.allclose(hollow_gram_norms(d, sups), norms, rtol=1e-12, atol=1e-12)
+    assert np.allclose(got_worst, worst, rtol=1e-12)
+    assert np.allclose(got_probe, at_probe, rtol=1e-12)
+    delta, alpha = float(np.median(norms)), float(np.median(worst))
+    strip = sk.strip_estimate(d, k, delta, trials=trials, seed=seed)
+    strip_sups, _ = _mc_draws(d.N, k, seed, "strip", trials, probe=False)
+    want = sum(np.linalg.norm(a[:, s].T @ a[:, s] - np.eye(k), 2) <= delta
+               for s in strip_sups)
+    assert strip.successes == want
+    wsinc = sk.wsinc_estimate(d, k, 0.5, alpha, trials=trials, seed=seed)
+    assert wsinc.successes == int((np.array(worst) > alpha).sum())
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_nonpositive_trials_rejected(trials):
+    d = sk.build_gaussian(6, 12, seed=2)
+    for call in (lambda: sk.strip_estimate(d, 2, 0.5, trials=trials),
+                 lambda: sk.sinc_estimate(d, 2, 0.1, trials=trials),
+                 lambda: sk.wsinc_estimate(d, 2, 0.5, 0.1, trials=trials)):
+        with pytest.raises(ValueError, match="need at least one trial"):
+            call()

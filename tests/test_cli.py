@@ -106,6 +106,19 @@ class TestCertify:
             main(["certify", "--dict", str(dg_file), "--property", "wsinc",
                   "--k", "2", "--delta", "0.5"])
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    @pytest.mark.parametrize("prop, thresholds", [
+        ("strip", ["--delta", "0.5"]),
+        ("sinc", ["--alpha", "0.2"]),
+        ("wsinc", ["--delta", "0.5", "--alpha", "0.2"]),
+    ])
+    def test_nonpositive_trials_exit_2(self, dg_file, capsys, prop, thresholds, trials):
+        code = main(["certify", "--dict", str(dg_file), "--property", prop,
+                     "--k", "2", *thresholds, "--trials", trials])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "need at least one trial"
+
 
 class TestCheck:
     def test_oa_condition(self, capsys):
@@ -135,6 +148,19 @@ class TestCheck:
         jsonschema.validate(payload, load_schema("sufficient_condition.v1.json"))
         assert payload["satisfied"] is True
 
+    def test_unknown_param_exits_2(self, capsys):
+        code = main(["check", "--condition", "gershgorin",
+                     "--param", "bogus", "1"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert "bogus" in err
+        assert "accepted keys: mu, k, delta" in err
+
+    def test_missing_param_exits_2(self, capsys):
+        code = main(["check", "--condition", "gershgorin", "--param", "mu", "0.1"])
+        assert code == 2
+        assert "accepted keys" in json.loads(capsys.readouterr().err)["error"]
+
 
 class TestRecover:
     def test_bp_records(self, dg_file, tmp_path, capsys):
@@ -145,7 +171,19 @@ class TestRecover:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["records"]) == 3
         assert all(r["recovery_l2"] < 1e-6 for r in payload["records"])
-        assert len(csv.read_text().strip().splitlines()) == 4
+        lines = csv.read_text().strip().splitlines()
+        assert len(lines) == 4
+        assert sorted(lines[0].split(",")) == sorted(payload["records"][0])
+
+    def test_zero_trials_writes_header_only(self, dg_file, tmp_path, capsys):
+        csv = tmp_path / "rec.csv"
+        code = main(["recover", "--dict", str(dg_file), "--k", "2",
+                     "--trials", "0", "--csv", str(csv)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["records"] == []
+        lines = csv.read_text().strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("trial,converged,")
 
 
 class TestGv:
@@ -179,6 +217,16 @@ class TestExperiment:
         jsonschema.validate(payload, load_schema("experiment_report.v1.json"))
         assert payload["trials"] == 6
         assert len(csv.read_text().strip().splitlines()) == 7
+
+    def test_lasso_config_run(self, tmp_path):
+        cfg = tmp_path / "lasso.cfg"
+        cfg.write_text('family=dg\nfamily_args={"s": 1}\nk=2\nsigma=0.01\n'
+                       'solver=lasso\ntrials=3\nseed=2\n')
+        out = tmp_path / "report.json"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["kind"] == "lasso_study"
+        assert len(payload["records"]) == 3
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

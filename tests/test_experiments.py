@@ -1,3 +1,4 @@
+import json
 
 import numpy as np
 import pytest
@@ -89,6 +90,19 @@ class TestLassoStudy:
         assert rep.converged == 10
         assert np.isfinite(rep.aggregate["ratio_max"])
         assert 0.0 <= rep.aggregate["frac_cond_all"] <= 1.0
+
+    def test_report_round_trips_through_json(self):
+        cfg = dg_config(sigma=0.01, trials=6, solver="lasso")
+        rep = sk.run_lasso_study(cfg)
+        payload = json.loads(rep.to_json())
+        assert payload["trials"] == 6
+        assert len(payload["records"]) == 6
+        for rec in payload["records"]:
+            assert all(type(rec[key]) is bool for key in
+                       ("cond_inverse_gram", "cond_noise_correlation",
+                        "cond_certificate", "cond_all"))
+        assert json.loads(rep.to_json(include_runtime=False)) == {
+            k: v for k, v in payload.items() if k != "runtime_seconds"}
 
 
 class TestSweep:
