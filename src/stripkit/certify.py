@@ -26,6 +26,8 @@ EXHAUSTIVE_CAP = 10 ** 6
 CI_LEVEL = 0.99
 # Monte Carlo trials per derived rng stream. Changing it changes every MC draw.
 MC_BLOCK = 1024
+# bytes of one chunk of the (b, k, N) cross-correlation in _sinc_stats
+CROSS_CHUNK_BYTES = 32 * 2 ** 20
 
 
 class BudgetError(ValueError):
@@ -144,7 +146,8 @@ def _sinc_stats(d: Dictionary, supports: np.ndarray, gram, probes=None):
     B, k = supports.shape
     out = np.empty(B)
     at_probe = None if probes is None else np.empty(B)
-    chunk = max(1, min(SUPPORT_CHUNK, 2 ** 24 // max(1, k * d.N)))
+    chunk = max(1, min(SUPPORT_CHUNK,
+                       CROSS_CHUNK_BYTES // (k * d.N * d.entries.itemsize)))
     for lo in range(0, B, chunk):
         sup = supports[lo:lo + chunk]
         if gram is not None:
@@ -152,7 +155,10 @@ def _sinc_stats(d: Dictionary, supports: np.ndarray, gram, probes=None):
         else:
             cols = d.entries[:, sup]                       # (m, b, k)
             cross = np.einsum("mbi,mn->bin", cols.conj(), d.entries)
-        col_sq = (np.abs(cross) ** 2).sum(axis=1)          # (b, N)
+        if np.iscomplexobj(cross):
+            cross = np.abs(cross)
+        col_sq = np.square(cross, out=cross).sum(axis=1)  # (b, N)
+        del cross                  # free it before the next chunk's is built
         if probes is not None:
             at_probe[lo:lo + chunk] = np.take_along_axis(
                 col_sq, probes[lo:lo + chunk, None], axis=1)[:, 0]

@@ -1,7 +1,9 @@
 """Command-line front end: build / analyze / certify / check / recover / gv /
 experiment subcommands sharing one master seed.
 
-Exit codes: 0 success, 1 an asserted floor failed, 2 usage errors.
+Exit codes: 0 success, 1 an asserted floor failed or an infeasible
+derandomized construction, 2 usage errors and any other ValueError (numpy's
+LinAlgError, hence a rank-deficient support, is one).
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ def _cmd_certify(args) -> int:
     else:
         if args.delta is None or args.alpha is None:
             raise SystemExit("--delta and --alpha required for wsinc")
+        if args.exhaustive:
+            raise ValueError("wsinc has no exhaustive method; drop --exhaustive")
         rep = ct.wsinc_estimate(d, args.k, args.delta, args.alpha,
                                 args.trials, args.seed, eps=args.eps)
     _emit(rep.as_dict(), args.out)

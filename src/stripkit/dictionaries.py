@@ -335,7 +335,10 @@ def load_dictionary(path) -> Dictionary:
     header = blob[:head_end].decode("utf-8").splitlines()
     if not header or not header[0].startswith(_MAGIC):
         raise DictionaryFormatError("bad magic string")
-    version = int(header[0].split()[1])
+    try:
+        version = int(header[0].split()[1])
+    except (IndexError, ValueError):
+        raise DictionaryFormatError(f"bad header line {header[0]!r}")
     if version != _FORMAT_VERSION:
         raise DictionaryFormatError(f"unsupported format version {version}")
     fields: dict = {"params": {}}

@@ -6,8 +6,10 @@ succeeds when every nonzero codeword weight stays inside the band
 [m/2 (1-mu), m/2 (1+mu)], which forces bipolar coherence at most mu.
 The derandomized builder fixes generator entries one at a time, choosing
 each bit to minimize the exact conditional expectation of the number of
-out-of-band codewords; all probabilities are dyadic rationals, so the
-bookkeeping is done in exact integer arithmetic (numerator at scale 2^m).
+out-of-band codewords. Codewords with equal decided weight and pending row
+parity contribute alike, so each decision sums over a histogram of those
+pairs; all probabilities are dyadic rationals, so the bookkeeping stays in
+exact integer arithmetic (numerator at scale 2^m), equal to a per-codeword sum.
 """
 
 from __future__ import annotations
@@ -146,15 +148,17 @@ def gv_derandomized(spec: GvSpec) -> GvResult:
     running expectation (kept as an exact integer numerator at scale 2^m)
     never increases because each decided bit picks the smaller branch of an
     average.
+
+    Every index in that group has m - i rows left, so its change under either
+    branch depends only on its (decided ones, row-i prefix parity) pair: each
+    branch sum is integer pair counts times exact ``outside_scaled``
+    differences, the same integer a per-codeword loop adds up.
     """
     m, l, N = spec.m, spec.l, spec.N
     lo, hi = spec.band
     tables = _BandTables(m, lo, hi)
     scale = 1 << m
 
-    ones = [0] * N            # decided-parity one counts per codeword index
-    remaining = [m] * N
-    partial = [0] * N         # parity of the decided prefix of the current row
     total = (N - 1) * tables.outside_scaled(0, m, m)
     initial = Fraction(total, scale)
     if initial >= 1:
@@ -162,48 +166,43 @@ def gv_derandomized(spec: GvSpec) -> GvResult:
             f"initial expectation {float(initial):.4g} >= 1; enlarge m "
             f"(auto size {spec.auto_m()})")
     trace = [initial]
-    by_top_bit = [list(range(1 << j, 1 << (j + 1))) for j in range(l)]
+    index = np.arange(N)
+    ones = np.zeros(N, dtype=np.int64)       # decided-parity one counts
+    partial = np.zeros(N, dtype=np.int64)    # parity of the decided row prefix
     generator = np.zeros((m, l), dtype=np.uint8)
 
     for i in range(m):
-        for u in range(1, N):
-            partial[u] = 0
+        # before[o] and after[o] are 2^m P(out of band) for an index with o
+        # decided ones (o <= i) and m - i, resp. m - i - 1, rows left
+        before = [tables.outside_scaled(o, m - i, m) for o in range(i + 1)]
+        after = [tables.outside_scaled(o, m - i - 1, m) for o in range(i + 2)]
+        partial[:] = 0
         for j in range(l):
-            finalized = by_top_bit[j]
-            delta = {0: 0, 1: 0}
-            for u in finalized:
-                old = tables.outside_scaled(ones[u], remaining[u], m)
-                rem = remaining[u] - 1
-                # bit b makes row parity = partial[u] ^ (b if u has bit j) ; all
-                # u here have bit j set by construction
-                for b in (0, 1):
-                    par = partial[u] ^ b
-                    delta[b] += tables.outside_scaled(ones[u] + par, rem, m) - old
+            group = slice(1 << j, 2 << j)    # indices with top set bit j
+            counts = np.bincount(2 * ones[group] + partial[group])
+            keys = np.flatnonzero(counts)
+            delta = [0, 0]                   # change of total if bit = 0, 1
+            for key, n in zip(keys.tolist(), counts[keys].tolist()):
+                o, p = divmod(key, 2)
+                delta[p] += n * (after[o] - before[o])
+                delta[1 - p] += n * (after[o + 1] - before[o])
             bit = 0 if delta[0] <= delta[1] else 1
             generator[i, j] = bit
             total += delta[bit]
             trace.append(Fraction(total, scale))
-            for u in finalized:
-                par = partial[u] ^ bit
-                ones[u] += par
-                remaining[u] -= 1
-            # fold the decided bit into the running parities of every index
-            # that contains bit j but also higher bits (still pending)
+            ones[group] += partial[group] ^ bit
             if bit:
-                for jj in range(j + 1, l):
-                    for u in by_top_bit[jj]:
-                        if u >> j & 1:
-                            partial[u] ^= 1
+                partial ^= index >> j & 1
 
     words = span_of_generator(generator)
-    uniq = np.unique(words, axis=0)
-    w = _nonzero_weights(generator)
+    w = words[1:].sum(axis=1)      # row 0 is the zero combination
     bad = int(((w < lo) | (w > hi)).sum())
-    if uniq.shape[0] == N:
+    if w.min() > 0:                # two codewords coincide iff their sum is zero
         code = BinaryCode(m=m, N=N, words=words, generator=generator)
     else:
         # a zero-weight combination is out of band whenever lo >= 1, so a
         # collapsed span can only happen on the trivial mu = 1 band
+        uniq = np.unique(words, axis=0)
         code = BinaryCode(m=m, N=uniq.shape[0], words=uniq)
     return GvResult(code=code, success=bad == 0, out_of_band=bad,
                     expectation_trace=trace)

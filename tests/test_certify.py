@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stripkit as sk
+from stripkit import certify
 from stripkit.certify import (MC_BLOCK, BudgetError, _mc_draws, _sinc_stats,
                               wsinc_weight)
 from stripkit.coherence import hollow_gram_norms
@@ -432,3 +433,26 @@ def test_nonpositive_trials_rejected(trials):
                  lambda: sk.wsinc_estimate(d, 2, 0.5, 0.1, trials=trials)):
         with pytest.raises(ValueError, match="need at least one trial"):
             call()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sk.build_gaussian(8, 40, seed=3),
+    lambda: sk.build_family("chirp", m=7),          # complex entries
+])
+def test_sinc_stats_independent_of_chunk_bytes(build, monkeypatch):
+    d = build()
+    sups, probes = _mc_draws(d.N, 3, 9, "wsinc", 50, probe=True)
+    energy = (np.abs(d.gram()[sups]) ** 2).sum(axis=1)      # (B, N), one shot
+    at_probe = np.take_along_axis(energy, probes[:, None], axis=1)[:, 0]
+    np.put_along_axis(energy, sups, -np.inf, axis=1)
+    got_worst, got_probe = _sinc_stats(d, sups, d.gram(), probes)
+    assert np.array_equal(got_worst, energy.max(axis=1))
+    assert np.array_equal(got_probe, at_probe)
+    for gram in (d.gram(), None):
+        whole = _sinc_stats(d, sups, gram, probes)
+        # room for 7 supports' (k, N) cross-correlation rows per chunk
+        monkeypatch.setattr(certify, "CROSS_CHUNK_BYTES",
+                            7 * 3 * d.N * d.entries.itemsize)
+        chunked = _sinc_stats(d, sups, gram, probes)
+        monkeypatch.undo()
+        assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))

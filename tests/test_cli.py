@@ -75,6 +75,13 @@ class TestAnalyze:
               "--seed", "0", "--out", str(out)])
         assert main(["analyze", "--dict", str(out), "--pless", "2"]) == 2
 
+    @pytest.mark.parametrize("first", [b"SDICT", b"SDICT x"])
+    def test_malformed_header_exits_2(self, tmp_path, capsys, first):
+        path = tmp_path / "bad.dict"
+        path.write_bytes(first + b"\nfield=real\nm=1\nN=1\ndata\n" + bytes(8))
+        assert main(["analyze", "--dict", str(path)]) == 2
+        assert "bad header line" in json.loads(capsys.readouterr().err)["error"]
+
 
 class TestCertify:
     def test_exhaustive_report(self, tmp_path):
@@ -105,6 +112,15 @@ class TestCertify:
         with pytest.raises(SystemExit):
             main(["certify", "--dict", str(dg_file), "--property", "wsinc",
                   "--k", "2", "--delta", "0.5"])
+
+    def test_wsinc_exhaustive_exits_2(self, dg_file, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        code = main(["certify", "--dict", str(dg_file), "--property", "wsinc",
+                     "--k", "2", "--delta", "0.5", "--alpha", "0.2",
+                     "--exhaustive", "--out", str(out)])
+        assert code == 2
+        assert "exhaustive" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     @pytest.mark.parametrize("prop, thresholds", [
@@ -227,6 +243,20 @@ class TestExperiment:
         payload = json.loads(out.read_text())
         assert payload["kind"] == "lasso_study"
         assert len(payload["records"]) == 3
+
+    def test_rank_deficiency_exits_2(self, tmp_path, capsys, monkeypatch):
+        from stripkit import experiments
+        from stripkit.solvers import RankDeficiencyError
+
+        def deficient(*args, **kwargs):
+            raise RankDeficiencyError("support Gram is singular")
+        monkeypatch.setattr(experiments, "cp_conditions", deficient)
+        cfg = tmp_path / "lasso.cfg"
+        cfg.write_text('family=dg\nfamily_args={"s": 1}\nk=2\nsigma=0.01\n'
+                       'solver=lasso\ntrials=1\nseed=2\n')
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "support Gram is singular"
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -257,6 +257,13 @@ class TestSerialization:
         with pytest.raises(DictionaryFormatError):
             sk.load_dictionary(path)
 
+    @pytest.mark.parametrize("first", [b"SDICT", b"SDICT x"])
+    def test_malformed_version_line(self, tmp_path, first):
+        path = tmp_path / "bad.dict"
+        path.write_bytes(first + b"\nfield=real\nm=1\nN=1\ndata\n" + bytes(8))
+        with pytest.raises(DictionaryFormatError, match="bad header line"):
+            sk.load_dictionary(path)
+
     def test_nonunit_columns_warn(self, tmp_path):
         d = sk.build_gaussian(4, 6, seed=0)
         path = tmp_path / "d.dict"

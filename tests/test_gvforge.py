@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -5,8 +6,52 @@ import numpy as np
 import pytest
 
 import stripkit as sk
-from stripkit.dictionaries import BinaryCode
-from stripkit.gvforge import GvInfeasibleError, GvSpecError, GvSpec
+from stripkit.dictionaries import BinaryCode, span_of_generator
+from stripkit.gvforge import GvInfeasibleError, GvSpecError, GvSpec, _BandTables
+
+
+def per_codeword_oracle(spec: GvSpec):
+    """Reference derandomization: the per-codeword decision loop, one exact
+    ``outside_scaled`` difference per codeword and branch. Returns
+    (generator, expectation trace), or None when the band is infeasible."""
+    m, l, N = spec.m, spec.l, spec.N
+    lo, hi = spec.band
+    tables = _BandTables(m, lo, hi)
+    scale = 1 << m
+    ones = [0] * N
+    remaining = [m] * N
+    partial = [0] * N
+    total = (N - 1) * tables.outside_scaled(0, m, m)
+    if Fraction(total, scale) >= 1:
+        return None
+    trace = [Fraction(total, scale)]
+    by_top_bit = [list(range(1 << j, 1 << (j + 1))) for j in range(l)]
+    generator = np.zeros((m, l), dtype=np.uint8)
+    for i in range(m):
+        for u in range(1, N):
+            partial[u] = 0
+        for j in range(l):
+            finalized = by_top_bit[j]
+            delta = {0: 0, 1: 0}
+            for u in finalized:
+                old = tables.outside_scaled(ones[u], remaining[u], m)
+                rem = remaining[u] - 1
+                for b in (0, 1):
+                    par = partial[u] ^ b
+                    delta[b] += tables.outside_scaled(ones[u] + par, rem, m) - old
+            bit = 0 if delta[0] <= delta[1] else 1
+            generator[i, j] = bit
+            total += delta[bit]
+            trace.append(Fraction(total, scale))
+            for u in finalized:
+                ones[u] += partial[u] ^ bit
+                remaining[u] -= 1
+            if bit:
+                for jj in range(j + 1, l):
+                    for u in by_top_bit[jj]:
+                        if u >> j & 1:
+                            partial[u] ^= 1
+    return generator, trace
 
 
 class TestSpec:
@@ -109,6 +154,47 @@ class TestGvDerandomized:
     def test_mu_one_trivial_band(self):
         res = sk.gv_derandomized(GvSpec(l=3, mu_target=1.0, m=8))
         assert res.success and res.out_of_band == 0
+
+
+ORACLE_GRID = ([(l, mu, None) for l in range(1, 9) for mu in (0.4, 0.6, 0.9)]
+               + [(l, 0.5, m) for l in (2, 5, 7) for m in (9, 30, 64)]
+               + [(l, 1.0, m) for l in (1, 3, 6) for m in (1, 8)]
+               + [(4, 0.25, 40)])
+
+
+class TestGvDerandomizedOracle:
+    @pytest.mark.parametrize("l, mu, m", ORACLE_GRID)
+    def test_matches_per_codeword_loop(self, l, mu, m):
+        spec = GvSpec(l=l, mu_target=mu, m=m)
+        expected = per_codeword_oracle(spec)
+        if expected is None:
+            with pytest.raises(GvInfeasibleError):
+                sk.gv_derandomized(spec)
+            return
+        res = sk.gv_derandomized(spec)
+        generator, trace = expected
+        assert res.expectation_trace == trace
+        words = span_of_generator(generator)
+        lo, hi = spec.band
+        weights = words[1:].sum(axis=1)
+        assert res.out_of_band == int(((weights < lo) | (weights > hi)).sum())
+        assert res.success == (res.out_of_band == 0)
+        if res.code.generator is None:       # collapsed span: dependent columns
+            assert np.array_equal(res.code.words, np.unique(words, axis=0))
+        else:
+            assert res.code.generator.tobytes() == generator.tobytes()
+            assert np.array_equal(res.code.words, words)
+
+    def test_pinned_l12_digest(self):
+        # generator and trace of the per-codeword implementation at l=12
+        res = sk.gv_derandomized(GvSpec(l=12, mu_target=0.4))
+        assert res.code.m == 208 and len(res.expectation_trace) == 208 * 12 + 1
+        assert (hashlib.sha256(res.code.generator.tobytes()).hexdigest()
+                == "87319ab3d57b194bb6891569ec2f9222a1ec44a77d17b13cf67dd2109ebedcda")
+        assert res.expectation_trace[-1] == 0
+        pairs = [(f.numerator, f.denominator) for f in res.expectation_trace]
+        assert (hashlib.sha256(repr(pairs).encode()).hexdigest()
+                == "0c45fec32d25c01c99ceefcb75ed4c4ae789b52c8dbe43323f0dd5844e4b3176")
 
 
 class TestCodeWidth:
