@@ -85,15 +85,15 @@ def _cmd_certify(args) -> int:
     method = "exhaustive" if args.exhaustive else "monte_carlo"
     if args.property == "strip":
         if args.delta is None:
-            raise SystemExit("--delta required for strip")
+            raise ValueError("--delta required for strip")
         rep = ct.strip_estimate(d, args.k, args.delta, method, args.trials, args.seed)
     elif args.property == "sinc":
         if args.alpha is None:
-            raise SystemExit("--alpha required for sinc")
+            raise ValueError("--alpha required for sinc")
         rep = ct.sinc_estimate(d, args.k, args.alpha, method, args.trials, args.seed)
     else:
         if args.delta is None or args.alpha is None:
-            raise SystemExit("--delta and --alpha required for wsinc")
+            raise ValueError("--delta and --alpha required for wsinc")
         if args.exhaustive:
             raise ValueError("wsinc has no exhaustive method; drop --exhaustive")
         rep = ct.wsinc_estimate(d, args.k, args.delta, args.alpha,

@@ -53,6 +53,8 @@ class ExperimentConfig:
             raise ValueError("k must be nonnegative")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
         if not (0 < self.eps < 1):
             raise ValueError("eps must be in (0, 1)")
         if self.solver not in ("bp", "lasso"):
@@ -336,7 +338,10 @@ def parse_config_file(path) -> ExperimentConfig:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"malformed config line: {line!r}")
-            raw[key.strip()] = value.strip()
+            key = key.strip()
+            if key in raw:
+                raise ValueError(f"duplicate config key {key!r}")
+            raw[key] = value.strip()
     cfg = ExperimentConfig()
     ints = {"k", "trials", "seed", "jobs"}
     floats = {"eps", "sigma", "p", "lam", "bound_tol"}

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Optional
 
 import numpy as np
@@ -111,14 +110,13 @@ class _BandTables:
         self.m = m
         self.lo = lo
         self.hi = hi
-        # prefix[r][x] = sum_{j<=x} C(r, j), with clamping sentinels
-        self.prefix = []
-        for r in range(m + 1):
-            row = [0] * (r + 2)
-            acc = 0
-            for j in range(r + 1):
-                acc += comb(r, j)
-                row[j + 1] = acc
+        # prefix[r][x + 1] = sum_{j<=x} C(r, j) and prefix[r][0] = 0. Pascal's
+        # rule C(r+1, j) = C(r, j) + C(r, j-1) makes row r+1 the sum of row r
+        # and row r shifted by one; its last entry, 2^(r+1), is twice row r's.
+        row = [0, 1]
+        self.prefix = [row]
+        for r in range(m):
+            row = [0] + [row[j] + row[j + 1] for j in range(r + 1)] + [2 * row[r + 1]]
             self.prefix.append(row)
 
     def inside(self, decided_ones: int, remaining: int) -> int:

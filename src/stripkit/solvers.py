@@ -1,11 +1,17 @@
 """Basis Pursuit and Lasso solvers with verifiable optimality certificates.
 
-Basis Pursuit runs operator-splitting (ADMM) on the constrained form with an
-exact projection onto {x : ||Phi x - y|| <= eps}; convergence is certified a
-posteriori through an independently constructed dual-feasible point, so
-``converged=True`` always means a verified duality gap, never just small
-iterate motion. Lasso runs accelerated proximal gradient with backtracking
-and is accepted only on a coordinatewise subgradient check.
+Basis Pursuit runs operator-splitting (ADMM; Boyd et al. 2011) on the
+constrained form with an exact projection onto {x : ||Phi x - y|| <= eps}.
+The projection diagonalizes Phi Phi^T once and finds its multiplier by a
+safeguarded Newton solve of the secular equation, returning the feasible end
+of its bracket. Convergence is certified a posteriori through an
+independently constructed dual-feasible point, so ``converged=True`` always
+means a verified duality gap, never just small iterate motion. Polishing
+tries the least-squares refit on the detected support before the raw
+iterate and stops at the first certified candidate; a dense sign fit is
+solved in the m-dimensional range space. Lasso runs accelerated proximal
+gradient with backtracking and is accepted only on a coordinatewise
+subgradient check.
 """
 
 from __future__ import annotations
@@ -75,6 +81,22 @@ def _soft(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
+def _frame_spectrum(a: np.ndarray):
+    """Eigenpairs of A A^T, clamped at zero, and the mask of its numerical range."""
+    w, v = np.linalg.eigh(a @ a.T)
+    w = np.maximum(w, 0.0)
+    return w, v, (w > w.max() * 1e-14 if w.size else w > 0)
+
+
+def _range_solve(w: np.ndarray, v: np.ndarray, mask: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
+    """(A A^T)^+ b from the eigenpairs of A A^T, directions off the mask dropped."""
+    coef = v.T @ b
+    coef[mask] /= w[mask]
+    coef[~mask] = 0.0
+    return v @ coef
+
+
 class _BallProjector:
     """Exact Euclidean projection onto {x : ||A x - y|| <= eps}."""
 
@@ -82,17 +104,59 @@ class _BallProjector:
         self.a = a
         self.y = y
         self.eps = eps
-        w, v = np.linalg.eigh(a @ a.T)
-        self.w = np.maximum(w, 0.0)
-        self.v = v
-        self.rank_mask = self.w > self.w.max() * 1e-14 if self.w.size else self.w > 0
+        self.w, self.v, self.rank_mask = _frame_spectrum(a)
 
     def lift(self, g: np.ndarray) -> np.ndarray:
         """Least-squares solution nu of A^T nu = g (the range-space lift)."""
-        coef = self.v.T @ (self.a @ g)
-        coef[self.rank_mask] /= self.w[self.rank_mask]
-        coef[~self.rank_mask] = 0.0
-        return self.v @ coef
+        return _range_solve(self.w, self.v, self.rank_mask, self.a @ g)
+
+    def multiplier(self, dt: np.ndarray) -> float:
+        """The lam >= 0 with ||dt / (1 + lam w)|| = eps, to within
+        1e-15 * max(1, lam) and on its feasible side (needs eps < ||dt||).
+
+        Safeguarded Newton on the secular equation
+        phi(lam) = 1/||dt / (1 + lam w)|| - 1/eps, which is increasing and
+        concave, so a step from the infeasible side stays infeasible and
+        converges monotonically. The bracket [lo, hi] has lo infeasible and
+        hi feasible; a step that leaves it falls back to bisection (or to
+        growing lo while no feasible point is known). Returns hi.
+        """
+        w = self.w
+        target = 1.0 / self.eps
+        lo, hi, lam = 0.0, math.inf, 0.0
+        probe = 0.5e-15     # relative width of a probe past a converged step
+        for _ in range(200):
+            den = 1.0 + lam * w
+            qq = (dt / den) ** 2
+            f = float(qq.sum())
+            r = math.sqrt(f)
+            feasible = r <= self.eps
+            if feasible:
+                hi = lam
+            else:
+                lo = lam
+            if hi < math.inf and hi - lo <= 1e-15 * max(1.0, hi):
+                break
+            slope = float((qq * w / den).sum()) / (f * r) if f > 0.0 else 0.0
+            nxt = lam + ((target - 1.0 / r) / slope if slope > 0.0 else math.inf)
+            # a step within the probe width means the root is within reach:
+            # probe just past it, to the other side of the bracket; the width
+            # doubles per probe, so a stretch where the float residual is flat
+            # is crossed in a few steps
+            if nxt >= hi or (feasible and nxt > hi - 0.5 * probe * max(1.0, hi)):
+                nxt = hi - probe * max(1.0, hi)
+                probe *= 2.0
+            elif not feasible and nxt < lo + 0.5 * probe * max(1.0, lo):
+                nxt = lo + probe * max(1.0, lo)
+                probe *= 2.0
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi) if hi < math.inf else 4.0 * max(lo, 0.25)
+            if nxt > 1e30:
+                raise SolverInputError("projection failed; frame operator singular?")
+            lam = nxt
+        if hi == math.inf:
+            raise SolverInputError("projection failed; frame operator singular?")
+        return hi
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
         d = self.a @ vec - self.y
@@ -107,23 +171,7 @@ class _BallProjector:
             coef = np.zeros_like(dt)
             coef[self.rank_mask] = dt[self.rank_mask] / self.w[self.rank_mask]
             return vec - self.a.T @ (self.v @ coef)
-        # find lam >= 0 with || d / (1 + lam w) || = eps (monotone decreasing)
-        def resid(lam):
-            return math.sqrt(float(((dt / (1.0 + lam * self.w)) ** 2).sum()))
-        lo, hi = 0.0, 1.0
-        while resid(hi) > self.eps:
-            hi *= 4.0
-            if hi > 1e30:
-                raise SolverInputError("projection failed; frame operator singular?")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if resid(mid) > self.eps:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * max(1.0, hi):
-                break
-        lam = hi
+        lam = self.multiplier(dt)
         return vec - self.a.T @ (self.v @ (lam * dt / (1.0 + lam * self.w)))
 
 
@@ -146,8 +194,9 @@ def _dual_gap(a: np.ndarray, y: np.ndarray, eps: float, x: np.ndarray,
             if support.size <= a.shape[0]:
                 nu = asub @ np.linalg.solve(asub.T @ asub, sgn)
             else:
-                # dense optimum: least-squares fit of the full sign pattern
-                nu, *_ = np.linalg.lstsq(asub.T, sgn, rcond=None)
+                # dense optimum: least-squares fit of the full sign pattern,
+                # solved in m-space through the eigenpairs of asub asub^T
+                nu = _range_solve(*_frame_spectrum(asub), asub @ sgn)
             candidates.append(nu)
         except np.linalg.LinAlgError:
             pass
@@ -212,7 +261,7 @@ def basis_pursuit(d: Dictionary, y: np.ndarray, eps_noise: float,
             cand = _polish_candidate(a, ys, es, x, z, thresh, opts, nu_admm)
             if cand is not None:
                 xc, gap = cand
-                if gap <= opts.obj_tol * (1.0 + np.abs(xc).sum()):
+                if _certified(xc, gap, opts):
                     best = (xc, gap)
                     break
                 if best is None or gap < best[1]:
@@ -232,9 +281,15 @@ def basis_pursuit(d: Dictionary, y: np.ndarray, eps_noise: float,
                           rel_gap, info={"duality_gap": float(gap * yn)})
 
 
+def _certified(x: np.ndarray, gap: float, opts: SolverOptions) -> bool:
+    """Duality gap within obj_tol relative to the objective."""
+    return gap <= opts.obj_tol * (1.0 + np.abs(x).sum())
+
+
 def _polish_candidate(a, y, eps, x, z, thresh, opts, nu_admm=None):
-    """Feasible candidate with its duality gap; least-squares refit on the
-    detected support when that lowers the l1 objective."""
+    """Feasible candidate with the smallest duality gap among the iterate and
+    the least-squares refit on the detected support (tried first, when it
+    lowers the l1 objective); a certified refit ends the scan."""
     support = np.flatnonzero(np.abs(z) > thresh)
     cands = [(x, np.flatnonzero(np.abs(x) > thresh))]
     if 0 < support.size <= a.shape[0]:
@@ -252,6 +307,8 @@ def _polish_candidate(a, y, eps, x, z, thresh, opts, nu_admm=None):
         gap = _dual_gap(a, y, eps, cand, sup, nu_admm)
         if out is None or gap < out[1]:
             out = (cand, gap)
+        if _certified(cand, gap, opts):
+            break       # skip fitting the denser candidates after it
     return out
 
 

@@ -108,10 +108,28 @@ class TestCertify:
             outs.append(path.read_text())
         assert outs[0] == outs[1]
 
-    def test_wsinc_requires_both_thresholds(self, dg_file):
-        with pytest.raises(SystemExit):
-            main(["certify", "--dict", str(dg_file), "--property", "wsinc",
-                  "--k", "2", "--delta", "0.5"])
+    def test_wsinc_requires_both_thresholds(self, dg_file, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        for given, missing in ((["--delta", "0.5"], "--alpha"),
+                               (["--alpha", "0.2"], "--delta")):
+            code = main(["certify", "--dict", str(dg_file), "--property", "wsinc",
+                         "--k", "2", *given, "--out", str(out)])
+            assert code == 2
+            err = json.loads(capsys.readouterr().err)
+            assert missing in err["error"] and "wsinc" in err["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("prop, missing", [("strip", "--delta"),
+                                               ("sinc", "--alpha")])
+    def test_missing_threshold_exits_2(self, dg_file, tmp_path, capsys, prop,
+                                       missing):
+        out = tmp_path / "rep.json"
+        code = main(["certify", "--dict", str(dg_file), "--property", prop,
+                     "--k", "2", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == f"{missing} required for {prop}"
+        assert not out.exists()
 
     def test_wsinc_exhaustive_exits_2(self, dg_file, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -262,6 +280,26 @@ class TestExperiment:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mystery=1\n")
         assert main(["experiment", "--config", str(cfg)]) == 2
+
+    def test_duplicate_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text('family=dg\nfamily_args={"s": 1}\nk=2\ntrials=2\ntrials=3\n')
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "duplicate config key 'trials'"
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_nonpositive_jobs_exits_2(self, tmp_path, capsys, where):
+        cfg = tmp_path / "study.cfg"
+        text = 'family=dg\nfamily_args={"s": 1}\nk=2\ntrials=2\n'
+        cfg.write_text(text + ("jobs=0\n" if where == "config" else ""))
+        extra = ["--jobs", "0"] if where == "flag" else []
+        out = tmp_path / "report.json"
+        code = main(["experiment", "--config", str(cfg), *extra, "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "jobs must be at least 1"
+        assert not out.exists()
 
     def test_seed_override_reproduces(self, tmp_path):
         cfg = tmp_path / "study.cfg"

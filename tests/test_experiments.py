@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -147,11 +148,36 @@ seed=12
         parse_config_file(bad)
 
 
+def test_parse_config_file_rejects_duplicate_key(tmp_path):
+    path = tmp_path / "dup.cfg"
+    path.write_text("family=dg\nk=2\ntrials=5\n k = 3\n")
+    with pytest.raises(ValueError, match="duplicate config key 'k'"):
+        parse_config_file(path)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(family="dg", dictionary_path="x").validate()
     with pytest.raises(ValueError):
         ExperimentConfig(family="dg", trials=0).validate()
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_config_validation_rejects_nonpositive_jobs(jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        dg_config(jobs=jobs).validate()
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        sk.run_recovery_floor(dg_config(jobs=jobs))
+
+
+def test_pinned_floor_payload():
+    # the first 10 trials of the criterion-7 study; pins the noiseless BP
+    # floats (polish order, dual fits) byte for byte
+    cfg = ExperimentConfig(family="dg", family_args={"s": 2}, k=4, eps=0.1,
+                           trials=10, seed=2026)
+    text = sk.run_recovery_floor(cfg).to_json(include_runtime=False)
+    assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
+            == "bac8bd0a11cdce49930d95f6144887c15867d9192e7f93786944097fa4534e04")
 
 
 def test_jobs_do_not_change_results():

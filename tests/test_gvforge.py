@@ -197,6 +197,17 @@ class TestGvDerandomizedOracle:
                 == "0c45fec32d25c01c99ceefcb75ed4c4ae789b52c8dbe43323f0dd5844e4b3176")
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 64])
+def test_band_tables_pascal_rows_match_binomials(m):
+    tables = _BandTables(m, 0, m)
+    assert len(tables.prefix) == m + 1
+    for r, row in enumerate(tables.prefix):
+        partial = [0]
+        for j in range(r + 1):
+            partial.append(partial[-1] + math.comb(r, j))
+        assert row == partial
+
+
 class TestCodeWidth:
     def test_equidistant_code(self):
         words = np.array([[0, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]],

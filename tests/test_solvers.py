@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import stripkit as sk
 from stripkit.dictionaries import Dictionary
 from stripkit.solvers import (RankDeficiencyError, SolverInputError,
-                              SolverOptions, lasso_kkt_residual)
+                              SolverOptions, _BallProjector, lasso_kkt_residual)
 
 
 def bp_instance(d, k, seed, model="unit"):
@@ -100,6 +100,121 @@ class TestBasisPursuit:
         d = Dictionary("rank2", "real", 3, 2, entries)
         with pytest.raises(SolverInputError):
             sk.basis_pursuit(d, np.array([0.0, 0.0, 1.0]), 0.0)
+
+
+def bisection_multiplier(dt, w, eps):
+    """The ball projector's former multiplier search, kept as an oracle:
+    bracket lam by quadrupling, then bisect ||dt / (1 + lam w)|| = eps."""
+    def resid(lam):
+        return math.sqrt(float(((dt / (1.0 + lam * w)) ** 2).sum()))
+    lo, hi = 0.0, 1.0
+    while resid(hi) > eps:
+        hi *= 4.0
+        if hi > 1e30:
+            raise SolverInputError("projection failed; frame operator singular?")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if resid(mid) > eps:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * max(1.0, hi):
+            break
+    return hi
+
+
+def projection_case(seed, spread, rank_deficient=False):
+    """A with singular values 10^U(-spread, spread) (a third of them zero if
+    rank_deficient), a point vec and y; returns them with the projector
+    coordinates dt of A vec - y, its norm and its mass outside range(A A^T)."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 12))
+    n = 2 * m + 1
+    svals = 10.0 ** rng.uniform(-spread, spread, m)
+    if rank_deficient:
+        svals[rng.permutation(m)[:max(1, m // 3)]] = 0.0
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    a = (u * svals) @ v.T
+    y = rng.standard_normal(m)
+    vec = rng.standard_normal(n)
+    proj = _BallProjector(a, y, 1.0)
+    dt = proj.v.T @ (a @ vec - y)
+    null_mass = float(np.linalg.norm(dt[~proj.rank_mask]))
+    return a, y, vec, dt, float(np.linalg.norm(dt)), null_mass
+
+
+class TestBallProjector:
+    @staticmethod
+    def check_multiplier(a, y, dt, eps):
+        proj = _BallProjector(a, y, eps)
+        lam = proj.multiplier(dt)
+        ref = bisection_multiplier(dt, proj.w, eps)
+        # both searches stop on a bracket of width 1e-15 * max(1, lam), so
+        # below lam = 1 the agreement has that absolute floor
+        assert abs(lam - ref) <= 1e-12 * ref + 2e-15
+        # the returned end is feasible in the projector's own arithmetic
+        assert math.sqrt(float(((dt / (1.0 + lam * proj.w)) ** 2).sum())) <= eps
+        return proj, lam
+
+    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_newton_matches_bisection(self, seed, rank_deficient):
+        a, y, vec, dt, r, null_mass = projection_case(seed, 0.3, rank_deficient)
+        eps = null_mass + (r - null_mass) * (0.05 + 0.9 * (seed % 7) / 6)
+        proj, _ = self.check_multiplier(a, y, dt, eps)
+        assert np.linalg.norm(a @ proj(vec) - y) <= eps * (1 + 1e-12)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_wide_spectra(self, seed):
+        # singular values over two decades: the multiplier still matches, but
+        # rounding in A p - y can exceed 1e-12 of eps, for either search
+        a, y, vec, dt, r, null_mass = projection_case(100 + seed, 1.0, seed % 2 == 1)
+        self.check_multiplier(a, y, dt, null_mass + 0.5 * (r - null_mass))
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6])
+    def test_eps_just_below_residual(self, gap):
+        for seed in range(8):
+            a, y, vec, dt, r, _ = projection_case(200 + seed, 0.3)
+            eps = r * (1.0 - gap)
+            proj, lam = self.check_multiplier(a, y, dt, eps)
+            assert 0.0 < lam < 10.0 * gap
+            assert np.linalg.norm(a @ proj(vec) - y) <= eps * (1 + 1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-9, 1e-12])
+    def test_very_large_multiplier(self, scale):
+        for seed in range(8):
+            a, y, vec, dt, r, _ = projection_case(300 + seed, 0.3)
+            _, lam = self.check_multiplier(a, y, dt, r * scale)
+            assert lam > 0.1 / scale
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-8])
+    def test_eps_just_above_null_mass(self, gap):
+        # the root sits far out, where the float residual is flat over many
+        # ulps of lam; the probes past a converged step must still cross it
+        for seed in range(12):
+            a, y, vec, dt, r, null_mass = projection_case(500 + seed, 0.3, True)
+            self.check_multiplier(a, y, dt, null_mass * (1.0 + gap))
+
+    def test_singular_frame_operator_raises(self):
+        # zero rows make A A^T exactly singular: the residual mass on them
+        # stays whatever lam is, so an eps below it cannot be reached
+        rng = np.random.default_rng(5)
+        for m in range(2, 10):
+            a = np.zeros((m, 2 * m))
+            rank = m // 2
+            a[np.arange(rank), np.arange(rank)] = rng.uniform(0.5, 2.0, rank)
+            y = rng.standard_normal(m)
+            vec = rng.standard_normal(2 * m)
+            eps = 0.5 * float(np.linalg.norm(y[rank:]))
+            proj = _BallProjector(a, y, eps)
+            dt = proj.v.T @ (a @ vec - y)
+            with pytest.raises(SolverInputError, match="projection failed"):
+                bisection_multiplier(dt, proj.w, eps)
+            with pytest.raises(SolverInputError, match="projection failed"):
+                proj.multiplier(dt)
+            with pytest.raises(SolverInputError, match="projection failed"):
+                proj(vec)
 
 
 def test_error_supports_contraction_inequality():
