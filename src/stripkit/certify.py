@@ -16,7 +16,6 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .coherence import SUPPORT_CHUNK, hollow_gram_norms
 from .dictionaries import Dictionary
@@ -73,11 +72,13 @@ def clopper_pearson(successes: int, trials: int, level: float = CI_LEVEL) -> tup
     """Two-sided exact binomial confidence interval."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    # imported here so that importing stripkit does not load scipy
+    from scipy.special import betaincinv
     alpha = 1.0 - level
     lo = 0.0 if successes == 0 else float(
-        stats.beta.ppf(alpha / 2, successes, trials - successes + 1))
+        betaincinv(successes, trials - successes + 1, alpha / 2))
     hi = 1.0 if successes == trials else float(
-        stats.beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+        betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return (lo, hi)
 
 

@@ -2,8 +2,10 @@
 experiment subcommands sharing one master seed.
 
 Exit codes: 0 success, 1 an asserted floor failed or an infeasible
-derandomized construction, 2 usage errors and any other ValueError (numpy's
-LinAlgError, hence a rank-deficient support, is one).
+derandomized construction, 2 usage errors, any other ValueError (numpy's
+LinAlgError, hence a rank-deficient support, is one) and any OSError, such
+as an input file that does not exist or an output path in a missing
+directory.
 """
 
 from __future__ import annotations
@@ -301,8 +303,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (dc.FamilyError, dc.DictionaryFormatError, gv.GvSpecError,
-            ValueError) as exc:
+    except (ValueError, OSError) as exc:   # FamilyError and the like included
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except gv.GvInfeasibleError as exc:

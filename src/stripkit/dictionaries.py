@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -66,6 +67,14 @@ class Dictionary:
     def gram(self) -> np.ndarray:
         return self.entries.conj().T @ self.entries
 
+    @cached_property
+    def mu(self) -> float:
+        """Coherence, the largest off-diagonal |Gram| entry; computed once,
+        since ``entries`` is read-only after construction."""
+        g = np.abs(self.gram())
+        np.fill_diagonal(g, 0.0)
+        return float(g.max())
+
 
 @dataclass
 class BinaryCode:
@@ -82,21 +91,53 @@ class BinaryCode:
             raise FamilyError(f"words shape {self.words.shape} != ({self.N}, {self.m})")
         if self.words.size and self.words.max() > 1:
             raise FamilyError("words must be 0/1")
-        if len(np.unique(self.words, axis=0)) != self.N:
+        if self.generator is None:
+            if len(np.unique(self.words, axis=0)) != self.N:
+                raise FamilyError("codewords are not distinct")
+            return
+        self.generator = np.ascontiguousarray(self.generator, dtype=np.uint8)
+        if not (_is_span_in_order(self.generator, self.words)
+                or _same_word_set(span_of_generator(self.generator), self.words)):
+            raise FamilyError("words do not match the span of the generator")
+        # the 2^l words of the span are distinct iff G has full column rank
+        if gf2_rank(self.generator) < self.generator.shape[1]:
             raise FamilyError("codewords are not distinct")
-        if self.generator is not None:
-            self.generator = np.ascontiguousarray(self.generator, dtype=np.uint8)
-            span = span_of_generator(self.generator)
-            if not _same_word_set(span, self.words):
-                raise FamilyError("words do not match the span of the generator")
 
 
 def span_of_generator(generator: np.ndarray) -> np.ndarray:
-    """All 2^l combinations G @ u mod 2 of the generator columns, as rows."""
+    """All 2^l combinations G @ u mod 2 of the generator columns, as rows.
+    Row u combines the columns j with bit l-1-j of u set."""
     g = np.asarray(generator, dtype=np.uint8)
     m, l = g.shape
     coeffs = np.indices((2,) * l).reshape(l, -1).T.astype(np.uint8)
     return (coeffs @ g.T) % 2
+
+
+def _is_span_in_order(generator: np.ndarray, words: np.ndarray) -> bool:
+    """Whether ``words`` is span_of_generator(generator), row for row. By
+    induction on u: row 0 is zero, row 2^(l-1-j) is column j, and every row
+    is the xor of the rows of its lowest set bit and of the rest."""
+    m, l = generator.shape
+    if words.shape != (1 << l, m):
+        return False
+    u = np.arange(1, 1 << l)
+    low = u & -u
+    return (not words[0].any()
+            and np.array_equal(words[1 << np.arange(l - 1, -1, -1)], generator.T)
+            and np.array_equal(words[u], words[u ^ low] ^ words[low]))
+
+
+def gf2_rank(matrix: np.ndarray) -> int:
+    """Column rank over GF(2) of a 0/1 matrix."""
+    basis = []              # nonzero, distinct leading bits, largest first
+    for col in np.asarray(matrix, dtype=np.uint8).T:
+        v = int.from_bytes(np.packbits(col).tobytes(), "big")
+        for b in basis:
+            v = min(v, v ^ b)   # clears b's leading bit if v has it
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return len(basis)
 
 
 def _same_word_set(a: np.ndarray, b: np.ndarray) -> bool:

@@ -195,11 +195,8 @@ def run_recovery_floor(config: ExperimentConfig,
     }
     floor = max(0.0, 1.0 - 3.0 * config.eps)
     margin = _binomial_margin(floor, max(config.trials, 1))
-    g = np.abs(d.gram())
-    np.fill_diagonal(g, 0.0)
-    mu = float(g.max())
     asserted = (config.trials >= MIN_TRIALS_FOR_FLOOR
-                and config.k < _uniform_recovery_threshold(mu))
+                and config.k < _uniform_recovery_threshold(d.mu))
     passed = agg["frac_both"] >= floor - margin
     return ExperimentReport("bp_floor", asdict(config), config.trials, len(conv),
                             records, agg, floor=floor, floor_margin=margin,
@@ -224,11 +221,8 @@ def run_offsupport_floor(config: ExperimentConfig,
     }
     floor = max(0.0, 1.0 - 4.0 * config.eps)
     margin = _binomial_margin(floor, max(config.trials, 1))
-    g = np.abs(d.gram())
-    np.fill_diagonal(g, 0.0)
-    mu = float(g.max())
     asserted = (config.trials >= MIN_TRIALS_FOR_FLOOR
-                and config.k < _uniform_recovery_threshold(mu))
+                and config.k < _uniform_recovery_threshold(d.mu))
     passed = agg["frac_l1"] >= floor - margin
     return ExperimentReport("bp_offsupport_floor", asdict(config), config.trials,
                             len(conv), records, agg, floor=floor,

@@ -328,6 +328,28 @@ def test_clopper_pearson_edges():
     assert lo < 0.5 < hi
 
 
+def _cp_grid():
+    rng = np.random.default_rng(5)
+    for trials in range(1, 31):
+        yield from ((s, trials) for s in range(trials + 1))
+    for trials in (100, 2500, 10 ** 4, 10 ** 5):
+        edges = {0, 1, 2, trials // 2, trials - 2, trials - 1, trials}
+        sampled = rng.integers(0, trials + 1, size=12).tolist()
+        yield from ((s, trials) for s in sorted(edges | set(sampled)))
+
+
+def test_clopper_pearson_bit_equal_to_beta_ppf():
+    # the interval calls betaincinv directly; it must reproduce the
+    # scipy.stats beta quantiles it replaced, bit for bit
+    from scipy import stats
+    for level in (certify.CI_LEVEL, 0.99, 0.95, 0.999):
+        alpha = 1.0 - level
+        for s, n in _cp_grid():
+            lo = 0.0 if s == 0 else float(stats.beta.ppf(alpha / 2, s, n - s + 1))
+            hi = 1.0 if s == n else float(stats.beta.ppf(1 - alpha / 2, s + 1, n - s))
+            assert sk.clopper_pearson(s, n, level) == (lo, hi), (s, n, level)
+
+
 def test_per_trial_streams_are_stable():
     # trial t's support does not depend on how many trials run
     a = derive_rng(3, "strip", 5)

@@ -314,3 +314,50 @@ class TestExperiment:
             payload.pop("runtime_seconds")
             texts.append(json.dumps(payload, sort_keys=True))
         assert texts[0] == texts[1]
+
+
+# Every subcommand option that names a file: a missing input, or an output in
+# a directory that does not exist. {dict} is a saved dg s=1 dictionary, {cfg}
+# a valid study config, {gone} a path under a missing directory.
+FILE_ERROR_CASES = {
+    "build --code": ["build", "--family", "dg", "--s", "1", "--r", "1",
+                     "--code", "{gone}", "--out", "{tmp}/x.dict"],
+    "build --out": ["build", "--family", "chirp", "--m", "7", "--out", "{gone}"],
+    "build --csv": ["build", "--family", "chirp", "--m", "7",
+                    "--out", "{tmp}/c.dict", "--csv", "{gone}"],
+    "analyze --dict": ["analyze", "--dict", "{gone}"],
+    "analyze --out": ["analyze", "--dict", "{dict}", "--out", "{gone}"],
+    "certify --dict": ["certify", "--dict", "{gone}", "--property", "sinc",
+                       "--k", "2", "--alpha", "0.5", "--trials", "10"],
+    "certify --out": ["certify", "--dict", "{dict}", "--property", "sinc",
+                      "--k", "2", "--alpha", "0.5", "--trials", "10",
+                      "--out", "{gone}"],
+    "check --out": ["check", "--condition", "gershgorin", "--param", "k", "2",
+                    "--param", "mu", "0.1", "--param", "delta", "0.5",
+                    "--out", "{gone}"],
+    "recover --dict": ["recover", "--dict", "{gone}", "--k", "1", "--trials", "1"],
+    "recover --out": ["recover", "--dict", "{dict}", "--k", "1", "--trials", "1",
+                      "--out", "{gone}"],
+    "recover --csv": ["recover", "--dict", "{dict}", "--k", "1", "--trials", "1",
+                      "--csv", "{gone}"],
+    "gv --out": ["gv", "--l", "3", "--mu", "0.9", "--out", "{gone}"],
+    "experiment --config": ["experiment", "--config", "{gone}"],
+    "experiment --out": ["experiment", "--config", "{cfg}", "--out", "{gone}"],
+    "experiment --csv": ["experiment", "--config", "{cfg}", "--csv", "{gone}"],
+    "experiment dictionary_path": ["experiment", "--config", "{cfg_gone}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_ERROR_CASES))
+def test_file_errors_exit_2(case, dg_file, tmp_path, capsys):
+    gone = tmp_path / "missing" / "file"
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text('family=dg\nfamily_args={"s": 1}\nk=1\ntrials=1\n')
+    cfg_gone = tmp_path / "gone.cfg"
+    cfg_gone.write_text(f"dictionary_path={gone}\nk=1\ntrials=1\n")
+    names = {"gone": gone, "tmp": tmp_path, "dict": dg_file, "cfg": cfg,
+             "cfg_gone": cfg_gone}
+    capsys.readouterr()
+    assert main([arg.format(**names) for arg in FILE_ERROR_CASES[case]]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert str(gone) in err["error"]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import stripkit as sk
 from stripkit.dictionaries import (BinaryCode, Dictionary, DictionaryFormatError,
-                                   FamilyError)
+                                   FamilyError, gf2_rank, span_of_generator)
 
 from conftest import full_space, reed_muller_1_3
 
@@ -171,6 +171,45 @@ class TestDelsarteGoethals:
         assert per_word == {0: 1, 6: 112, 8: 30, 10: 112, 16: 1}
         res = sk.oa_strength(code, t_max=6)
         assert res.exact and res.strength == 5
+
+
+class TestGeneratorBackedCode:
+    def test_rank_deficient_generator_rejected(self):
+        g = reed_muller_1_3().generator.copy()
+        g[:, 3] = g[:, 1] ^ g[:, 2]
+        words = span_of_generator(g)
+        for rows in (words, words[::-1]):
+            with pytest.raises(FamilyError, match="codewords are not distinct"):
+                BinaryCode(m=8, N=16, words=rows, generator=g)
+
+    def test_words_must_match_generator(self):
+        code = reed_muller_1_3()
+        flipped = code.words.copy()
+        flipped[5, 0] ^= 1
+        other = code.generator.copy()
+        other[0, 1] ^= 1
+        half = code.words[code.words[:, 0] == 0]
+        for words, g in ((flipped, code.generator), (code.words, other),
+                         (half, code.generator), (code.words[::-1], other)):
+            with pytest.raises(FamilyError, match="do not match the span"):
+                BinaryCode(m=8, N=words.shape[0], words=words, generator=g)
+
+    def test_any_row_order_of_the_span_accepted(self):
+        code = reed_muller_1_3()
+        perm = np.random.default_rng(1).permutation(16)
+        again = BinaryCode(m=8, N=16, words=code.words[perm],
+                           generator=code.generator)
+        assert again.words.tobytes() == code.words[perm].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 9), l=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
+    def test_gf2_rank_counts_distinct_span_words(self, m, l, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.integers(0, 2, size=(m, l), dtype=np.uint8)
+        if l > 1 and seed % 2:
+            g[:, -1] = g[:, 0] ^ g[:, l // 2]
+        distinct = len(np.unique(span_of_generator(g), axis=0))
+        assert 2 ** gf2_rank(g) == distinct
 
 
 class TestFromBinaryCode:

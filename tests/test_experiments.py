@@ -121,6 +121,37 @@ class TestSweep:
         assert rows[0].startswith("k,") and len(rows) == 6
 
 
+    def test_gram_formed_once_per_dictionary(self, monkeypatch):
+        calls = []
+        gram = sk.Dictionary.gram
+
+        def counted(d):
+            calls.append(d.name)
+            return gram(d)
+        monkeypatch.setattr(sk.Dictionary, "gram", counted)
+        # mu is read only when the floor can be asserted, i.e. from 200 trials
+        cfg = ExperimentConfig(family="etf", family_args={"q": 13},
+                               k_range=[1, 2, 3], trials=200, seed=4)
+        reports = sk.sweep(cfg)
+        assert [r.floor_asserted for r in reports] == [True, True, False]
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sk.build_delsarte_goethals(1),
+    lambda: sk.build_gaussian(6, 20, seed=3),
+    lambda: sk.build_random_harmonic(16, 24, seed=1),
+    lambda: sk.build_gaussian(3, 1, seed=0),
+])
+def test_memoized_mu_is_offdiagonal_max(build):
+    d = build()
+    e = d.entries
+    direct = max((abs(np.vdot(e[:, i], e[:, j]))
+                  for i in range(d.N) for j in range(d.N) if i != j), default=0.0)
+    assert d.mu == pytest.approx(direct, rel=1e-14, abs=1e-15)
+    assert d.mu == sk.coherence_profile(d).mu
+
+
 def test_records_csv(tmp_path):
     rep = sk.run_recovery_floor(dg_config(trials=5))
     path = tmp_path / "records.csv"
