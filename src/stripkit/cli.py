@@ -192,23 +192,14 @@ def _cmd_experiment(args) -> int:
         reports = ex.sweep(config)
         if args.csv:
             ex.sweep_csv(reports, args.csv)
-        payload = [json.loads(r.to_json()) for r in reports]
-        _emit(payload, args.out)
-        failed = any(r.floor_asserted and not r.floor_passed for r in reports)
-        return 1 if failed else 0
-    if config.solver == "lasso":
-        report = ex.run_lasso_study(config)
     else:
-        report = ex.run_recovery_floor(config)
-    if args.csv:
-        ex.records_csv(report, args.csv)
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 1 if (report.floor_asserted and not report.floor_passed) else 0
+        run = ex.run_lasso_study if config.solver == "lasso" else ex.run_recovery_floor
+        reports = [run(config)]
+        if args.csv:
+            ex.records_csv(reports[0], args.csv)
+    payload = [r.as_dict() for r in reports]
+    _emit(payload if config.k_range else payload[0], args.out)
+    return 1 if any(r.floor_asserted and not r.floor_passed for r in reports) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

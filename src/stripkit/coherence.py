@@ -221,9 +221,3 @@ def hollow_gram_norms(d: Dictionary, supports: np.ndarray,
         vals = np.linalg.eigvalsh(sub - eye)
         out[lo:lo + SUPPORT_CHUNK] = np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
     return out
-
-
-def hollow_gram_norm(d: Dictionary, support,
-                     gram: Optional[np.ndarray] = None) -> float:
-    """Spectral norm of Phi_I^H Phi_I - Id for one support I."""
-    return float(hollow_gram_norms(d, np.asarray(support)[None, :], gram)[0])

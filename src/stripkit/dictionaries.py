@@ -441,6 +441,10 @@ def build_family(family: str, **args) -> Dictionary:
     """Dispatch table used by the command line."""
     if family not in _FACTORIES:
         raise FamilyError(f"unknown family {family!r}; pick from {sorted(_FACTORIES)}")
+    for key, value in args.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise FamilyError(f"family {family!r} parameter {key!r} must be an "
+                              f"integer, got {value!r}")
     try:
         return _FACTORIES[family](args)
     except KeyError as exc:

@@ -49,6 +49,8 @@ class ExperimentConfig:
     def validate(self):
         if (self.family is None) == (self.dictionary_path is None):
             raise ValueError("configure exactly one of family / dictionary_path")
+        if not isinstance(self.family_args, dict):
+            raise ValueError("family_args must be a JSON object")
         if self.k < 0:
             raise ValueError("k must be nonnegative")
         if self.trials < 1:
@@ -57,8 +59,21 @@ class ExperimentConfig:
             raise ValueError("jobs must be at least 1")
         if not (0 < self.eps < 1):
             raise ValueError("eps must be in (0, 1)")
+        for name in ("sigma", "p", "lam", "bound_tol"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+        if self.sigma < 0:
+            raise ValueError("sigma must be nonnegative")
+        if self.bound_tol < 0:
+            raise ValueError("bound_tol must be nonnegative")
+        if self.lam is not None and self.lam <= 0:
+            raise ValueError("lam must be positive")
         if self.solver not in ("bp", "lasso"):
             raise ValueError(f"unknown solver {self.solver!r}")
+        if self.solver == "bp" and self.sigma != 0:
+            raise ValueError("the bp floor study is noiseless: sigma must be 0 "
+                             "with solver=bp (use solver=lasso for noise)")
         if self.magnitudes not in ("unit", "uniform", "compressible"):
             raise ValueError(f"unknown magnitude model {self.magnitudes!r}")
 
@@ -88,7 +103,7 @@ class ExperimentReport:
     floor_passed: Optional[bool] = None
     runtime_seconds: float = 0.0
 
-    def to_json(self, include_runtime: bool = True) -> str:
+    def as_dict(self, include_runtime: bool = True) -> dict:
         config = {k: v for k, v in self.config.items() if k != "jobs"}
         payload = {
             "schema_version": 1,
@@ -101,7 +116,10 @@ class ExperimentReport:
         }
         if include_runtime:
             payload["runtime_seconds"] = self.runtime_seconds
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return payload
+
+    def to_json(self, include_runtime: bool = True) -> str:
+        return json.dumps(self.as_dict(include_runtime), indent=2, sort_keys=True)
 
 
 def _binomial_margin(floor: float, trials: int) -> float:
@@ -162,73 +180,66 @@ def _run_trials(worker, d, config, opts):
     return records
 
 
+_BP_FRACTIONS = {"frac_l2": "ok_l2", "frac_l1": "ok_l1", "frac_both": "ok_both",
+                 "frac_certificate": "certificate_valid",
+                 "support_rate": "support_recovered"}
+
+
+def _floor_study(config: ExperimentConfig, d: Optional[Dictionary], kind: str,
+                 multiplier: float, clause: str, keys) -> ExperimentReport:
+    """Noiseless BP trials against the floor 1 - multiplier * eps, decided by
+    the aggregate ``clause``; the report keeps the aggregate ``keys``.
+
+    The floor is asserted (exit-code relevant) only from MIN_TRIALS_FOR_FLOOR
+    trials and in the deterministic-oracle regime k < (1 + 1/mu)/2. At k = 0
+    the zero signal is recovered exactly and no trial runs.
+    """
+    config.validate()
+    if config.solver != "bp":
+        raise ValueError(f"a floor study runs bp, not solver={config.solver}")
+    t0 = time.perf_counter()
+    d = d or config.load_dictionary()
+    floor = max(0.0, 1.0 - multiplier * config.eps)
+    if config.k == 0:
+        agg = {**dict.fromkeys(_BP_FRACTIONS, 1.0),
+               "mean_err_on_l2": 0.0, "median_err_on_l2": 0.0}
+        return ExperimentReport(kind, asdict(config), 0, 0, [],
+                                {key: agg[key] for key in keys}, floor=floor,
+                                runtime_seconds=time.perf_counter() - t0)
+    records = _run_trials(_bp_trial, d, config, SolverOptions())
+    conv = [r for r in records if r["converged"]]
+    agg = {name: _fraction(records, key) for name, key in _BP_FRACTIONS.items()}
+    errs = [r["err_on_l2"] for r in conv]
+    agg["mean_err_on_l2"] = float(np.mean(errs)) if conv else None
+    agg["median_err_on_l2"] = float(np.median(errs)) if conv else None
+    margin = _binomial_margin(floor, config.trials)
+    asserted = (config.trials >= MIN_TRIALS_FOR_FLOOR
+                and config.k < _uniform_recovery_threshold(d.mu))
+    return ExperimentReport(kind, asdict(config), config.trials, len(conv),
+                            records, {key: agg[key] for key in keys},
+                            floor=floor, floor_margin=margin,
+                            floor_asserted=asserted,
+                            floor_passed=agg[clause] >= floor - margin,
+                            runtime_seconds=time.perf_counter() - t0)
+
+
 def run_recovery_floor(config: ExperimentConfig,
                        d: Optional[Dictionary] = None) -> ExperimentReport:
     """Noiseless Basis Pursuit study against the 1 - 3 eps guarantee floor.
 
     Per trial: generic random signal, y = Phi x, BP at eps = 0, both error
-    bounds evaluated. The floor is asserted (exit-code relevant) only in the
-    deterministic-oracle regime k < (1 + 1/mu)/2.
+    bounds evaluated; the floor is checked on the fraction meeting both.
     """
-    config.validate()
-    t0 = time.perf_counter()
-    d = d or config.load_dictionary()
-    opts = SolverOptions()
-    if config.k == 0:
-        records = []
-        agg = {"frac_l2": 1.0, "frac_l1": 1.0, "frac_both": 1.0,
-               "frac_certificate": 1.0, "support_rate": 1.0,
-               "mean_err_on_l2": 0.0, "median_err_on_l2": 0.0}
-        return ExperimentReport("bp_floor", asdict(config), 0, 0, records, agg,
-                                floor=1.0 - 3.0 * config.eps,
-                                runtime_seconds=time.perf_counter() - t0)
-    records = _run_trials(_bp_trial, d, config, opts)
-    conv = [r for r in records if r["converged"]]
-    agg = {
-        "frac_l2": _fraction(records, "ok_l2"),
-        "frac_l1": _fraction(records, "ok_l1"),
-        "frac_both": _fraction(records, "ok_both"),
-        "frac_certificate": _fraction(records, "certificate_valid"),
-        "support_rate": _fraction(records, "support_recovered"),
-        "mean_err_on_l2": float(np.mean([r["err_on_l2"] for r in conv])) if conv else None,
-        "median_err_on_l2": float(np.median([r["err_on_l2"] for r in conv])) if conv else None,
-    }
-    floor = max(0.0, 1.0 - 3.0 * config.eps)
-    margin = _binomial_margin(floor, max(config.trials, 1))
-    asserted = (config.trials >= MIN_TRIALS_FOR_FLOOR
-                and config.k < _uniform_recovery_threshold(d.mu))
-    passed = agg["frac_both"] >= floor - margin
-    return ExperimentReport("bp_floor", asdict(config), config.trials, len(conv),
-                            records, agg, floor=floor, floor_margin=margin,
-                            floor_asserted=asserted, floor_passed=passed,
-                            runtime_seconds=time.perf_counter() - t0)
+    return _floor_study(config, d, "bp_floor", 3.0, "frac_both",
+                        (*_BP_FRACTIONS, "mean_err_on_l2", "median_err_on_l2"))
 
 
 def run_offsupport_floor(config: ExperimentConfig,
                          d: Optional[Dictionary] = None) -> ExperimentReport:
     """Off-support l1 bound study with the weaker 1 - 4 eps floor: aggregates
     only the l1 clause plus support detection."""
-    config.validate()
-    t0 = time.perf_counter()
-    d = d or config.load_dictionary()
-    opts = SolverOptions()
-    records = _run_trials(_bp_trial, d, config, opts)
-    conv = [r for r in records if r["converged"]]
-    agg = {
-        "frac_l1": _fraction(records, "ok_l1"),
-        "support_rate": _fraction(records, "support_recovered"),
-        "frac_certificate": _fraction(records, "certificate_valid"),
-    }
-    floor = max(0.0, 1.0 - 4.0 * config.eps)
-    margin = _binomial_margin(floor, max(config.trials, 1))
-    asserted = (config.trials >= MIN_TRIALS_FOR_FLOOR
-                and config.k < _uniform_recovery_threshold(d.mu))
-    passed = agg["frac_l1"] >= floor - margin
-    return ExperimentReport("bp_offsupport_floor", asdict(config), config.trials,
-                            len(conv), records, agg, floor=floor,
-                            floor_margin=margin, floor_asserted=asserted,
-                            floor_passed=passed,
-                            runtime_seconds=time.perf_counter() - t0)
+    return _floor_study(config, d, "bp_offsupport_floor", 4.0, "frac_l1",
+                        ("frac_l1", "support_rate", "frac_certificate"))
 
 
 def _lasso_trial(d: Dictionary, config: ExperimentConfig, t: int,
@@ -343,7 +354,10 @@ def parse_config_file(path) -> ExperimentConfig:
         if key == "k_range":
             cfg.k_range = [int(tok) for tok in value.split(",") if tok]
         elif key == "family_args":
-            cfg.family_args = json.loads(value)
+            try:
+                cfg.family_args = json.loads(value)
+            except RecursionError:
+                raise ValueError("family_args is nested too deeply") from None
         elif key in ints:
             setattr(cfg, key, int(value))
         elif key in floats:

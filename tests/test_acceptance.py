@@ -20,14 +20,16 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 import json
 import math
 import time
+from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stripkit as sk
 from stripkit.coherence import pless_relative_residual, tight_frame_mean_sq
-from stripkit.experiments import ExperimentConfig
+from stripkit.experiments import ExperimentConfig, parse_config_file
 
 MASTER_SEED = 2026
 
@@ -312,6 +314,12 @@ def test_criterion_06_as_specified(bp_recovery_payload):
 def floor_config() -> ExperimentConfig:
     return ExperimentConfig(family="dg", family_args={"s": 2}, k=4, eps=0.1,
                             trials=300, seed=MASTER_SEED)
+
+
+def test_criterion_07_config_file():
+    # README reproduces the criterion 7 payload from this file
+    path = Path(__file__).resolve().parent.parent / "configs" / "bp_floor_dg2.cfg"
+    assert asdict(parse_config_file(path)) == asdict(floor_config())
 
 
 @pytest.fixture(scope="module")

@@ -301,6 +301,46 @@ class TestExperiment:
         assert err["error"] == "jobs must be at least 1"
         assert not out.exists()
 
+    # config keys over a valid dg s=1 study -> the JSON error on stderr
+    INVALID_CONFIGS = {
+        "family_args list": ({"family_args": "[1]"}, "family_args must be a JSON object"),
+        "family_args str value": ({"family_args": '{"s": "1"}'},
+                                  "family 'dg' parameter 's' must be an integer, got '1'"),
+        "family_args bool value": ({"family_args": '{"s": true}'}, "must be an integer"),
+        "family_args float value": ({"family_args": '{"s": 1.0}'}, "must be an integer"),
+        "family_args deep": ({"family_args": "[" * 100_000}, "nested too deeply"),
+        "eps nan": ({"eps": "nan"}, "eps must be in (0, 1)"),
+        "eps inf": ({"eps": "inf"}, "eps must be in (0, 1)"),
+        "p nan": ({"p": "nan"}, "p must be finite"),
+        "bound_tol inf": ({"bound_tol": "inf"}, "bound_tol must be finite"),
+        "bound_tol negative": ({"bound_tol": "-1e-6"}, "bound_tol must be nonnegative"),
+        "lasso sigma nan": ({"solver": "lasso", "sigma": "nan"}, "sigma must be finite"),
+        "lasso sigma inf": ({"solver": "lasso", "sigma": "inf"}, "sigma must be finite"),
+        "lasso sigma negative": ({"solver": "lasso", "sigma": "-0.1"},
+                                 "sigma must be nonnegative"),
+        "lasso lam nan": ({"solver": "lasso", "sigma": "0.1", "lam": "nan"},
+                          "lam must be finite"),
+        "lasso lam zero": ({"solver": "lasso", "sigma": "0.1", "lam": "0"},
+                           "lam must be positive"),
+        "lasso lam negative": ({"solver": "lasso", "sigma": "0.1", "lam": "-2"},
+                               "lam must be positive"),
+        "bp sigma": ({"sigma": "0.5"}, "the bp floor study is noiseless"),
+        "lasso sweep": ({"solver": "lasso", "sigma": "0.1", "k_range": "1,2"},
+                        "a floor study runs bp, not solver=lasso"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+    def test_invalid_config_exits_2(self, case, tmp_path, capsys):
+        over, message = self.INVALID_CONFIGS[case]
+        keys = {"family": "dg", "family_args": '{"s": 1}', "k": "2", "trials": "2",
+                **over}
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in keys.items()))
+        out = tmp_path / "report.json"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
     def test_seed_override_reproduces(self, tmp_path):
         cfg = tmp_path / "study.cfg"
         cfg.write_text('family=dg\nfamily_args={"s": 1}\nk=2\neps=0.1\n'

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stripkit as sk
-from stripkit.coherence import (hollow_gram_norm, pless_relative_residual,
+from stripkit.coherence import (hollow_gram_norms, pless_relative_residual,
                                 tight_frame_mean_sq)
 from stripkit.dictionaries import BinaryCode
 
@@ -203,5 +203,6 @@ def test_hollow_gram_norm_matches_direct():
     for sup in combinations(range(6), 3):
         sub = gram[np.ix_(sup, sup)] - np.eye(3)
         want = np.linalg.norm(sub, 2)
-        assert hollow_gram_norm(d, np.array(sup)) == pytest.approx(want, abs=1e-12)
-        assert hollow_gram_norm(d, np.array(sup), gram=gram) == pytest.approx(want, abs=1e-12)
+        one = np.array([sup])                       # a (1, k) batch
+        assert hollow_gram_norms(d, one) == pytest.approx([want], abs=1e-12)
+        assert hollow_gram_norms(d, one, gram=gram) == pytest.approx([want], abs=1e-12)

@@ -354,6 +354,9 @@ def test_build_family_dispatch():
         sk.build_family("nope")
     with pytest.raises(FamilyError):
         sk.build_family("chirp")   # missing m
+    for bad in ("3", 3.0, True, None, [3]):
+        with pytest.raises(FamilyError, match="'m' must be an integer"):
+            sk.build_family("chirp", m=bad)
 
 
 def test_full_space_helper_sanity():

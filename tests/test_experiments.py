@@ -1,12 +1,21 @@
 import hashlib
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stripkit as sk
 from stripkit.experiments import (ExperimentConfig, parse_config_file,
                                   records_csv, sweep_csv)
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+README = ROOT / "README.md"
 
 
 def dg_config(**over):
@@ -76,6 +85,22 @@ class TestOffsupportFloor:
         assert rep.floor == 0.0
         assert rep.floor_passed
 
+    def test_k_zero_degenerate(self):
+        rep = sk.run_offsupport_floor(dg_config(k=0))
+        assert rep.kind == "bp_offsupport_floor"
+        assert rep.trials == 0 and rep.records == []
+        assert rep.aggregate == {"frac_l1": 1.0, "support_rate": 1.0,
+                                 "frac_certificate": 1.0}
+        assert rep.floor == pytest.approx(0.6)
+        assert rep.floor_passed is None and not rep.floor_asserted
+
+    def test_pinned_payload(self):
+        # computed before the two floor drivers shared one body
+        text = sk.run_offsupport_floor(dg_config(magnitudes="compressible", trials=30)
+                                       ).to_json(include_runtime=False)
+        assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
+                == "a90e8c8535964e0c1ef2763715076279372a8fdd8ab4ed30384e6c0a6f674984")
+
 
 class TestLassoStudy:
     def test_rejects_zero_sigma(self):
@@ -96,6 +121,7 @@ class TestLassoStudy:
         cfg = dg_config(sigma=0.01, trials=6, solver="lasso")
         rep = sk.run_lasso_study(cfg)
         payload = json.loads(rep.to_json())
+        assert rep.as_dict() == payload
         assert payload["trials"] == 6
         assert len(payload["records"]) == 6
         for rec in payload["records"]:
@@ -184,6 +210,75 @@ def test_parse_config_file_rejects_duplicate_key(tmp_path):
     path.write_text("family=dg\nk=2\ntrials=5\n k = 3\n")
     with pytest.raises(ValueError, match="duplicate config key 'k'"):
         parse_config_file(path)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_example_config(path):
+    parse_config_file(path).validate()
+    assert f"`configs/{path.name}`" in README.read_text(encoding="utf-8")
+
+
+_INT = st.integers(-3, 400).map(str)
+_FLOAT = st.one_of(st.sampled_from(["0", "0.1", "0.5", "1e-6"]),
+                   st.sampled_from(["-1", "2", "nan", "inf", "-inf"]),
+                   st.floats(allow_nan=True, allow_infinity=True).map(repr))
+_JUNK = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+# small sizes only, so that every dictionary a draw can build is tiny
+_FAMILY_ARG = st.one_of(st.integers(-2, 13), st.integers(2, 5).map(str), st.floats(0, 4),
+                        st.booleans(), st.none(), st.lists(st.integers(0, 3)))
+_SMALL_FAMILIES = [("dg", {"s": 1}), ("chirp", {"m": 7}), ("etf", {"q": 13}),
+                   ("gaussian", {"m": 6, "N": 9}), ("harmonic", {"m": 6, "N": 9, "seed": 2})]
+_VALUES = {
+    "family": st.sampled_from(["dg", "gaussian", "harmonic", "chirp", "etf", "gv"]),
+    "family_args": st.one_of(
+        st.dictionaries(st.sampled_from(["s", "r", "m", "N", "q", "seed"]), _FAMILY_ARG,
+                        max_size=4),
+        st.lists(st.integers(0, 3)), st.integers(), st.text(max_size=4)).map(json.dumps),
+    "dictionary_path": st.just("missing.dict"),
+    "k": _INT, "trials": _INT, "seed": _INT, "jobs": _INT,
+    "k_range": st.lists(st.integers(-2, 20), max_size=4).map(lambda ks: ",".join(map(str, ks))),
+    "eps": _FLOAT, "sigma": _FLOAT, "p": _FLOAT, "lam": _FLOAT, "bound_tol": _FLOAT,
+    "magnitudes": st.sampled_from(["unit", "uniform", "compressible", "tail"]),
+    "solver": st.sampled_from(["bp", "lasso", "omp"]),
+}
+
+
+@st.composite
+def config_files(draw):
+    """key=value text, mostly well-formed: each value is junk one time in
+    twenty, and one file in four has an extra line that is blank, a comment,
+    malformed, an unknown key or a repeated key."""
+    keys = draw(st.lists(st.sampled_from(sorted(_VALUES)), unique=True, max_size=8))
+    if draw(st.integers(0, 9)):
+        keys = ["family", "family_args"] + [k for k in keys if not k.startswith("family")]
+    values = {key: draw(_JUNK if draw(st.integers(0, 19)) == 0 else _VALUES[key])
+              for key in keys}
+    if "family" in values and draw(st.booleans()):
+        values["family"], args = draw(st.sampled_from(_SMALL_FAMILIES))
+        values["family_args"] = json.dumps(args)
+    lines = [f"{key}={value}" for key, value in values.items()]
+    if draw(st.integers(0, 3)) == 0:
+        extra = draw(st.sampled_from(["", "# comment", "no separator", "junk=1",
+                                      f"{keys[0]}=1" if keys else ""]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_files())
+def test_config_files_validate_or_raise_value_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "study.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            cfg = parse_config_file(path)
+            cfg.validate()
+            if cfg.family is not None:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")   # realified complex families
+                    cfg.load_dictionary()
+        except ValueError:
+            pass
 
 
 def test_config_validation():
