@@ -128,6 +128,18 @@ RECOVER_FIELDS = ("trial", "converged", "iterations", "objective", "err_on_l2",
 
 
 def _cmd_recover(args) -> int:
+    for name in ("sigma", "lam", "eps"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+    if args.sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    if args.eps is not None and args.eps < 0:
+        raise ValueError("eps must be nonnegative")
+    if args.lam is not None and args.lam <= 0:
+        raise ValueError("lam must be positive")
+    if not 0 < args.prob_eps < 1:
+        raise ValueError("prob-eps must be in (0, 1)")
     d = dc.load_dictionary(args.dict)
     if d.field == "complex":
         d = dc.realify(d)

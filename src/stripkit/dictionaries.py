@@ -75,6 +75,22 @@ class Dictionary:
         np.fill_diagonal(g, 0.0)
         return float(g.max())
 
+    @cached_property
+    def frame(self):
+        """``frame_spectrum(entries)``, computed once: the eigenpairs of the
+        frame operator A A^* and the mask of its numerical range, read-only."""
+        spectrum = frame_spectrum(self.entries)
+        for arr in spectrum:
+            arr.flags.writeable = False
+        return spectrum
+
+
+def frame_spectrum(a: np.ndarray):
+    """Eigenpairs of A A^*, clamped at zero, and the mask of its numerical range."""
+    w, v = np.linalg.eigh(a @ a.conj().T)
+    w = np.maximum(w, 0.0)
+    return w, v, (w > w.max() * 1e-14 if w.size else w > 0)
+
 
 @dataclass
 class BinaryCode:
@@ -428,12 +444,15 @@ def export_csv(d: Dictionary, path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
+# family -> (construction over the parameter dict, the parameters it takes)
 _FACTORIES = {
-    "gaussian": lambda args: build_gaussian(args["m"], args["N"], args.get("seed", 0)),
-    "harmonic": lambda args: build_random_harmonic(args["m"], args["N"], args.get("seed", 0)),
-    "chirp": lambda args: build_chirp(args["m"]),
-    "etf": lambda args: build_etf_paley(args["q"]),
-    "dg": lambda args: build_delsarte_goethals(args["s"], args.get("r", 0)),
+    "gaussian": (lambda args: build_gaussian(args["m"], args["N"], args.get("seed", 0)),
+                 ("m", "N", "seed")),
+    "harmonic": (lambda args: build_random_harmonic(args["m"], args["N"], args.get("seed", 0)),
+                 ("m", "N", "seed")),
+    "chirp": (lambda args: build_chirp(args["m"]), ("m",)),
+    "etf": (lambda args: build_etf_paley(args["q"]), ("q",)),
+    "dg": (lambda args: build_delsarte_goethals(args["s"], args.get("r", 0)), ("s", "r")),
 }
 
 
@@ -441,11 +460,16 @@ def build_family(family: str, **args) -> Dictionary:
     """Dispatch table used by the command line."""
     if family not in _FACTORIES:
         raise FamilyError(f"unknown family {family!r}; pick from {sorted(_FACTORIES)}")
+    build, accepted = _FACTORIES[family]
+    stray = sorted(set(args) - set(accepted))
+    if stray:
+        raise FamilyError(f"family {family!r} does not take {stray}; accepted keys: "
+                          f"{', '.join(accepted)}")
     for key, value in args.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise FamilyError(f"family {family!r} parameter {key!r} must be an "
                               f"integer, got {value!r}")
     try:
-        return _FACTORIES[family](args)
+        return build(args)
     except KeyError as exc:
         raise FamilyError(f"family {family!r} is missing parameter {exc}")

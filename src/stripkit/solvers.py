@@ -9,9 +9,11 @@ independently constructed dual-feasible point, so ``converged=True`` always
 means a verified duality gap, never just small iterate motion. Polishing
 tries the least-squares refit on the detected support before the raw
 iterate and stops at the first certified candidate; a dense sign fit is
-solved in the m-dimensional range space. Lasso runs accelerated proximal
-gradient with backtracking and is accepted only on a coordinatewise
-subgradient check.
+solved in the m-dimensional range space. Both solvers read the eigenpairs of
+Phi Phi^T from the dictionary's cached ``frame``. Lasso runs accelerated
+proximal gradient at the fixed step 1/L, L the largest of those eigenvalues,
+restarts its momentum when the step turns against it, and is accepted only
+on a coordinatewise subgradient check.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dictionaries import Dictionary
+from .dictionaries import Dictionary, frame_spectrum
 from .signals import SignalInstance
 
 CONDITION_LIMIT = 1e12
@@ -77,15 +79,18 @@ def _require_real(d: Dictionary):
             "complex dictionary: apply realify() before solving")
 
 
+def _observation(d: Dictionary, y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.shape != (d.m,):
+        raise SolverInputError(f"y has shape {y.shape}, expected ({d.m},)")
+    if not np.isfinite(y).all():
+        raise SolverInputError("y must be finite")
+    return y
+
+
 def _soft(v: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def _frame_spectrum(a: np.ndarray):
-    """Eigenpairs of A A^T, clamped at zero, and the mask of its numerical range."""
-    w, v = np.linalg.eigh(a @ a.T)
-    w = np.maximum(w, 0.0)
-    return w, v, (w > w.max() * 1e-14 if w.size else w > 0)
+    """Soft threshold: v - t sign(v) where |v| > t, zero elsewhere."""
+    return v - np.minimum(np.maximum(v, -t), t)
 
 
 def _range_solve(w: np.ndarray, v: np.ndarray, mask: np.ndarray,
@@ -98,13 +103,14 @@ def _range_solve(w: np.ndarray, v: np.ndarray, mask: np.ndarray,
 
 
 class _BallProjector:
-    """Exact Euclidean projection onto {x : ||A x - y|| <= eps}."""
+    """Exact Euclidean projection onto {x : ||A x - y|| <= eps}; ``spectrum``
+    is ``frame_spectrum(a)`` when the caller has it already."""
 
-    def __init__(self, a: np.ndarray, y: np.ndarray, eps: float):
+    def __init__(self, a: np.ndarray, y: np.ndarray, eps: float, spectrum=None):
         self.a = a
         self.y = y
         self.eps = eps
-        self.w, self.v, self.rank_mask = _frame_spectrum(a)
+        self.w, self.v, self.rank_mask = spectrum or frame_spectrum(a)
 
     def lift(self, g: np.ndarray) -> np.ndarray:
         """Least-squares solution nu of A^T nu = g (the range-space lift)."""
@@ -196,7 +202,7 @@ def _dual_gap(a: np.ndarray, y: np.ndarray, eps: float, x: np.ndarray,
             else:
                 # dense optimum: least-squares fit of the full sign pattern,
                 # solved in m-space through the eigenpairs of asub asub^T
-                nu = _range_solve(*_frame_spectrum(asub), asub @ sgn)
+                nu = _range_solve(*frame_spectrum(asub), asub @ sgn)
             candidates.append(nu)
         except np.linalg.LinAlgError:
             pass
@@ -226,9 +232,9 @@ def basis_pursuit(d: Dictionary, y: np.ndarray, eps_noise: float,
     """
     _require_real(d)
     opts = opts or SolverOptions()
-    y = np.asarray(y, dtype=float)
-    if y.shape != (d.m,):
-        raise SolverInputError(f"y has shape {y.shape}, expected ({d.m},)")
+    y = _observation(d, y)
+    if not math.isfinite(eps_noise):
+        raise SolverInputError("eps_noise must be finite")
     if eps_noise < 0:
         raise SolverInputError("eps_noise must be nonnegative")
     yn = float(np.linalg.norm(y))
@@ -239,7 +245,7 @@ def basis_pursuit(d: Dictionary, y: np.ndarray, eps_noise: float,
     ys = y / yn
     es = eps_noise / yn
     a = d.entries
-    project = _BallProjector(a, ys, es)
+    project = _BallProjector(a, ys, es, d.frame)
     rho, alpha = opts.rho, opts.over_relax
     z = project(np.zeros(d.N))
     u = np.zeros(d.N)
@@ -316,75 +322,52 @@ def lasso_kkt_residual(a: np.ndarray, y: np.ndarray, x: np.ndarray,
                        penalty: float) -> float:
     """Worst coordinatewise violation of the Lasso subgradient conditions."""
     g = a.T @ (a @ x - y)
-    on = x != 0
-    res = 0.0
-    if on.any():
-        res = float(np.abs(g[on] + penalty * np.sign(x[on])).max())
-    if (~on).any():
-        res = max(res, float(np.maximum(np.abs(g[~on]) - penalty, 0.0).max()))
-    return res
+    viol = np.where(x != 0, np.abs(g + penalty * np.sign(x)), np.abs(g) - penalty)
+    return max(float(viol.max()), 0.0)
 
 
 def lasso(d: Dictionary, y: np.ndarray, lam: float, sigma: float,
           opts: Optional[SolverOptions] = None) -> RecoveryResult:
-    """min (1/2)||Phi x - y||^2 + lam sigma^2 ||x||_1, accelerated proximal
-    gradient with backtracking and momentum restarts."""
+    """min (1/2)||Phi x - y||^2 + lam sigma^2 ||x||_1 by accelerated proximal
+    gradient (Beck & Teboulle 2009) at the step 1/L, L = ||Phi||^2, with the
+    gradient-based momentum restart of O'Donoghue & Candes (2015)."""
     _require_real(d)
     opts = opts or SolverOptions()
+    for name, value in (("lam", lam), ("sigma", sigma)):
+        if not math.isfinite(value):
+            raise SolverInputError(f"{name} must be finite")
     if lam <= 0:
         raise SolverInputError("lam must be positive")
     if sigma <= 0:
         raise SolverInputError("sigma must be positive (the penalty degenerates)")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (d.m,):
-        raise SolverInputError(f"y has shape {y.shape}, expected ({d.m},)")
+    y = _observation(d, y)
     a = d.entries
     penalty = lam * sigma * sigma
+    # L >= 1: unit-norm columns put ||Phi||^2 at or above every column's norm
+    step = 1.0 / float(d.frame[0].max())
+    thresh = step * penalty
     x = np.zeros(d.N)
-    v = x.copy()
+    v = x
     t = 1.0
-    step = 1.0
-    eta = 2.0
-
-    def smooth(xv):
-        r = a @ xv - y
-        return 0.5 * float(r @ r), a.T @ r
-
-    def objective(xv):
-        r = a @ xv - y
-        return 0.5 * float(r @ r) + penalty * float(np.abs(xv).sum())
-
-    f_prev = objective(x)
     iterations = 0
-    kkt = lasso_kkt_residual(a, y, x, penalty)
     for it in range(1, opts.max_iter + 1):
         iterations = it
-        fv, gv = smooth(v)
-        while True:
-            x_new = _soft(v - step * gv, step * penalty)
-            diff = x_new - v
-            quad = fv + float(gv @ diff) + float(diff @ diff) / (2.0 * step)
-            f_new = 0.5 * float(np.linalg.norm(a @ x_new - y) ** 2)
-            if f_new <= quad + 1e-15 * max(1.0, abs(quad)):
-                break
-            step /= eta
+        x_new = _soft(v - step * (a.T @ (a @ v - y)), thresh)
+        dx = x_new - x
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        v = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        f_cur = f_new + penalty * float(np.abs(x_new).sum())
-        if f_cur > f_prev:         # momentum restart on objective increase
+        if float((v - x_new) @ dx) > 0.0:   # the step opposes the momentum
             v = x_new
             t_new = 1.0
-        f_prev = f_cur
+        else:
+            v = x_new + ((t - 1.0) / t_new) * dx
         x = x_new
         t = t_new
-        if it % 10 == 0 or it < 10:
-            kkt = lasso_kkt_residual(a, y, x, penalty)
-            if kkt <= opts.kkt_tol:
-                break
+        if (it % 10 == 0 or it < 10) and lasso_kkt_residual(a, y, x, penalty) <= opts.kkt_tol:
+            break
     kkt = lasso_kkt_residual(a, y, x, penalty)
-    feas = 0.0
-    return RecoveryResult(x, bool(kkt <= opts.kkt_tol), iterations,
-                          float(objective(x)), feas, kkt)
+    r = a @ x - y
+    objective = 0.5 * float(r @ r) + penalty * float(np.abs(x).sum())
+    return RecoveryResult(x, bool(kkt <= opts.kkt_tol), iterations, objective, 0.0, kkt)
 
 
 def dual_certificate(d: Dictionary, support, signs) -> Certificate:

@@ -219,6 +219,36 @@ class TestRecover:
         assert len(lines) == 1
         assert lines[0].startswith("trial,converged,")
 
+    # flags over a valid recover call -> the JSON error, as ExperimentConfig words it
+    INVALID_FLAGS = {
+        "sigma nan": (["--sigma", "nan"], "sigma must be finite"),
+        "sigma inf": (["--solver", "lasso", "--sigma", "inf"], "sigma must be finite"),
+        "sigma negative": (["--sigma", "-0.1"], "sigma must be nonnegative"),
+        "lam nan": (["--solver", "lasso", "--sigma", "0.1", "--lam", "nan"],
+                    "lam must be finite"),
+        "lam inf": (["--solver", "lasso", "--sigma", "0.1", "--lam", "inf"],
+                    "lam must be finite"),
+        "lam zero": (["--solver", "lasso", "--sigma", "0.1", "--lam", "0"],
+                     "lam must be positive"),
+        "lam negative": (["--solver", "lasso", "--sigma", "0.1", "--lam", "-2"],
+                         "lam must be positive"),
+        "eps nan": (["--eps", "nan"], "eps must be finite"),
+        "eps inf": (["--eps", "inf"], "eps must be finite"),
+        "eps negative": (["--eps", "-0.5"], "eps must be nonnegative"),
+        "prob-eps zero": (["--prob-eps", "0"], "prob-eps must be in (0, 1)"),
+        "prob-eps nan": (["--prob-eps", "nan"], "prob-eps must be in (0, 1)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INVALID_FLAGS))
+    def test_invalid_flags_exit_2(self, case, dg_file, tmp_path, capsys):
+        flags, message = self.INVALID_FLAGS[case]
+        out = tmp_path / "rec.json"
+        capsys.readouterr()
+        assert main(["recover", "--dict", str(dg_file), "--k", "2", "--trials", "1",
+                     "--out", str(out), *flags]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": message}
+        assert not out.exists()
+
 
 class TestGv:
     def test_derandomized(self, tmp_path, capsys):
@@ -401,3 +431,38 @@ def test_file_errors_exit_2(case, dg_file, tmp_path, capsys):
     assert main([arg.format(**names) for arg in FILE_ERROR_CASES[case]]) == 2
     err = json.loads(capsys.readouterr().err)
     assert str(gone) in err["error"]
+
+
+# One bad input per subcommand, other than a file error: {dict} is a saved
+# dg s=1 dictionary, {gauss} a saved Gaussian one (not bipolar) and {cfg} a
+# study config whose family_args carry a key dg does not take.
+BAD_INPUT_CASES = {
+    "build": (["build", "--family", "dg", "--s", "1", "--seed", "3",
+               "--out", "{tmp}/x.dict"], "does not take ['seed']"),
+    "analyze": (["analyze", "--dict", "{gauss}", "--pless", "2"], "not bipolar"),
+    "certify": (["certify", "--dict", "{dict}", "--property", "strip", "--k", "2"],
+                "--delta required"),
+    "check": (["check", "--condition", "gershgorin", "--param", "k", "2"],
+              "missing keys"),
+    "recover": (["recover", "--dict", "{dict}", "--k", "1", "--solver", "lasso",
+                 "--sigma", "nan"], "sigma must be finite"),
+    "gv": (["gv", "--l", "3", "--mu", "1.5"], "need 0 < mu <= 1"),
+    "experiment": (["experiment", "--config", "{cfg}"], "does not take ['typo']"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_INPUT_CASES))
+def test_bad_input_is_a_json_error(command, dg_file, tmp_path, capsys):
+    gauss = tmp_path / "g.dict"
+    assert main(["build", "--family", "gaussian", "--m", "4", "--N", "6",
+                 "--seed", "0", "--out", str(gauss)]) == 0
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text('family=dg\nfamily_args={"s": 1, "typo": 3}\nk=1\ntrials=1\n')
+    names = {"tmp": tmp_path, "dict": dg_file, "gauss": gauss, "cfg": cfg}
+    argv, message = BAD_INPUT_CASES[command]
+    capsys.readouterr()
+    assert main([arg.format(**names) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert list(payload) == ["error"] and message in payload["error"]

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import stripkit as sk
 from stripkit.dictionaries import (BinaryCode, Dictionary, DictionaryFormatError,
-                                   FamilyError, gf2_rank, span_of_generator)
+                                   FamilyError, frame_spectrum, gf2_rank,
+                                   span_of_generator)
 
 from conftest import full_space, reed_muller_1_3
 
@@ -357,6 +358,37 @@ def test_build_family_dispatch():
     for bad in ("3", 3.0, True, None, [3]):
         with pytest.raises(FamilyError, match="'m' must be an integer"):
             sk.build_family("chirp", m=bad)
+
+
+@pytest.mark.parametrize("family,args,accepted", [
+    ("gaussian", {"m": 4, "N": 6, "seed": 1, "s": 1}, "m, N, seed"),
+    ("harmonic", {"m": 4, "N": 6, "q": 5}, "m, N, seed"),
+    ("chirp", {"m": 7, "seed": 3}, "m"),
+    ("etf", {"q": 13, "m": 7}, "q"),
+    ("dg", {"s": 1, "m": 99, "typo": 3}, "s, r"),
+])
+def test_build_family_rejects_stray_parameters(family, args, accepted):
+    with pytest.raises(FamilyError, match=f"accepted keys: {accepted}$"):
+        sk.build_family(family, **args)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sk.build_delsarte_goethals(1),
+    lambda: sk.build_gaussian(6, 20, seed=3),
+    lambda: sk.build_chirp(5),
+    lambda: sk.build_gaussian(3, 1, seed=0),
+])
+def test_frame_is_cached_frame_spectrum(build):
+    d = build()
+    frame = d.frame
+    assert d.frame is frame
+    for got, want in zip(frame, frame_spectrum(d.entries)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+    w, v, mask = frame
+    gram = d.entries @ d.entries.conj().T
+    assert np.allclose((v * w) @ v.conj().T, gram, atol=1e-10)
+    assert mask.sum() == np.linalg.matrix_rank(d.entries)
 
 
 def test_full_space_helper_sanity():

@@ -310,3 +310,23 @@ def test_jobs_do_not_change_results():
     a = sk.run_recovery_floor(dg_config(trials=8, jobs=1)).to_json(include_runtime=False)
     b = sk.run_recovery_floor(dg_config(trials=8, jobs=2)).to_json(include_runtime=False)
     assert a == b
+
+
+def test_lasso_jobs_do_not_change_results():
+    texts = [sk.run_lasso_study(dg_config(trials=6, sigma=0.01, solver="lasso", jobs=jobs)
+                                ).to_json(include_runtime=False) for jobs in (1, 2)]
+    assert texts[0] == texts[1]
+
+
+def test_frame_spectrum_formed_once_per_dictionary(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(mat, *args, **kw):
+        shapes.append(mat.shape)
+        return eigh(mat, *args, **kw)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    d = sk.build_delsarte_goethals(1)
+    sk.run_recovery_floor(dg_config(trials=6), d=d)
+    sk.run_lasso_study(dg_config(trials=6, sigma=0.01, solver="lasso"), d=d)
+    assert shapes == [(d.m, d.m)]

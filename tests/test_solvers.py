@@ -92,6 +92,21 @@ class TestBasisPursuit:
         with pytest.raises(SolverInputError):
             sk.basis_pursuit(d, np.zeros(4), -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_eps(self, bad):
+        d = sk.build_gaussian(4, 8, seed=0)
+        with pytest.raises(SolverInputError, match="eps_noise must be finite"):
+            sk.basis_pursuit(d, np.ones(4), bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_observation(self, bad):
+        d = sk.build_gaussian(4, 8, seed=0)
+        y = np.array([1.0, bad, 0.0, 1.0])
+        with pytest.raises(SolverInputError, match="y must be finite"):
+            sk.basis_pursuit(d, y, 0.1)
+        with pytest.raises(SolverInputError, match="y must be finite"):
+            sk.lasso(d, y, 1.0, 1.0)
+
     def test_infeasible_zero_eps(self):
         # y outside range(Phi) cannot be matched exactly
         entries = np.zeros((3, 2))
@@ -249,7 +264,71 @@ def test_error_supports_contraction_inequality():
     assert checked == 5 and nontrivial > 0
 
 
+def backtracking_lasso(a, y, penalty, max_iter=100_000, kkt_tol=1e-8):
+    """The former Lasso loop, kept as an oracle: accelerated proximal
+    gradient from step 1, halved until the quadratic upper bound holds, with
+    a momentum restart whenever the objective rises. Returns x."""
+    def objective(xv):
+        r = a @ xv - y
+        return 0.5 * float(r @ r) + penalty * float(np.abs(xv).sum())
+
+    def soft(vec, t):
+        return np.sign(vec) * np.maximum(np.abs(vec) - t, 0.0)
+
+    x = np.zeros(a.shape[1])
+    v = x.copy()
+    t, step = 1.0, 1.0
+    f_prev = objective(x)
+    for it in range(1, max_iter + 1):
+        r = a @ v - y
+        fv, gv = 0.5 * float(r @ r), a.T @ r
+        while True:
+            x_new = soft(v - step * gv, step * penalty)
+            diff = x_new - v
+            quad = fv + float(gv @ diff) + float(diff @ diff) / (2.0 * step)
+            f_new = 0.5 * float(np.linalg.norm(a @ x_new - y) ** 2)
+            if f_new <= quad + 1e-15 * max(1.0, abs(quad)):
+                break
+            step /= 2.0
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        v = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        f_cur = f_new + penalty * float(np.abs(x_new).sum())
+        if f_cur > f_prev:
+            v = x_new
+            t_new = 1.0
+        f_prev = f_cur
+        x, t = x_new, t_new
+        if (it % 10 == 0 or it < 10) and lasso_kkt_residual(a, y, x, penalty) <= kkt_tol:
+            break
+    return x
+
+
 class TestLasso:
+    @pytest.mark.parametrize("build", [
+        lambda: sk.build_gaussian(64, 256, seed=12),
+        lambda: sk.build_delsarte_goethals(1),
+        lambda: sk.realify(sk.build_chirp(7)),
+        lambda: sk.realify(sk.build_random_harmonic(24, 96, seed=4)),
+    ], ids=["gaussian", "dg", "chirp", "harmonic"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_backtracking_oracle(self, build, seed):
+        d = build()
+        rng = sk.derive_rng(seed, "lasso-oracle")
+        inst = sk.sample_generic_signal(d.N, 3, "unit", rng)
+        obs = sk.observe(d, inst, sigma=0.05, rng=rng)
+        lam = 2.0 * math.sqrt(2.0 * math.log(d.N))
+        penalty = lam * 0.05 * 0.05
+        res = sk.lasso(d, obs.y, lam, 0.05)
+        ref = backtracking_lasso(d.entries, obs.y, penalty)
+        assert res.converged and res.kkt_residual <= 1e-8
+        assert lasso_kkt_residual(d.entries, obs.y, ref, penalty) <= 1e-8
+
+        def objective(x):
+            r = d.entries @ x - obs.y
+            return 0.5 * float(r @ r) + penalty * float(np.abs(x).sum())
+        assert res.objective == objective(res.x_hat)
+        assert abs(res.objective - objective(ref)) <= 1e-9 * objective(ref)
+
     def test_zero_when_penalty_dominates(self):
         d = sk.build_gaussian(6, 12, seed=1)
         y = d.entries @ np.eye(12)[0]
@@ -283,6 +362,14 @@ class TestLasso:
             sk.lasso(d, np.zeros(4), lam=1.0, sigma=0.0)
         with pytest.raises(SolverInputError):
             sk.lasso(d, np.zeros(4), lam=0.0, sigma=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["lam", "sigma"])
+    def test_rejects_non_finite_penalty(self, name, bad):
+        d = sk.build_gaussian(4, 8, seed=0)
+        kw = {"lam": 1.0, "sigma": 1.0, name: bad}
+        with pytest.raises(SolverInputError, match=f"{name} must be finite"):
+            sk.lasso(d, np.ones(4), **kw)
 
 
 class TestDualCertificate:
