@@ -417,6 +417,10 @@ def load_dictionary(path) -> Dictionary:
         raise DictionaryFormatError(
             f"payload holds {payload.size} doubles, expected {expect}"
         )
+    bad = int(payload.size - np.isfinite(payload).sum())
+    if bad:
+        raise DictionaryFormatError(
+            f"{bad} of {payload.size} payload doubles are not finite")
     if fld == "complex":
         entries = (payload[0::2] + 1j * payload[1::2]).reshape(m, N)
     else:

@@ -7,13 +7,20 @@ safeguarded Newton solve of the secular equation, returning the feasible end
 of its bracket. Convergence is certified a posteriori through an
 independently constructed dual-feasible point, so ``converged=True`` always
 means a verified duality gap, never just small iterate motion. Polishing
-tries the least-squares refit on the detected support before the raw
-iterate and stops at the first certified candidate; a dense sign fit is
-solved in the m-dimensional range space. Both solvers read the eigenpairs of
-Phi Phi^T from the dictionary's cached ``frame``. Lasso runs accelerated
-proximal gradient at the fixed step 1/L, L the largest of those eigenvalues,
-restarts its momentum when the step turns against it, and is accepted only
-on a coordinatewise subgradient check.
+tries a refit on the detected support before the raw iterate and stops at
+the first certified candidate; a dense sign fit is solved in the
+m-dimensional range space. Without noise the refit is least squares. With
+eps > 0 it is the exact optimum of BP restricted to the support and signs,
+the least-squares fit moved onto the ball's boundary, and the support grows
+by any column the residual correlates with more strongly than with the
+support; the scaled residual then certifies it as soon as ADMM has the
+support in view. ``info`` records the duality gap, which candidate was
+certified (``certified_by``) and the number of polish calls. Both solvers
+read the eigenpairs of Phi Phi^T from the dictionary's cached ``frame``.
+Lasso runs accelerated proximal gradient at the fixed step 1/L, L the
+largest of those eigenvalues, restarts its momentum when the step turns
+against it, and is accepted only on a coordinatewise subgradient check,
+made every 10th iteration.
 """
 
 from __future__ import annotations
@@ -252,6 +259,7 @@ def basis_pursuit(d: Dictionary, y: np.ndarray, eps_noise: float,
     thresh = opts.support_threshold_factor * opts.feas_tol
     best = None
     iterations = 0
+    polish_calls = 0
     x = z
     for it in range(1, opts.max_iter + 1):
         iterations = it
@@ -264,27 +272,30 @@ def basis_pursuit(d: Dictionary, y: np.ndarray, eps_noise: float,
         z = z_new
         if it % opts.check_every == 0 or (prim < 1e-12 and dual < 1e-12):
             nu_admm = project.lift(rho * u)
+            polish_calls += 1
             cand = _polish_candidate(a, ys, es, x, z, thresh, opts, nu_admm)
             if cand is not None:
-                xc, gap = cand
-                if _certified(xc, gap, opts):
-                    best = (xc, gap)
+                if _certified(cand[0], cand[1], opts):
+                    best = cand
                     break
-                if best is None or gap < best[1]:
-                    best = (xc, gap)
+                if best is None or cand[1] < best[1]:
+                    best = cand
         if prim < 1e-13 and dual < 1e-13:
             break
     if best is None:
         support = np.flatnonzero(np.abs(x) > thresh)
-        best = (x, _dual_gap(a, ys, es, x, support, project.lift(rho * u)))
-    xs, gap = best
+        best = (x, _dual_gap(a, ys, es, x, support, project.lift(rho * u)),
+                "iterate")
+    xs, gap, kind = best
     x_hat = xs * yn
     feas = max(0.0, float(np.linalg.norm(a @ x_hat - y)) - eps_noise)
     objective = float(np.abs(x_hat).sum())
     rel_gap = float(gap / (1.0 + np.abs(xs).sum()))
     converged = bool(feas <= opts.feas_tol and rel_gap <= opts.obj_tol)
+    info = {"duality_gap": float(gap * yn), "certified_by": kind if converged else None,
+            "polish_calls": polish_calls}
     return RecoveryResult(x_hat, converged, iterations, objective, feas,
-                          rel_gap, info={"duality_gap": float(gap * yn)})
+                          rel_gap, info=info)
 
 
 def _certified(x: np.ndarray, gap: float, opts: SolverOptions) -> bool:
@@ -294,28 +305,75 @@ def _certified(x: np.ndarray, gap: float, opts: SolverOptions) -> bool:
 
 def _polish_candidate(a, y, eps, x, z, thresh, opts, nu_admm=None):
     """Feasible candidate with the smallest duality gap among the iterate and
-    the least-squares refit on the detected support (tried first, when it
-    lowers the l1 objective); a certified refit ends the scan."""
+    the refit on the detected support (tried first, when it lowers the l1
+    objective), as (point, gap, "refit" or "iterate"); a certified refit
+    ends the scan. When eps > 0 the least-squares refit is replaced by
+    ``_boundary_refit``."""
     support = np.flatnonzero(np.abs(z) > thresh)
-    cands = [(x, np.flatnonzero(np.abs(x) > thresh))]
+    cands = [(x, np.flatnonzero(np.abs(x) > thresh), "iterate")]
     if 0 < support.size <= a.shape[0]:
         refit = np.zeros(a.shape[1])
         sub = a[:, support]
         coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
+        if eps > 0.0:
+            support, coef = _boundary_refit(a, y, eps, support,
+                                            np.sign(z[support]), coef)
         refit[support] = coef
         feas = np.linalg.norm(a @ refit - y)
         if feas <= eps + opts.feas_tol and np.abs(refit).sum() <= np.abs(x).sum():
-            cands.insert(0, (refit, support))
+            cands.insert(0, (refit, support, "refit"))
     out = None
-    for cand, sup in cands:
+    for cand, sup, kind in cands:
         if np.linalg.norm(a @ cand - y) > eps + opts.feas_tol:
             continue
         gap = _dual_gap(a, y, eps, cand, sup, nu_admm)
         if out is None or gap < out[1]:
-            out = (cand, gap)
+            out = (cand, gap, kind)
         if _certified(cand, gap, opts):
             break       # skip fitting the denser candidates after it
     return out
+
+
+def _boundary_refit(a, y, eps, support, signs, coef):
+    """Optimum of BP restricted to the columns ``support`` and the sign
+    pattern ``signs``, as (support, coefficients); ``coef`` is the
+    least-squares fit on ``support``.
+
+    With G = A_S^T A_S and residual r0 = ||A_S coef - y|| < eps, the optimum
+    of min signs^T c s.t. ||A_S c - y|| <= eps is c = coef - t G^{-1} signs,
+    t = sqrt((eps^2 - r0^2) / signs^T G^{-1} signs), on the ball's boundary;
+    it is the restricted BP optimum only while it keeps ``signs``. Its
+    residual r has A_S^T r = t signs, so a column j off S with
+    |a_j^T r| > t shows that S is too small: j joins S with the sign of
+    a_j^T r and the fit is redone. Returns the last sign-consistent boundary
+    point, or (support, coef) when there is none.
+    """
+    out = support, coef
+    while True:
+        sub = a[:, support]
+        r0 = float(np.linalg.norm(sub @ coef - y))
+        if not r0 < eps:
+            return out
+        try:
+            h = np.linalg.solve(sub.T @ sub, signs)
+        except np.linalg.LinAlgError:
+            return out
+        q = float(signs @ h)
+        if not q > 0.0:
+            return out
+        shifted = coef - math.sqrt((eps * eps - r0 * r0) / q) * h
+        if not np.array_equal(np.sign(shifted), signs):
+            return out
+        out = support, shifted
+        corr = a.T @ (y - sub @ shifted)
+        top = np.abs(corr[support]).max()
+        corr[support] = 0.0
+        j = int(np.abs(corr).argmax())
+        if support.size == a.shape[0] or not abs(corr[j]) > top:
+            return out
+        support = np.append(support, j)
+        signs = np.append(signs, np.sign(corr[j]))
+        coef, *_ = np.linalg.lstsq(a[:, support], y, rcond=None)
 
 
 def lasso_kkt_residual(a: np.ndarray, y: np.ndarray, x: np.ndarray,
@@ -362,7 +420,7 @@ def lasso(d: Dictionary, y: np.ndarray, lam: float, sigma: float,
             v = x_new + ((t - 1.0) / t_new) * dx
         x = x_new
         t = t_new
-        if (it % 10 == 0 or it < 10) and lasso_kkt_residual(a, y, x, penalty) <= opts.kkt_tol:
+        if it % 10 == 0 and lasso_kkt_residual(a, y, x, penalty) <= opts.kkt_tol:
             break
     kkt = lasso_kkt_residual(a, y, x, penalty)
     r = a @ x - y

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from pathlib import Path
 
 import jsonschema
@@ -466,3 +467,32 @@ def test_bad_input_is_a_json_error(command, dg_file, tmp_path, capsys):
     assert "Traceback" not in err and len(err.splitlines()) == 1
     payload = json.loads(err)
     assert list(payload) == ["error"] and message in payload["error"]
+
+
+# Each subcommand that loads a dictionary, on a saved Gaussian 2x3 file whose
+# first payload double is replaced by NaN.
+NON_FINITE_CASES = {
+    "analyze": ["analyze", "--dict", "{bad}"],
+    "certify": ["certify", "--dict", "{bad}", "--property", "strip", "--k", "1",
+                "--delta", "0.5", "--trials", "10"],
+    "recover": ["recover", "--dict", "{bad}", "--k", "1", "--trials", "1"],
+    "build --code": ["build", "--family", "dg", "--s", "1", "--r", "1",
+                     "--code", "{bad}", "--out", "{tmp}/x.dict"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_FINITE_CASES))
+def test_non_finite_payload_exits_2(command, tmp_path, capsys):
+    bad = tmp_path / "nan.dict"
+    assert main(["build", "--family", "gaussian", "--m", "2", "--N", "3",
+                 "--seed", "0", "--out", str(bad)]) == 0
+    blob = bad.read_bytes()
+    start = blob.index(b"\ndata\n") + len(b"\ndata\n")
+    bad.write_bytes(blob[:start] + struct.pack("<d", math.nan) + blob[start + 8:])
+    capsys.readouterr()
+    argv = [arg.format(bad=bad, tmp=tmp_path) for arg in NON_FINITE_CASES[command]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert json.loads(captured.err) == {"error": "1 of 6 payload doubles are not finite"}
+    assert not (tmp_path / "x.dict").exists()

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import stripkit as sk
 from stripkit.dictionaries import Dictionary
 from stripkit.solvers import (RankDeficiencyError, SolverInputError,
-                              SolverOptions, _BallProjector, lasso_kkt_residual)
+                              SolverOptions, _BallProjector, _boundary_refit,
+                              _polish_candidate, lasso_kkt_residual)
 
 
 def bp_instance(d, k, seed, model="unit"):
@@ -115,6 +116,70 @@ class TestBasisPursuit:
         d = Dictionary("rank2", "real", 3, 2, entries)
         with pytest.raises(SolverInputError):
             sk.basis_pursuit(d, np.array([0.0, 0.0, 1.0]), 0.0)
+
+
+def noisy_instance(d, k, sigma, seed):
+    rng = sk.derive_rng(seed, "noisy-dg")
+    inst = sk.sample_generic_signal(d.N, k, "unit", rng)
+    return sk.observe(d, inst, sigma=sigma, rng=rng)
+
+
+class TestNoisyBasisPursuit:
+    @pytest.mark.parametrize("build, k, sigma", [
+        (lambda: sk.build_delsarte_goethals(1), 2, 0.01),
+        (lambda: sk.build_gaussian(10, 30, seed=5), 2, 0.05),
+        (lambda: sk.build_gaussian(10, 30, seed=5), 3, 0.05),
+    ])
+    def test_optimality_conditions_of_x_hat(self, build, k, sigma):
+        # KKT of min ||x||_1 s.t. ||Phi x - y|| <= eps, read off x_hat alone:
+        # the residual r sits on the ball and Phi^T r is t sign(x_hat) on the
+        # support S and at most t in size off it
+        d = build()
+        for seed in range(8):
+            obs = noisy_instance(d, k, sigma, seed)
+            res = sk.basis_pursuit(d, obs.y, obs.eps_noise)
+            assert res.converged
+            r = obs.y - d.entries @ res.x_hat
+            assert abs(np.linalg.norm(r) - obs.eps_noise) <= 1e-8
+            on = np.abs(res.x_hat) > 1e-9 * np.abs(res.x_hat).max()
+            corr = d.entries.T @ r
+            t = np.abs(corr[on]).max()
+            assert np.abs(corr[on] - t * np.sign(res.x_hat[on])).max() <= 1e-8 * t
+            assert np.abs(corr[~on]).max() <= t * (1 + 1e-6)
+
+    def test_dg_certified_within_500_iterations(self):
+        # ADMM alone needs 2000+ iterations here to close the duality gap
+        d = sk.build_delsarte_goethals(1)
+        for seed in range(10):
+            obs = noisy_instance(d, 2, 0.01, seed)
+            res = sk.basis_pursuit(d, obs.y, obs.eps_noise)
+            assert res.converged and res.iterations <= 500
+
+    def test_boundary_shift_that_flips_a_sign_is_not_offered(self):
+        # on the identity the least-squares refit is y itself; moving it to
+        # the boundary along -(1, 1) would take x_2 = 0.05 below zero
+        a = np.eye(2)
+        y = np.array([1.0, 0.05])
+        _, coef = _boundary_refit(a, y, 0.1, np.arange(2), np.ones(2), y.copy())
+        assert np.array_equal(coef, y)
+        z = np.array([0.9, 0.02])
+        cand = _polish_candidate(a, y, 0.1, y.copy(), z, 1e-7, SolverOptions())
+        assert np.array_equal(cand[0], y) and cand[2] == "refit"
+        res = sk.basis_pursuit(Dictionary("identity2", "real", 2, 2, a), y, 0.1)
+        assert res.converged
+        assert np.abs(res.x_hat - [1.0 - math.sqrt(0.0075), 0.0]).max() <= 1e-6
+
+    def test_certificate_route_is_reported(self):
+        d = sk.build_delsarte_goethals(1)
+        obs = noisy_instance(d, 1, 0.01, 0)
+        res = sk.basis_pursuit(d, obs.y, obs.eps_noise)
+        assert res.converged and res.info["certified_by"] == "refit"
+        assert res.info["polish_calls"] >= 1
+        short = sk.basis_pursuit(d, obs.y, obs.eps_noise,
+                                 SolverOptions(max_iter=1, check_every=1,
+                                               obj_tol=1e-14))
+        assert not short.converged and short.info["certified_by"] is None
+        assert short.info["polish_calls"] == 1
 
 
 def bisection_multiplier(dt, w, eps):
