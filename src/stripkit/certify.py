@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional
 
 import numpy as np
@@ -273,15 +273,17 @@ def _verdict(condition, inputs, slack, derived=None):
     return SufficientConditionVerdict(condition, inputs, ok, slack, derived or {})
 
 
-_A_LATTICE = tuple(np.geomspace(1e-4, 1 - 1e-4, 41))
+_A_LATTICE = tuple(float(a) for a in np.geomspace(1e-4, 1 - 1e-4, 41))
+_ABC_LATTICE = np.geomspace(1e-6, 0.99, 12)
 
 
-def _best_a(evaluate):
-    """Pick the split constant maximizing the worst per-inequality margin."""
+def _best_on_lattice(evaluate, key, *axes):
+    """The verdict ``evaluate(*point)`` over the product of ``axes`` whose
+    worst entry of ``derived[key]`` is largest; the first such point wins."""
     best = None
-    for a in _A_LATTICE:
-        v = evaluate(float(a))
-        score = min(v.derived["margin_ratio"].values())
+    for point in product(*axes):
+        v = evaluate(*point)
+        score = min(v.derived[key].values())
         if best is None or score > best[0]:
             best = (score, v)
     return best[1]
@@ -304,7 +306,9 @@ def sinc_sufficient(mu: float, theta: float, k: int, N: int, eps: float,
     ``None`` searches it for the best worst-case margin.
     """
     if a is None:
-        return _best_a(lambda aa: sinc_sufficient(mu, theta, k, N, eps, aa, beta))
+        return _best_on_lattice(
+            lambda aa: sinc_sufficient(mu, theta, k, N, eps, aa, beta),
+            "margin_ratio", _A_LATTICE)
     if not (0 < a < 1) or beta <= 0:
         raise ValueError("need 0 < a < 1 and beta > 0")
     L = math.log(2 * N / eps)
@@ -342,8 +346,9 @@ def strip_sufficient_via_sinc(mu: float, theta: float, k: int, delta: float,
                               a: Optional[float] = 0.5) -> SufficientConditionVerdict:
     """StRIP through the incoherence route; admits mu up to order k^(-3/4)."""
     if a is None:
-        return _best_a(
-            lambda aa: strip_sufficient_via_sinc(mu, theta, k, delta, eps1, aa))
+        return _best_on_lattice(
+            lambda aa: strip_sufficient_via_sinc(mu, theta, k, delta, eps1, aa),
+            "margin_ratio", _A_LATTICE)
     if not (0 < a < 1):
         raise ValueError("need 0 < a < 1")
     if not (0 < eps1 < 2 * k):
@@ -372,17 +377,10 @@ def strip_sufficient_direct(mu: float, theta: float, k: int, N: int,
     if not (0 < eps < eps_max):
         raise ValueError(f"need 0 < eps < {eps_max:.4g}")
     if a is None or b is None or c is None:
-        lattice = np.geomspace(1e-6, 0.99, 12)
-        best = None
-        for aa in lattice:
-            for bb in lattice:
-                for cc in lattice:
-                    v = strip_sufficient_direct(mu, theta, k, N, frame_norm,
-                                                delta, eps, aa, bb, cc)
-                    score = min(v.derived["normalized_slack"].values())
-                    if best is None or score > best[0]:
-                        best = (score, v)
-        return best[1]
+        return _best_on_lattice(
+            lambda aa, bb, cc: strip_sufficient_direct(mu, theta, k, N, frame_norm,
+                                                       delta, eps, aa, bb, cc),
+            "normalized_slack", _ABC_LATTICE, _ABC_LATTICE, _ABC_LATTICE)
     if not all(0 < x < 1 for x in (a, b, c)):
         raise ValueError("need a, b, c in (0, 1)")
     L1 = math.log(1 / eps)

@@ -26,7 +26,7 @@ from . import experiments as ex
 from . import gvforge as gv
 from .seeding import derive_rng
 from .signals import observe, sample_generic_signal
-from .solvers import SolverOptions, basis_pursuit, error_report, lasso
+from .solvers import basis_pursuit, error_report, lasso
 
 
 def _emit(payload, path=None):
@@ -143,7 +143,6 @@ def _cmd_recover(args) -> int:
     d = dc.load_dictionary(args.dict)
     if d.field == "complex":
         d = dc.realify(d)
-    opts = SolverOptions()
     records = []
     for t in range(args.trials):
         rng = derive_rng(args.seed, "recover", t)
@@ -151,10 +150,10 @@ def _cmd_recover(args) -> int:
         inst = observe(d, inst, sigma=args.sigma, rng=rng)
         if args.solver == "bp":
             eps = inst.eps_noise if args.eps is None else args.eps
-            res = basis_pursuit(d, inst.y, eps, opts)
+            res = basis_pursuit(d, inst.y, eps)
         else:
             lam = args.lam if args.lam is not None else 2.0 * math.sqrt(2.0 * math.log(d.N))
-            res = lasso(d, inst.y, lam, args.sigma, opts)
+            res = lasso(d, inst.y, lam, args.sigma)
         res = error_report(inst, res, args.prob_eps)
         records.append({
             "trial": t, "converged": res.converged, "iterations": res.iterations,

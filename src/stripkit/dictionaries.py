@@ -402,7 +402,10 @@ def load_dictionary(path) -> Dictionary:
     for line in header[1:-1]:
         key, _, value = line.partition("=")
         if key.startswith("param."):
-            fields["params"][key[len("param."):]] = json.loads(value)
+            try:
+                fields["params"][key[len("param."):]] = json.loads(value)
+            except RecursionError:
+                raise DictionaryFormatError(f"{key} is nested too deeply")
         else:
             fields[key] = value
     try:
@@ -411,6 +414,8 @@ def load_dictionary(path) -> Dictionary:
         N = int(fields["N"])
     except KeyError as exc:
         raise DictionaryFormatError(f"missing header key {exc}")
+    if m < 1 or N < 1:
+        raise DictionaryFormatError(f"m and N must be positive, got m={m}, N={N}")
     payload = np.frombuffer(blob[head_end:], dtype="<f8")
     expect = m * N * (2 if fld == "complex" else 1)
     if payload.size != expect:

@@ -22,8 +22,8 @@ import numpy as np
 from .dictionaries import Dictionary, build_family, load_dictionary, realify
 from .seeding import derive_rng
 from .signals import observe, sample_generic_signal
-from .solvers import (SolverOptions, basis_pursuit, cp_conditions,
-                       dual_certificate, error_report, lasso)
+from .solvers import (basis_pursuit, cp_conditions, dual_certificate,
+                      error_report, lasso)
 
 MIN_TRIALS_FOR_FLOOR = 200
 
@@ -140,12 +140,11 @@ def _uniform_recovery_threshold(mu: float) -> float:
     return 0.5 * (1.0 + 1.0 / mu)
 
 
-def _bp_trial(d: Dictionary, config: ExperimentConfig, t: int,
-              opts: SolverOptions) -> dict:
+def _bp_trial(d: Dictionary, config: ExperimentConfig, t: int) -> dict:
     rng = derive_rng(config.seed, "trial", t)
     inst = sample_generic_signal(d.N, config.k, config.magnitudes, rng, p=config.p)
     inst = observe(d, inst, sigma=0.0, rng=rng)
-    res = basis_pursuit(d, inst.y, 0.0, opts)
+    res = basis_pursuit(d, inst.y, 0.0)
     res = error_report(inst, res, config.eps)
     cert = dual_certificate(d, inst.support, inst.signs)
     top = np.sort(np.argsort(np.abs(res.x_hat))[-config.k:]) if config.k else np.array([], dtype=int)
@@ -168,14 +167,14 @@ def _bp_trial(d: Dictionary, config: ExperimentConfig, t: int,
     }
 
 
-def _run_trials(worker, d, config, opts):
+def _run_trials(worker, d, config):
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(worker, d, config, t, opts)
+            futures = [pool.submit(worker, d, config, t)
                        for t in range(config.trials)]
             records = [f.result() for f in futures]
     else:
-        records = [worker(d, config, t, opts) for t in range(config.trials)]
+        records = [worker(d, config, t) for t in range(config.trials)]
     records.sort(key=lambda r: r["trial"])
     return records
 
@@ -206,7 +205,7 @@ def _floor_study(config: ExperimentConfig, d: Optional[Dictionary], kind: str,
         return ExperimentReport(kind, asdict(config), 0, 0, [],
                                 {key: agg[key] for key in keys}, floor=floor,
                                 runtime_seconds=time.perf_counter() - t0)
-    records = _run_trials(_bp_trial, d, config, SolverOptions())
+    records = _run_trials(_bp_trial, d, config)
     conv = [r for r in records if r["converged"]]
     agg = {name: _fraction(records, key) for name, key in _BP_FRACTIONS.items()}
     errs = [r["err_on_l2"] for r in conv]
@@ -242,13 +241,12 @@ def run_offsupport_floor(config: ExperimentConfig,
                         ("frac_l1", "support_rate", "frac_certificate"))
 
 
-def _lasso_trial(d: Dictionary, config: ExperimentConfig, t: int,
-                 opts: SolverOptions) -> dict:
+def _lasso_trial(d: Dictionary, config: ExperimentConfig, t: int) -> dict:
     rng = derive_rng(config.seed, "trial", t)
     inst = sample_generic_signal(d.N, config.k, config.magnitudes, rng, p=config.p)
     inst = observe(d, inst, sigma=config.sigma, rng=rng)
     lam = config.lam if config.lam is not None else 2.0 * math.sqrt(2.0 * math.log(d.N))
-    res = lasso(d, inst.y, lam, config.sigma, opts)
+    res = lasso(d, inst.y, lam, config.sigma)
     conds = cp_conditions(d, inst.support, inst.signs, inst.z)
     compressed_err = float(np.linalg.norm(d.entries @ (inst.x - res.x_hat)) ** 2)
     ratio = compressed_err / (config.k * math.log(d.N) * config.sigma ** 2)
@@ -276,8 +274,7 @@ def run_lasso_study(config: ExperimentConfig,
         raise ValueError("lasso study needs sigma > 0")
     t0 = time.perf_counter()
     d = d or config.load_dictionary()
-    opts = SolverOptions()
-    records = _run_trials(_lasso_trial, d, config, opts)
+    records = _run_trials(_lasso_trial, d, config)
     conv = [r for r in records if r["converged"]]
     ratios = [r["ratio"] for r in conv]
     agg = {

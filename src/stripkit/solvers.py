@@ -21,6 +21,11 @@ Lasso runs accelerated proximal gradient at the fixed step 1/L, L the
 largest of those eigenvalues, restarts its momentum when the step turns
 against it, and is accepted only on a coordinatewise subgradient check,
 made every 10th iteration.
+
+The numerics are module constants, not options: the iteration cap
+``MAX_ITER``; BP's ``RHO``, ``OVER_RELAX``, polish period ``CHECK_EVERY``,
+``SUPPORT_THRESHOLD`` (10 ``FEAS_TOL``) and acceptance tolerances
+``FEAS_TOL`` (ball) and ``OBJ_TOL`` (relative gap); Lasso's ``KKT_TOL``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,14 @@ from .dictionaries import Dictionary, frame_spectrum
 from .signals import SignalInstance
 
 CONDITION_LIMIT = 1e12
+MAX_ITER = 100_000
+FEAS_TOL = 1e-8
+OBJ_TOL = 1e-8
+KKT_TOL = 1e-8
+RHO = 1.0
+OVER_RELAX = 1.8
+CHECK_EVERY = 25
+SUPPORT_THRESHOLD = 10.0 * FEAS_TOL
 
 
 class SolverInputError(ValueError):
@@ -43,18 +56,6 @@ class SolverInputError(ValueError):
 
 class RankDeficiencyError(np.linalg.LinAlgError):
     pass
-
-
-@dataclass
-class SolverOptions:
-    max_iter: int = 100_000
-    feas_tol: float = 1e-8
-    obj_tol: float = 1e-8
-    kkt_tol: float = 1e-8
-    rho: float = 1.0
-    over_relax: float = 1.8
-    check_every: int = 25
-    support_threshold_factor: float = 10.0
 
 
 @dataclass
@@ -76,7 +77,7 @@ class RecoveryResult:
 class Certificate:
     v: Optional[np.ndarray]
     sup_off: float
-    gram_conditioning: float
+    gram_conditioning: float      # lambda_max / lambda_min of the support Gram
     valid: bool
 
 
@@ -181,9 +182,7 @@ class _BallProjector:
             null_mass = np.linalg.norm(dt[~self.rank_mask])
             if null_mass > 1e-9 * max(1.0, r):
                 raise SolverInputError("y is not in the range of Phi; eps=0 infeasible")
-            coef = np.zeros_like(dt)
-            coef[self.rank_mask] = dt[self.rank_mask] / self.w[self.rank_mask]
-            return vec - self.a.T @ (self.v @ coef)
+            return vec - self.a.T @ _range_solve(self.w, self.v, self.rank_mask, d)
         lam = self.multiplier(dt)
         return vec - self.a.T @ (self.v @ (lam * dt / (1.0 + lam * self.w)))
 
@@ -229,16 +228,14 @@ def _dual_gap(a: np.ndarray, y: np.ndarray, eps: float, x: np.ndarray,
     return max(obj - best, 0.0)   # weak duality; negatives are float dust
 
 
-def basis_pursuit(d: Dictionary, y: np.ndarray, eps_noise: float,
-                  opts: Optional[SolverOptions] = None) -> RecoveryResult:
+def basis_pursuit(d: Dictionary, y: np.ndarray, eps_noise: float) -> RecoveryResult:
     """min ||x||_1 subject to ||Phi x - y||_2 <= eps_noise.
 
-    Returns a feasible point whose objective is certified within obj_tol of
+    Returns a feasible point whose objective is certified within OBJ_TOL of
     optimal by an explicit dual-feasible point; non-convergence inside the
     iteration cap is reported, never silently accepted.
     """
     _require_real(d)
-    opts = opts or SolverOptions()
     y = _observation(d, y)
     if not math.isfinite(eps_noise):
         raise SolverInputError("eps_noise must be finite")
@@ -253,29 +250,27 @@ def basis_pursuit(d: Dictionary, y: np.ndarray, eps_noise: float,
     es = eps_noise / yn
     a = d.entries
     project = _BallProjector(a, ys, es, d.frame)
-    rho, alpha = opts.rho, opts.over_relax
     z = project(np.zeros(d.N))
     u = np.zeros(d.N)
-    thresh = opts.support_threshold_factor * opts.feas_tol
     best = None
     iterations = 0
     polish_calls = 0
     x = z
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         iterations = it
         x = project(z - u)
-        xr = alpha * x + (1.0 - alpha) * z
-        z_new = _soft(xr + u, 1.0 / rho)
+        xr = OVER_RELAX * x + (1.0 - OVER_RELAX) * z
+        z_new = _soft(xr + u, 1.0 / RHO)
         u = u + xr - z_new
         prim = np.linalg.norm(x - z_new)
-        dual = rho * np.linalg.norm(z_new - z)
+        dual = RHO * np.linalg.norm(z_new - z)
         z = z_new
-        if it % opts.check_every == 0 or (prim < 1e-12 and dual < 1e-12):
-            nu_admm = project.lift(rho * u)
+        if it % CHECK_EVERY == 0 or (prim < 1e-12 and dual < 1e-12):
+            nu_admm = project.lift(RHO * u)
             polish_calls += 1
-            cand = _polish_candidate(a, ys, es, x, z, thresh, opts, nu_admm)
+            cand = _polish_candidate(a, ys, es, x, z, nu_admm)
             if cand is not None:
-                if _certified(cand[0], cand[1], opts):
+                if _certified(cand[0], cand[1]):
                     best = cand
                     break
                 if best is None or cand[1] < best[1]:
@@ -283,74 +278,69 @@ def basis_pursuit(d: Dictionary, y: np.ndarray, eps_noise: float,
         if prim < 1e-13 and dual < 1e-13:
             break
     if best is None:
-        support = np.flatnonzero(np.abs(x) > thresh)
-        best = (x, _dual_gap(a, ys, es, x, support, project.lift(rho * u)),
+        support = np.flatnonzero(np.abs(x) > SUPPORT_THRESHOLD)
+        best = (x, _dual_gap(a, ys, es, x, support, project.lift(RHO * u)),
                 "iterate")
     xs, gap, kind = best
     x_hat = xs * yn
     feas = max(0.0, float(np.linalg.norm(a @ x_hat - y)) - eps_noise)
     objective = float(np.abs(x_hat).sum())
     rel_gap = float(gap / (1.0 + np.abs(xs).sum()))
-    converged = bool(feas <= opts.feas_tol and rel_gap <= opts.obj_tol)
+    converged = bool(feas <= FEAS_TOL and rel_gap <= OBJ_TOL)
     info = {"duality_gap": float(gap * yn), "certified_by": kind if converged else None,
             "polish_calls": polish_calls}
     return RecoveryResult(x_hat, converged, iterations, objective, feas,
                           rel_gap, info=info)
 
 
-def _certified(x: np.ndarray, gap: float, opts: SolverOptions) -> bool:
-    """Duality gap within obj_tol relative to the objective."""
-    return gap <= opts.obj_tol * (1.0 + np.abs(x).sum())
+def _certified(x: np.ndarray, gap: float) -> bool:
+    """Duality gap within OBJ_TOL relative to the objective."""
+    return gap <= OBJ_TOL * (1.0 + np.abs(x).sum())
 
 
-def _polish_candidate(a, y, eps, x, z, thresh, opts, nu_admm=None):
+def _polish_candidate(a, y, eps, x, z, nu_admm=None):
     """Feasible candidate with the smallest duality gap among the iterate and
-    the refit on the detected support (tried first, when it lowers the l1
-    objective), as (point, gap, "refit" or "iterate"); a certified refit
-    ends the scan. When eps > 0 the least-squares refit is replaced by
-    ``_boundary_refit``."""
-    support = np.flatnonzero(np.abs(z) > thresh)
-    cands = [(x, np.flatnonzero(np.abs(x) > thresh), "iterate")]
+    the ``_boundary_refit`` on the detected support of z (tried first, when
+    it lowers the l1 objective), as (point, gap, "refit" or "iterate"); a
+    certified refit ends the scan."""
+    support = np.flatnonzero(np.abs(z) > SUPPORT_THRESHOLD)
+    cands = [(x, np.flatnonzero(np.abs(x) > SUPPORT_THRESHOLD), "iterate")]
     if 0 < support.size <= a.shape[0]:
+        support, coef = _boundary_refit(a, y, eps, support, np.sign(z[support]))
         refit = np.zeros(a.shape[1])
-        sub = a[:, support]
-        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        if eps > 0.0:
-            support, coef = _boundary_refit(a, y, eps, support,
-                                            np.sign(z[support]), coef)
         refit[support] = coef
-        feas = np.linalg.norm(a @ refit - y)
-        if feas <= eps + opts.feas_tol and np.abs(refit).sum() <= np.abs(x).sum():
+        if np.abs(refit).sum() <= np.abs(x).sum():
             cands.insert(0, (refit, support, "refit"))
     out = None
     for cand, sup, kind in cands:
-        if np.linalg.norm(a @ cand - y) > eps + opts.feas_tol:
+        if np.linalg.norm(a @ cand - y) > eps + FEAS_TOL:
             continue
         gap = _dual_gap(a, y, eps, cand, sup, nu_admm)
         if out is None or gap < out[1]:
             out = (cand, gap, kind)
-        if _certified(cand, gap, opts):
+        if _certified(cand, gap):
             break       # skip fitting the denser candidates after it
     return out
 
 
-def _boundary_refit(a, y, eps, support, signs, coef):
+def _boundary_refit(a, y, eps, support, signs):
     """Optimum of BP restricted to the columns ``support`` and the sign
-    pattern ``signs``, as (support, coefficients); ``coef`` is the
-    least-squares fit on ``support``.
+    pattern ``signs``, as (support, coefficients).
 
-    With G = A_S^T A_S and residual r0 = ||A_S coef - y|| < eps, the optimum
-    of min signs^T c s.t. ||A_S c - y|| <= eps is c = coef - t G^{-1} signs,
+    Starts from the least-squares fit coef on ``support``. With
+    G = A_S^T A_S and residual r0 = ||A_S coef - y|| < eps, the optimum of
+    min signs^T c s.t. ||A_S c - y|| <= eps is c = coef - t G^{-1} signs,
     t = sqrt((eps^2 - r0^2) / signs^T G^{-1} signs), on the ball's boundary;
     it is the restricted BP optimum only while it keeps ``signs``. Its
     residual r has A_S^T r = t signs, so a column j off S with
     |a_j^T r| > t shows that S is too small: j joins S with the sign of
     a_j^T r and the fit is redone. Returns the last sign-consistent boundary
-    point, or (support, coef) when there is none.
+    point, or the least-squares fit when there is none, as always at eps = 0.
     """
+    sub = a[:, support]
+    coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
     out = support, coef
     while True:
-        sub = a[:, support]
         r0 = float(np.linalg.norm(sub @ coef - y))
         if not r0 < eps:
             return out
@@ -373,7 +363,8 @@ def _boundary_refit(a, y, eps, support, signs, coef):
             return out
         support = np.append(support, j)
         signs = np.append(signs, np.sign(corr[j]))
-        coef, *_ = np.linalg.lstsq(a[:, support], y, rcond=None)
+        sub = a[:, support]
+        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
 
 
 def lasso_kkt_residual(a: np.ndarray, y: np.ndarray, x: np.ndarray,
@@ -384,13 +375,11 @@ def lasso_kkt_residual(a: np.ndarray, y: np.ndarray, x: np.ndarray,
     return max(float(viol.max()), 0.0)
 
 
-def lasso(d: Dictionary, y: np.ndarray, lam: float, sigma: float,
-          opts: Optional[SolverOptions] = None) -> RecoveryResult:
+def lasso(d: Dictionary, y: np.ndarray, lam: float, sigma: float) -> RecoveryResult:
     """min (1/2)||Phi x - y||^2 + lam sigma^2 ||x||_1 by accelerated proximal
     gradient (Beck & Teboulle 2009) at the step 1/L, L = ||Phi||^2, with the
     gradient-based momentum restart of O'Donoghue & Candes (2015)."""
     _require_real(d)
-    opts = opts or SolverOptions()
     for name, value in (("lam", lam), ("sigma", sigma)):
         if not math.isfinite(value):
             raise SolverInputError(f"{name} must be finite")
@@ -408,7 +397,7 @@ def lasso(d: Dictionary, y: np.ndarray, lam: float, sigma: float,
     v = x
     t = 1.0
     iterations = 0
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         iterations = it
         x_new = _soft(v - step * (a.T @ (a @ v - y)), thresh)
         dx = x_new - x
@@ -420,12 +409,12 @@ def lasso(d: Dictionary, y: np.ndarray, lam: float, sigma: float,
             v = x_new + ((t - 1.0) / t_new) * dx
         x = x_new
         t = t_new
-        if it % 10 == 0 and lasso_kkt_residual(a, y, x, penalty) <= opts.kkt_tol:
+        if it % 10 == 0 and lasso_kkt_residual(a, y, x, penalty) <= KKT_TOL:
             break
     kkt = lasso_kkt_residual(a, y, x, penalty)
     r = a @ x - y
     objective = 0.5 * float(r @ r) + penalty * float(np.abs(x).sum())
-    return RecoveryResult(x, bool(kkt <= opts.kkt_tol), iterations, objective, 0.0, kkt)
+    return RecoveryResult(x, bool(kkt <= KKT_TOL), iterations, objective, 0.0, kkt)
 
 
 def dual_certificate(d: Dictionary, support, signs) -> Certificate:
@@ -442,16 +431,15 @@ def dual_certificate(d: Dictionary, support, signs) -> Certificate:
     sub = d.entries[:, idx]
     gram = sub.T @ sub
     vals = np.linalg.eigvalsh(gram)
-    if vals[0] <= 0 or vals[-1] / vals[0] > CONDITION_LIMIT:
-        cond = math.inf if vals[0] <= 0 else float(vals[-1] / vals[0])
+    cond = math.inf if vals[0] <= 0 else float(vals[-1] / vals[0])
+    if cond > CONDITION_LIMIT:
         return Certificate(None, math.inf, cond, False)
     coef = np.linalg.solve(gram, s)
     v = d.entries.T @ (sub @ coef)
     v[idx] = s       # exact by construction; pin the float solve noise
     off = np.delete(v, idx)
     sup_off = float(np.abs(off).max()) if off.size else 0.0
-    inv_norm = float(1.0 / vals[0])
-    return Certificate(v, sup_off, inv_norm, sup_off <= 0.5)
+    return Certificate(v, sup_off, cond, sup_off <= 0.5)
 
 
 def ls_refit(d: Dictionary, support, y: np.ndarray) -> np.ndarray:
@@ -486,12 +474,11 @@ class LassoConditions:
                 and self.certificate_ok)
 
 
-def cp_conditions(d: Dictionary, support, signs, z: np.ndarray,
-                  N: Optional[int] = None) -> LassoConditions:
+def cp_conditions(d: Dictionary, support, signs, z: np.ndarray) -> LassoConditions:
     """The three deterministic conditions under which the Lasso error bound
     ||Phi x - Phi x_hat||^2 <= C k log(N) sigma^2 is known to hold."""
     _require_real(d)
-    N = d.N if N is None else N
+    N = d.N
     idx = np.asarray(support)
     s = np.asarray(signs, dtype=float)
     z = np.asarray(z, dtype=float)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -82,6 +83,16 @@ class TestAnalyze:
         path.write_bytes(first + b"\nfield=real\nm=1\nN=1\ndata\n" + bytes(8))
         assert main(["analyze", "--dict", str(path)]) == 2
         assert "bad header line" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_deeply_nested_param_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.dict"
+        path.write_bytes(b"SDICT 1\nfield=real\nm=1\nN=1\nparam.x=" + b"[" * 100_000
+                         + b"]" * 100_000 + b"\ndata\n" + struct.pack("<d", 1.0))
+        assert main(["analyze", "--dict", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {"error": "param.x is nested too deeply"}
 
 
 class TestCertify:
@@ -209,6 +220,24 @@ class TestRecover:
         lines = csv.read_text().strip().splitlines()
         assert len(lines) == 4
         assert sorted(lines[0].split(",")) == sorted(payload["records"][0])
+
+    # sha256 of the whole stdout on dg s=1, k=2, 10 trials, seed 3; pins the
+    # solver floats (iterations, objectives, errors) of each route
+    PINNED = {
+        "bp": ([], "c1ab18528c0b250a8d432709ac46f0f110411e3e1a279fa098e5638ef7da32a7"),
+        "bp noisy": (["--sigma", "0.01"],
+                     "65dfe4cbb9fa371a39f3e6713226b8f4ac1bcebed406943f90f040ce72d96769"),
+        "lasso": (["--solver", "lasso", "--sigma", "0.01"],
+                  "bb6b12daef1ae27d93a381ef5b8b3b8b11e368e7ba0fcabc2f275af1fdf01612"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_output(self, case, dg_file, capsys):
+        flags, digest = self.PINNED[case]
+        capsys.readouterr()
+        assert main(["recover", "--dict", str(dg_file), "--k", "2", "--trials", "10",
+                     "--seed", "3", *flags]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
     def test_zero_trials_writes_header_only(self, dg_file, tmp_path, capsys):
         csv = tmp_path / "rec.csv"

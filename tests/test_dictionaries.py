@@ -1,4 +1,8 @@
 import math
+import struct
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +308,14 @@ class TestSerialization:
         with pytest.raises(DictionaryFormatError, match="bad header line"):
             sk.load_dictionary(path)
 
+    @pytest.mark.parametrize("m, n", [(-1, -1), (0, 0), (0, 3), (2, -2)])
+    def test_nonpositive_size(self, tmp_path, m, n):
+        path = tmp_path / "bad.dict"
+        path.write_bytes(b"SDICT 1\nfield=real\nm=%d\nN=%d\ndata\n" % (m, n)
+                         + bytes(8 * abs(m * n)))
+        with pytest.raises(DictionaryFormatError, match="m and N must be positive"):
+            sk.load_dictionary(path)
+
     def test_nonunit_columns_warn(self, tmp_path):
         d = sk.build_gaussian(4, 6, seed=0)
         path = tmp_path / "d.dict"
@@ -329,6 +341,53 @@ class TestSerialization:
         sk.export_csv(d, path)
         first = path.read_text().splitlines()[0].split(",")[0]
         assert first.endswith("i") and ("+" in first or "-" in first)
+
+
+_SIZE = st.one_of(st.integers(-3, 4), st.sampled_from(["", "x", "1.5", str(10 ** 30)]))
+_PARAM = st.one_of(
+    st.sampled_from(["1", '"s"', "[1, 2]", '{"a": null}', "NaN", "{", ""]),
+    st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth),
+    st.text(max_size=6))
+
+
+@st.composite
+def sdict_files(draw):
+    """SDICT bytes, mostly well-formed: the size, field, seed and param
+    values may be junk, and the payload holds about m N doubles (one more or
+    one fewer at times), some of them non-finite or far from unit norm."""
+    m, n = draw(_SIZE), draw(_SIZE)
+    field = draw(st.sampled_from(["real", "real", "complex", "quaternion"]))
+    lines = [draw(st.sampled_from(["SDICT 1", "SDICT 1", "SDICT 2", "NOPE 1"])),
+             f"field={field}", f"m={m}", f"N={n}"]
+    if draw(st.booleans()):
+        lines.append("seed=" + draw(st.sampled_from(["7", "-1", "x"])))
+    for key in draw(st.lists(st.sampled_from(["family", "s", "x"]), max_size=2)):
+        lines.append(f"param.{key}=" + draw(_PARAM))
+    if isinstance(m, int) and isinstance(n, int):
+        count = abs(m * n) * (2 if field == "complex" else 1)
+        count = max(0, count + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    else:
+        count = draw(st.integers(0, 4))
+    values = draw(st.lists(
+        st.one_of(st.floats(-2, 2), st.sampled_from([1e308, 1e-320, math.nan, math.inf])),
+        min_size=count, max_size=count))
+    header = "\n".join(lines) + "\ndata\n"
+    return header.encode("utf-8") + struct.pack(f"<{count}d", *values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sdict_files())
+def test_sdict_files_load_or_raise_value_error(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.dict"
+        path.write_bytes(blob)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # renormalized columns
+                d = sk.load_dictionary(path)
+        except ValueError:
+            return
+        assert d.entries.shape == (d.m, d.N) and d.m >= 1 and d.N >= 1
 
 
 @settings(max_examples=25, deadline=None)

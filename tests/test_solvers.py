@@ -6,10 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stripkit as sk
+from stripkit import solvers
 from stripkit.dictionaries import Dictionary
 from stripkit.solvers import (RankDeficiencyError, SolverInputError,
-                              SolverOptions, _BallProjector, _boundary_refit,
+                              _BallProjector, _boundary_refit,
                               _polish_candidate, lasso_kkt_residual)
+
+
+def one_short_iteration(monkeypatch):
+    """Cap BP at one iteration, polished, with an unreachable gap tolerance."""
+    monkeypatch.setattr(solvers, "MAX_ITER", 1)
+    monkeypatch.setattr(solvers, "CHECK_EVERY", 1)
+    monkeypatch.setattr(solvers, "OBJ_TOL", 1e-14)
 
 
 def bp_instance(d, k, seed, model="unit"):
@@ -75,12 +83,11 @@ class TestBasisPursuit:
         assert res.feas_residual <= 1e-8
         assert res.kkt_residual <= 1e-8
 
-    def test_nonconvergence_is_reported(self):
+    def test_nonconvergence_is_reported(self, monkeypatch):
         d = sk.build_gaussian(8, 20, seed=2)
         inst = bp_instance(d, 3, seed=7)
-        res = sk.basis_pursuit(d, inst.y, 0.0,
-                               SolverOptions(max_iter=1, check_every=1,
-                                             obj_tol=1e-14))
+        one_short_iteration(monkeypatch)
+        res = sk.basis_pursuit(d, inst.y, 0.0)
         assert not res.converged        # diagnosed, not silently wrong
 
     def test_rejects_complex_and_bad_inputs(self):
@@ -160,24 +167,23 @@ class TestNoisyBasisPursuit:
         # the boundary along -(1, 1) would take x_2 = 0.05 below zero
         a = np.eye(2)
         y = np.array([1.0, 0.05])
-        _, coef = _boundary_refit(a, y, 0.1, np.arange(2), np.ones(2), y.copy())
+        _, coef = _boundary_refit(a, y, 0.1, np.arange(2), np.ones(2))
         assert np.array_equal(coef, y)
         z = np.array([0.9, 0.02])
-        cand = _polish_candidate(a, y, 0.1, y.copy(), z, 1e-7, SolverOptions())
+        cand = _polish_candidate(a, y, 0.1, y.copy(), z)
         assert np.array_equal(cand[0], y) and cand[2] == "refit"
         res = sk.basis_pursuit(Dictionary("identity2", "real", 2, 2, a), y, 0.1)
         assert res.converged
         assert np.abs(res.x_hat - [1.0 - math.sqrt(0.0075), 0.0]).max() <= 1e-6
 
-    def test_certificate_route_is_reported(self):
+    def test_certificate_route_is_reported(self, monkeypatch):
         d = sk.build_delsarte_goethals(1)
         obs = noisy_instance(d, 1, 0.01, 0)
         res = sk.basis_pursuit(d, obs.y, obs.eps_noise)
         assert res.converged and res.info["certified_by"] == "refit"
         assert res.info["polish_calls"] >= 1
-        short = sk.basis_pursuit(d, obs.y, obs.eps_noise,
-                                 SolverOptions(max_iter=1, check_every=1,
-                                               obj_tol=1e-14))
+        one_short_iteration(monkeypatch)
+        short = sk.basis_pursuit(d, obs.y, obs.eps_noise)
         assert not short.converged and short.info["certified_by"] is None
         assert short.info["polish_calls"] == 1
 
@@ -304,21 +310,21 @@ def test_error_supports_contraction_inequality():
     # coherence: an orthonormal basis plus one flat extra column gives
     # mu = 1/sqrt(m), which qualifies every support at m = 64, delta = 0.1.
     # The optimum is dense (an LP vertex with m active signs), so the gap
-    # certificate is run at a loosened 1e-6 here.
+    # closes only once ADMM has that whole support: at OBJ_TOL these five
+    # instances take 2.5k-14k iterations.
     m = 64
     entries = np.hstack([np.eye(m), np.full((m, 1), 1.0 / math.sqrt(m))])
     d = Dictionary("eye-plus-flat", "real", m, m + 1, entries)
     eps, delta = 0.5, 0.1
     s = 8 * math.log(2 * d.N / eps)
     assert 1.0 / m <= (1 - delta) ** 2 / s   # hypotheses hold for every support
-    opts = SolverOptions(obj_tol=1e-6)
     checked = 0
     nontrivial = 0
     for t in range(5):
         rng = sk.derive_rng(t, "contraction-chain")
         inst = sk.sample_generic_signal(d.N, 1, "compressible", rng)
         obs = sk.observe(d, inst, sigma=0.0, rng=rng)
-        res = sk.basis_pursuit(d, obs.y, 0.0, opts)
+        res = sk.basis_pursuit(d, obs.y, 0.0)
         assert res.converged
         h = inst.x - res.x_hat
         off = np.delete(np.arange(d.N), inst.support)
@@ -493,6 +499,16 @@ class TestDualCertificate:
         cert = sk.dual_certificate(d, np.array([0, 1]), np.array([1.0, 1.0]))
         assert not cert.valid
         assert not np.isfinite(cert.gram_conditioning) or cert.gram_conditioning > 1e12
+
+    def test_gram_conditioning_is_eigenvalue_ratio(self):
+        # a dg s=1 pair at |<a_i, a_j>| = 1/sqrt(16): the Gram [[1, c], [c, 1]]
+        # has eigenvalues 1 -+ 1/4, so lambda_max / lambda_min = 5/3
+        d = sk.build_delsarte_goethals(1)
+        inner = d.entries[:, 0] @ d.entries
+        j = int(np.flatnonzero(np.abs(np.abs(inner) - 0.25) < 1e-12)[0])
+        cert = sk.dual_certificate(d, np.array([0, j]), np.array([1.0, -1.0]))
+        assert cert.v is not None
+        assert cert.gram_conditioning == pytest.approx((1 + 0.25) / (1 - 0.25), rel=1e-12)
 
 
 class TestLsRefit:
