@@ -73,7 +73,7 @@ def _cmd_analyze(args) -> int:
         if args.pless:
             dist = coh.distance_distribution(code)
             payload["pless_residual"] = {
-                str(l): coh.pless_residual(dist, code.N, l) for l in args.pless}
+                str(l): coh.pless_residual(dist, l) for l in args.pless}
         if args.strength:
             res = coh.oa_strength(code, args.strength)
             payload["oa_strength"] = {"strength": res.strength,

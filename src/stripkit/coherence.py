@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dictionaries import BinaryCode, Dictionary
+from .dictionaries import BinaryCode, Dictionary, distance_counts
 
 INVARIANCE_TOL = 1e-9
 
@@ -92,44 +92,41 @@ class DistanceDistribution:
 def distance_distribution(code: BinaryCode) -> DistanceDistribution:
     if code.N < 1:
         raise ValueError("empty code")
-    bits = code.words.astype(np.int16)
-    counts: dict = {}
-    # row-blocked pairwise distances keep memory flat for big codes
-    block = max(1, 2 ** 22 // max(1, code.N * code.m))
-    for start in range(0, code.N, block):
-        chunk = bits[start:start + block]
-        dist = (chunk[:, None, :] != bits[None, :, :]).sum(axis=2)
-        vals, cnt = np.unique(dist, return_counts=True)
-        for w, c in zip(vals, cnt):
-            counts[int(w)] = counts.get(int(w), 0) + int(c)
-    return DistanceDistribution(m=code.m, counts=counts, N=code.N)
+    counts = distance_counts(code)
+    return DistanceDistribution(
+        m=code.m, counts={int(w): int(counts[w]) for w in np.flatnonzero(counts)},
+        N=code.N)
 
 
-def pless_residual(dist: DistanceDistribution, N: int, l: int) -> float:
+def _binomial_moment(m: int, l: int) -> Fraction:
+    """E[((2W - m)/2)^l] for W ~ Bin(m, 1/2), the centered moment of the
+    full space that every orthogonal array of strength >= l matches."""
+    if l < 1:
+        raise ValueError("need l >= 1")
+    return sum((Fraction(comb(m, w), 2 ** m) * Fraction(2 * w - m, 2) ** l
+                for w in range(m + 1)), Fraction(0))
+
+
+def _distance_moment(dist: DistanceDistribution, l: int) -> Fraction:
+    n2 = dist.N * dist.N
+    return sum((Fraction(c, n2) * Fraction(2 * w - dist.m, 2) ** l
+                for w, c in dist.counts.items()), Fraction(0))
+
+
+def pless_residual(dist: DistanceDistribution, l: int) -> float:
     """Centered distance moment minus the matching binomial moment.
 
     Exactly zero (as a rational) when the code is an orthogonal array of
     strength >= l; the float of the exact difference is returned.
     """
-    if l < 1:
-        raise ValueError("need l >= 1")
-    m = dist.m
-    lhs = Fraction(0)
-    for w, c in dist.counts.items():
-        lhs += Fraction(c, N * N) * Fraction(2 * w - m, 2) ** l
-    rhs = Fraction(0)
-    for w in range(m + 1):
-        rhs += Fraction(comb(m, w), 2 ** m) * Fraction(2 * w - m, 2) ** l
-    return float(lhs - rhs)
+    rhs = _binomial_moment(dist.m, l)    # first: it rejects l < 1
+    return float(_distance_moment(dist, l) - rhs)
 
 
-def pless_relative_residual(dist: DistanceDistribution, N: int, l: int) -> float:
+def pless_relative_residual(dist: DistanceDistribution, l: int) -> float:
     """|lhs - rhs| scaled by the binomial moment (1 with a zero denominator)."""
-    m = dist.m
-    rhs = Fraction(0)
-    for w in range(m + 1):
-        rhs += Fraction(comb(m, w), 2 ** m) * Fraction(2 * w - m, 2) ** l
-    resid = pless_residual(dist, N, l)
+    rhs = _binomial_moment(dist.m, l)
+    resid = float(_distance_moment(dist, l) - rhs)
     if rhs == 0:
         return abs(resid)
     return abs(resid) / float(abs(rhs))
@@ -161,7 +158,7 @@ def oa_strength(code: BinaryCode, t_max: int,
     if cost > budget:
         dist = distance_distribution(code)
         l = 0
-        while l < t_max and pless_relative_residual(dist, N, l + 1) <= 1e-9:
+        while l < t_max and pless_relative_residual(dist, l + 1) <= 1e-9:
             l += 1
         return OaStrengthResult(strength=l, exact=False,
                                 note="necessary-condition only (budget exceeded)")

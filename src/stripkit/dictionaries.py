@@ -19,6 +19,9 @@ from .galoisring import kerdock_binary_words, kerdock_difference_distances
 
 UNIT_COLUMN_TOL = 1e-10
 
+# bytes of bipolar inner products held at once by distance_counts
+DISTANCE_BLOCK_BYTES = 8 * 2 ** 20
+
 _MAGIC = "SDICT"
 _FORMAT_VERSION = 1
 
@@ -118,6 +121,23 @@ class BinaryCode:
         # the 2^l words of the span are distinct iff G has full column rank
         if gf2_rank(self.generator) < self.generator.shape[1]:
             raise FamilyError("codewords are not distinct")
+
+
+def distance_counts(code: BinaryCode) -> np.ndarray:
+    """counts[w] = # ordered pairs of codewords (i = j included) at Hamming
+    distance w, for w = 0..m.
+
+    On the +-1 images of the words, <b_i, b_j> = m - 2 dist(i, j): integers
+    that float64 products hold exactly. The products run in row blocks of
+    about DISTANCE_BLOCK_BYTES.
+    """
+    signs = 1.0 - 2.0 * code.words
+    counts = np.zeros(code.m + 1, dtype=np.int64)
+    block = max(1, DISTANCE_BLOCK_BYTES // (8 * max(1, code.N)))
+    for start in range(0, code.N, block):
+        dist = (code.m - signs[start:start + block] @ signs.T) / 2
+        counts += np.bincount(dist.astype(np.int64).ravel(), minlength=code.m + 1)
+    return counts
 
 
 def span_of_generator(generator: np.ndarray) -> np.ndarray:
@@ -327,11 +347,9 @@ def build_delsarte_goethals(s: int, r: int = 0,
         if code.N > 4096:
             raise FamilyError(
                 "supplied code too large for pairwise contract validation")
-        bits = code.words.astype(np.int16)
-        mu = 0.0
-        for i in range(code.N - 1):
-            dist = (bits[i + 1:] != bits[i]).sum(axis=1)
-            mu = max(mu, float(np.abs(1.0 - 2.0 * dist / code.m).max()))
+        # the words are distinct, so distance 0 comes only from i = j
+        distances = np.flatnonzero(distance_counts(code)[1:]) + 1
+        mu = float(np.abs(1.0 - 2.0 * distances / code.m).max(initial=0.0))
     if code.m != m:
         raise FamilyError(f"code length {code.m} != 2^(2s+2) = {m}")
     if mu > mu_bound:
@@ -430,7 +448,14 @@ def load_dictionary(path) -> Dictionary:
         entries = (payload[0::2] + 1j * payload[1::2]).reshape(m, N)
     else:
         entries = payload.reshape(m, N).copy()
-    dev = float(np.abs(np.linalg.norm(entries, axis=0) - 1.0).max())
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(entries, axis=0)
+    overflow = np.flatnonzero(~np.isfinite(norms))
+    if overflow.size:
+        raise DictionaryFormatError(
+            f"the norm of column {overflow[0]} overflows float64 "
+            f"({overflow.size} of {N} columns)")
+    dev = float(np.abs(norms - 1.0).max())
     if dev > UNIT_COLUMN_TOL:
         warnings.warn(
             f"loaded columns deviate from unit norm by {dev:.3e}; renormalizing",

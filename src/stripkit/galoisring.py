@@ -1,9 +1,11 @@
-"""Galois-ring arithmetic over Z4 and Kerdock-type code generators.
+"""Kerdock-type codes over Z4 from the linear recurring sequence of a Hensel lift.
 
-The quaternary route to low-coherence bipolar dictionaries: build the
-Galois ring GR(4, d) = Z4[x]/(h) for odd d, take traces of multiples of
-Teichmuller representatives, and Gray-map the resulting Z4 words to bits.
-Only what the dictionary builders need is implemented.
+The quaternary route to low-coherence bipolar dictionaries, after Hammons,
+Kumar, Calderbank, Sloane and Sole (IEEE Trans. IT, 1994). For odd d, lift a
+primitive binary polynomial to the basic primitive polynomial h over Z4. The
+Kerdock code is spanned over Z4 by the shifts of the linear recurring
+sequence of h, whose terms are the power sums of the roots of h, and Gray-
+mapped to bits. Only what the dictionary builders need is implemented.
 """
 
 from __future__ import annotations
@@ -39,85 +41,28 @@ def hensel_lift(f_bits) -> np.ndarray:
     return h
 
 
-class GaloisRing4:
-    """GR(4, degree): polynomials over Z4 modulo a Hensel-lifted primitive."""
-
-    def __init__(self, degree: int):
-        if degree not in _PRIMITIVE:
-            raise ValueError(f"no primitive polynomial on file for degree {degree}")
-        self.degree = degree
-        self.modulus = hensel_lift(_PRIMITIVE[degree])
-
-    def mul(self, a, b):
-        d = self.degree
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % 4
-        for k in range(len(prod) - 1, d - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(d):
-                    prod[k - d + j] = (prod[k - d + j] - c * self.modulus[j]) % 4
-        return tuple(prod[:d])
-
-    def teichmuller(self):
-        """{0} followed by the powers of the root of the modulus."""
-        d = self.degree
-        zero = (0,) * d
-        one = (1,) + (0,) * (d - 1)
-        xi = (0, 1) + (0,) * (d - 2)
-        reps = [zero, one]
-        cur = one
-        for _ in range(2 ** d - 2):
-            cur = self.mul(cur, xi)
-            reps.append(cur)
-        if self.mul(cur, xi) != one:
-            raise RuntimeError("root does not have order 2^d - 1")
-        return reps
-
-    def trace(self, z, _cache={}):
-        """Trace down to Z4 via the Frobenius a + 2b -> a^2 + 2b^2."""
-        key = (self.degree, z)
-        if key in _cache:
-            return _cache[key]
-        d = self.degree
-        if not hasattr(self, "_teich_by_residue"):
-            self._teich_by_residue = {
-                tuple(c % 2 for c in t): t for t in self.teichmuller()
-            }
-        def frobenius(w):
-            a = self._teich_by_residue[tuple(c % 2 for c in w)]
-            diff = tuple((x - y) % 4 for x, y in zip(w, a))
-            b = self._teich_by_residue[tuple((c // 2) % 2 for c in diff)]
-            a2 = self.mul(a, a)
-            b2 = self.mul(b, b)
-            return tuple((x + 2 * y) % 4 for x, y in zip(a2, b2))
-        total = (0,) * d
-        w = z
-        for _ in range(d):
-            total = tuple((x + y) % 4 for x, y in zip(total, w))
-            w = frobenius(w)
-        if any(total[1:]):
-            raise RuntimeError("trace did not land in Z4")
-        _cache[key] = total[0]
-        return total[0]
-
-
 def kerdock_generator_rows(degree: int) -> np.ndarray:
-    """Z4 generator rows of the trace code: row j holds trace(xi^j * x) over
-    the Teichmuller set (zero included), j = 0..degree-1. Shape (degree, 2^degree)."""
-    gr = GaloisRing4(degree)
-    teich = gr.teichmuller()
-    xi_pow = (1,) + (0,) * (degree - 1)
-    xi = (0, 1) + (0,) * (degree - 2)
-    rows = np.empty((degree, len(teich)), dtype=np.int64)
-    for j in range(degree):
-        for col, x in enumerate(teich):
-            rows[j, col] = gr.trace(gr.mul(xi_pow, x))
-        xi_pow = gr.mul(xi_pow, xi)
+    """Z4 generator rows of the trace code, shape (degree, 2^degree).
+
+    Column 0 stands for the zero element and column c >= 1 for xi^(c-1), xi a
+    root of h = hensel_lift(_PRIMITIVE[degree]); row j holds Tr(xi^j x), so
+    row j is [0, p_j, ..., p_(j+2^degree-2)] with p_t = Tr(xi^t) the t-th
+    power sum of the roots of h. Newton's identities give p_0 = degree and
+    p_t = -(sum_{i<t} h_(d-i) p_(t-i) + t h_(d-t)) for t <= d; past d the
+    power sums follow the recurrence of h.
+    """
+    if degree not in _PRIMITIVE:
+        raise ValueError(f"no primitive polynomial on file for degree {degree}")
+    h = hensel_lift(_PRIMITIVE[degree]).tolist()
+    d, period = degree, 2 ** degree - 1
+    p = [d % 4]
+    for t in range(1, d + period - 1):
+        s = sum(h[d - i] * p[t - i] for i in range(1, min(t, d + 1)))
+        if t <= d:
+            s += t * h[d - t]
+        p.append(-s % 4)
+    rows = np.zeros((d, period + 1), dtype=np.int64)
+    rows[:, 1:] = np.asarray(p)[np.arange(d)[:, None] + np.arange(period)]
     return rows
 
 
@@ -132,6 +77,16 @@ def gray_map(words4: np.ndarray) -> np.ndarray:
     return out
 
 
+def _offset_words(degree: int, offsets) -> np.ndarray:
+    """Every Z4 combination of the generator rows plus each constant offset,
+    as rows: combination-major, offset-minor."""
+    rows = kerdock_generator_rows(degree)
+    coeffs = np.indices((4,) * degree).reshape(degree, -1).T  # all Z4 tuples
+    base = (coeffs @ rows) % 4                                # (4^degree, n4)
+    words4 = (base[:, None, :] + np.asarray(offsets)[None, :, None]) % 4
+    return words4.reshape(-1, rows.shape[1])
+
+
 def kerdock_binary_words(degree: int, antipode_free: bool = True) -> np.ndarray:
     """Binary Kerdock-type words of length 2^(degree+1).
 
@@ -139,14 +94,7 @@ def kerdock_binary_words(degree: int, antipode_free: bool = True) -> np.ndarray:
     picks one word out of each complementary pair; the full code (offset in
     Z4) contains every word together with its complement.
     """
-    rows = kerdock_generator_rows(degree)
-    n4 = rows.shape[1]
-    eps = (0, 1) if antipode_free else (0, 1, 2, 3)
-    coeffs = np.indices((4,) * degree).reshape(degree, -1).T  # all Z4 tuples
-    base = (coeffs @ rows) % 4                                # (4^degree, n4)
-    words4 = (base[:, None, :] + np.asarray(eps)[None, :, None]) % 4
-    words4 = words4.reshape(-1, n4)
-    return gray_map(words4)
+    return gray_map(_offset_words(degree, (0, 1) if antipode_free else (0, 1, 2, 3)))
 
 
 def kerdock_difference_distances(degree: int, antipode_free: bool = True):
@@ -158,12 +106,7 @@ def kerdock_difference_distances(degree: int, antipode_free: bool = True):
     those difference words: no N^2 pair enumeration needed. Returns
     (distinct nonzero distances, count of duplicate codewords).
     """
-    rows = kerdock_generator_rows(degree)
-    coeffs = np.indices((4,) * degree).reshape(degree, -1).T
-    base = (coeffs @ rows) % 4
-    offsets = (0, 1, 3) if antipode_free else (0, 1, 2, 3)
-    words4 = (base[:, None, :] + np.asarray(offsets)[None, :, None]) % 4
-    words4 = words4.reshape(-1, rows.shape[1])
+    words4 = _offset_words(degree, (0, 1, 3) if antipode_free else (0, 1, 2, 3))
     lee = np.minimum(words4, 4 - words4).sum(axis=1)
     lee = lee[1:]     # the (0, 0) difference is the zero word; drop it
     return np.unique(lee[lee > 0]), int((lee == 0).sum())

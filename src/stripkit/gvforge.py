@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dictionaries import BinaryCode, span_of_generator
+from .dictionaries import BinaryCode, distance_counts, span_of_generator
 from .seeding import derive_rng
 
 HARD_M_CAP = 4096
@@ -78,28 +78,31 @@ class GvResult:
     expectation_trace: list = field(default_factory=list)  # Fractions, derandomized only
 
 
-def _nonzero_weights(generator: np.ndarray) -> np.ndarray:
+def _span_code(generator: np.ndarray, band: tuple) -> tuple:
+    """(code, out_of_band): the span of ``generator`` and the count of its
+    nonzero combinations whose weight leaves the inclusive ``band``."""
+    m, l = generator.shape
     words = span_of_generator(generator)
-    weights = words.sum(axis=1)
-    return weights[1:]  # row 0 is the zero combination
+    w = words[1:].sum(axis=1)      # row 0 is the zero combination
+    lo, hi = band
+    out_of_band = int(((w < lo) | (w > hi)).sum())
+    if w.min() > 0:                # two codewords coincide iff their sum is zero
+        code = BinaryCode(m=m, N=1 << l, words=words, generator=generator)
+    else:
+        # dependent generator columns: still a code, deduplicated for the
+        # container invariant
+        uniq = np.unique(words, axis=0)
+        code = BinaryCode(m=m, N=uniq.shape[0], words=uniq)
+    return code, out_of_band
 
 
 def gv_random(spec: GvSpec, seed: int) -> GvResult:
-    """Uniform random generator rows; success iff all weights sit in the band."""
+    """Uniform random generator rows; success iff all weights sit in the band
+    and the span has all 2^l codewords."""
     rng = derive_rng(seed, "gv_random")
     generator = rng.integers(0, 2, size=(spec.m, spec.l), dtype=np.uint8)
-    words = span_of_generator(generator)
-    # duplicated words mean the generator columns are dependent; still a code,
-    # but dedupe for the container invariant
-    uniq = np.unique(words, axis=0)
-    if uniq.shape[0] == spec.N:
-        code = BinaryCode(m=spec.m, N=spec.N, words=words, generator=generator)
-    else:
-        code = BinaryCode(m=spec.m, N=uniq.shape[0], words=uniq)
-    lo, hi = spec.band
-    w = _nonzero_weights(generator)
-    bad = int(((w < lo) | (w > hi)).sum())
-    return GvResult(code=code, success=bad == 0 and uniq.shape[0] == spec.N,
+    code, bad = _span_code(generator, spec.band)
+    return GvResult(code=code, success=bad == 0 and code.N == spec.N,
                     out_of_band=bad)
 
 
@@ -192,16 +195,9 @@ def gv_derandomized(spec: GvSpec) -> GvResult:
             if bit:
                 partial ^= index >> j & 1
 
-    words = span_of_generator(generator)
-    w = words[1:].sum(axis=1)      # row 0 is the zero combination
-    bad = int(((w < lo) | (w > hi)).sum())
-    if w.min() > 0:                # two codewords coincide iff their sum is zero
-        code = BinaryCode(m=m, N=N, words=words, generator=generator)
-    else:
-        # a zero-weight combination is out of band whenever lo >= 1, so a
-        # collapsed span can only happen on the trivial mu = 1 band
-        uniq = np.unique(words, axis=0)
-        code = BinaryCode(m=m, N=uniq.shape[0], words=uniq)
+    # a zero-weight combination is out of band whenever lo >= 1, so a
+    # collapsed span can only happen on the trivial mu = 1 band
+    code, bad = _span_code(generator, (lo, hi))
     return GvResult(code=code, success=bad == 0, out_of_band=bad,
                     expectation_trace=trace)
 
@@ -215,19 +211,12 @@ def code_width(code: BinaryCode) -> tuple:
     """
     if code.N < 1:
         raise GvSpecError("empty code")
-    half = code.m / 2.0
     if code.generator is not None:
-        weights = _nonzero_weights(code.generator)
-        if weights.size == 0:
-            return 0.0, 0.0
-        width = float(np.abs(weights - half).max())
-    elif code.N == 1:
-        return 0.0, 0.0
+        distances = span_of_generator(code.generator)[1:].sum(axis=1)
     else:
-        bits = code.words.astype(np.int16)
-        width = 0.0
-        for i in range(code.N):
-            dist = (bits[i + 1:] != bits[i]).sum(axis=1)
-            if dist.size:
-                width = max(width, float(np.abs(dist - half).max()))
+        # the words are distinct, so distance 0 comes only from i = j
+        distances = np.flatnonzero(distance_counts(code)[1:]) + 1
+    if distances.size == 0:
+        return 0.0, 0.0
+    width = float(np.abs(distances - code.m / 2.0).max())
     return width, 2.0 * width / code.m

@@ -106,8 +106,8 @@ def test_criterion_03_attainable_contract(dg1):
     p = sk.coherence_profile(dg1)
     code = sk.delsarte_goethals_code(1)
     dist = sk.distance_distribution(code)
-    r2 = pless_relative_residual(dist, code.N, 2)
-    r4 = pless_relative_residual(dist, code.N, 4)
+    r2 = pless_relative_residual(dist, 2)
+    r4 = pless_relative_residual(dist, 4)
     elapsed = time.perf_counter() - t0
     _note(3, f"attainable contract: 16x{dg1.N}, mu={p.mu} (exactly 1/4), "
              f"norm=sqrt(N/m)={p.spectral_norm:.6f}, "
@@ -132,7 +132,7 @@ def test_criterion_03_as_specified(dg1):
     p = sk.coherence_profile(dg1)
     code = sk.delsarte_goethals_code(1)
     dist = sk.distance_distribution(code)
-    residuals = {l: pless_relative_residual(dist, code.N, l) for l in (2, 4, 6)}
+    residuals = {l: pless_relative_residual(dist, l) for l in (2, 4, 6)}
     strength = sk.oa_strength(code, t_max=7)
     elapsed = time.perf_counter() - t0
     checks = {

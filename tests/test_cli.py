@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -525,3 +526,17 @@ def test_non_finite_payload_exits_2(command, tmp_path, capsys):
     assert captured.out == "" and "Traceback" not in captured.err
     assert json.loads(captured.err) == {"error": "1 of 6 payload doubles are not finite"}
     assert not (tmp_path / "x.dict").exists()
+
+
+def test_overflowing_column_norm_exits_2(tmp_path, capsys):
+    # finite doubles whose column norm overflows float64 are named as such
+    bad = tmp_path / "big.dict"
+    bad.write_bytes(b"SDICT 1\nfield=real\nm=2\nN=1\nname=big\ndata\n"
+                    + struct.pack("<2d", 1e308, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--dict", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    error = json.loads(captured.err)["error"]
+    assert "overflows" in error and "column 0" in error

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import stripkit as sk
 from stripkit.coherence import (hollow_gram_norms, pless_relative_residual,
                                 tight_frame_mean_sq)
-from stripkit.dictionaries import BinaryCode
+from stripkit import dictionaries
+from stripkit.dictionaries import BinaryCode, distance_counts
 
 from conftest import full_space, reed_muller_1_3
 
@@ -79,19 +80,36 @@ class TestDistanceDistribution:
         assert dist.weight(8) == 1
 
 
+class TestDistanceCounts:
+    # rows: block height forced through DISTANCE_BLOCK_BYTES, None for the default
+    @pytest.mark.parametrize("n, m, rows", [
+        (0, 4, None), (1, 1, None), (1, 7, None), (2, 1, None), (9, 5, None),
+        (60, 12, None), (200, 33, None), (40, 10, 3)])
+    def test_matches_bruteforce(self, n, m, rows, monkeypatch):
+        rng = np.random.default_rng(n * 100 + m)
+        words = np.unique(rng.integers(0, 2, size=(n, m), dtype=np.uint8), axis=0)
+        code = BinaryCode(m=m, N=len(words), words=words)
+        if rows:
+            assert code.N % rows     # the last block is short
+            monkeypatch.setattr(dictionaries, "DISTANCE_BLOCK_BYTES", rows * 8 * code.N)
+        counts = distance_counts(code)
+        assert counts.shape == (m + 1,)
+        assert {w: int(c) for w, c in enumerate(counts) if c} == brute_distance_counts(words)
+
+
 class TestPless:
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_full_space_zero(self, l):
         code = full_space(4)
         dist = sk.distance_distribution(code)
-        assert sk.pless_residual(dist, code.N, l) == pytest.approx(0.0, abs=1e-15)
+        assert sk.pless_residual(dist, l) == pytest.approx(0.0, abs=1e-15)
 
     def test_antipodal_pair_hand_value(self):
         for m in (4, 6):
             code = BinaryCode(m=m, N=2,
                               words=np.stack([np.zeros(m), np.ones(m)]).astype(np.uint8))
             dist = sk.distance_distribution(code)
-            got = sk.pless_residual(dist, 2, 2)
+            got = sk.pless_residual(dist, 2)
             assert got == pytest.approx(m * m / 4 - m / 4, abs=1e-12)
 
     def test_kerdock_family_moments(self):
@@ -99,8 +117,8 @@ class TestPless:
         code = sk.delsarte_goethals_code(1)
         dist = sk.distance_distribution(code)
         for l in (2, 4):
-            assert pless_relative_residual(dist, code.N, l) <= 1e-9
-        assert pless_relative_residual(dist, code.N, 6) > 1e-3
+            assert pless_relative_residual(dist, l) <= 1e-9
+        assert pless_relative_residual(dist, 6) > 1e-3
 
 
 class TestOaStrength:
@@ -129,7 +147,7 @@ class TestOaStrength:
         res = sk.oa_strength(code, t_max=4)
         dist = sk.distance_distribution(code)
         for l in range(1, res.strength + 1):
-            assert pless_relative_residual(dist, code.N, l) <= 1e-9
+            assert pless_relative_residual(dist, l) <= 1e-9
 
 
 class TestMoments:

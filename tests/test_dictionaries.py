@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import tempfile
@@ -155,6 +156,20 @@ class TestDelsarteGoethals:
         bad = BinaryCode(m=8, N=2, words=np.array([[0] * 8, [1] * 8], dtype=np.uint8))
         with pytest.raises(FamilyError):
             sk.build_delsarte_goethals(1, code=bad)
+
+    def test_empty_supplied_code_rejected(self):
+        empty = BinaryCode(m=16, N=0, words=np.zeros((0, 16), dtype=np.uint8))
+        with pytest.raises(FamilyError, match="empty code"):
+            sk.build_delsarte_goethals(1, code=empty)
+
+    @pytest.mark.parametrize("s, digest", [
+        (1, "c3efce46e533b9b9ffe7f389c8fd013d103f2d3d9dad32b8cd490508b44f9ad4"),
+        (2, "a3c35d5186702f28bd319aeb6c821ca8d8bb35a435354400f3d74da04324c7ef"),
+    ])
+    def test_entries_pinned(self, s, digest):
+        # sha256 of the float64 entries; fixes column order and signs
+        d = sk.build_delsarte_goethals(s)
+        assert hashlib.sha256(d.entries.tobytes()).hexdigest() == digest
 
     def test_family_contract_s2(self):
         d = sk.build_delsarte_goethals(2)
