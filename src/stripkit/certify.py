@@ -154,8 +154,7 @@ def _sinc_stats(d: Dictionary, supports: np.ndarray, gram, probes=None):
         if gram is not None:
             cross = gram[sup, :]                           # (b, k, N)
         else:
-            cols = d.entries[:, sup]                       # (m, b, k)
-            cross = np.einsum("mbi,mn->bin", cols.conj(), d.entries)
+            cross = (d.entries[:, sup.ravel()].conj().T @ d.entries).reshape(-1, k, d.N)
         if np.iscomplexobj(cross):
             cross = np.abs(cross)
         col_sq = np.square(cross, out=cross).sum(axis=1)  # (b, N)
@@ -179,6 +178,8 @@ def _estimate(prop: str, d: Dictionary, k: int, k_max: int, params: dict,
     """
     if not (1 <= k <= k_max):
         raise ValueError(f"need 1 <= k <= {k_max}, got k={k}")
+    if not all(map(math.isfinite, params.values())):
+        raise ValueError(f"{prop} parameters must be finite: {params}")
     if method not in ("exhaustive", "monte_carlo"):
         raise ValueError(f"unknown method {method!r}")
     mc = method == "monte_carlo"
@@ -238,6 +239,9 @@ def wsinc_estimate(d: Dictionary, k: int, delta: float, alpha: float,
     ``successes`` counts the violation events themselves, so the plain
     estimate is P(I in A_alpha); at delta = 1 the weighted sum equals it.
     """
+    if eps is not None and not math.isfinite(eps):
+        raise ValueError("eps must be finite")
+
     def statistic(sups, probes):
         worst, energy = _sinc_stats(d, sups, _maybe_gram(d), probes)
         violated = worst > alpha
@@ -269,8 +273,19 @@ class SufficientConditionVerdict:
 
 
 def _verdict(condition, inputs, slack, derived=None):
+    derived = derived or {}
+    values = [*slack.values()] + [x for v in derived.values()
+                                  for x in (v.values() if isinstance(v, dict) else [v])]
+    if not all(map(math.isfinite, values)):    # it would not serialize
+        raise ValueError(f"{condition}: inputs {inputs} give a non-finite margin")
     ok = all(v >= 0 for v in slack.values())
-    return SufficientConditionVerdict(condition, inputs, ok, slack, derived or {})
+    return SufficientConditionVerdict(condition, inputs, ok, slack, derived)
+
+
+def _need_positive(**values):
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"need {name} > 0")
 
 
 _A_LATTICE = tuple(float(a) for a in np.geomspace(1e-4, 1 - 1e-4, 41))
@@ -305,6 +320,9 @@ def sinc_sufficient(mu: float, theta: float, k: int, N: int, eps: float,
     ``a`` splits the budget between the two moment inequalities; passing
     ``None`` searches it for the best worst-case margin.
     """
+    _need_positive(k=k, N=N)
+    if not 0 < eps < 1:
+        raise ValueError("need 0 < eps < 1")
     if a is None:
         return _best_on_lattice(
             lambda aa: sinc_sufficient(mu, theta, k, N, eps, aa, beta),
@@ -328,6 +346,7 @@ def sinc_tail_sufficient(mu: float, theta: float, k: int, alpha: float,
                          beta: float, a: float = 0.5) -> SufficientConditionVerdict:
     """Tail variant: under the two moment bounds, the chance that a random
     support accumulates squared coherence above alpha is at most 2 e^{-beta/alpha}."""
+    _need_positive(k=k)
     if not (0 < a < 1) or alpha <= 0 or beta <= 0:
         raise ValueError("need 0 < a < 1 and positive alpha, beta")
     slack = {
@@ -345,6 +364,7 @@ def strip_sufficient_via_sinc(mu: float, theta: float, k: int, delta: float,
                               eps1: float,
                               a: Optional[float] = 0.5) -> SufficientConditionVerdict:
     """StRIP through the incoherence route; admits mu up to order k^(-3/4)."""
+    _need_positive(k=k)
     if a is None:
         return _best_on_lattice(
             lambda aa: strip_sufficient_via_sinc(mu, theta, k, delta, eps1, aa),
@@ -373,6 +393,7 @@ def strip_sufficient_direct(mu: float, theta: float, k: int, N: int,
     With any of a, b, c omitted, grid-searches the free constants over a log
     lattice and returns the triple with the best worst-case normalized slack.
     """
+    _need_positive(k=k, N=N)
     eps_max = min(1.0 / k, math.exp(1 - 1 / math.log(2)))
     if not (0 < eps < eps_max):
         raise ValueError(f"need 0 < eps < {eps_max:.4g}")
@@ -409,6 +430,7 @@ def oa_strip_required_m(l: int, k: int, delta: float, eps: float) -> float:
     """Rows needed for StRIP via a strength-l orthogonal array."""
     if l < 2 or l % 2:
         raise ValueError("need even l >= 2")
+    _need_positive(k=k, delta=delta, eps=eps)
     return 0.75 * l * (k / delta) ** 2 * (k / eps) ** (2.0 / l)
 
 
@@ -428,11 +450,13 @@ def dg_sparsity_bound(m: int, delta: float, eps: float,
     exact sixth-moment of the r=1 member (its eps = 0.001 specialization is
     the usual 0.35 delta^(6/7) m^(3/7) form).
     """
+    _need_positive(m=m, eps=eps)
     return constant * (delta ** 6 * eps * m ** 3) ** (1.0 / 7.0)
 
 
 def gershgorin_sufficient(mu: float, k: int, delta: float) -> SufficientConditionVerdict:
     """Deterministic floor: coherence mu makes every k-subset (k-1)mu-isometric."""
+    _need_positive(k=k)
     return _verdict("gershgorin", {"mu": mu, "k": k, "delta": delta},
                     {"delta": delta - (k - 1) * mu})
 

@@ -3,9 +3,9 @@ experiment subcommands sharing one master seed.
 
 Exit codes: 0 success, 1 an asserted floor failed or an infeasible
 derandomized construction, 2 usage errors, any other ValueError (numpy's
-LinAlgError, hence a rank-deficient support, is one) and any OSError, such
-as an input file that does not exist or an output path in a missing
-directory.
+LinAlgError, hence a rank-deficient support, is one), any OverflowError (an
+input past float range) and any OSError, such as an input file that does
+not exist or an output path in a missing directory.
 """
 
 from __future__ import annotations
@@ -106,18 +106,19 @@ def _cmd_certify(args) -> int:
 
 def _cmd_check(args) -> int:
     kw = dict(args.params or [])
-    kw = {k: float(v) for k, v in kw.items()}
-    for key in ("k", "N", "l", "m"):
-        if key in kw:
-            kw[key] = int(kw[key])
     fn = ct.EVALUATORS[args.condition]
-    accepted = inspect.signature(fn).parameters
+    accepted = inspect.signature(fn, eval_str=True).parameters
     unknown = [key for key in kw if key not in accepted]
     missing = [key for key, p in accepted.items()
                if p.default is p.empty and key not in kw]
     if unknown or missing:
         raise ValueError(f"{args.condition}: unknown keys {unknown}, missing keys "
                          f"{missing}; accepted keys: {', '.join(accepted)}")
+    for key, text in kw.items():
+        integral, value = accepted[key].annotation is int, float(text)
+        if not math.isfinite(value) or integral and not value.is_integer():
+            raise ValueError(f"{key} must be a finite {'integer' if integral else 'number'}")
+        kw[key] = int(value) if integral else value
     verdict = fn(**kw)
     _emit(verdict.as_dict(), args.out)
     return 0
@@ -140,6 +141,8 @@ def _cmd_recover(args) -> int:
         raise ValueError("lam must be positive")
     if not 0 < args.prob_eps < 1:
         raise ValueError("prob-eps must be in (0, 1)")
+    if args.trials < 1:
+        raise ValueError("need at least one trial")
     d = dc.load_dictionary(args.dict)
     if d.field == "complex":
         d = dc.realify(d)
@@ -305,7 +308,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:   # FamilyError and the like included
+    except (ValueError, OSError, OverflowError) as exc:   # FamilyError included
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except gv.GvInfeasibleError as exc:

@@ -1,10 +1,14 @@
-"""Coherence statistics, distance distributions, and orthogonal-array checks."""
+"""Coherence statistics, distance distributions, and orthogonal-array checks.
+
+Orthogonal-array strength is exact at every size: by Delsarte, a binary code,
+linear or not, has strength t iff its centered distance moments of orders
+1..t equal the binomial ones, and those compare as exact rationals.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -84,10 +88,6 @@ class DistanceDistribution:
     def weight(self, w: int) -> Fraction:
         return Fraction(self.counts.get(w, 0), self.N)
 
-    @property
-    def weights(self) -> dict:
-        return {w: Fraction(c, self.N) for w, c in sorted(self.counts.items())}
-
 
 def distance_distribution(code: BinaryCode) -> DistanceDistribution:
     if code.N < 1:
@@ -135,50 +135,24 @@ def pless_relative_residual(dist: DistanceDistribution, l: int) -> float:
 @dataclass
 class OaStrengthResult:
     strength: int
-    exact: bool           # False when only the moment necessary condition ran
-    note: str = ""
-
-    def __int__(self):
-        return self.strength
+    exact: bool = True    # always; the v1 analysis schema requires the key
+    note: str = ""        # always empty
 
 
-def oa_strength(code: BinaryCode, t_max: int,
-                budget: int = 200_000_000) -> OaStrengthResult:
+def oa_strength(code: BinaryCode, t_max: int) -> OaStrengthResult:
     """Largest t <= t_max with every t-column pattern hit exactly N/2^t times.
 
-    Falls back to the moment necessary condition (largest l with zero
-    centered-moment residual) when the exact enumeration would exceed
-    ``budget`` elementary operations.
+    That is the largest t (at most m) whose centered distance moments of
+    orders 1..t all equal the binomial ones, compared as exact rationals, so
+    ``exact`` is always True and ``note`` always empty.
     """
-    if code.N < 1:
-        raise ValueError("empty code")
-    m, N = code.m, code.N
-    t_max = min(t_max, m)
-    cost = sum(comb(m, t) * N for t in range(1, t_max + 1))
-    if cost > budget:
-        dist = distance_distribution(code)
-        l = 0
-        while l < t_max and pless_relative_residual(dist, l + 1) <= 1e-9:
-            l += 1
-        return OaStrengthResult(strength=l, exact=False,
-                                note="necessary-condition only (budget exceeded)")
-    bits = code.words
+    dist = distance_distribution(code)    # rejects the empty code
     strength = 0
-    for t in range(1, t_max + 1):
-        if N % (1 << t):
-            break
-        expected = N >> t
-        ok = True
-        pow2 = 1 << np.arange(t)
-        for cols in combinations(range(m), t):
-            patterns = bits[:, cols].astype(np.int64) @ pow2
-            if np.any(np.bincount(patterns, minlength=1 << t) != expected):
-                ok = False
-                break
-        if not ok:
-            break
-        strength = t
-    return OaStrengthResult(strength=strength, exact=True)
+    while (strength < min(t_max, code.m)
+           and _distance_moment(dist, strength + 1)
+           == _binomial_moment(code.m, strength + 1)):
+        strength += 1
+    return OaStrengthResult(strength)
 
 
 def moment_mu_l(d: Dictionary, l: int) -> float:

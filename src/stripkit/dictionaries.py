@@ -127,10 +127,13 @@ def distance_counts(code: BinaryCode) -> np.ndarray:
     """counts[w] = # ordered pairs of codewords (i = j included) at Hamming
     distance w, for w = 0..m.
 
-    On the +-1 images of the words, <b_i, b_j> = m - 2 dist(i, j): integers
-    that float64 products hold exactly. The products run in row blocks of
+    A linear code (generator set) is its own difference set: counts = N *
+    its weight histogram. Otherwise <b_i, b_j> = m - 2 dist(i, j) on the +-1
+    images, integers that float64 products hold exactly, in row blocks of
     about DISTANCE_BLOCK_BYTES.
     """
+    if code.generator is not None:
+        return code.N * np.bincount(code.words.sum(axis=1), minlength=code.m + 1)
     signs = 1.0 - 2.0 * code.words
     counts = np.zeros(code.m + 1, dtype=np.int64)
     block = max(1, DISTANCE_BLOCK_BYTES // (8 * max(1, code.N)))

@@ -204,18 +204,13 @@ def gv_derandomized(spec: GvSpec) -> GvResult:
 
 def code_width(code: BinaryCode) -> tuple:
     """(width, coherence): max deviation of nonzero pairwise distances from
-    m/2, and the bipolar coherence 2 w / m it induces.
-
-    For a linear code (generator present) pairwise distances are the nonzero
-    codeword weights, so those are enumerated directly.
+    m/2, and the bipolar coherence 2 w / m it induces. The distances come
+    from ``distance_counts``, which reads a linear code's codeword weights.
     """
     if code.N < 1:
         raise GvSpecError("empty code")
-    if code.generator is not None:
-        distances = span_of_generator(code.generator)[1:].sum(axis=1)
-    else:
-        # the words are distinct, so distance 0 comes only from i = j
-        distances = np.flatnonzero(distance_counts(code)[1:]) + 1
+    # the words are distinct, so distance 0 comes only from i = j
+    distances = np.flatnonzero(distance_counts(code)[1:]) + 1
     if distances.size == 0:
         return 0.0, 0.0
     width = float(np.abs(distances - code.m / 2.0).max())

@@ -457,6 +457,35 @@ def test_nonpositive_trials_rejected(trials):
             call()
 
 
+@pytest.mark.parametrize("build, k", [
+    (lambda: sk.build_family("dg", s=2), 8),
+    (lambda: sk.build_gaussian(64, 2048, seed=1), 8),
+    (lambda: sk.build_gaussian(8, 16, seed=1), 3),
+    (lambda: sk.build_chirp(31), 4),                # complex entries
+])
+def test_sinc_stats_without_gram_bit_equal(build, k):
+    # past the Gram cache the cross-correlation is one BLAS product, whose
+    # rows are bit for bit the Gram rows the cached path reads
+    d = build()
+    sups, probes = _mc_draws(d.N, k, 5, "wsinc", 300, probe=True)
+    direct = _sinc_stats(d, sups, None, probes)
+    cached = _sinc_stats(d, sups, d.gram(), probes)
+    assert all(np.array_equal(a, b) for a, b in zip(direct, cached))
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: sk.strip_estimate(d, 2, math.nan, trials=10),
+    lambda d: sk.sinc_estimate(d, 2, math.inf, trials=10),
+    lambda d: sk.sinc_estimate(d, 2, -math.inf, "exhaustive"),
+    lambda d: sk.wsinc_estimate(d, 2, math.inf, 0.1, trials=10),
+    lambda d: sk.wsinc_estimate(d, 2, 0.5, math.nan, trials=10),
+    lambda d: sk.wsinc_estimate(d, 2, 0.5, 0.1, trials=10, eps=math.inf),
+])
+def test_non_finite_threshold_rejected(call):
+    with pytest.raises(ValueError, match="finite"):
+        call(sk.build_gaussian(6, 12, seed=2))
+
+
 @pytest.mark.parametrize("build", [
     lambda: sk.build_gaussian(8, 40, seed=3),
     lambda: sk.build_family("chirp", m=7),          # complex entries

@@ -166,6 +166,22 @@ class TestCertify:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "need at least one trial"
 
+    @pytest.mark.parametrize("prop, thresholds", [
+        ("strip", ["--delta", "nan"]),
+        ("sinc", ["--alpha", "inf"]),
+        ("wsinc", ["--delta", "0.5", "--alpha", "0.2", "--eps", "inf"]),
+    ])
+    def test_non_finite_threshold_exits_2(self, dg_file, tmp_path, capsys, prop,
+                                          thresholds):
+        out = tmp_path / "rep.json"
+        capsys.readouterr()
+        assert main(["certify", "--dict", str(dg_file), "--property", prop,
+                     "--k", "2", *thresholds, "--trials", "10", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "finite" in json.loads(captured.err)["error"]
+        assert not out.exists()
+
 
 class TestCheck:
     def test_oa_condition(self, capsys):
@@ -208,6 +224,66 @@ class TestCheck:
         assert code == 2
         assert "accepted keys" in json.loads(capsys.readouterr().err)["error"]
 
+    # a valid parameter set per condition; each boundary case overrides one key
+    VALID = {
+        "gershgorin": {"mu": "0.1", "k": "3", "delta": "0.5"},
+        "sinc-coherence": {"mu": "0.1", "theta": "0.01", "k": "4", "N": "1000",
+                           "eps": "0.01"},
+        "sinc-tail": {"mu": "0.1", "theta": "0.01", "k": "4", "alpha": "0.5",
+                      "beta": "1"},
+        "strip-via-sinc": {"mu": "0.1", "theta": "0.01", "k": "4", "delta": "0.5",
+                           "eps1": "0.01"},
+        "strip-coherence": {"mu": "0.1", "theta": "0.01", "k": "4", "N": "1000",
+                            "frame_norm": "2", "delta": "0.5", "eps": "0.01"},
+        "strip-oa": {"l": "6", "k": "4", "delta": "0.5", "eps": "0.01", "m": "2123"},
+        "dg-sparsity": {"m": "64", "delta": "0.5", "eps": "0.001", "k": "3"},
+    }
+    # condition, overriding key and value -> a fragment of the JSON error
+    BOUNDARY = {
+        "gershgorin k inf": ("gershgorin", "k", "inf", "k must be a finite integer"),
+        "gershgorin k 2.7": ("gershgorin", "k", "2.7", "k must be a finite integer"),
+        "gershgorin k 0": ("gershgorin", "k", "0", "need k > 0"),
+        "gershgorin mu nan": ("gershgorin", "mu", "nan", "mu must be a finite number"),
+        "gershgorin mu 1e308": ("gershgorin", "mu", "1e308", "non-finite margin"),
+        "sinc-coherence mu inf": ("sinc-coherence", "mu", "inf",
+                                  "mu must be a finite number"),
+        "sinc-coherence eps 0": ("sinc-coherence", "eps", "0", "need 0 < eps < 1"),
+        "sinc-coherence eps -1": ("sinc-coherence", "eps", "-1", "need 0 < eps < 1"),
+        "sinc-coherence k 0": ("sinc-coherence", "k", "0", "need k > 0"),
+        "sinc-coherence N 0": ("sinc-coherence", "N", "0", "need N > 0"),
+        "sinc-coherence beta 1e200": ("sinc-coherence", "beta", "1e200", "out of range"),
+        "sinc-tail k 0": ("sinc-tail", "k", "0", "need k > 0"),
+        "strip-via-sinc k 0": ("strip-via-sinc", "k", "0", "need k > 0"),
+        "strip-coherence k 0": ("strip-coherence", "k", "0", "need k > 0"),
+        "strip-coherence N 0": ("strip-coherence", "N", "0", "need N > 0"),
+        "strip-oa delta 0": ("strip-oa", "delta", "0", "need delta > 0"),
+        "strip-oa eps 0": ("strip-oa", "eps", "0", "need eps > 0"),
+        "strip-oa l 6.5": ("strip-oa", "l", "6.5", "l must be a finite integer"),
+        "dg-sparsity eps -1": ("dg-sparsity", "eps", "-1", "need eps > 0"),
+        "dg-sparsity m 0": ("dg-sparsity", "m", "0", "need m > 0"),
+    }
+
+    @pytest.mark.parametrize("condition", sorted(VALID))
+    def test_valid_parameters_exit_0(self, condition, capsys):
+        argv = ["check", "--condition", condition]
+        for key, value in self.VALID[condition].items():
+            argv += ["--param", key, value]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        jsonschema.validate(payload, load_schema("sufficient_condition.v1.json"))
+
+    @pytest.mark.parametrize("case", sorted(BOUNDARY))
+    def test_boundary_input_exits_2(self, case, capsys):
+        condition, key, value, message = self.BOUNDARY[case]
+        argv = ["check", "--condition", condition]
+        for name, text in {**self.VALID[condition], key: value}.items():
+            argv += ["--param", name, text]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert message in json.loads(captured.err)["error"]
+
 
 class TestRecover:
     def test_bp_records(self, dg_file, tmp_path, capsys):
@@ -240,15 +316,14 @@ class TestRecover:
                      "--seed", "3", *flags]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
-    def test_zero_trials_writes_header_only(self, dg_file, tmp_path, capsys):
-        csv = tmp_path / "rec.csv"
-        code = main(["recover", "--dict", str(dg_file), "--k", "2",
-                     "--trials", "0", "--csv", str(csv)])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["records"] == []
-        lines = csv.read_text().strip().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("trial,converged,")
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_nonpositive_trials_exit_2(self, dg_file, tmp_path, capsys, trials):
+        out, csv = tmp_path / "rec.json", tmp_path / "rec.csv"
+        capsys.readouterr()
+        assert main(["recover", "--dict", str(dg_file), "--k", "2", "--trials", trials,
+                     "--out", str(out), "--csv", str(csv)]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "need at least one trial"}
+        assert not out.exists() and not csv.exists()
 
     # flags over a valid recover call -> the JSON error, as ExperimentConfig words it
     INVALID_FLAGS = {

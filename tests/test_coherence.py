@@ -26,6 +26,46 @@ def brute_distance_counts(words: np.ndarray) -> dict:
     return counts
 
 
+def oa_strength_enumerated(code: BinaryCode, t_max: int) -> int:
+    """Test oracle: largest t <= t_max with every t-subset of columns hitting
+    each of its 2^t patterns exactly N/2^t times, by enumerating the subsets."""
+    bits = code.words
+    strength = 0
+    for t in range(1, min(t_max, code.m) + 1):
+        if code.N % (1 << t):
+            break
+        pow2 = 1 << np.arange(t)
+        for cols in combinations(range(code.m), t):
+            patterns = bits[:, cols].astype(np.int64) @ pow2
+            if np.any(np.bincount(patterns, minlength=1 << t) != code.N >> t):
+                return strength
+        strength = t
+    return strength
+
+
+def random_code(kind: str, rng: np.random.Generator) -> BinaryCode:
+    """A random code of length m <= 8: an arbitrary word set, a linear span
+    (generator-backed when its generator has full rank), a coset of a span,
+    or the union of two cosets of one span."""
+    m = int(rng.integers(1, 9))
+    if kind == "subset":
+        n = int(rng.integers(1, 2 ** m + 1))
+        index = rng.choice(2 ** m, size=n, replace=False)
+        words = full_space(m).words[index]
+        return BinaryCode(m=m, N=n, words=words)
+    g = rng.integers(0, 2, size=(m, int(rng.integers(1, m + 1))), dtype=np.uint8)
+    span = dictionaries.span_of_generator(g)
+    if kind == "span":
+        if dictionaries.gf2_rank(g) == g.shape[1]:
+            return BinaryCode(m=m, N=len(span), words=span, generator=g)
+        shifts = np.zeros((1, m), dtype=np.uint8)
+    else:
+        shifts = rng.integers(0, 2, size=(2 if kind == "two cosets" else 1, m),
+                              dtype=np.uint8)
+    words = np.unique(np.concatenate([span ^ a for a in shifts]), axis=0)
+    return BinaryCode(m=m, N=len(words), words=words)
+
+
 class TestProfile:
     def test_identity(self, identity8):
         p = sk.coherence_profile(identity8)
@@ -86,15 +126,25 @@ class TestDistanceCounts:
         (0, 4, None), (1, 1, None), (1, 7, None), (2, 1, None), (9, 5, None),
         (60, 12, None), (200, 33, None), (40, 10, 3)])
     def test_matches_bruteforce(self, n, m, rows, monkeypatch):
+        # a random word set, then a generator-backed code of the same length
+        # with about n words
         rng = np.random.default_rng(n * 100 + m)
         words = np.unique(rng.integers(0, 2, size=(n, m), dtype=np.uint8), axis=0)
         code = BinaryCode(m=m, N=len(words), words=words)
         if rows:
             assert code.N % rows     # the last block is short
             monkeypatch.setattr(dictionaries, "DISTANCE_BLOCK_BYTES", rows * 8 * code.N)
-        counts = distance_counts(code)
-        assert counts.shape == (m + 1,)
-        assert {w: int(c) for w, c in enumerate(counts) if c} == brute_distance_counts(words)
+        l = min(m, max(1, n.bit_length() - 1))
+        g = rng.integers(0, 2, size=(m, l), dtype=np.uint8)
+        while dictionaries.gf2_rank(g) < l:
+            g = rng.integers(0, 2, size=(m, l), dtype=np.uint8)
+        span = dictionaries.span_of_generator(g)
+        linear = BinaryCode(m=m, N=len(span), words=span, generator=g)
+        for case in (code, linear):
+            counts = distance_counts(case)
+            assert counts.shape == (m + 1,)
+            assert ({w: int(c) for w, c in enumerate(counts) if c}
+                    == brute_distance_counts(case.words))
 
 
 class TestPless:
@@ -134,12 +184,29 @@ class TestOaStrength:
         code = BinaryCode(m=4, N=1, words=np.zeros((1, 4), dtype=np.uint8))
         assert sk.oa_strength(code, t_max=2).strength == 0
 
-    def test_budget_downgrade(self):
-        code = reed_muller_1_3()
-        res = sk.oa_strength(code, t_max=4, budget=10)
-        assert not res.exact
-        assert "necessary" in res.note
-        assert res.strength == 3    # moments agree with the exact answer here
+    def test_matches_enumeration(self):
+        # Delsarte: the moment test agrees with column-subset enumeration on
+        # every kind of code, linear or not
+        rng = np.random.default_rng(11)
+        positive = 0
+        for kind in ("subset", "span", "coset", "two cosets"):
+            for _ in range(500):
+                code = random_code(kind, rng)
+                for t_max in (code.m, 3):
+                    res = sk.oa_strength(code, t_max)
+                    assert res.exact and res.note == ""
+                    assert res.strength == oa_strength_enumerated(code, t_max), (
+                        kind, code.words.tolist(), t_max)
+                    positive += res.strength > 0
+        assert positive > 1000
+
+    def test_delsarte_goethals_exact(self):
+        # 64 x 2048 at t = 7: far past the old enumeration budget (the oracle
+        # returns at the first unbalanced column)
+        code = sk.delsarte_goethals_code(2)
+        res = sk.oa_strength(code, 7)
+        assert res.exact and res.note == ""
+        assert res.strength == oa_strength_enumerated(code, 7)
 
     def test_pless_consistency_with_strength(self):
         # moment residual vanishes for every order up to the exact strength
