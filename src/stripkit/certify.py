@@ -219,12 +219,21 @@ def sinc_estimate(d: Dictionary, k: int, alpha: float, method: str = "monte_carl
                      None if k == d.N else statistic, method, trials, seed, cap)
 
 
+def _square(value: float, name: str, expr: str) -> float:
+    """value ** 2, or a ValueError naming ``name`` when it overflows."""
+    try:
+        return value ** 2
+    except OverflowError:
+        raise ValueError(f"{name} is out of range: {expr} overflows") from None
+
+
 def wsinc_weight(delta: float, t):
     """Discount factor exp(-(1-delta)^2 / (8 t^2)), elementwise; at t = 0 it
     is 0 (1 when delta >= 1)."""
+    gap_sq = _square(1.0 - delta, "delta", "(1 - delta)^2")
     t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.exp(-((1.0 - delta) ** 2) / (8.0 * t * t))
+        w = np.exp(-gap_sq / (8.0 * t * t))
     w = np.where(t > 0.0, w, 0.0 if delta < 1.0 else 1.0)
     return w if w.ndim else float(w)
 
@@ -241,6 +250,8 @@ def wsinc_estimate(d: Dictionary, k: int, delta: float, alpha: float,
     """
     if eps is not None and not math.isfinite(eps):
         raise ValueError("eps must be finite")
+    _square(1.0 - delta, "delta", "(1 - delta)^2")    # before any sampling
+    eps_sq = None if eps is None else _square(eps, "eps", "eps^2")
 
     def statistic(sups, probes):
         worst, energy = _sinc_stats(d, sups, _maybe_gram(d), probes)
@@ -248,7 +259,7 @@ def wsinc_estimate(d: Dictionary, k: int, delta: float, alpha: float,
         return violated, np.where(violated, wsinc_weight(delta, np.sqrt(energy)), 0.0)
     rep = _estimate("wsinc", d, k, d.N - 1, {"k": k, "delta": delta, "alpha": alpha},
                     statistic, "monte_carlo", trials, seed, EXHAUSTIVE_CAP, probe=True)
-    rep.wsinc_threshold = None if eps is None else eps ** 2 / (d.N - k)
+    rep.wsinc_threshold = None if eps is None else eps_sq / (d.N - k)
     return rep
 
 

@@ -105,7 +105,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    kw = dict(args.params or [])
+    kw = {}
+    for key, text in args.params or []:
+        if key in kw:
+            raise ValueError(f"duplicate --param key {key!r}")
+        kw[key] = text
     fn = ct.EVALUATORS[args.condition]
     accepted = inspect.signature(fn, eval_str=True).parameters
     unknown = [key for key in kw if key not in accepted]

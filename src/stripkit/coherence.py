@@ -145,13 +145,22 @@ def oa_strength(code: BinaryCode, t_max: int) -> OaStrengthResult:
     That is the largest t (at most m) whose centered distance moments of
     orders 1..t all equal the binomial ones, compared as exact rationals, so
     ``exact`` is always True and ``note`` always empty.
+
+    Order 1 is read from the column weights w_c without the N^2 m distance
+    product: the distances sum to sum_c 2 w_c (N - w_c), which reaches its
+    binomial value m N^2 / 2 exactly when every w_c = N/2.
     """
-    dist = distance_distribution(code)    # rejects the empty code
-    strength = 0
-    while (strength < min(t_max, code.m)
-           and _distance_moment(dist, strength + 1)
-           == _binomial_moment(code.m, strength + 1)):
-        strength += 1
+    if code.N < 1:
+        raise ValueError("empty code")
+    top = min(t_max, code.m)
+    if top < 1 or np.any(2 * code.words.sum(axis=0) != code.N):
+        return OaStrengthResult(0)
+    strength = 1
+    if top > 1:
+        dist = distance_distribution(code)
+        while (strength < top and _distance_moment(dist, strength + 1)
+               == _binomial_moment(code.m, strength + 1)):
+            strength += 1
     return OaStrengthResult(strength)
 
 

@@ -1,9 +1,13 @@
 """End-to-end recovery studies: guarantee floors, Lasso ratio reports, and
 phase-transition sweeps.
 
-Each trial derives its own rng stream from (seed, trial index), so reports
-are byte-identical across reruns and worker counts; the wall-clock runtime is
-the only non-reproducible field and is kept out of the comparison payload.
+Each trial derives its own rng stream from (seed, trial index). Trials run
+in fixed blocks of TRIAL_BLOCK consecutive indices, one block per worker task
+with jobs > 1; a Lasso block is one multi-column solve, padded to the full
+block width with zero observations, so the floats of record t depend only on
+(seed, t). Reports are therefore byte-identical across reruns, worker counts
+and trial counts; the wall-clock runtime is the only non-reproducible field
+and is kept out of the comparison payload.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ import numpy as np
 
 from .dictionaries import Dictionary, build_family, load_dictionary, realify
 from .seeding import derive_rng
-from .signals import observe, sample_generic_signal
-from .solvers import (basis_pursuit, cp_conditions, dual_certificate,
-                      error_report, lasso)
+from .signals import SignalInstance, observe, sample_generic_signal
+from .solvers import (RecoveryResult, _lasso_columns, basis_pursuit,
+                      cp_conditions, dual_certificate, error_report)
 
 MIN_TRIALS_FOR_FLOOR = 200
+# trial indices per block: at least the 30 trials of a small Lasso study
+TRIAL_BLOCK = 32
 
 
 @dataclass
@@ -167,16 +173,28 @@ def _bp_trial(d: Dictionary, config: ExperimentConfig, t: int) -> dict:
     }
 
 
-def _run_trials(worker, d, config):
+def _trials_in(block: range, config: ExperimentConfig) -> range:
+    return range(block.start, min(block.stop, config.trials))
+
+
+def _bp_block(d: Dictionary, config: ExperimentConfig, block: range) -> list:
+    return [_bp_trial(d, config, t) for t in _trials_in(block, config)]
+
+
+def _run_trials(block_worker, d, config):
+    """Records of trials 0..trials-1 in order. ``block_worker(d, config,
+    block)`` runs the trials of one full-width block of TRIAL_BLOCK indices
+    that lie below ``config.trials``; with jobs > 1 the blocks go to a
+    process pool, which pickles the dictionary once per block."""
+    blocks = [range(start, start + TRIAL_BLOCK)
+              for start in range(0, config.trials, TRIAL_BLOCK)]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(worker, d, config, t)
-                       for t in range(config.trials)]
-            records = [f.result() for f in futures]
+            futures = [pool.submit(block_worker, d, config, b) for b in blocks]
+            parts = [f.result() for f in futures]
     else:
-        records = [worker(d, config, t) for t in range(config.trials)]
-    records.sort(key=lambda r: r["trial"])
-    return records
+        parts = [block_worker(d, config, b) for b in blocks]
+    return [record for part in parts for record in part]
 
 
 _BP_FRACTIONS = {"frac_l2": "ok_l2", "frac_l1": "ok_l1", "frac_both": "ok_both",
@@ -205,7 +223,7 @@ def _floor_study(config: ExperimentConfig, d: Optional[Dictionary], kind: str,
         return ExperimentReport(kind, asdict(config), 0, 0, [],
                                 {key: agg[key] for key in keys}, floor=floor,
                                 runtime_seconds=time.perf_counter() - t0)
-    records = _run_trials(_bp_trial, d, config)
+    records = _run_trials(_bp_block, d, config)
     conv = [r for r in records if r["converged"]]
     agg = {name: _fraction(records, key) for name, key in _BP_FRACTIONS.items()}
     errs = [r["err_on_l2"] for r in conv]
@@ -241,12 +259,26 @@ def run_offsupport_floor(config: ExperimentConfig,
                         ("frac_l1", "support_rate", "frac_certificate"))
 
 
-def _lasso_trial(d: Dictionary, config: ExperimentConfig, t: int) -> dict:
-    rng = derive_rng(config.seed, "trial", t)
-    inst = sample_generic_signal(d.N, config.k, config.magnitudes, rng, p=config.p)
-    inst = observe(d, inst, sigma=config.sigma, rng=rng)
+def _lasso_block(d: Dictionary, config: ExperimentConfig, block: range) -> list:
+    """Lasso trials of one block: each instance from its own trial stream,
+    one solve over every column, padded with zero observations to the full
+    block width (gemm rounds a column by the width), then the records."""
     lam = config.lam if config.lam is not None else 2.0 * math.sqrt(2.0 * math.log(d.N))
-    res = lasso(d, inst.y, lam, config.sigma)
+    insts = []
+    ys = np.zeros((d.m, len(block)))
+    for j, t in enumerate(_trials_in(block, config)):
+        rng = derive_rng(config.seed, "trial", t)
+        inst = sample_generic_signal(d.N, config.k, config.magnitudes, rng, p=config.p)
+        inst = observe(d, inst, sigma=config.sigma, rng=rng)
+        ys[:, j] = inst.y
+        insts.append(inst)
+    results = _lasso_columns(d, ys, lam, config.sigma)
+    return [_lasso_record(d, config, t, inst, res)
+            for t, inst, res in zip(block, insts, results)]
+
+
+def _lasso_record(d: Dictionary, config: ExperimentConfig, t: int,
+                  inst: SignalInstance, res: RecoveryResult) -> dict:
     conds = cp_conditions(d, inst.support, inst.signs, inst.z)
     compressed_err = float(np.linalg.norm(d.entries @ (inst.x - res.x_hat)) ** 2)
     ratio = compressed_err / (config.k * math.log(d.N) * config.sigma ** 2)
@@ -274,7 +306,7 @@ def run_lasso_study(config: ExperimentConfig,
         raise ValueError("lasso study needs sigma > 0")
     t0 = time.perf_counter()
     d = d or config.load_dictionary()
-    records = _run_trials(_lasso_trial, d, config)
+    records = _run_trials(_lasso_block, d, config)
     conv = [r for r in records if r["converged"]]
     ratios = [r["ratio"] for r in conv]
     agg = {

@@ -20,7 +20,11 @@ read the eigenpairs of Phi Phi^T from the dictionary's cached ``frame``.
 Lasso runs accelerated proximal gradient at the fixed step 1/L, L the
 largest of those eigenvalues, restarts its momentum when the step turns
 against it, and is accepted only on a coordinatewise subgradient check,
-made every 10th iteration.
+made every 10th iteration. One FISTA kernel solves every column of an
+m x T observation matrix at once with two matrix products per step; each
+column keeps its own momentum and restart and is taken at its first passing
+check, so iterations and non-convergence are reported per column. ``lasso``
+is its one-column call.
 
 The numerics are module constants, not options: the iteration cap
 ``MAX_ITER``; BP's ``RHO``, ``OVER_RELAX``, polish period ``CHECK_EVERY``,
@@ -367,12 +371,23 @@ def _boundary_refit(a, y, eps, support, signs):
         coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
 
 
+def _row_dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p[j] @ q[j] for every row j, each by the same BLAS dot as 1-d ``@``."""
+    return np.matmul(p[:, None, :], q[:, :, None])[:, 0, 0]
+
+
+def _lasso_kkt_rows(a: np.ndarray, ys: np.ndarray, xs: np.ndarray,
+                    penalty: float) -> np.ndarray:
+    """``lasso_kkt_residual`` of every row pair (ys[j], xs[j])."""
+    g = (xs @ a.T - ys) @ a
+    viol = np.where(xs != 0, np.abs(g + penalty * np.sign(xs)), np.abs(g) - penalty)
+    return np.maximum(viol.max(axis=1), 0.0)
+
+
 def lasso_kkt_residual(a: np.ndarray, y: np.ndarray, x: np.ndarray,
                        penalty: float) -> float:
     """Worst coordinatewise violation of the Lasso subgradient conditions."""
-    g = a.T @ (a @ x - y)
-    viol = np.where(x != 0, np.abs(g + penalty * np.sign(x)), np.abs(g) - penalty)
-    return max(float(viol.max()), 0.0)
+    return float(_lasso_kkt_rows(a, np.atleast_2d(y), np.atleast_2d(x), penalty)[0])
 
 
 def lasso(d: Dictionary, y: np.ndarray, lam: float, sigma: float) -> RecoveryResult:
@@ -387,34 +402,63 @@ def lasso(d: Dictionary, y: np.ndarray, lam: float, sigma: float) -> RecoveryRes
         raise SolverInputError("lam must be positive")
     if sigma <= 0:
         raise SolverInputError("sigma must be positive (the penalty degenerates)")
-    y = _observation(d, y)
+    return _lasso_columns(d, _observation(d, y)[:, None], lam, sigma)[0]
+
+
+def _lasso_columns(d: Dictionary, ys: np.ndarray, lam: float,
+                   sigma: float) -> list:
+    """``lasso`` of every column of the m x T matrix ``ys`` at once, as T
+    results; the caller has checked d, lam, sigma and ys.
+
+    Each column keeps its own momentum and restart and is taken at its first
+    passing check (or at MAX_ITER), so its iterations and convergence are its
+    own. Its floats depend on its own column and on T only: the products are
+    one BLAS gemm per step, and a gemm rounds column j the same for any
+    values of the other columns but not for every width T. The state is held
+    as rows, one per column of ys, so T = 1 runs the very gemv and dot calls
+    of a one-vector loop.
+    """
     a = d.entries
+    rows = np.ascontiguousarray(ys.T)
+    width = rows.shape[0]
     penalty = lam * sigma * sigma
     # L >= 1: unit-norm columns put ||Phi||^2 at or above every column's norm
     step = 1.0 / float(d.frame[0].max())
     thresh = step * penalty
-    x = np.zeros(d.N)
+    x = np.zeros((width, d.N))
     v = x
-    t = 1.0
-    iterations = 0
+    t = np.ones(width)
+    x_hat = np.zeros_like(x)
+    iterations = np.zeros(width, dtype=int)
+    kkt = np.zeros(width)
+    live = np.ones(width, dtype=bool)
     for it in range(1, MAX_ITER + 1):
-        iterations = it
-        x_new = _soft(v - step * (a.T @ (a @ v - y)), thresh)
+        x_new = _soft(v - step * ((v @ a.T - rows) @ a), thresh)
         dx = x_new - x
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        if float((v - x_new) @ dx) > 0.0:   # the step opposes the momentum
-            v = x_new
-            t_new = 1.0
-        else:
-            v = x_new + ((t - 1.0) / t_new) * dx
-        x = x_new
-        t = t_new
-        if it % 10 == 0 and lasso_kkt_residual(a, y, x, penalty) <= KKT_TOL:
-            break
-    kkt = lasso_kkt_residual(a, y, x, penalty)
-    r = a @ x - y
-    objective = 0.5 * float(r @ r) + penalty * float(np.abs(x).sum())
-    return RecoveryResult(x, bool(kkt <= KKT_TOL), iterations, objective, 0.0, kkt)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        momentum = (t - 1.0) / t_new
+        # where the step opposes the momentum, restart: v = x_new, t = 1
+        restart = _row_dots(v - x_new, dx) > 0.0
+        momentum[restart] = 0.0
+        t_new[restart] = 1.0
+        v = x_new + momentum[:, None] * dx
+        x, t = x_new, t_new
+        if it % 10 == 0 or it == MAX_ITER:
+            resid = _lasso_kkt_rows(a, rows, x, penalty)
+            settled = live & ((resid <= KKT_TOL) | (it == MAX_ITER))
+            x_hat[settled] = x[settled]
+            iterations[settled] = it
+            kkt[settled] = resid[settled]
+            live &= ~settled
+            if not live.any():
+                break
+    out = []
+    for xj, yj, n, res in zip(x_hat, rows, iterations, kkt):
+        r = a @ xj - yj
+        objective = 0.5 * float(r @ r) + penalty * float(np.abs(xj).sum())
+        out.append(RecoveryResult(xj, bool(res <= KKT_TOL), int(n), objective,
+                                  0.0, float(res)))
+    return out
 
 
 def dual_certificate(d: Dictionary, support, signs) -> Certificate:

@@ -486,6 +486,19 @@ def test_non_finite_threshold_rejected(call):
         call(sk.build_gaussian(6, 12, seed=2))
 
 
+@pytest.mark.parametrize("kw, name", [
+    ({"delta": 1e200}, "delta"), ({"delta": -1e200}, "delta"),
+    ({"delta": 0.5, "eps": 1e200}, "eps"), ({"delta": 0.5, "eps": -1e155}, "eps")])
+def test_wsinc_overflowing_threshold_names_it(kw, name):
+    # (1 - delta)^2 or eps^2 past the float range used to end in OverflowError
+    d = sk.build_gaussian(6, 12, seed=2)
+    with pytest.raises(ValueError, match=rf"^{name} is out of range"):
+        sk.wsinc_estimate(d, 2, alpha=0.05, trials=50, seed=0, **kw)
+    if "eps" not in kw:
+        with pytest.raises(ValueError, match=r"^delta is out of range"):
+            wsinc_weight(kw["delta"], 0.5)
+
+
 @pytest.mark.parametrize("build", [
     lambda: sk.build_gaussian(8, 40, seed=3),
     lambda: sk.build_family("chirp", m=7),          # complex entries

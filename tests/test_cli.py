@@ -132,6 +132,22 @@ class TestCertify:
             assert missing in err["error"] and "wsinc" in err["error"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--delta", "1e200"], "delta"), (["--delta=-1e200"], "delta"),
+        (["--delta", "0.5", "--eps", "1e200"], "eps")])
+    def test_wsinc_overflowing_threshold_exits_2(self, dg_file, tmp_path, capsys,
+                                                 flags, name):
+        out = tmp_path / "rep.json"
+        capsys.readouterr()
+        code = main(["certify", "--dict", str(dg_file), "--property", "wsinc",
+                     "--k", "2", "--alpha", "0.2", "--trials", "50", *flags,
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.err)["error"].startswith(f"{name} is out of range")
+        assert not out.exists()
+
     @pytest.mark.parametrize("prop, missing", [("strip", "--delta"),
                                                ("sinc", "--alpha")])
     def test_missing_threshold_exits_2(self, dg_file, tmp_path, capsys, prop,
@@ -283,6 +299,16 @@ class TestCheck:
         assert captured.out == "" and "Traceback" not in captured.err
         assert len(captured.err.splitlines()) == 1
         assert message in json.loads(captured.err)["error"]
+
+    def test_repeated_param_exits_2(self, capsys):
+        # the last value used to win silently (k = 2 here)
+        code = main(["check", "--condition", "gershgorin", "--param", "mu", "0.1",
+                     "--param", "k", "3", "--param", "delta", "0.5",
+                     "--param", "k", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "duplicate --param key 'k'"}
 
 
 class TestRecover:

@@ -200,6 +200,32 @@ class TestOaStrength:
                     positive += res.strength > 0
         assert positive > 1000
 
+    def test_order_one_needs_no_distance_product(self, monkeypatch):
+        # unbalanced codes stop at 0 and t_max <= 1 stops at order 1, both
+        # from the column weights alone
+        def no_product(code):
+            raise AssertionError("distance_counts called")
+        rng = np.random.default_rng(12)
+        unbalanced = 0
+        while unbalanced < 300:
+            code = random_code(rng.choice(["subset", "coset", "two cosets"]), rng)
+            if np.all(2 * code.words.sum(axis=0) == code.N):
+                continue
+            unbalanced += 1
+            with monkeypatch.context() as mp:
+                mp.setattr(sk.coherence, "distance_counts", no_product)
+                for t_max in (code.m, 3, 1):
+                    assert sk.oa_strength(code, t_max).strength == 0
+            assert oa_strength_enumerated(code, code.m) == 0
+        monkeypatch.setattr(sk.coherence, "distance_counts", no_product)
+        # dg s=2 (64 x 2048) has an unbalanced column: strength 0 at any t_max
+        assert sk.oa_strength(sk.delsarte_goethals_code(2), 7).strength == 0
+        for code in (reed_muller_1_3(), full_space(3)):
+            assert sk.oa_strength(code, 1).strength == 1
+            assert sk.oa_strength(code, 0).strength == 0
+        with pytest.raises(ValueError, match="empty code"):
+            sk.oa_strength(BinaryCode(m=3, N=0, words=np.zeros((0, 3), np.uint8)), 1)
+
     def test_delsarte_goethals_exact(self):
         # 64 x 2048 at t = 7: far past the old enumeration budget (the oracle
         # returns at the first unbalanced column)

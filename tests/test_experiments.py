@@ -318,6 +318,29 @@ def test_lasso_jobs_do_not_change_results():
     assert texts[0] == texts[1]
 
 
+def test_lasso_records_do_not_depend_on_trial_count():
+    # the first trials share a block with later ones in the long study and
+    # with zero padding in the short ones (a lone column would otherwise be
+    # solved by gemv, not gemm); their records are the same bytes
+    d = sk.build_delsarte_goethals(1)
+    long = sk.run_lasso_study(dg_config(trials=40, sigma=0.01, solver="lasso"), d=d)
+    assert [r["trial"] for r in long.records] == list(range(40))
+    for n in (1, 10):
+        short = sk.run_lasso_study(dg_config(trials=n, sigma=0.01, solver="lasso"), d=d)
+        assert json.dumps(short.records) == json.dumps(long.records[:n])
+
+
+def test_jobs_do_not_change_blocked_results(monkeypatch):
+    # three blocks of 4, the last padded, spread over two workers
+    monkeypatch.setattr(sk.experiments, "TRIAL_BLOCK", 4)
+    for run, over in ((sk.run_recovery_floor, {}),
+                      (sk.run_lasso_study, {"sigma": 0.01, "solver": "lasso"})):
+        texts = [run(dg_config(trials=10, jobs=jobs, **over)).to_json(include_runtime=False)
+                 for jobs in (1, 2)]
+        assert texts[0] == texts[1]
+        assert [r["trial"] for r in json.loads(texts[0])["records"]] == list(range(10))
+
+
 def test_frame_spectrum_formed_once_per_dictionary(monkeypatch):
     shapes = []
     eigh = np.linalg.eigh

@@ -10,7 +10,8 @@ from stripkit import solvers
 from stripkit.dictionaries import Dictionary
 from stripkit.solvers import (RankDeficiencyError, SolverInputError,
                               _BallProjector, _boundary_refit,
-                              _polish_candidate, lasso_kkt_residual)
+                              _lasso_columns, _polish_candidate,
+                              lasso_kkt_residual)
 
 
 def one_short_iteration(monkeypatch):
@@ -441,6 +442,58 @@ class TestLasso:
         kw = {"lam": 1.0, "sigma": 1.0, name: bad}
         with pytest.raises(SolverInputError, match=f"{name} must be finite"):
             sk.lasso(d, np.ones(4), **kw)
+
+
+def lasso_block(d, k, sigma, count, seed=5):
+    """``count`` seeded noisy observations of k-sparse signals, as the
+    columns of an m x count matrix."""
+    ys = np.zeros((d.m, count))
+    for j in range(count):
+        rng = sk.derive_rng(seed, "lasso-block", j)
+        inst = sk.sample_generic_signal(d.N, k, "unit", rng)
+        ys[:, j] = sk.observe(d, inst, sigma=sigma, rng=rng).y
+    return ys
+
+
+class TestLassoColumns:
+    @pytest.mark.parametrize("build, k, count", [
+        (lambda: sk.build_family("dg", s=1), 2, 12),
+        (lambda: sk.build_family("dg", s=2), 4, 4),
+        (lambda: sk.build_gaussian(64, 256, seed=12), 4, 8),
+    ], ids=["dg1", "dg2", "gaussian"])
+    @pytest.mark.parametrize("sigma", [0.01, 0.1])
+    def test_columns_match_one_column_lasso(self, build, k, count, sigma):
+        # one gemm per step rounds each column apart from the one-column
+        # gemv, by float dust only: the same iterations and the same estimate
+        d = build()
+        lam = 2.0 * math.sqrt(2.0 * math.log(d.N))
+        ys = lasso_block(d, k, sigma, count)
+        block = _lasso_columns(d, ys, lam, sigma)
+        assert len(block) == count
+        for j, res in enumerate(block):
+            one = sk.lasso(d, ys[:, j], lam, sigma)
+            assert res.converged and one.converged
+            assert res.iterations == one.iterations
+            assert (np.linalg.norm(res.x_hat - one.x_hat)
+                    <= 1e-12 * np.linalg.norm(one.x_hat))
+
+    def test_capped_column_reported_alone(self, monkeypatch):
+        # a zero observation settles at the first check; the real one hits
+        # the cap and is reported as not converged, with its own residual
+        d = sk.build_family("dg", s=1)
+        lam = 2.0 * math.sqrt(2.0 * math.log(d.N))
+        ys = lasso_block(d, 2, 0.01, 1)
+        assert sk.lasso(d, ys[:, 0], lam, 0.01).iterations > 30
+        monkeypatch.setattr(solvers, "MAX_ITER", 25)
+        zero, capped, zero_too = _lasso_columns(
+            d, np.column_stack([np.zeros(d.m), ys[:, 0], np.zeros(d.m)]), lam, 0.01)
+        for res in (zero, zero_too):
+            assert res.converged and res.iterations == 10
+            assert not res.x_hat.any() and res.kkt_residual == 0.0
+        assert not capped.converged and capped.iterations == 25
+        assert capped.kkt_residual == pytest.approx(lasso_kkt_residual(
+            d.entries, ys[:, 0], capped.x_hat, lam * 0.01 ** 2), rel=1e-9)
+        assert capped.kkt_residual > solvers.KKT_TOL
 
 
 class TestDualCertificate:
