@@ -159,8 +159,7 @@ def _cmd_recover(args) -> int:
             eps = inst.eps_noise if args.eps is None else args.eps
             res = basis_pursuit(d, inst.y, eps)
         else:
-            lam = args.lam if args.lam is not None else 2.0 * math.sqrt(2.0 * math.log(d.N))
-            res = lasso(d, inst.y, lam, args.sigma)
+            res = lasso(d, inst.y, args.lam, args.sigma)
         res = error_report(inst, res, args.prob_eps)
         records.append({
             "trial": t, "converged": res.converged, "iterations": res.iterations,

@@ -19,8 +19,8 @@ from .galoisring import kerdock_binary_words, kerdock_difference_distances
 
 UNIT_COLUMN_TOL = 1e-10
 
-# bytes of bipolar inner products held at once by distance_counts
-DISTANCE_BLOCK_BYTES = 8 * 2 ** 20
+# bytes of Gram products held at once by Dictionary.mu and distance_counts
+GRAM_BLOCK_BYTES = 8 * 2 ** 20
 
 _MAGIC = "SDICT"
 _FORMAT_VERSION = 1
@@ -72,11 +72,19 @@ class Dictionary:
 
     @cached_property
     def mu(self) -> float:
-        """Coherence, the largest off-diagonal |Gram| entry; computed once,
-        since ``entries`` is read-only after construction."""
-        g = np.abs(self.gram())
-        np.fill_diagonal(g, 0.0)
-        return float(g.max())
+        """Coherence, the largest off-diagonal |Gram| entry, over Gram row
+        blocks of about GRAM_BLOCK_BYTES; computed once, since ``entries`` is
+        read-only after construction. A real block product (a gemm) may round
+        in the last place unlike the syrk of the one-block ``gram()``."""
+        a = self.entries
+        rows = max(1, GRAM_BLOCK_BYTES // (a.itemsize * self.N))
+        mu = 0.0
+        for start in range(0, self.N, rows):
+            g = np.abs(self.gram() if rows >= self.N
+                       else a[:, start:start + rows].conj().T @ a)
+            np.fill_diagonal(g[:, start:], 0.0)
+            mu = max(mu, float(g.max()))
+        return mu
 
     @cached_property
     def frame(self):
@@ -130,13 +138,13 @@ def distance_counts(code: BinaryCode) -> np.ndarray:
     A linear code (generator set) is its own difference set: counts = N *
     its weight histogram. Otherwise <b_i, b_j> = m - 2 dist(i, j) on the +-1
     images, integers that float64 products hold exactly, in row blocks of
-    about DISTANCE_BLOCK_BYTES.
+    about GRAM_BLOCK_BYTES.
     """
     if code.generator is not None:
         return code.N * np.bincount(code.words.sum(axis=1), minlength=code.m + 1)
     signs = 1.0 - 2.0 * code.words
     counts = np.zeros(code.m + 1, dtype=np.int64)
-    block = max(1, DISTANCE_BLOCK_BYTES // (8 * max(1, code.N)))
+    block = max(1, GRAM_BLOCK_BYTES // (8 * max(1, code.N)))
     for start in range(0, code.N, block):
         dist = (code.m - signs[start:start + block] @ signs.T) / 2
         counts += np.bincount(dist.astype(np.int64).ravel(), minlength=code.m + 1)

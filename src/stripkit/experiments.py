@@ -1,13 +1,14 @@
 """End-to-end recovery studies: guarantee floors, Lasso ratio reports, and
 phase-transition sweeps.
 
-Each trial derives its own rng stream from (seed, trial index). Trials run
-in fixed blocks of TRIAL_BLOCK consecutive indices, one block per worker task
-with jobs > 1; a Lasso block is one multi-column solve, padded to the full
-block width with zero observations, so the floats of record t depend only on
-(seed, t). Reports are therefore byte-identical across reruns, worker counts
-and trial counts; the wall-clock runtime is the only non-reproducible field
-and is kept out of the comparison payload.
+Each trial draws its instance from its own rng stream (seed, "trial", t).
+Trials run in fixed blocks of TRIAL_BLOCK consecutive indices, one block per
+worker task with jobs > 1 and several blocks; a Lasso block is one
+multi-column solve, padded to the full block width with zero observations,
+so the floats of record t depend only on (seed, t). Reports are therefore
+byte-identical across reruns, worker counts and trial counts; the wall-clock
+runtime is the only non-reproducible field and is kept out of the
+comparison payload.
 """
 
 from __future__ import annotations
@@ -146,10 +147,15 @@ def _uniform_recovery_threshold(mu: float) -> float:
     return 0.5 * (1.0 + 1.0 / mu)
 
 
-def _bp_trial(d: Dictionary, config: ExperimentConfig, t: int) -> dict:
+def _trial_instance(d: Dictionary, config: ExperimentConfig, t: int) -> SignalInstance:
+    """Signal and observation of trial t, from the stream (seed, "trial", t)."""
     rng = derive_rng(config.seed, "trial", t)
     inst = sample_generic_signal(d.N, config.k, config.magnitudes, rng, p=config.p)
-    inst = observe(d, inst, sigma=0.0, rng=rng)
+    return observe(d, inst, sigma=config.sigma, rng=rng)
+
+
+def _bp_trial(d: Dictionary, config: ExperimentConfig, t: int) -> dict:
+    inst = _trial_instance(d, config, t)
     res = basis_pursuit(d, inst.y, 0.0)
     res = error_report(inst, res, config.eps)
     cert = dual_certificate(d, inst.support, inst.signs)
@@ -184,11 +190,11 @@ def _bp_block(d: Dictionary, config: ExperimentConfig, block: range) -> list:
 def _run_trials(block_worker, d, config):
     """Records of trials 0..trials-1 in order. ``block_worker(d, config,
     block)`` runs the trials of one full-width block of TRIAL_BLOCK indices
-    that lie below ``config.trials``; with jobs > 1 the blocks go to a
+    that lie below ``config.trials``; with jobs > 1 several blocks go to a
     process pool, which pickles the dictionary once per block."""
     blocks = [range(start, start + TRIAL_BLOCK)
               for start in range(0, config.trials, TRIAL_BLOCK)]
-    if config.jobs > 1:
+    if config.jobs > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = [pool.submit(block_worker, d, config, b) for b in blocks]
             parts = [f.result() for f in futures]
@@ -263,16 +269,10 @@ def _lasso_block(d: Dictionary, config: ExperimentConfig, block: range) -> list:
     """Lasso trials of one block: each instance from its own trial stream,
     one solve over every column, padded with zero observations to the full
     block width (gemm rounds a column by the width), then the records."""
-    lam = config.lam if config.lam is not None else 2.0 * math.sqrt(2.0 * math.log(d.N))
-    insts = []
+    insts = [_trial_instance(d, config, t) for t in _trials_in(block, config)]
     ys = np.zeros((d.m, len(block)))
-    for j, t in enumerate(_trials_in(block, config)):
-        rng = derive_rng(config.seed, "trial", t)
-        inst = sample_generic_signal(d.N, config.k, config.magnitudes, rng, p=config.p)
-        inst = observe(d, inst, sigma=config.sigma, rng=rng)
-        ys[:, j] = inst.y
-        insts.append(inst)
-    results = _lasso_columns(d, ys, lam, config.sigma)
+    ys[:, :len(insts)] = np.transpose([inst.y for inst in insts])
+    results = _lasso_columns(d, ys, config.lam, config.sigma)
     return [_lasso_record(d, config, t, inst, res)
             for t, inst, res in zip(block, insts, results)]
 

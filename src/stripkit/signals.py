@@ -77,9 +77,9 @@ def default_noise_bound(m: int, sigma: float, tail: float = NOISE_TAIL) -> float
 
 
 def observe(d: Dictionary, inst: SignalInstance, sigma: float,
-            rng: np.random.Generator,
-            eps_noise: Optional[float] = None) -> SignalInstance:
-    """Fill y = Phi x + z with i.i.d. Gaussian noise of std sigma."""
+            rng: np.random.Generator) -> SignalInstance:
+    """Fill y = Phi x + z with i.i.d. Gaussian noise of std sigma, and
+    eps_noise with ``default_noise_bound`` of sigma."""
     if d.field != "real":
         raise ValueError("complex dictionary: realify it before observing")
     if d.N != inst.N:
@@ -88,35 +88,5 @@ def observe(d: Dictionary, inst: SignalInstance, sigma: float,
         raise ValueError("sigma must be nonnegative")
     z = sigma * rng.standard_normal(d.m) if sigma > 0 else np.zeros(d.m)
     y = d.entries @ inst.x + z
-    if eps_noise is None:
-        eps_noise = default_noise_bound(d.m, sigma)
-    return replace(inst, y=y, z=z, sigma=sigma, eps_noise=float(eps_noise))
-
-
-def signal_to_dict(inst: SignalInstance) -> dict:
-    out = {
-        "schema_version": 1,
-        "x": inst.x.tolist(),
-        "support": inst.support.tolist(),
-        "signs": inst.signs.tolist(),
-        "tail_l1": inst.tail_l1,
-        "sigma": inst.sigma,
-        "eps_noise": inst.eps_noise,
-    }
-    if inst.y is not None:
-        out["y"] = inst.y.tolist()
-        out["z"] = inst.z.tolist()
-    return out
-
-
-def signal_from_dict(payload: dict) -> SignalInstance:
-    return SignalInstance(
-        x=np.asarray(payload["x"], dtype=float),
-        support=np.asarray(payload["support"], dtype=int),
-        signs=np.asarray(payload["signs"], dtype=float),
-        tail_l1=float(payload["tail_l1"]),
-        y=None if "y" not in payload else np.asarray(payload["y"], dtype=float),
-        z=None if "z" not in payload else np.asarray(payload["z"], dtype=float),
-        sigma=float(payload.get("sigma", 0.0)),
-        eps_noise=float(payload.get("eps_noise", 0.0)),
-    )
+    return replace(inst, y=y, z=z, sigma=sigma,
+                   eps_noise=float(default_noise_bound(d.m, sigma)))

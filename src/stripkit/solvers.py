@@ -24,7 +24,11 @@ made every 10th iteration. One FISTA kernel solves every column of an
 m x T observation matrix at once with two matrix products per step; each
 column keeps its own momentum and restart and is taken at its first passing
 check, so iterations and non-convergence are reported per column. ``lasso``
-is its one-column call.
+is its one-column call; ``lam=None`` is the standard 2 sqrt(2 ln N).
+
+One least-squares fit on a support (its normal equations) serves the polish,
+the sign certificate (Fuchs 2004) and both off-support terms of the Lasso
+conditions (Candes & Plan 2009); the last two share one support check.
 
 The numerics are module constants, not options: the iteration cap
 ``MAX_ITER``; BP's ``RHO``, ``OVER_RELAX``, polish period ``CHECK_EVERY``,
@@ -191,6 +195,20 @@ class _BallProjector:
         return vec - self.a.T @ (self.v @ (lam * dt / (1.0 + lam * self.w)))
 
 
+def _support_fit(a: np.ndarray, support, r: np.ndarray):
+    """(c, A_S c) for c solving (A_S^T A_S) c = r, A_S = a[:, support]; A_S c
+    is the least-squares sign certificate when r is a sign pattern."""
+    sub = a[:, support]
+    coef = np.linalg.solve(sub.T @ sub, r)
+    return coef, sub @ coef
+
+
+def _off_support_max(v: np.ndarray, support) -> float:
+    """max |v_j| over the j outside ``support``, 0 when there is none."""
+    off = np.delete(v, support)
+    return float(np.abs(off).max()) if off.size else 0.0
+
+
 def _dual_gap(a: np.ndarray, y: np.ndarray, eps: float, x: np.ndarray,
               support: np.ndarray, extra_nu=None) -> float:
     """Duality gap against the best of several constructed dual-feasible points.
@@ -204,14 +222,14 @@ def _dual_gap(a: np.ndarray, y: np.ndarray, eps: float, x: np.ndarray,
     best = 0.0
     candidates = []
     if support.size:
-        asub = a[:, support]
         sgn = np.sign(x[support])
         try:
             if support.size <= a.shape[0]:
-                nu = asub @ np.linalg.solve(asub.T @ asub, sgn)
+                _, nu = _support_fit(a, support, sgn)
             else:
                 # dense optimum: least-squares fit of the full sign pattern,
                 # solved in m-space through the eigenpairs of asub asub^T
+                asub = a[:, support]
                 nu = _range_solve(*frame_spectrum(asub), asub @ sgn)
             candidates.append(nu)
         except np.linalg.LinAlgError:
@@ -349,7 +367,7 @@ def _boundary_refit(a, y, eps, support, signs):
         if not r0 < eps:
             return out
         try:
-            h = np.linalg.solve(sub.T @ sub, signs)
+            h, _ = _support_fit(a, support, signs)
         except np.linalg.LinAlgError:
             return out
         q = float(signs @ h)
@@ -390,25 +408,27 @@ def lasso_kkt_residual(a: np.ndarray, y: np.ndarray, x: np.ndarray,
     return float(_lasso_kkt_rows(a, np.atleast_2d(y), np.atleast_2d(x), penalty)[0])
 
 
-def lasso(d: Dictionary, y: np.ndarray, lam: float, sigma: float) -> RecoveryResult:
+def lasso(d: Dictionary, y: np.ndarray, lam: Optional[float],
+          sigma: float) -> RecoveryResult:
     """min (1/2)||Phi x - y||^2 + lam sigma^2 ||x||_1 by accelerated proximal
     gradient (Beck & Teboulle 2009) at the step 1/L, L = ||Phi||^2, with the
-    gradient-based momentum restart of O'Donoghue & Candes (2015)."""
+    gradient-based momentum restart of O'Donoghue & Candes (2015).
+    ``lam=None`` is the standard 2 sqrt(2 ln N) of Candes & Plan (2009)."""
     _require_real(d)
     for name, value in (("lam", lam), ("sigma", sigma)):
-        if not math.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise SolverInputError(f"{name} must be finite")
-    if lam <= 0:
+    if lam is not None and lam <= 0:
         raise SolverInputError("lam must be positive")
     if sigma <= 0:
         raise SolverInputError("sigma must be positive (the penalty degenerates)")
     return _lasso_columns(d, _observation(d, y)[:, None], lam, sigma)[0]
 
 
-def _lasso_columns(d: Dictionary, ys: np.ndarray, lam: float,
+def _lasso_columns(d: Dictionary, ys: np.ndarray, lam: Optional[float],
                    sigma: float) -> list:
     """``lasso`` of every column of the m x T matrix ``ys`` at once, as T
-    results; the caller has checked d, lam, sigma and ys.
+    results; the caller has checked d, lam, sigma and ys; lam=None is 2 sqrt(2 ln N).
 
     Each column keeps its own momentum and restart and is taken at its first
     passing check (or at MAX_ITER), so its iterations and convergence are its
@@ -421,6 +441,8 @@ def _lasso_columns(d: Dictionary, ys: np.ndarray, lam: float,
     a = d.entries
     rows = np.ascontiguousarray(ys.T)
     width = rows.shape[0]
+    if lam is None:
+        lam = 2.0 * math.sqrt(2.0 * math.log(d.N))
     penalty = lam * sigma * sigma
     # L >= 1: unit-norm columns put ||Phi||^2 at or above every column's norm
     step = 1.0 / float(d.frame[0].max())
@@ -461,28 +483,35 @@ def _lasso_columns(d: Dictionary, ys: np.ndarray, lam: float,
     return out
 
 
+def _checked_support(d: Dictionary, support, signs):
+    """(indices, float signs, eigenvalues of A_S^T A_S) of a nonempty support
+    and its aligned signs, else a ``SolverInputError`` naming the problem."""
+    _require_real(d)
+    idx = np.asarray(support)
+    s = np.asarray(signs, dtype=float)
+    if idx.ndim != 1 or s.shape != idx.shape:
+        raise SolverInputError(f"support {idx.shape}, signs {s.shape}: must be 1-d and aligned")
+    if not idx.size:
+        raise SolverInputError("support is empty")
+    if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= d.N:
+        raise SolverInputError(f"support must hold column indices in [0, {d.N})")
+    sub = d.entries[:, idx]
+    return idx, s, np.linalg.eigvalsh(sub.T @ sub)
+
+
 def dual_certificate(d: Dictionary, support, signs) -> Certificate:
     """Sign-interpolation certificate v = Phi^T Phi_I (Phi_I^T Phi_I)^{-1} s.
 
     Valid when the off-support sup-norm is at most 1/2 and the support Gram
     is numerically invertible (condition below 1e12).
     """
-    _require_real(d)
-    idx = np.asarray(support)
-    s = np.asarray(signs, dtype=float)
-    if idx.ndim != 1 or s.shape != idx.shape:
-        raise SolverInputError("support and signs must be 1-d and aligned")
-    sub = d.entries[:, idx]
-    gram = sub.T @ sub
-    vals = np.linalg.eigvalsh(gram)
+    idx, s, vals = _checked_support(d, support, signs)
     cond = math.inf if vals[0] <= 0 else float(vals[-1] / vals[0])
     if cond > CONDITION_LIMIT:
         return Certificate(None, math.inf, cond, False)
-    coef = np.linalg.solve(gram, s)
-    v = d.entries.T @ (sub @ coef)
+    v = d.entries.T @ _support_fit(d.entries, idx, s)[1]
     v[idx] = s       # exact by construction; pin the float solve noise
-    off = np.delete(v, idx)
-    sup_off = float(np.abs(off).max()) if off.size else 0.0
+    sup_off = _off_support_max(v, idx)
     return Certificate(v, sup_off, cond, sup_off <= 0.5)
 
 
@@ -521,28 +550,19 @@ class LassoConditions:
 def cp_conditions(d: Dictionary, support, signs, z: np.ndarray) -> LassoConditions:
     """The three deterministic conditions under which the Lasso error bound
     ||Phi x - Phi x_hat||^2 <= C k log(N) sigma^2 is known to hold."""
-    _require_real(d)
-    N = d.N
-    idx = np.asarray(support)
-    s = np.asarray(signs, dtype=float)
-    z = np.asarray(z, dtype=float)
-    sub = d.entries[:, idx]
-    gram = sub.T @ sub
-    vals = np.linalg.eigvalsh(gram)
+    idx, s, vals = _checked_support(d, support, signs)
     if vals[0] <= 0:
         raise RankDeficiencyError("support Gram is singular")
-    inv_norm = 1.0 / vals[0]
-    margin1 = 2.0 - inv_norm
+    a, N = d.entries, d.N
+    z = np.asarray(z, dtype=float)
+    margin1 = 2.0 - 1.0 / vals[0]
 
-    corr = np.abs(d.entries.T @ z).max() if z.size else 0.0
+    corr = np.abs(a.T @ z).max()
     margin2 = 2.0 * math.sqrt(math.log(N)) - float(corr)
 
-    ginv_s = np.linalg.solve(gram, s)
-    ginv_atz = np.linalg.solve(gram, sub.T @ z)
-    off = np.delete(np.arange(d.N), idx)
-    cross = d.entries[:, off].T @ sub
-    term_noise = float(np.abs(cross @ ginv_atz).max()) if off.size else 0.0
-    term_sign = float(np.abs(cross @ ginv_s).max()) if off.size else 0.0
+    # max_{j off S} |phi_j^T Phi_S (Phi_S^T Phi_S)^{-1} r| for r = Phi_S^T z, s
+    term_noise, term_sign = (_off_support_max(a.T @ _support_fit(a, idx, r)[1], idx)
+                             for r in (a[:, idx].T @ z, s))
     lhs3 = term_noise + math.sqrt(8.0 * math.log(N)) * term_sign
     margin3 = (2.0 - math.sqrt(2.0)) * math.sqrt(2.0 * math.log(N)) - lhs3
 
@@ -558,7 +578,7 @@ def cp_conditions(d: Dictionary, support, signs, z: np.ndarray) -> LassoConditio
 
 def on_support_error_constant(N: int, eps: float) -> float:
     """Multiplier of the best k-term l1 error in the on-support l2 bound."""
-    return 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0 * N / eps)))
+    return 0.5 / math.sqrt(2.0 * math.log(2.0 * N / eps))
 
 
 def error_report(inst: SignalInstance, result: RecoveryResult,

@@ -121,7 +121,7 @@ class TestDistanceDistribution:
 
 
 class TestDistanceCounts:
-    # rows: block height forced through DISTANCE_BLOCK_BYTES, None for the default
+    # rows: block height forced through GRAM_BLOCK_BYTES, None for the default
     @pytest.mark.parametrize("n, m, rows", [
         (0, 4, None), (1, 1, None), (1, 7, None), (2, 1, None), (9, 5, None),
         (60, 12, None), (200, 33, None), (40, 10, 3)])
@@ -133,7 +133,7 @@ class TestDistanceCounts:
         code = BinaryCode(m=m, N=len(words), words=words)
         if rows:
             assert code.N % rows     # the last block is short
-            monkeypatch.setattr(dictionaries, "DISTANCE_BLOCK_BYTES", rows * 8 * code.N)
+            monkeypatch.setattr(dictionaries, "GRAM_BLOCK_BYTES", rows * 8 * code.N)
         l = min(m, max(1, n.bit_length() - 1))
         g = rng.integers(0, 2, size=(m, l), dtype=np.uint8)
         while dictionaries.gf2_rank(g) < l:

@@ -178,6 +178,22 @@ def test_memoized_mu_is_offdiagonal_max(build):
     assert d.mu == sk.coherence_profile(d).mu
 
 
+@pytest.mark.parametrize("build, exact", [
+    (lambda: sk.build_delsarte_goethals(1), True),
+    (lambda: sk.build_chirp(7), True),
+    # a block is a gemm and the full real Gram A^T A a syrk, which may round
+    # an entry differently in the last place
+    (lambda: sk.build_gaussian(6, 20, seed=3), False),
+])
+def test_blocked_mu(build, exact, monkeypatch):
+    d = build()
+    want = sk.coherence_profile(d).mu
+    # three Gram rows per block, the last block short
+    monkeypatch.setattr(sk.dictionaries, "GRAM_BLOCK_BYTES",
+                        3 * d.entries.itemsize * d.N)
+    assert d.mu == (want if exact else pytest.approx(want, rel=1e-15))
+
+
 def test_records_csv(tmp_path):
     rep = sk.run_recovery_floor(dg_config(trials=5))
     path = tmp_path / "records.csv"
@@ -310,6 +326,39 @@ def test_jobs_do_not_change_results():
     a = sk.run_recovery_floor(dg_config(trials=8, jobs=1)).to_json(include_runtime=False)
     b = sk.run_recovery_floor(dg_config(trials=8, jobs=2)).to_json(include_runtime=False)
     assert a == b
+
+
+def test_lone_block_runs_in_process(monkeypatch):
+    def no_pool(*args, **kw):
+        raise AssertionError("a single-block study started a process pool")
+    monkeypatch.setattr(sk.experiments, "ProcessPoolExecutor", no_pool)
+    assert sk.run_recovery_floor(dg_config(trials=10, jobs=2)).trials == 10
+    assert sk.run_lasso_study(dg_config(trials=10, jobs=2, sigma=0.01,
+                                        solver="lasso")).trials == 10
+
+
+@pytest.mark.parametrize("solver, sigma", [("bp", 0.0), ("lasso", 0.01)])
+def test_trial_t_is_drawn_from_its_own_stream(solver, sigma, monkeypatch):
+    # the benchmark's noisy-recovery body draws Lasso trial 0 by hand from
+    # derive_rng(seed, "trial", 0) and reuses it for BP
+    seen = []
+    real_observe = sk.experiments.observe
+
+    def observe(*args, **kw):
+        seen.append(real_observe(*args, **kw))
+        return seen[-1]
+    monkeypatch.setattr(sk.experiments, "observe", observe)
+    d = sk.build_delsarte_goethals(1)
+    cfg = dg_config(k=2, trials=3, seed=2026, sigma=sigma, solver=solver)
+    run = sk.run_lasso_study if solver == "lasso" else sk.run_recovery_floor
+    run(cfg, d=d)
+    for t, inst in enumerate(seen):
+        rng = sk.derive_rng(2026, "trial", t)
+        want = sk.observe(d, sk.sample_generic_signal(d.N, 2, "unit", rng),
+                          sigma=sigma, rng=rng)
+        for key in ("x", "support", "signs", "y", "z"):
+            assert np.array_equal(getattr(inst, key), getattr(want, key)), (t, key)
+    assert len(seen) == 3
 
 
 def test_lasso_jobs_do_not_change_results():

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stripkit as sk
-from stripkit.signals import (default_noise_bound, signal_from_dict,
-                              signal_to_dict)
+from stripkit.signals import default_noise_bound
 
 
 class TestSampling:
@@ -131,21 +130,3 @@ class TestObserve:
         exceed = sum(np.linalg.norm(sigma * rng.standard_normal(m)) > bound
                      for _ in range(2000))
         assert exceed == 0
-
-    def test_user_bound_respected(self):
-        d = sk.build_gaussian(6, 12, seed=1)
-        rng = np.random.default_rng(0)
-        inst = sk.sample_generic_signal(12, 3, "unit", rng)
-        obs = sk.observe(d, inst, sigma=0.1, rng=rng, eps_noise=0.77)
-        assert obs.eps_noise == 0.77
-
-
-def test_serialization_round_trip():
-    d = sk.build_gaussian(6, 12, seed=1)
-    rng = np.random.default_rng(4)
-    inst = sk.sample_generic_signal(12, 3, "compressible", rng)
-    obs = sk.observe(d, inst, sigma=0.2, rng=rng)
-    back = signal_from_dict(signal_to_dict(obs))
-    assert np.array_equal(back.x, obs.x)
-    assert np.array_equal(back.y, obs.y)
-    assert back.eps_noise == obs.eps_noise

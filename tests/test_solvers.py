@@ -435,6 +435,14 @@ class TestLasso:
         with pytest.raises(SolverInputError):
             sk.lasso(d, np.zeros(4), lam=0.0, sigma=1.0)
 
+    def test_default_lambda(self):
+        d = sk.build_delsarte_goethals(1)
+        y = lasso_block(d, 2, 0.01, 1)[:, 0]
+        standard = sk.lasso(d, y, 2.0 * math.sqrt(2.0 * math.log(d.N)), 0.01)
+        default = sk.lasso(d, y, None, 0.01)
+        assert np.array_equal(default.x_hat, standard.x_hat)
+        assert default.objective == standard.objective
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["lam", "sigma"])
     def test_rejects_non_finite_penalty(self, name, bad):
@@ -641,6 +649,35 @@ class TestCpConditions:
                * np.abs(cross @ np.linalg.solve(gram, inst.signs)).max())
         want = (2 - math.sqrt(2)) * math.sqrt(2 * math.log(40)) - lhs
         assert conds.margins["certificate"] == pytest.approx(want, abs=1e-12)
+
+    def test_sign_term_is_the_certificate_sup_off(self):
+        # with z = 0 the noise term is 0, so the certificate margin is the
+        # sign term scaled; it is dual_certificate's sup_off bit for bit
+        d = sk.build_delsarte_goethals(1)
+        n = d.N
+        for t in range(50):
+            inst = sk.sample_generic_signal(n, 3, "unit", sk.derive_rng(t, "cp-cert"))
+            cert = sk.dual_certificate(d, inst.support, inst.signs)
+            conds = sk.cp_conditions(d, inst.support, inst.signs, np.zeros(d.m))
+            want = ((2.0 - math.sqrt(2.0)) * math.sqrt(2.0 * math.log(n))
+                    - (0.0 + math.sqrt(8.0 * math.log(n)) * cert.sup_off))
+            assert conds.margins["certificate"] == want
+
+
+@pytest.mark.parametrize("check", [sk.dual_certificate, sk.cp_conditions])
+@pytest.mark.parametrize("support, signs, message", [
+    ([], [], "support is empty"),
+    ([0, 1], [1.0], "must be 1-d and aligned"),
+    ([[0, 1]], [[1.0, -1.0]], "must be 1-d and aligned"),
+    ([0, 128], [1.0, -1.0], r"column indices in \[0, 128\)"),
+    ([-1, 2], [1.0, -1.0], "column indices"),
+    ([0.0, 2.0], [1.0, -1.0], "column indices"),
+])
+def test_bad_support_is_a_named_input_error(check, support, signs, message):
+    d = sk.build_delsarte_goethals(1)
+    args = (d, support, signs) + ((np.zeros(d.m),) if check is sk.cp_conditions else ())
+    with pytest.raises(SolverInputError, match=message):
+        check(*args)
 
 
 class TestErrorReport:
