@@ -243,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="coherence profile of a saved dictionary")
     a.add_argument("--dict", required=True)
-    a.add_argument("--tol", type=float, default=coh.INVARIANCE_TOL)
+    a.add_argument("--tol", type=float, default=coh.INVARIANCE_TOL,
+                   help="absolute tolerance, tol >= 0, of the invariance test "
+                        "and of the distinct off-diagonal |Gram| value count")
     a.add_argument("--pless", type=int, nargs="*", metavar="L")
     a.add_argument("--strength", type=int, metavar="T")
     a.add_argument("--out")

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 from typing import Optional
 
 import numpy as np
 
-from .dictionaries import BinaryCode, Dictionary, distance_counts
+from .dictionaries import BinaryCode, Dictionary, _abs_gram_blocks, distance_counts
 
 INVARIANCE_TOL = 1e-9
 
@@ -50,31 +50,67 @@ def spectral_norm(d: Dictionary) -> float:
 
 
 def coherence_profile(d: Dictionary, tol: float = INVARIANCE_TOL) -> CoherenceProfile:
-    """All pairwise coherence statistics of one dictionary.
+    """All pairwise coherence statistics of one dictionary, in one pass over
+    the |Gram| row blocks of about GRAM_BLOCK_BYTES that ``Dictionary.mu``
+    reads too, so the two agree bit for bit.
 
-    Invariance compares the sorted multiset of coherences seen from each
-    column against column 0, entrywise, at absolute tolerance ``tol``.
+    Each block adds to the running max and to the per-row sums of squares,
+    then is sorted row by row in place. Invariance compares the sorted
+    multiset of coherences seen from each column against column 0, entrywise,
+    at absolute tolerance ``tol``, until a row fails. ``gram_offdiag_count``
+    is 1 + the gaps above ``tol`` between the sorted distinct values of all
+    rows: a repeated value only adds zero gaps, so this is the count over the
+    whole off-diagonal multiset. Memory is one block plus that distinct set,
+    which is a few values for the structured families and up to N(N-1) for a
+    random one.
     """
-    g = np.abs(d.gram())
-    np.fill_diagonal(g, 0.0)
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     n = d.N
-    mu = float(g.max())
     if n == 1:
         return CoherenceProfile(0.0, 0.0, 0.0, 0.0, True, spectral_norm(d), 0)
-    sq = g ** 2
-    row_avg = sq.sum(axis=1) / (n - 1)
+    mu = 0.0
+    row_sq = np.empty(n)
+    invariant = True
+    distinct, pending = np.empty(0), []
+    for start, g in _abs_gram_blocks(d):
+        mu = max(mu, float(g.max()))
+        row_sq[start:start + len(g)] = (g ** 2).sum(axis=1)
+        g.sort(axis=1)
+        rows = g[:, 1:]                  # drop the diagonal zero
+        if start == 0:
+            first = rows[0].copy()
+        # exact equality is far cheaper than the deviation and settles the
+        # structured families
+        if invariant and not (rows == first).all():
+            invariant = bool(np.abs(rows - first).max() <= tol)
+        new = np.ones(rows.shape, dtype=bool)
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=new[:, 1:])
+        pending.append(rows[new])
+        # merge once the pending values outnumber the set: a set that grows
+        # by a block each time is re-sorted only O(log blocks) times
+        if sum(p.size for p in pending) >= distinct.size:
+            distinct, pending = _distinct(distinct, pending), []
+    if pending:
+        distinct = _distinct(distinct, pending)
+    row_avg = row_sq / (n - 1)
     mean_sq = float(row_avg.mean())
     max_avg_sq = float(row_avg.max())
-    sorted_rows = np.sort(g, axis=1)[:, 1:]  # drop the diagonal zero
-    invariant = bool(np.abs(sorted_rows - sorted_rows[0]).max() <= tol)
-    theta = mean_sq if invariant else max_avg_sq
-    offdiag = np.sort(g[~np.eye(n, dtype=bool)])
-    distinct = 1 + int(np.count_nonzero(np.diff(offdiag) > tol))
     return CoherenceProfile(
-        mu=mu, mean_sq=mean_sq, max_avg_sq=max_avg_sq, theta=theta,
+        mu=mu, mean_sq=mean_sq, max_avg_sq=max_avg_sq,
+        theta=mean_sq if invariant else max_avg_sq,
         invariant=invariant, spectral_norm=spectral_norm(d),
-        gram_offdiag_count=distinct,
+        gram_offdiag_count=1 + int(np.count_nonzero(np.diff(distinct) > tol)),
     )
+
+
+def _distinct(distinct: np.ndarray, pending: list) -> np.ndarray:
+    """The sorted distinct values of ``distinct`` and the arrays in ``pending``."""
+    values = np.concatenate([distinct, *pending])
+    values.sort()
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 @dataclass
@@ -168,12 +204,11 @@ def moment_mu_l(d: Dictionary, l: int) -> float:
     """Exact average of the l-th power of pairwise coherences (ordered pairs)."""
     if l < 2 or l % 2:
         raise ValueError("need even l >= 2")
-    g = np.abs(d.gram())
-    np.fill_diagonal(g, 0.0)
     n = d.N
     if n == 1:
         return 0.0
-    return float((g ** l).sum() / (n * (n - 1)))
+    total = sum(float((g ** l).sum()) for _, g in _abs_gram_blocks(d))
+    return total / (n * (n - 1))
 
 
 def tight_frame_mean_sq(m: int, N: int) -> float:

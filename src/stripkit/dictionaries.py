@@ -19,7 +19,7 @@ from .galoisring import kerdock_binary_words, kerdock_difference_distances
 
 UNIT_COLUMN_TOL = 1e-10
 
-# bytes of Gram products held at once by Dictionary.mu and distance_counts
+# bytes of Gram products held at once by the |Gram| row blocks and distance_counts
 GRAM_BLOCK_BYTES = 8 * 2 ** 20
 
 _MAGIC = "SDICT"
@@ -72,19 +72,10 @@ class Dictionary:
 
     @cached_property
     def mu(self) -> float:
-        """Coherence, the largest off-diagonal |Gram| entry, over Gram row
-        blocks of about GRAM_BLOCK_BYTES; computed once, since ``entries`` is
-        read-only after construction. A real block product (a gemm) may round
-        in the last place unlike the syrk of the one-block ``gram()``."""
-        a = self.entries
-        rows = max(1, GRAM_BLOCK_BYTES // (a.itemsize * self.N))
-        mu = 0.0
-        for start in range(0, self.N, rows):
-            g = np.abs(self.gram() if rows >= self.N
-                       else a[:, start:start + rows].conj().T @ a)
-            np.fill_diagonal(g[:, start:], 0.0)
-            mu = max(mu, float(g.max()))
-        return mu
+        """Coherence, the largest off-diagonal |Gram| entry, over the row
+        blocks of ``_abs_gram_blocks``; computed once, since ``entries`` is
+        read-only after construction."""
+        return max(float(g.max()) for _, g in _abs_gram_blocks(self))
 
     @cached_property
     def frame(self):
@@ -94,6 +85,23 @@ class Dictionary:
         for arr in spectrum:
             arr.flags.writeable = False
         return spectrum
+
+
+def _abs_gram_blocks(d: Dictionary):
+    """Yield (start, |G[start:start + rows]|) over the Gram row blocks of about
+    GRAM_BLOCK_BYTES, each with its diagonal zeroed, in row order.
+
+    When the whole Gram fits one block it is ``d.gram()``. A real row block
+    is a gemm, which may round in the last place unlike the syrk of
+    ``gram()``; ``Dictionary.mu``, ``coherence_profile`` and ``moment_mu_l``
+    all read these blocks, so they agree bit for bit.
+    """
+    a = d.entries
+    rows = max(1, GRAM_BLOCK_BYTES // (a.itemsize * d.N))
+    for start in range(0, d.N, rows):
+        g = np.abs(d.gram() if rows >= d.N else a[:, start:start + rows].conj().T @ a)
+        np.fill_diagonal(g[:, start:], 0.0)
+        yield start, g
 
 
 def frame_spectrum(a: np.ndarray):

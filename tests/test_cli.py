@@ -72,6 +72,36 @@ class TestAnalyze:
         assert abs(payload["pless_residual"]["2"]) < 1e-9
         assert payload["oa_strength"]["exact"] is True
 
+    # sha256 of the whole stdout; pins every profile float, the Pless
+    # residuals and the strength
+    PINNED = {
+        "dg s=1": (["--family", "dg", "--s", "1"],
+                   ["--pless", "1", "2", "3", "--strength", "3"],
+                   "ded1a6e36583c4fc25ee5be80e9e63264848f0c16b7fd5f54c717e0744e73b61"),
+        "dg s=2": (["--family", "dg", "--s", "2"], [],
+                   "d3a965110d8997ce701f7562ada7839a9c00b60f04beb758ffcbd2cc53f8614c"),
+        "chirp 7": (["--family", "chirp", "--m", "7"], [],
+                    "8636faa8a18aaa27d44c256bbef7c28a10c5479be23cc0e80a62f95147f2656c"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_output(self, case, tmp_path, capsys):
+        family, flags, digest = self.PINNED[case]
+        path = tmp_path / "d.dict"
+        assert main(["build", *family, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--dict", str(path), *flags]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_exits_2(self, tol, dg_file, capsys):
+        capsys.readouterr()
+        assert main(["analyze", "--dict", str(dg_file), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": f"tol must be finite and nonnegative, got {float(tol)!r}"}
+
     def test_pless_on_nonbipolar_exits_2(self, tmp_path):
         out = tmp_path / "g.dict"
         main(["build", "--family", "gaussian", "--m", "4", "--N", "6",

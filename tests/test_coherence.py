@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -9,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stripkit as sk
-from stripkit.coherence import (hollow_gram_norms, pless_relative_residual,
-                                tight_frame_mean_sq)
+from stripkit.coherence import (INVARIANCE_TOL, CoherenceProfile,
+                                hollow_gram_norms, pless_relative_residual,
+                                spectral_norm, tight_frame_mean_sq)
 from stripkit import dictionaries
-from stripkit.dictionaries import BinaryCode, distance_counts
+from stripkit.dictionaries import BinaryCode, Dictionary, distance_counts
 
 from conftest import full_space, reed_muller_1_3
 
@@ -94,6 +97,136 @@ class TestProfile:
         p = sk.coherence_profile(d)
         assert not p.invariant
         assert p.theta == p.max_avg_sq
+
+
+def full_gram_profile(d: Dictionary, tol: float = INVARIANCE_TOL) -> CoherenceProfile:
+    """Test oracle: the profile from the whole |Gram| at once, with its N x N
+    temporaries and one global sort of the N(N-1) off-diagonal values."""
+    g = np.abs(d.gram())
+    np.fill_diagonal(g, 0.0)
+    n = d.N
+    mu = float(g.max())
+    if n == 1:
+        return CoherenceProfile(0.0, 0.0, 0.0, 0.0, True, spectral_norm(d), 0)
+    sq = g ** 2
+    row_avg = sq.sum(axis=1) / (n - 1)
+    mean_sq = float(row_avg.mean())
+    max_avg_sq = float(row_avg.max())
+    sorted_rows = np.sort(g, axis=1)[:, 1:]  # drop the diagonal zero
+    invariant = bool(np.abs(sorted_rows - sorted_rows[0]).max() <= tol)
+    theta = mean_sq if invariant else max_avg_sq
+    offdiag = np.sort(g[~np.eye(n, dtype=bool)])
+    distinct = 1 + int(np.count_nonzero(np.diff(offdiag) > tol))
+    return CoherenceProfile(
+        mu=mu, mean_sq=mean_sq, max_avg_sq=max_avg_sq, theta=theta,
+        invariant=invariant, spectral_norm=spectral_norm(d),
+        gram_offdiag_count=distinct,
+    )
+
+
+def later_row_differs() -> Dictionary:
+    """40 orthonormal columns but the last, (e_38 + e_39)/sqrt(2): rows 0..37
+    see only zero coherences, so invariance first fails at row 38."""
+    entries = np.eye(40)
+    entries[38:, 39] = 1 / math.sqrt(2)
+    return Dictionary("later_row_differs", "real", 40, 40, entries)
+
+
+# name -> (construction, whether every Gram product is exact)
+ORACLE_CASES = {
+    "dg s=1": (lambda: sk.build_delsarte_goethals(1), True),
+    "dg s=2": (lambda: sk.build_delsarte_goethals(2), True),
+    "identity": (lambda: Dictionary("identity8", "real", 8, 8, np.eye(8)), True),
+    "later row differs": (later_row_differs, True),
+    "N=1": (lambda: sk.build_gaussian(4, 1, seed=0), True),
+    "N=2": (lambda: sk.build_gaussian(3, 2, seed=4), False),
+    "chirp 7": (lambda: sk.build_chirp(7), False),
+    "chirp 31": (lambda: sk.build_chirp(31), False),
+    "etf 13": (lambda: sk.build_etf_paley(13), False),
+    "harmonic": (lambda: sk.build_random_harmonic(24, 300, seed=3), False),
+    "gaussian 8x16": (lambda: sk.build_gaussian(8, 16, seed=1), False),
+    "gaussian 18x195": (lambda: sk.build_gaussian(18, 195, seed=38), False),
+}
+
+
+@lru_cache(maxsize=None)
+def oracle_dictionary(name: str) -> Dictionary:
+    return ORACLE_CASES[name][0]()
+
+
+def force_block_rows(monkeypatch, d: Dictionary, rows) -> None:
+    """Make the |Gram| row blocks of ``d`` ``rows`` high (None: the default)."""
+    if rows is not None:
+        monkeypatch.setattr(dictionaries, "GRAM_BLOCK_BYTES",
+                            rows * d.entries.itemsize * d.N)
+
+
+def assert_profiles_match(got: CoherenceProfile, want: CoherenceProfile, exact: bool):
+    if exact:
+        assert got.as_dict() == want.as_dict()
+        return
+    assert (got.invariant, got.gram_offdiag_count) == (want.invariant,
+                                                       want.gram_offdiag_count)
+    for key in ("mu", "mean_sq", "max_avg_sq", "theta", "spectral_norm"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert abs(a - b) <= 4 * np.spacing(max(abs(a), abs(b))), (key, a, b)
+
+
+class TestBlockedProfile:
+    # rows: block height forced through GRAM_BLOCK_BYTES, None for the default
+    # (one block for all but chirp 31, whose second block is short)
+    @pytest.mark.parametrize("rows", [None, 1, 3, 13])
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_matches_full_gram(self, name, rows, monkeypatch):
+        d = oracle_dictionary(name)
+        want = full_gram_profile(d)
+        force_block_rows(monkeypatch, d, rows)
+        one_block = dictionaries.GRAM_BLOCK_BYTES // (d.entries.itemsize * d.N) >= d.N
+        # one block is d.gram() itself, so it matches bit for bit
+        assert_profiles_match(sk.coherence_profile(d), want,
+                              exact=ORACLE_CASES[name][1] or one_block)
+
+    # 1/sqrt(2) is exactly the largest deviation and gap of "later row
+    # differs", where both tests must still pass: they compare with <=
+    @pytest.mark.parametrize("tol", [0.0, INVARIANCE_TOL, 0.2, 0.3, 1 / math.sqrt(2)])
+    @pytest.mark.parametrize("rows", [None, 1, 3, 13])
+    @pytest.mark.parametrize("name", ["dg s=1", "identity", "later row differs"])
+    def test_tolerances(self, name, rows, tol, monkeypatch):
+        # the distinct-value count equals the multiset count at any tol >= 0
+        d = oracle_dictionary(name)
+        want = full_gram_profile(d, tol)
+        force_block_rows(monkeypatch, d, rows)
+        assert sk.coherence_profile(d, tol).as_dict() == want.as_dict()
+
+    def test_invariance_fails_in_a_later_block(self, monkeypatch):
+        d = later_row_differs()
+        force_block_rows(monkeypatch, d, 13)
+        p = sk.coherence_profile(d)
+        assert not p.invariant and p.theta == p.max_avg_sq
+        assert p.gram_offdiag_count == 2 and p.mu == 1 / math.sqrt(2)
+
+    def test_mu_agrees_with_profile_past_one_block(self, monkeypatch):
+        # a real row block is a gemm and the one-block Gram a syrk; here the
+        # two once read 0.8092675127080896 and 0.8092675127080898
+        d = sk.build_gaussian(18, 195, seed=38)
+        force_block_rows(monkeypatch, d, 13)
+        assert d.mu == sk.coherence_profile(d).mu
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            sk.coherence_profile(sk.build_chirp(3), tol=tol)
+
+    def test_memory_is_one_block(self):
+        # the full-Gram profile peaks near 164 MB on dg s=2 (64 x 2048)
+        d = sk.build_delsarte_goethals(2)
+        tracemalloc.start()
+        try:
+            sk.coherence_profile(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2 ** 20
 
 
 class TestDistanceDistribution:
@@ -255,6 +388,14 @@ class TestMoments:
         d = build()
         want = tight_frame_mean_sq(d.m, d.N)
         assert sk.moment_mu_l(d, 2) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 3, 13])
+    def test_blocks_match_one_block(self, rows, monkeypatch):
+        d = sk.build_gaussian(9, 40, seed=2)
+        want = {l: sk.moment_mu_l(d, l) for l in (2, 4, 6)}
+        force_block_rows(monkeypatch, d, rows)
+        for l, value in want.items():
+            assert sk.moment_mu_l(d, l) == pytest.approx(value, rel=1e-13)
 
     def test_rejects_odd(self):
         with pytest.raises(ValueError):
