@@ -19,8 +19,13 @@ from .galoisring import kerdock_binary_words, kerdock_difference_distances
 
 UNIT_COLUMN_TOL = 1e-10
 
-# bytes of Gram products held at once by the |Gram| row blocks and distance_counts
+# bytes held at once by the |Gram| row blocks and by the xor blocks of
+# distance_counts
 GRAM_BLOCK_BYTES = 8 * 2 ** 20
+
+# codeword bits (N x m) a constructed binary code may hold; its bipolar
+# dictionary takes 8 bytes per bit
+MAX_CODE_BITS = 2 ** 26
 
 _MAGIC = "SDICT"
 _FORMAT_VERSION = 1
@@ -127,7 +132,7 @@ class BinaryCode:
         if self.words.size and self.words.max() > 1:
             raise FamilyError("words must be 0/1")
         if self.generator is None:
-            if len(np.unique(self.words, axis=0)) != self.N:
+            if len(_row_set(self.words)) != self.N:
                 raise FamilyError("codewords are not distinct")
             return
         self.generator = np.ascontiguousarray(self.generator, dtype=np.uint8)
@@ -144,28 +149,47 @@ def distance_counts(code: BinaryCode) -> np.ndarray:
     distance w, for w = 0..m.
 
     A linear code (generator set) is its own difference set: counts = N *
-    its weight histogram. Otherwise <b_i, b_j> = m - 2 dist(i, j) on the +-1
-    images, integers that float64 products hold exactly, in row blocks of
-    about GRAM_BLOCK_BYTES.
+    its weight histogram. Otherwise each word is packed into 64-bit words
+    and dist(i, j) is the popcount of their xor, summed over the words, in
+    row blocks whose (rows x N) uint64 xor holds about GRAM_BLOCK_BYTES.
     """
     if code.generator is not None:
         return code.N * np.bincount(code.words.sum(axis=1), minlength=code.m + 1)
-    signs = 1.0 - 2.0 * code.words
+    packed = _packed_words(code.words)
     counts = np.zeros(code.m + 1, dtype=np.int64)
     block = max(1, GRAM_BLOCK_BYTES // (8 * max(1, code.N)))
     for start in range(0, code.N, block):
-        dist = (code.m - signs[start:start + block] @ signs.T) / 2
-        counts += np.bincount(dist.astype(np.int64).ravel(), minlength=code.m + 1)
+        rows = packed[start:start + block]
+        dist = np.zeros((len(rows), code.N), dtype=np.min_scalar_type(code.m))
+        for k in range(packed.shape[1]):
+            dist += np.bitwise_count(rows[:, k, None] ^ packed[:, k])
+        counts += np.bincount(dist.ravel(), minlength=code.m + 1)
     return counts
+
+
+def _packed_words(words: np.ndarray) -> np.ndarray:
+    """The rows of a 0/1 matrix packed into uint64 words, zero-padded."""
+    packed = np.packbits(words, axis=1)
+    pad = -packed.shape[1] % 8
+    if pad:
+        packed = np.pad(packed, ((0, 0), (0, pad)))
+    return packed.view(np.uint64)
 
 
 def span_of_generator(generator: np.ndarray) -> np.ndarray:
     """All 2^l combinations G @ u mod 2 of the generator columns, as rows.
-    Row u combines the columns j with bit l-1-j of u set."""
+    Row u combines the columns j with bit l-1-j of u set.
+
+    Built by doubling: after the columns l-1, ..., j the rows are the span of
+    those columns, and column j - 1 appends their xor with it as the rows
+    whose next bit is set."""
     g = np.asarray(generator, dtype=np.uint8)
     m, l = g.shape
-    coeffs = np.indices((2,) * l).reshape(l, -1).T.astype(np.uint8)
-    return (coeffs @ g.T) % 2
+    words = np.zeros((1 << l, m), dtype=np.uint8)
+    for k in range(l):
+        n = 1 << k
+        np.bitwise_xor(words[:n], g[:, l - 1 - k], out=words[n:2 * n])
+    return words
 
 
 def _is_span_in_order(generator: np.ndarray, words: np.ndarray) -> bool:
@@ -195,12 +219,21 @@ def gf2_rank(matrix: np.ndarray) -> int:
     return len(basis)
 
 
+def _row_set(words: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 0/1 matrix, packed by ``np.packbits``, in
+    lexicographic order: lexsorted, then each row kept when it differs from
+    its predecessor."""
+    packed = np.packbits(words, axis=1)
+    if packed.shape[1] == 0:                 # m = 0: all rows are equal
+        return packed[:1]
+    packed = packed[np.lexsort(packed.T[::-1])]
+    keep = np.ones(len(packed), dtype=bool)
+    keep[1:] = (packed[1:] != packed[:-1]).any(axis=1)
+    return packed[keep]
+
+
 def _same_word_set(a: np.ndarray, b: np.ndarray) -> bool:
-    if a.shape != b.shape:
-        return False
-    aa = np.unique(a, axis=0)
-    bb = np.unique(b, axis=0)
-    return aa.shape == bb.shape and bool(np.all(aa == bb))
+    return a.shape == b.shape and np.array_equal(_row_set(a), _row_set(b))
 
 
 def _normalize_columns(entries: np.ndarray) -> np.ndarray:
@@ -335,9 +368,13 @@ def delsarte_goethals_code(s: int, r: int = 0) -> BinaryCode:
             f"(s={s}, r={r}) unsupported: only r=0 is constructed; supply a "
             "precomputed code for larger r"
         )
+    N, m = 2 ** (4 * s + 3), 2 ** (2 * s + 2)
+    if N * m > MAX_CODE_BITS:
+        raise FamilyError(
+            f"s={s} needs a {N} x {m} code ({N * m} bits), beyond the cap "
+            f"MAX_CODE_BITS = {MAX_CODE_BITS}")
     words = kerdock_binary_words(2 * s + 1, antipode_free=True)
-    m = words.shape[1]
-    return BinaryCode(m=m, N=words.shape[0], words=words)
+    return BinaryCode(m=m, N=N, words=words)
 
 
 def build_delsarte_goethals(s: int, r: int = 0,

@@ -6,10 +6,17 @@ succeeds when every nonzero codeword weight stays inside the band
 [m/2 (1-mu), m/2 (1+mu)], which forces bipolar coherence at most mu.
 The derandomized builder fixes generator entries one at a time, choosing
 each bit to minimize the exact conditional expectation of the number of
-out-of-band codewords. Codewords with equal decided weight and pending row
-parity contribute alike, so each decision sums over a histogram of those
-pairs; all probabilities are dyadic rationals, so the bookkeeping stays in
-exact integer arithmetic (numerator at scale 2^m), equal to a per-codeword sum.
+out-of-band codewords, as in Porat and Rothschild (IEEE Trans. IT, 2011).
+Codewords with equal decided weight and pending row parity contribute alike,
+so each decision sums over a histogram of those pairs: the pending parity
+of a codeword index is the bit parity (popcount) of the index masked by the
+row bits decided so far, and the per-weight probabilities come from one
+table per generator row. All probabilities are dyadic rationals, so the
+bookkeeping stays in exact integer arithmetic (numerator at scale 2^m),
+equal to a per-codeword sum.
+
+A spec is refused up front (``GvSpecError``) when m exceeds HARD_M_CAP or
+the 2^l x m span exceeds HARD_SPAN_CAP bits.
 """
 
 from __future__ import annotations
@@ -17,14 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 import numpy as np
 
-from .dictionaries import BinaryCode, distance_counts, span_of_generator
+from .dictionaries import (MAX_CODE_BITS, BinaryCode, _row_set, distance_counts,
+                           span_of_generator)
 from .seeding import derive_rng
 
 HARD_M_CAP = 4096
+HARD_SPAN_CAP = MAX_CODE_BITS     # bits of the 2^l x m span
 
 
 class GvSpecError(ValueError):
@@ -46,6 +56,10 @@ class GvSpec:
             raise GvSpecError("need l >= 1")
         if not (0 < self.mu_target <= 1):
             raise GvSpecError("need 0 < mu <= 1")
+        # words have m >= 1 bits, so 2^l > HARD_SPAN_CAP is out before
+        # auto_m forms 2^l
+        if self.l >= HARD_SPAN_CAP.bit_length():
+            raise GvSpecError(self._span_error("m"))
         auto = self.auto_m()
         if self.m is None:
             self.m = auto
@@ -53,6 +67,12 @@ class GvSpec:
             raise GvSpecError("need m >= 1")
         if self.m > HARD_M_CAP:
             raise GvSpecError(f"m = {self.m} beyond the exact-arithmetic cap {HARD_M_CAP}")
+        if self.m << self.l > HARD_SPAN_CAP:
+            raise GvSpecError(self._span_error(self.m))
+
+    def _span_error(self, m) -> str:
+        return (f"the 2^{self.l} x {m} span is beyond the cap HARD_SPAN_CAP = "
+                f"{HARD_SPAN_CAP} bits")
 
     def auto_m(self) -> int:
         return math.ceil(4.0 * math.log(2 ** self.l) / self.mu_target ** 2)
@@ -91,7 +111,7 @@ def _span_code(generator: np.ndarray, band: tuple) -> tuple:
     else:
         # dependent generator columns: still a code, deduplicated for the
         # container invariant
-        uniq = np.unique(words, axis=0)
+        uniq = np.unpackbits(_row_set(words), axis=1, count=m)
         code = BinaryCode(m=m, N=uniq.shape[0], words=uniq)
     return code, out_of_band
 
@@ -138,6 +158,19 @@ class _BandTables:
         total = 1 << remaining
         return (total - self.inside(decided_ones, remaining)) << (m - remaining)
 
+    def outside_range(self, first: int, last: int, remaining: int) -> list:
+        """[outside_scaled(o, remaining, m) for o = first..last], read off
+        the one prefix row of ``remaining``."""
+        row = self.prefix[remaining]
+        total = 1 << remaining
+        shift = self.m - remaining
+        out = []
+        for o in range(first, last + 1):
+            lo = max(self.lo - o, 0)
+            hi = min(self.hi - o, remaining)
+            out.append((total - (row[hi + 1] - row[lo] if lo <= hi else 0)) << shift)
+        return out
+
 
 def gv_derandomized(spec: GvSpec) -> GvResult:
     """Conditional-expectations generator: deterministic, zero out-of-band
@@ -145,15 +178,20 @@ def gv_derandomized(spec: GvSpec) -> GvResult:
 
     Entries are decided row-major; fixing entry (i, j) finalizes the row-i
     parity of exactly the 2^j codeword indices whose top set bit is j, since
-    a parity stays uniform while any participating bit is undecided. The
-    running expectation (kept as an exact integer numerator at scale 2^m)
-    never increases because each decided bit picks the smaller branch of an
-    average.
+    a parity stays uniform while any participating bit is undecided. That
+    parity is the bit parity of the index masked by the row-i bits decided
+    so far. The running expectation (kept as an exact integer numerator at
+    scale 2^m) never increases because each decided bit picks the smaller
+    branch of an average.
 
     Every index in that group has m - i rows left, so its change under either
-    branch depends only on its (decided ones, row-i prefix parity) pair: each
-    branch sum is integer pair counts times exact ``outside_scaled``
-    differences, the same integer a per-codeword loop adds up.
+    branch depends only on its (decided ones o, pending parity) pair: it
+    moves from the row's table before[o] to after[o] ("stay") or to
+    after[o + 1] ("move"). Both tables are built once per row, over the
+    decided-ones range only, and a row's after table is the next row's
+    before table. Each branch sum is then one exact integer dot product of
+    the pair counts with the stay and move differences, the same integer a
+    per-codeword loop adds up.
     """
     m, l, N = spec.m, spec.l, spec.N
     lo, hi = spec.band
@@ -169,31 +207,32 @@ def gv_derandomized(spec: GvSpec) -> GvResult:
     trace = [initial]
     index = np.arange(N)
     ones = np.zeros(N, dtype=np.int64)       # decided-parity one counts
-    partial = np.zeros(N, dtype=np.int64)    # parity of the decided row prefix
     generator = np.zeros((m, l), dtype=np.uint8)
+    # after[k] is 2^m P(out of band) for first + k decided ones and m - i
+    # rows left: the before table of row i
+    first, after = 0, tables.outside_range(0, 0, m)
 
     for i in range(m):
-        # before[o] and after[o] are 2^m P(out of band) for an index with o
-        # decided ones (o <= i) and m - i, resp. m - i - 1, rows left
-        before = [tables.outside_scaled(o, m - i, m) for o in range(i + 1)]
-        after = [tables.outside_scaled(o, m - i - 1, m) for o in range(i + 2)]
-        partial[:] = 0
+        low, high = int(ones[1:].min()), int(ones[1:].max())
+        before = after[low - first:high - first + 1]
+        first, after = low, tables.outside_range(low, high + 1, m - i - 1)
+        stay = [a - b for a, b in zip(after, before)]
+        move = [a - b for a, b in zip(after[1:], before)]
+        # differences per key 2 (o - low) + parity under bit 0, resp. bit 1
+        diffs = ([d for pair in zip(stay, move) for d in pair],
+                 [d for pair in zip(move, stay) for d in pair])
+        row_bits = 0                         # the row-i bits decided so far
         for j in range(l):
             group = slice(1 << j, 2 << j)    # indices with top set bit j
-            counts = np.bincount(2 * ones[group] + partial[group])
-            keys = np.flatnonzero(counts)
-            delta = [0, 0]                   # change of total if bit = 0, 1
-            for key, n in zip(keys.tolist(), counts[keys].tolist()):
-                o, p = divmod(key, 2)
-                delta[p] += n * (after[o] - before[o])
-                delta[1 - p] += n * (after[o + 1] - before[o])
+            parity = np.bitwise_count(index[group] & row_bits) & 1
+            counts = np.bincount(2 * ones[group] + parity)[2 * low:].tolist()
+            delta = [sum(map(mul, counts, d)) for d in diffs]
             bit = 0 if delta[0] <= delta[1] else 1
             generator[i, j] = bit
             total += delta[bit]
             trace.append(Fraction(total, scale))
-            ones[group] += partial[group] ^ bit
-            if bit:
-                partial ^= index >> j & 1
+            ones[group] += parity ^ bit
+            row_bits |= bit << j
 
     # a zero-weight combination is out of band whenever lo >= 1, so a
     # collapsed span can only happen on the trivial mu = 1 band

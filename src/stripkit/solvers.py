@@ -112,7 +112,13 @@ def _soft(v: np.ndarray, t: float) -> np.ndarray:
 def _range_solve(w: np.ndarray, v: np.ndarray, mask: np.ndarray,
                  b: np.ndarray) -> np.ndarray:
     """(A A^T)^+ b from the eigenpairs of A A^T, directions off the mask dropped."""
-    coef = v.T @ b
+    return _range_apply(w, v, mask, v.T @ b)
+
+
+def _range_apply(w: np.ndarray, v: np.ndarray, mask: np.ndarray,
+                 coef: np.ndarray) -> np.ndarray:
+    """``_range_solve`` from the eigenbasis coefficients coef = v^T b, which
+    it overwrites."""
     coef[mask] /= w[mask]
     coef[~mask] = 0.0
     return v @ coef
@@ -190,7 +196,7 @@ class _BallProjector:
             null_mass = np.linalg.norm(dt[~self.rank_mask])
             if null_mass > 1e-9 * max(1.0, r):
                 raise SolverInputError("y is not in the range of Phi; eps=0 infeasible")
-            return vec - self.a.T @ _range_solve(self.w, self.v, self.rank_mask, d)
+            return vec - self.a.T @ _range_apply(self.w, self.v, self.rank_mask, dt)
         lam = self.multiplier(dt)
         return vec - self.a.T @ (self.v @ (lam * dt / (1.0 + lam * self.w)))
 

@@ -609,6 +609,12 @@ BAD_INPUT_CASES = {
     "recover": (["recover", "--dict", "{dict}", "--k", "1", "--solver", "lasso",
                  "--sigma", "nan"], "sigma must be finite"),
     "gv": (["gv", "--l", "3", "--mu", "1.5"], "need 0 < mu <= 1"),
+    # sizes past the caps, rejected before the span or code is allocated
+    "gv span": (["gv", "--l", "40", "--mu", "1"], "2^40 x m span is beyond the cap"),
+    "gv --derandomize span": (["gv", "--l", "40", "--mu", "1", "--derandomize"],
+                              "2^40 x m span is beyond the cap"),
+    "build dg size": (["build", "--family", "dg", "--s", "5", "--out", "{tmp}/x.dict"],
+                      "s=5 needs a 8388608 x 4096 code"),
     "experiment": (["experiment", "--config", "{cfg}"], "does not take ['typo']"),
 }
 

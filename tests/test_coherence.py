@@ -280,6 +280,25 @@ class TestDistanceCounts:
                     == brute_distance_counts(case.words))
 
 
+class TestPackedDistanceCounts:
+    # every word length around the 8- and 64-bit packing boundaries, at the
+    # default block and at a forced 1-row block
+    @pytest.mark.parametrize("m, n", [(m, n) for m in (0, 1, 7, 8, 9, 63, 64, 65, 130)
+                                      for n in (1, 2, 37) if n <= 2 ** m])
+    @pytest.mark.parametrize("one_row", [False, True])
+    def test_matches_bruteforce(self, m, n, one_row, monkeypatch):
+        rng = np.random.default_rng(1000 * m + n)
+        words = np.unique(rng.integers(0, 2, size=(4 * n, m), dtype=np.uint8), axis=0)
+        words = words[rng.permutation(len(words))[:n]]
+        code = BinaryCode(m=m, N=len(words), words=words)
+        if one_row:
+            monkeypatch.setattr(dictionaries, "GRAM_BLOCK_BYTES", 8 * code.N)
+        counts = distance_counts(code)
+        assert counts.shape == (m + 1,) and counts.dtype == np.int64
+        assert ({w: int(c) for w, c in enumerate(counts) if c}
+                == brute_distance_counts(code.words))
+
+
 class TestPless:
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_full_space_zero(self, l):

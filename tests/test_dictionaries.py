@@ -2,6 +2,7 @@ import hashlib
 import math
 import struct
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stripkit as sk
+from stripkit import dictionaries
 from stripkit.dictionaries import (BinaryCode, Dictionary, DictionaryFormatError,
                                    FamilyError, frame_spectrum, gf2_rank,
                                    span_of_generator)
@@ -230,6 +232,75 @@ class TestGeneratorBackedCode:
             g[:, -1] = g[:, 0] ^ g[:, l // 2]
         distinct = len(np.unique(span_of_generator(g), axis=0))
         assert 2 ** gf2_rank(g) == distinct
+
+
+def span_by_matmul(generator: np.ndarray) -> np.ndarray:
+    """Test oracle: the span as the product of all 2^l coefficient rows
+    (np.indices order) with the generator, mod 2."""
+    g = np.asarray(generator, dtype=np.uint8)
+    m, l = g.shape
+    coeffs = np.indices((2,) * l).reshape(l, -1).T.astype(np.uint8)
+    return (coeffs @ g.T) % 2
+
+
+class TestSpanOfGenerator:
+    @pytest.mark.parametrize("l", range(1, 11))
+    def test_matches_matmul_oracle(self, l):
+        rng = np.random.default_rng(l)
+        for m in (1, 7, 8, 9, 64, 70):
+            g = rng.integers(0, 2, size=(m, l), dtype=np.uint8)
+            if l > 1 and m % 2:
+                g[:, 0] = g[:, -1]          # dependent columns span duplicates
+            span = span_of_generator(g)
+            assert span.dtype == np.uint8
+            assert span.tobytes() == span_by_matmul(g).tobytes()
+
+
+class TestDistinctWords:
+    @pytest.mark.parametrize("m", [9, 70])
+    def test_duplicate_pair_rejected_anywhere(self, m):
+        rng = np.random.default_rng(m)
+        words = np.unique(rng.integers(0, 2, size=(20, m), dtype=np.uint8), axis=0)
+        n = len(words)
+        assert BinaryCode(m=m, N=n, words=words).N == n
+        for i, j in ((0, 1), (n - 2, n - 1), (0, n - 1)):
+            dup = words.copy()
+            dup[j] = dup[i]
+            with pytest.raises(FamilyError, match="codewords are not distinct"):
+                BinaryCode(m=m, N=n, words=dup)
+
+    @pytest.mark.parametrize("m", [9, 70])
+    def test_words_one_bit_apart_across_a_byte_boundary_are_distinct(self, m):
+        # bits 7 and 8 sit in different bytes of the packed rows; bit m - 1
+        # sits in the zero-padded last byte
+        base = np.random.default_rng(m + 1).integers(0, 2, size=m, dtype=np.uint8)
+        for bit in (7, 8, m - 1):
+            pair = np.stack([base, base])
+            pair[1, bit] ^= 1
+            assert BinaryCode(m=m, N=2, words=pair).N == 2
+            both = np.concatenate([pair, pair[:1]])
+            with pytest.raises(FamilyError, match="codewords are not distinct"):
+                BinaryCode(m=m, N=3, words=both)
+
+
+class TestCodeSizeCap:
+    @pytest.mark.parametrize("s", [4, 5])
+    def test_oversized_dg_rejected_before_building(self, s):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FamilyError, match="beyond the cap MAX_CODE_BITS"):
+                sk.build_family("dg", s=s)
+            with pytest.raises(FamilyError, match=f"{2 ** (4 * s + 3)} x {2 ** (2 * s + 2)}"):
+                sk.delsarte_goethals_code(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_largest_dg_under_the_cap_builds(self):
+        code = sk.delsarte_goethals_code(3)
+        assert (code.N, code.m) == (32768, 256)
+        assert code.N * code.m <= dictionaries.MAX_CODE_BITS
 
 
 class TestFromBinaryCode:

@@ -7,7 +7,8 @@ import pytest
 
 import stripkit as sk
 from stripkit.dictionaries import BinaryCode, span_of_generator
-from stripkit.gvforge import GvInfeasibleError, GvSpecError, GvSpec, _BandTables
+from stripkit.gvforge import (HARD_SPAN_CAP, GvInfeasibleError, GvSpecError, GvSpec,
+                              _BandTables)
 
 
 def per_codeword_oracle(spec: GvSpec):
@@ -74,6 +75,19 @@ class TestSpec:
             GvSpec(l=4, mu_target=0.0)
         with pytest.raises(GvSpecError):
             GvSpec(l=4, mu_target=0.2, m=10_000)
+
+    def test_span_cap(self):
+        # the 2^l x m span may hold HARD_SPAN_CAP bits and no more
+        top = HARD_SPAN_CAP.bit_length() - 1
+        assert HARD_SPAN_CAP == 2 ** top
+        assert GvSpec(l=top, mu_target=1.0, m=1).m == 1
+        assert GvSpec(l=top - 1, mu_target=1.0, m=2).m == 2
+        with pytest.raises(GvSpecError, match=f"2\\^{top} x 2 span is beyond the cap"):
+            GvSpec(l=top, mu_target=1.0, m=2)
+        # past the cap whatever m is, so auto_m never forms 2^l
+        for l in (top + 1, 40, 10 ** 9):
+            with pytest.raises(GvSpecError, match=f"2\\^{l} x m span is beyond the cap"):
+                GvSpec(l=l, mu_target=1.0)
 
 
 class TestGvRandom:
