@@ -6,9 +6,9 @@ derandomized construction, 2 usage errors, any other ValueError (numpy's
 LinAlgError, hence a rank-deficient support, is one), any OverflowError (an
 input past float range) and any OSError, such as an input file that does
 not exist or an output path in a missing directory. Sizes past the caps
-exit 2 before anything is allocated: ``gv`` when the 2^l x m span exceeds
-``gvforge.HARD_SPAN_CAP`` bits (``--l 40 --mu 1``), ``build --family dg``
-when the code exceeds ``dictionaries.MAX_CODE_BITS`` (``--s 4`` and up).
+exit 2 before anything is allocated: ``gv`` when the 2^l x m span, and
+``build --family dg`` when the code, exceeds ``dictionaries.MAX_CODE_BITS``
+= 2^32 bits (``gv --l 40 --mu 1``, ``build --family dg --s 5`` and up).
 """
 
 from __future__ import annotations

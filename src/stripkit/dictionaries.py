@@ -23,9 +23,12 @@ UNIT_COLUMN_TOL = 1e-10
 # distance_counts
 GRAM_BLOCK_BYTES = 8 * 2 ** 20
 
-# codeword bits (N x m) a constructed binary code may hold; its bipolar
-# dictionary takes 8 bytes per bit
-MAX_CODE_BITS = 2 ** 26
+# codeword bits (N x m) a constructed binary code (a GV span, a dg code) may
+# hold. Building one and its bipolar dictionary peaks at about 25 bytes per
+# bit (GV l=14, dg s=3 under tracemalloc), so 2^32 bits needs about 100 GiB;
+# past that the build could not allocate. dg s=4 (2^29 bits) is under the
+# cap, dg s=5 (2^35) over it.
+MAX_CODE_BITS = 2 ** 32
 
 _MAGIC = "SDICT"
 _FORMAT_VERSION = 1

@@ -16,7 +16,7 @@ bookkeeping stays in exact integer arithmetic (numerator at scale 2^m),
 equal to a per-codeword sum.
 
 A spec is refused up front (``GvSpecError``) when m exceeds HARD_M_CAP or
-the 2^l x m span exceeds HARD_SPAN_CAP bits.
+the 2^l x m span exceeds ``dictionaries.MAX_CODE_BITS`` bits.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .dictionaries import (MAX_CODE_BITS, BinaryCode, _row_set, distance_counts,
 from .seeding import derive_rng
 
 HARD_M_CAP = 4096
-HARD_SPAN_CAP = MAX_CODE_BITS     # bits of the 2^l x m span
 
 
 class GvSpecError(ValueError):
@@ -56,9 +55,9 @@ class GvSpec:
             raise GvSpecError("need l >= 1")
         if not (0 < self.mu_target <= 1):
             raise GvSpecError("need 0 < mu <= 1")
-        # words have m >= 1 bits, so 2^l > HARD_SPAN_CAP is out before
+        # words have m >= 1 bits, so 2^l > MAX_CODE_BITS is out before
         # auto_m forms 2^l
-        if self.l >= HARD_SPAN_CAP.bit_length():
+        if self.l >= MAX_CODE_BITS.bit_length():
             raise GvSpecError(self._span_error("m"))
         auto = self.auto_m()
         if self.m is None:
@@ -67,12 +66,12 @@ class GvSpec:
             raise GvSpecError("need m >= 1")
         if self.m > HARD_M_CAP:
             raise GvSpecError(f"m = {self.m} beyond the exact-arithmetic cap {HARD_M_CAP}")
-        if self.m << self.l > HARD_SPAN_CAP:
+        if self.m << self.l > MAX_CODE_BITS:
             raise GvSpecError(self._span_error(self.m))
 
     def _span_error(self, m) -> str:
-        return (f"the 2^{self.l} x {m} span is beyond the cap HARD_SPAN_CAP = "
-                f"{HARD_SPAN_CAP} bits")
+        return (f"the 2^{self.l} x {m} span is beyond the cap MAX_CODE_BITS = "
+                f"{MAX_CODE_BITS} bits")
 
     def auto_m(self) -> int:
         return math.ceil(4.0 * math.log(2 ** self.l) / self.mu_target ** 2)
@@ -158,19 +157,6 @@ class _BandTables:
         total = 1 << remaining
         return (total - self.inside(decided_ones, remaining)) << (m - remaining)
 
-    def outside_range(self, first: int, last: int, remaining: int) -> list:
-        """[outside_scaled(o, remaining, m) for o = first..last], read off
-        the one prefix row of ``remaining``."""
-        row = self.prefix[remaining]
-        total = 1 << remaining
-        shift = self.m - remaining
-        out = []
-        for o in range(first, last + 1):
-            lo = max(self.lo - o, 0)
-            hi = min(self.hi - o, remaining)
-            out.append((total - (row[hi + 1] - row[lo] if lo <= hi else 0)) << shift)
-        return out
-
 
 def gv_derandomized(spec: GvSpec) -> GvResult:
     """Conditional-expectations generator: deterministic, zero out-of-band
@@ -210,12 +196,13 @@ def gv_derandomized(spec: GvSpec) -> GvResult:
     generator = np.zeros((m, l), dtype=np.uint8)
     # after[k] is 2^m P(out of band) for first + k decided ones and m - i
     # rows left: the before table of row i
-    first, after = 0, tables.outside_range(0, 0, m)
+    first, after = 0, [tables.outside_scaled(0, m, m)]
 
     for i in range(m):
         low, high = int(ones[1:].min()), int(ones[1:].max())
         before = after[low - first:high - first + 1]
-        first, after = low, tables.outside_range(low, high + 1, m - i - 1)
+        first, after = low, [tables.outside_scaled(o, m - i - 1, m)
+                             for o in range(low, high + 2)]
         stay = [a - b for a, b in zip(after, before)]
         move = [a - b for a, b in zip(after[1:], before)]
         # differences per key 2 (o - low) + parity under bit 0, resp. bit 1

@@ -284,7 +284,7 @@ class TestDistinctWords:
 
 
 class TestCodeSizeCap:
-    @pytest.mark.parametrize("s", [4, 5])
+    @pytest.mark.parametrize("s", [5, 6])
     def test_oversized_dg_rejected_before_building(self, s):
         tracemalloc.start()
         try:
@@ -297,10 +297,17 @@ class TestCodeSizeCap:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
-    def test_largest_dg_under_the_cap_builds(self):
-        code = sk.delsarte_goethals_code(3)
-        assert (code.N, code.m) == (32768, 256)
-        assert code.N * code.m <= dictionaries.MAX_CODE_BITS
+    def test_dg_s4_is_under_the_cap(self):
+        assert 2 ** 19 * 2 ** 10 <= dictionaries.MAX_CODE_BITS < 2 ** 23 * 2 ** 12
+
+    def test_code_at_the_cap_builds(self, monkeypatch):
+        # the cap admits a code of exactly MAX_CODE_BITS bits, one bit more is out
+        monkeypatch.setattr(dictionaries, "MAX_CODE_BITS", 2 ** 11 * 2 ** 6)
+        code = sk.delsarte_goethals_code(2)
+        assert (code.N, code.m) == (2048, 64)
+        monkeypatch.setattr(dictionaries, "MAX_CODE_BITS", 2 ** 11 * 2 ** 6 - 1)
+        with pytest.raises(FamilyError, match="beyond the cap MAX_CODE_BITS"):
+            sk.delsarte_goethals_code(2)
 
 
 class TestFromBinaryCode:

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import stripkit as sk
-from stripkit.dictionaries import BinaryCode, span_of_generator
-from stripkit.gvforge import (HARD_SPAN_CAP, GvInfeasibleError, GvSpecError, GvSpec,
-                              _BandTables)
+from stripkit.dictionaries import MAX_CODE_BITS, BinaryCode, span_of_generator
+from stripkit.gvforge import GvInfeasibleError, GvSpecError, GvSpec, _BandTables
 
 
 def per_codeword_oracle(spec: GvSpec):
@@ -77,9 +76,11 @@ class TestSpec:
             GvSpec(l=4, mu_target=0.2, m=10_000)
 
     def test_span_cap(self):
-        # the 2^l x m span may hold HARD_SPAN_CAP bits and no more
-        top = HARD_SPAN_CAP.bit_length() - 1
-        assert HARD_SPAN_CAP == 2 ** top
+        # the 2^l x m span may hold MAX_CODE_BITS bits and no more
+        top = MAX_CODE_BITS.bit_length() - 1
+        assert MAX_CODE_BITS == 2 ** top
+        # sizes well under the cap stay accepted
+        assert [GvSpec(l=l, mu_target=0.4).m for l in (18, 20)] == [312, 347]
         assert GvSpec(l=top, mu_target=1.0, m=1).m == 1
         assert GvSpec(l=top - 1, mu_target=1.0, m=2).m == 2
         with pytest.raises(GvSpecError, match=f"2\\^{top} x 2 span is beyond the cap"):
