@@ -62,8 +62,7 @@ def _bipolar_code(d: dc.Dictionary) -> dc.BinaryCode:
     scale = 1.0 / math.sqrt(d.m)
     if d.field != "real" or np.abs(np.abs(d.entries) - scale).max() > 1e-9:
         raise dc.FamilyError("dictionary is not bipolar; no underlying binary code")
-    bits = (d.entries < 0).astype(np.uint8).T
-    return dc.BinaryCode(m=d.m, N=d.N, words=bits)
+    return dc.BinaryCode.from_words((d.entries < 0).T)
 
 
 def _cmd_analyze(args) -> int:
@@ -189,10 +188,10 @@ def _cmd_gv(args) -> int:
     else:
         result = gv.gv_random(spec, args.seed)
     width, mu = gv.code_width(result.code)
-    d = dc.from_binary_code(result.code, name=f"gv(l={spec.l},mu={spec.mu_target})")
-    d.params.update({"family": "gv", "l": spec.l, "mu_target": spec.mu_target,
-                     "m": spec.m, "derandomized": args.derandomize})
     if args.out:
+        d = dc.from_binary_code(result.code, name=f"gv(l={spec.l},mu={spec.mu_target})")
+        d.params.update({"family": "gv", "l": spec.l, "mu_target": spec.mu_target,
+                         "m": spec.m, "derandomized": args.derandomize})
         dc.save_dictionary(d, args.out)
     print(json.dumps({
         "schema_version": 1, "m": spec.m, "l": spec.l, "N": result.code.N,

@@ -189,7 +189,7 @@ def oa_strength(code: BinaryCode, t_max: int) -> OaStrengthResult:
     if code.N < 1:
         raise ValueError("empty code")
     top = min(t_max, code.m)
-    if top < 1 or np.any(2 * code.words.sum(axis=0) != code.N):
+    if top < 1 or np.any(2 * code.bits().sum(axis=0) != code.N):
         return OaStrengthResult(0)
     strength = 1
     if top > 1:

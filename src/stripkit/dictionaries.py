@@ -24,11 +24,15 @@ UNIT_COLUMN_TOL = 1e-10
 GRAM_BLOCK_BYTES = 8 * 2 ** 20
 
 # codeword bits (N x m) a constructed binary code (a GV span, a dg code) may
-# hold. Building one and its bipolar dictionary peaks at about 25 bytes per
-# bit (GV l=14, dg s=3 under tracemalloc), so 2^32 bits needs about 100 GiB;
-# past that the build could not allocate. dg s=4 (2^29 bits) is under the
-# cap, dg s=5 (2^35) over it.
+# hold. Building one and its bipolar dictionary peaks at about 24 bytes per
+# bit (GV l=14, dg s=3 under tracemalloc; the packed GV code alone takes 0.8,
+# the float64 dictionary the rest), so 2^32 bits needs about 100 GiB; past
+# that the build could not allocate. dg s=4 (2^29 bits) is under the cap,
+# dg s=5 (2^35) over it.
 MAX_CODE_BITS = 2 ** 32
+
+# Bernoulli row-mask draws of build_random_harmonic before an empty one fails
+HARMONIC_MAX_RETRIES = 64
 
 _MAGIC = "SDICT"
 _FORMAT_VERSION = 1
@@ -121,30 +125,58 @@ def frame_spectrum(a: np.ndarray):
 
 @dataclass
 class BinaryCode:
-    """A set of N distinct binary words of length m (rows of ``words``)."""
+    """N distinct binary words of length m: row i of ``rows`` is word i in
+    ``np.packbits`` bit order over ceil(m/64) uint64 words, pad bits zero. A
+    linear code keeps its generator; its rows are span_of_generator(generator).
+    Build codes with ``from_words`` or ``from_generator``, which check them."""
 
     m: int
-    N: int
-    words: np.ndarray                       # (N, m) uint8 in {0,1}
+    rows: np.ndarray                        # (N, ceil(m/64)) uint64
     generator: Optional[np.ndarray] = None  # (m, l) uint8; code = {G u : u in F2^l}
 
-    def __post_init__(self):
-        self.words = np.ascontiguousarray(self.words, dtype=np.uint8)
-        if self.words.shape != (self.N, self.m):
-            raise FamilyError(f"words shape {self.words.shape} != ({self.N}, {self.m})")
-        if self.words.size and self.words.max() > 1:
+    @property
+    def N(self) -> int:
+        return len(self.rows)
+
+    @classmethod
+    def from_words(cls, words) -> "BinaryCode":
+        """The code of the distinct 0/1 rows of an (N, m) matrix."""
+        words = np.ascontiguousarray(words, dtype=np.uint8)
+        if words.ndim != 2:
+            raise FamilyError(f"words must be an (N, m) matrix, got shape {words.shape}")
+        if words.size and words.max() > 1:
             raise FamilyError("words must be 0/1")
-        if self.generator is None:
-            if len(_row_set(self.words)) != self.N:
-                raise FamilyError("codewords are not distinct")
-            return
-        self.generator = np.ascontiguousarray(self.generator, dtype=np.uint8)
-        if not (_is_span_in_order(self.generator, self.words)
-                or _same_word_set(span_of_generator(self.generator), self.words)):
-            raise FamilyError("words do not match the span of the generator")
-        # the 2^l words of the span are distinct iff G has full column rank
-        if gf2_rank(self.generator) < self.generator.shape[1]:
+        rows = _pack_rows(words)
+        if len(_row_set(rows)) != len(rows):
             raise FamilyError("codewords are not distinct")
+        return cls(words.shape[1], rows)
+
+    @classmethod
+    def from_generator(cls, generator) -> "BinaryCode":
+        """The linear code {G u : u in F2^l} of an (m, l) 0/1 generator, its
+        rows in span order."""
+        g = np.ascontiguousarray(generator, dtype=np.uint8)
+        # the 2^l words of the span are distinct iff G has full column rank
+        if gf2_rank(g) < g.shape[1]:
+            raise FamilyError("codewords are not distinct")
+        return cls(g.shape[0], span_of_generator(g), g)
+
+    def bits(self) -> np.ndarray:
+        """The words as an (N, m) uint8 matrix of 0/1."""
+        return np.unpackbits(self.rows.view(np.uint8), axis=1, count=self.m)
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """The rows of a 0/1 matrix packed as in ``BinaryCode.rows``."""
+    n, m = bits.shape
+    packed = np.zeros((n, -(-m // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-m // 8)] = np.packbits(bits, axis=1)
+    return packed.view(np.uint64)
+
+
+def _weights(rows: np.ndarray) -> np.ndarray:
+    """The Hamming weight of each packed row."""
+    return np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
 
 
 def distance_counts(code: BinaryCode) -> np.ndarray:
@@ -152,68 +184,45 @@ def distance_counts(code: BinaryCode) -> np.ndarray:
     distance w, for w = 0..m.
 
     A linear code (generator set) is its own difference set: counts = N *
-    its weight histogram. Otherwise each word is packed into 64-bit words
-    and dist(i, j) is the popcount of their xor, summed over the words, in
-    row blocks whose (rows x N) uint64 xor holds about GRAM_BLOCK_BYTES.
+    its weight histogram. Otherwise dist(i, j) is the popcount of the xor
+    of rows i and j, summed over their words, in row blocks whose
+    (rows x N) uint64 xor holds about GRAM_BLOCK_BYTES.
     """
     if code.generator is not None:
-        return code.N * np.bincount(code.words.sum(axis=1), minlength=code.m + 1)
-    packed = _packed_words(code.words)
+        return code.N * np.bincount(_weights(code.rows), minlength=code.m + 1)
     counts = np.zeros(code.m + 1, dtype=np.int64)
     block = max(1, GRAM_BLOCK_BYTES // (8 * max(1, code.N)))
     for start in range(0, code.N, block):
-        rows = packed[start:start + block]
+        rows = code.rows[start:start + block]
         dist = np.zeros((len(rows), code.N), dtype=np.min_scalar_type(code.m))
-        for k in range(packed.shape[1]):
-            dist += np.bitwise_count(rows[:, k, None] ^ packed[:, k])
+        for k in range(code.rows.shape[1]):
+            dist += np.bitwise_count(rows[:, k, None] ^ code.rows[:, k])
         counts += np.bincount(dist.ravel(), minlength=code.m + 1)
     return counts
 
 
-def _packed_words(words: np.ndarray) -> np.ndarray:
-    """The rows of a 0/1 matrix packed into uint64 words, zero-padded."""
-    packed = np.packbits(words, axis=1)
-    pad = -packed.shape[1] % 8
-    if pad:
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-    return packed.view(np.uint64)
-
-
 def span_of_generator(generator: np.ndarray) -> np.ndarray:
-    """All 2^l combinations G @ u mod 2 of the generator columns, as rows.
-    Row u combines the columns j with bit l-1-j of u set.
+    """All 2^l combinations G @ u mod 2 of the generator columns, as packed
+    rows (see ``BinaryCode``). Row u combines the columns j with bit l-1-j
+    of u set.
 
     Built by doubling: after the columns l-1, ..., j the rows are the span of
     those columns, and column j - 1 appends their xor with it as the rows
     whose next bit is set."""
-    g = np.asarray(generator, dtype=np.uint8)
-    m, l = g.shape
-    words = np.zeros((1 << l, m), dtype=np.uint8)
+    cols = _pack_rows(np.asarray(generator, dtype=np.uint8).T)
+    l = len(cols)
+    rows = np.zeros((1 << l, cols.shape[1]), dtype=np.uint64)
     for k in range(l):
         n = 1 << k
-        np.bitwise_xor(words[:n], g[:, l - 1 - k], out=words[n:2 * n])
-    return words
-
-
-def _is_span_in_order(generator: np.ndarray, words: np.ndarray) -> bool:
-    """Whether ``words`` is span_of_generator(generator), row for row. By
-    induction on u: row 0 is zero, row 2^(l-1-j) is column j, and every row
-    is the xor of the rows of its lowest set bit and of the rest."""
-    m, l = generator.shape
-    if words.shape != (1 << l, m):
-        return False
-    u = np.arange(1, 1 << l)
-    low = u & -u
-    return (not words[0].any()
-            and np.array_equal(words[1 << np.arange(l - 1, -1, -1)], generator.T)
-            and np.array_equal(words[u], words[u ^ low] ^ words[low]))
+        np.bitwise_xor(rows[:n], cols[l - 1 - k], out=rows[n:2 * n])
+    return rows
 
 
 def gf2_rank(matrix: np.ndarray) -> int:
     """Column rank over GF(2) of a 0/1 matrix."""
     basis = []              # nonzero, distinct leading bits, largest first
-    for col in np.asarray(matrix, dtype=np.uint8).T:
-        v = int.from_bytes(np.packbits(col).tobytes(), "big")
+    for col in _pack_rows(np.asarray(matrix, dtype=np.uint8).T):
+        v = int.from_bytes(col.tobytes(), "big")
         for b in basis:
             v = min(v, v ^ b)   # clears b's leading bit if v has it
         if v:
@@ -222,21 +231,16 @@ def gf2_rank(matrix: np.ndarray) -> int:
     return len(basis)
 
 
-def _row_set(words: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 0/1 matrix, packed by ``np.packbits``, in
-    lexicographic order: lexsorted, then each row kept when it differs from
-    its predecessor."""
-    packed = np.packbits(words, axis=1)
-    if packed.shape[1] == 0:                 # m = 0: all rows are equal
-        return packed[:1]
-    packed = packed[np.lexsort(packed.T[::-1])]
-    keep = np.ones(len(packed), dtype=bool)
-    keep[1:] = (packed[1:] != packed[:-1]).any(axis=1)
-    return packed[keep]
-
-
-def _same_word_set(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(_row_set(a), _row_set(b))
+def _row_set(rows: np.ndarray) -> np.ndarray:
+    """The distinct packed rows in lexicographic bit order: lexsorted on
+    their bytes, which hold the bits in order, then each row kept when it
+    differs from its predecessor."""
+    if rows.shape[1] == 0:                   # m = 0: all rows are equal
+        return rows[:1]
+    rows = rows[np.lexsort(rows.view(np.uint8).T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 def _normalize_columns(entries: np.ndarray) -> np.ndarray:
@@ -259,7 +263,7 @@ def build_gaussian(m: int, N: int, seed: int) -> Dictionary:
     )
 
 
-def build_random_harmonic(m: int, N: int, seed: int, max_retries: int = 64) -> Dictionary:
+def build_random_harmonic(m: int, N: int, seed: int) -> Dictionary:
     """Bernoulli(m/N) row subsample of the N x N DFT, columns renormalized.
 
     The realized row count |M| is recorded in params and drives the
@@ -268,14 +272,13 @@ def build_random_harmonic(m: int, N: int, seed: int, max_retries: int = 64) -> D
     if not (1 <= m <= N):
         raise FamilyError("need 1 <= m <= N")
     rng = np.random.default_rng(seed)
-    rows = np.array([], dtype=np.int64)
-    for _ in range(max_retries):
+    for _ in range(HARMONIC_MAX_RETRIES):
         mask = rng.random(N) < (m / N)
         if mask.any():
             rows = np.flatnonzero(mask)
             break
     else:
-        raise FamilyError(f"empty row set after {max_retries} retries")
+        raise FamilyError(f"empty row set after {HARMONIC_MAX_RETRIES} retries")
     j = np.arange(N)
     # row r of the DFT evaluated at all columns, then unit-column scaling
     phases = np.exp(2j * np.pi * np.outer(rows, j) / N)
@@ -350,7 +353,7 @@ def from_binary_code(code: BinaryCode, name: str = "code") -> Dictionary:
     """Bipolar image of a binary code: bit 0 -> +1/sqrt(m), bit 1 -> -1/sqrt(m)."""
     if code.N < 1:
         raise FamilyError("empty code")
-    entries = (1.0 - 2.0 * code.words.astype(np.float64)).T / np.sqrt(code.m)
+    entries = (1.0 - 2.0 * code.bits().astype(np.float64)).T / np.sqrt(code.m)
     return Dictionary(
         name=name, field="real", m=code.m, N=code.N, entries=entries,
         params={"family": "binary_code"},
@@ -376,8 +379,7 @@ def delsarte_goethals_code(s: int, r: int = 0) -> BinaryCode:
         raise FamilyError(
             f"s={s} needs a {N} x {m} code ({N * m} bits), beyond the cap "
             f"MAX_CODE_BITS = {MAX_CODE_BITS}")
-    words = kerdock_binary_words(2 * s + 1, antipode_free=True)
-    return BinaryCode(m=m, N=N, words=words)
+    return BinaryCode.from_words(kerdock_binary_words(2 * s + 1))
 
 
 def build_delsarte_goethals(s: int, r: int = 0,

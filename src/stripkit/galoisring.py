@@ -87,26 +87,22 @@ def _offset_words(degree: int, offsets) -> np.ndarray:
     return words4.reshape(-1, rows.shape[1])
 
 
-def kerdock_binary_words(degree: int, antipode_free: bool = True) -> np.ndarray:
-    """Binary Kerdock-type words of length 2^(degree+1).
-
-    With ``antipode_free`` the constant offset runs over {0,1} only, which
-    picks one word out of each complementary pair; the full code (offset in
-    Z4) contains every word together with its complement.
-    """
-    return gray_map(_offset_words(degree, (0, 1) if antipode_free else (0, 1, 2, 3)))
+def kerdock_binary_words(degree: int) -> np.ndarray:
+    """Binary Kerdock-type words of length 2^(degree+1), one of each
+    complementary pair (offset + 2): the constant offset runs over {0,1}."""
+    return gray_map(_offset_words(degree, (0, 1)))
 
 
-def kerdock_difference_distances(degree: int, antipode_free: bool = True):
+def kerdock_difference_distances(degree: int):
     """Distinct pairwise Hamming distances of the binary code, cheaply.
 
     The Gray map is an isometry from Lee distance, and differences of
-    (coefficients, offset) pairs sweep offsets {0, +-1} (all of Z4 when the
-    full code is kept), so the distance multiset equals the Lee weights of
-    those difference words: no N^2 pair enumeration needed. Returns
-    (distinct nonzero distances, count of duplicate codewords).
+    (coefficients, offset) pairs sweep offsets {0, +-1}, so the distance
+    multiset equals the Lee weights of those difference words: no N^2 pair
+    enumeration needed. Returns (distinct nonzero distances, count of
+    duplicate codewords).
     """
-    words4 = _offset_words(degree, (0, 1, 3) if antipode_free else (0, 1, 2, 3))
+    words4 = _offset_words(degree, (0, 1, 3))
     lee = np.minimum(words4, 4 - words4).sum(axis=1)
     lee = lee[1:]     # the (0, 0) difference is the zero word; drop it
     return np.unique(lee[lee > 0]), int((lee == 0).sum())

@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dictionaries import (MAX_CODE_BITS, BinaryCode, _row_set, distance_counts,
-                           span_of_generator)
+from .dictionaries import (MAX_CODE_BITS, BinaryCode, _row_set, _weights,
+                           distance_counts, span_of_generator)
 from .seeding import derive_rng
 
 HARD_M_CAP = 4096
@@ -100,18 +100,14 @@ class GvResult:
 def _span_code(generator: np.ndarray, band: tuple) -> tuple:
     """(code, out_of_band): the span of ``generator`` and the count of its
     nonzero combinations whose weight leaves the inclusive ``band``."""
-    m, l = generator.shape
-    words = span_of_generator(generator)
-    w = words[1:].sum(axis=1)      # row 0 is the zero combination
+    rows = span_of_generator(generator)
+    w = _weights(rows[1:])         # row 0 is the zero combination
     lo, hi = band
     out_of_band = int(((w < lo) | (w > hi)).sum())
-    if w.min() > 0:                # two codewords coincide iff their sum is zero
-        code = BinaryCode(m=m, N=1 << l, words=words, generator=generator)
-    else:
-        # dependent generator columns: still a code, deduplicated for the
-        # container invariant
-        uniq = np.unpackbits(_row_set(words), axis=1, count=m)
-        code = BinaryCode(m=m, N=uniq.shape[0], words=uniq)
+    # two codewords coincide iff their sum is zero; dependent generator
+    # columns still give a code, deduplicated for the container invariant
+    code = (BinaryCode(len(generator), rows, generator) if w.min() > 0
+            else BinaryCode(len(generator), _row_set(rows)))
     return code, out_of_band
 
 

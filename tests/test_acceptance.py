@@ -354,7 +354,7 @@ def test_criterion_08_gv_derandomization():
     assert spec.m == 111
     result = sk.gv_derandomized(spec)
     width, mu = sk.code_width(result.code)
-    weights = (result.code.words.sum(axis=1))
+    weights = (result.code.bits().sum(axis=1))
     nonzero = np.sort(weights)[1:]        # drop the zero word
     tr = result.expectation_trace
     monotone = all(b <= a for a, b in zip(tr, tr[1:]))

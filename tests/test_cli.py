@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -427,6 +428,25 @@ class TestGv:
         code = main(["gv", "--l", "4", "--mu", "0.25", "--m", "40",
                      "--derandomize"])
         assert code == 1
+
+    def test_dictionary_built_only_for_out(self, tmp_path, capsys):
+        # the float64 bipolar dictionary of the l = 16 span would take
+        # 8 * 278 * 2^16 bytes = 139 MiB; without --out nothing reads it
+        tracemalloc.start()
+        try:
+            assert main(["gv", "--l", "16", "--mu", "0.4"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2 ** 20
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["m"], payload["N"]) == (278, 2 ** 16)
+        for flags in ([], ["--derandomize"]):
+            argv = ["gv", "--l", "6", "--mu", "0.5", *flags]
+            assert main(argv) == 0
+            plain = capsys.readouterr().out
+            assert main(argv + ["--out", str(tmp_path / "gv.dict")]) == 0
+            assert capsys.readouterr().out == plain
 
 
 class TestExperiment:

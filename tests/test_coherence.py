@@ -17,7 +17,7 @@ from stripkit.coherence import (INVARIANCE_TOL, CoherenceProfile,
 from stripkit import dictionaries
 from stripkit.dictionaries import BinaryCode, Dictionary, distance_counts
 
-from conftest import full_space, reed_muller_1_3
+from conftest import full_space, reed_muller_1_3, span_bits
 
 
 def brute_distance_counts(words: np.ndarray) -> dict:
@@ -32,7 +32,7 @@ def brute_distance_counts(words: np.ndarray) -> dict:
 def oa_strength_enumerated(code: BinaryCode, t_max: int) -> int:
     """Test oracle: largest t <= t_max with every t-subset of columns hitting
     each of its 2^t patterns exactly N/2^t times, by enumerating the subsets."""
-    bits = code.words
+    bits = code.bits()
     strength = 0
     for t in range(1, min(t_max, code.m) + 1):
         if code.N % (1 << t):
@@ -54,19 +54,19 @@ def random_code(kind: str, rng: np.random.Generator) -> BinaryCode:
     if kind == "subset":
         n = int(rng.integers(1, 2 ** m + 1))
         index = rng.choice(2 ** m, size=n, replace=False)
-        words = full_space(m).words[index]
-        return BinaryCode(m=m, N=n, words=words)
+        words = full_space(m).bits()[index]
+        return BinaryCode.from_words(words)
     g = rng.integers(0, 2, size=(m, int(rng.integers(1, m + 1))), dtype=np.uint8)
-    span = dictionaries.span_of_generator(g)
+    span = span_bits(g)
     if kind == "span":
         if dictionaries.gf2_rank(g) == g.shape[1]:
-            return BinaryCode(m=m, N=len(span), words=span, generator=g)
+            return BinaryCode.from_generator(g)
         shifts = np.zeros((1, m), dtype=np.uint8)
     else:
         shifts = rng.integers(0, 2, size=(2 if kind == "two cosets" else 1, m),
                               dtype=np.uint8)
     words = np.unique(np.concatenate([span ^ a for a in shifts]), axis=0)
-    return BinaryCode(m=m, N=len(words), words=words)
+    return BinaryCode.from_words(words)
 
 
 class TestProfile:
@@ -231,7 +231,7 @@ class TestBlockedProfile:
 
 class TestDistanceDistribution:
     def test_singleton(self):
-        code = BinaryCode(m=5, N=1, words=np.zeros((1, 5), dtype=np.uint8))
+        code = BinaryCode.from_words(np.zeros((1, 5), dtype=np.uint8))
         dist = sk.distance_distribution(code)
         assert dist.weight(0) == Fraction(1)
         assert sum(dist.counts.values()) == 1
@@ -245,7 +245,7 @@ class TestDistanceDistribution:
     def test_reed_muller_vs_bruteforce(self):
         code = reed_muller_1_3()
         dist = sk.distance_distribution(code)
-        brute = brute_distance_counts(code.words)
+        brute = brute_distance_counts(code.bits())
         assert dist.counts == brute
         # per word: itself, 14 at distance 4, the complement at distance 8
         assert dist.weight(0) == 1
@@ -263,7 +263,7 @@ class TestDistanceCounts:
         # with about n words
         rng = np.random.default_rng(n * 100 + m)
         words = np.unique(rng.integers(0, 2, size=(n, m), dtype=np.uint8), axis=0)
-        code = BinaryCode(m=m, N=len(words), words=words)
+        code = BinaryCode.from_words(words)
         if rows:
             assert code.N % rows     # the last block is short
             monkeypatch.setattr(dictionaries, "GRAM_BLOCK_BYTES", rows * 8 * code.N)
@@ -271,13 +271,12 @@ class TestDistanceCounts:
         g = rng.integers(0, 2, size=(m, l), dtype=np.uint8)
         while dictionaries.gf2_rank(g) < l:
             g = rng.integers(0, 2, size=(m, l), dtype=np.uint8)
-        span = dictionaries.span_of_generator(g)
-        linear = BinaryCode(m=m, N=len(span), words=span, generator=g)
+        linear = BinaryCode.from_generator(g)
         for case in (code, linear):
             counts = distance_counts(case)
             assert counts.shape == (m + 1,)
             assert ({w: int(c) for w, c in enumerate(counts) if c}
-                    == brute_distance_counts(case.words))
+                    == brute_distance_counts(case.bits()))
 
 
 class TestPackedDistanceCounts:
@@ -290,13 +289,13 @@ class TestPackedDistanceCounts:
         rng = np.random.default_rng(1000 * m + n)
         words = np.unique(rng.integers(0, 2, size=(4 * n, m), dtype=np.uint8), axis=0)
         words = words[rng.permutation(len(words))[:n]]
-        code = BinaryCode(m=m, N=len(words), words=words)
+        code = BinaryCode.from_words(words)
         if one_row:
             monkeypatch.setattr(dictionaries, "GRAM_BLOCK_BYTES", 8 * code.N)
         counts = distance_counts(code)
         assert counts.shape == (m + 1,) and counts.dtype == np.int64
         assert ({w: int(c) for w, c in enumerate(counts) if c}
-                == brute_distance_counts(code.words))
+                == brute_distance_counts(code.bits()))
 
 
 class TestPless:
@@ -308,8 +307,7 @@ class TestPless:
 
     def test_antipodal_pair_hand_value(self):
         for m in (4, 6):
-            code = BinaryCode(m=m, N=2,
-                              words=np.stack([np.zeros(m), np.ones(m)]).astype(np.uint8))
+            code = BinaryCode.from_words(np.stack([np.zeros(m), np.ones(m)]).astype(np.uint8))
             dist = sk.distance_distribution(code)
             got = sk.pless_residual(dist, 2)
             assert got == pytest.approx(m * m / 4 - m / 4, abs=1e-12)
@@ -333,7 +331,7 @@ class TestOaStrength:
         assert res.strength == 3 and res.exact
 
     def test_singleton(self):
-        code = BinaryCode(m=4, N=1, words=np.zeros((1, 4), dtype=np.uint8))
+        code = BinaryCode.from_words(np.zeros((1, 4), dtype=np.uint8))
         assert sk.oa_strength(code, t_max=2).strength == 0
 
     def test_matches_enumeration(self):
@@ -348,7 +346,7 @@ class TestOaStrength:
                     res = sk.oa_strength(code, t_max)
                     assert res.exact and res.note == ""
                     assert res.strength == oa_strength_enumerated(code, t_max), (
-                        kind, code.words.tolist(), t_max)
+                        kind, code.bits().tolist(), t_max)
                     positive += res.strength > 0
         assert positive > 1000
 
@@ -361,7 +359,7 @@ class TestOaStrength:
         unbalanced = 0
         while unbalanced < 300:
             code = random_code(rng.choice(["subset", "coset", "two cosets"]), rng)
-            if np.all(2 * code.words.sum(axis=0) == code.N):
+            if np.all(2 * code.bits().sum(axis=0) == code.N):
                 continue
             unbalanced += 1
             with monkeypatch.context() as mp:
@@ -376,7 +374,7 @@ class TestOaStrength:
             assert sk.oa_strength(code, 1).strength == 1
             assert sk.oa_strength(code, 0).strength == 0
         with pytest.raises(ValueError, match="empty code"):
-            sk.oa_strength(BinaryCode(m=3, N=0, words=np.zeros((0, 3), np.uint8)), 1)
+            sk.oa_strength(BinaryCode.from_words(np.zeros((0, 3), np.uint8)), 1)
 
     def test_delsarte_goethals_exact(self):
         # 64 x 2048 at t = 7: far past the old enumeration budget (the oracle

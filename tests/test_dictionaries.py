@@ -17,7 +17,7 @@ from stripkit.dictionaries import (BinaryCode, Dictionary, DictionaryFormatError
                                    FamilyError, frame_spectrum, gf2_rank,
                                    span_of_generator)
 
-from conftest import full_space, reed_muller_1_3
+from conftest import full_space, reed_muller_1_3, span_bits
 
 
 class TestGaussian:
@@ -139,7 +139,7 @@ class TestDelsarteGoethals:
 
     def test_underlying_code_distances_in_band(self):
         code = sk.delsarte_goethals_code(1)
-        bits = code.words.astype(np.int16)
+        bits = code.bits().astype(np.int16)
         for i in range(0, code.N, 17):
             dist = (bits != bits[i]).sum(axis=1)
             dist = np.delete(dist, i)
@@ -155,12 +155,12 @@ class TestDelsarteGoethals:
         code = sk.delsarte_goethals_code(1)
         d = sk.build_delsarte_goethals(1, code=code)
         assert d.N == code.N
-        bad = BinaryCode(m=8, N=2, words=np.array([[0] * 8, [1] * 8], dtype=np.uint8))
+        bad = BinaryCode.from_words(np.array([[0] * 8, [1] * 8], dtype=np.uint8))
         with pytest.raises(FamilyError):
             sk.build_delsarte_goethals(1, code=bad)
 
     def test_empty_supplied_code_rejected(self):
-        empty = BinaryCode(m=16, N=0, words=np.zeros((0, 16), dtype=np.uint8))
+        empty = BinaryCode.from_words(np.zeros((0, 16), dtype=np.uint8))
         with pytest.raises(FamilyError, match="empty code"):
             sk.build_delsarte_goethals(1, code=empty)
 
@@ -182,12 +182,12 @@ class TestDelsarteGoethals:
         assert np.abs(frame - 32 * np.eye(64)).max() < 1e-12
 
     def test_full_code_structure(self):
-        # keeping all four offsets doubles the code and adds the complement
-        # pairs: distances {0, 6, 8, 10, 16} with the classic multiplicities,
-        # and the array reaches strength 5 exactly
+        # the full code (all four offsets) is the words with their
+        # complements: distances {0, 6, 8, 10, 16} with the classic
+        # multiplicities, and the array reaches strength 5 exactly
         from stripkit.galoisring import kerdock_binary_words
-        words = kerdock_binary_words(3, antipode_free=False)
-        code = BinaryCode(m=16, N=256, words=words)
+        words = kerdock_binary_words(3)
+        code = BinaryCode.from_words(np.concatenate([words, 1 - words]))
         dist = sk.distance_distribution(code)
         per_word = {w: int(c) // 256 for w, c in dist.counts.items()}
         assert per_word == {0: 1, 6: 112, 8: 30, 10: 112, 16: 1}
@@ -198,30 +198,11 @@ class TestDelsarteGoethals:
 class TestGeneratorBackedCode:
     def test_rank_deficient_generator_rejected(self):
         g = reed_muller_1_3().generator.copy()
-        g[:, 3] = g[:, 1] ^ g[:, 2]
-        words = span_of_generator(g)
-        for rows in (words, words[::-1]):
+        for a, b, c in ((3, 1, 2), (0, 0, 0), (2, 0, 1)):
+            dependent = g.copy()
+            dependent[:, a] = g[:, b] ^ g[:, c]
             with pytest.raises(FamilyError, match="codewords are not distinct"):
-                BinaryCode(m=8, N=16, words=rows, generator=g)
-
-    def test_words_must_match_generator(self):
-        code = reed_muller_1_3()
-        flipped = code.words.copy()
-        flipped[5, 0] ^= 1
-        other = code.generator.copy()
-        other[0, 1] ^= 1
-        half = code.words[code.words[:, 0] == 0]
-        for words, g in ((flipped, code.generator), (code.words, other),
-                         (half, code.generator), (code.words[::-1], other)):
-            with pytest.raises(FamilyError, match="do not match the span"):
-                BinaryCode(m=8, N=words.shape[0], words=words, generator=g)
-
-    def test_any_row_order_of_the_span_accepted(self):
-        code = reed_muller_1_3()
-        perm = np.random.default_rng(1).permutation(16)
-        again = BinaryCode(m=8, N=16, words=code.words[perm],
-                           generator=code.generator)
-        assert again.words.tobytes() == code.words[perm].tobytes()
+                BinaryCode.from_generator(dependent)
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 9), l=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
@@ -247,13 +228,37 @@ class TestSpanOfGenerator:
     @pytest.mark.parametrize("l", range(1, 11))
     def test_matches_matmul_oracle(self, l):
         rng = np.random.default_rng(l)
-        for m in (1, 7, 8, 9, 64, 70):
+        for m in (1, 7, 8, 9, 64, 65, 70):
             g = rng.integers(0, 2, size=(m, l), dtype=np.uint8)
             if l > 1 and m % 2:
                 g[:, 0] = g[:, -1]          # dependent columns span duplicates
             span = span_of_generator(g)
-            assert span.dtype == np.uint8
-            assert span.tobytes() == span_by_matmul(g).tobytes()
+            assert span.dtype == np.uint64 and span.shape == (2 ** l, -(-m // 64))
+            assert span_bits(g).tobytes() == span_by_matmul(g).tobytes()
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 130])
+    def test_round_trip_with_zero_pad_bits(self, m):
+        rng = np.random.default_rng(m + 7)
+        words = np.unique(rng.integers(0, 2, size=(40, m), dtype=np.uint8), axis=0)
+        codes = [BinaryCode.from_words(words)]
+        if m:
+            codes.append(BinaryCode.from_generator(np.eye(m, min(m, 6), dtype=np.uint8)))
+        for code in codes:
+            assert code.rows.dtype == np.uint64
+            assert code.rows.shape == (code.N, -(-m // 64))
+            bits = np.unpackbits(code.rows.view(np.uint8), axis=1)
+            assert not bits[:, m:].any()
+            assert code.bits().dtype == np.uint8
+            assert code.bits().tobytes() == bits[:, :m].tobytes()
+        assert codes[0].bits().tobytes() == words.tobytes()
+
+    def test_bad_words_rejected(self):
+        with pytest.raises(FamilyError, match="must be 0/1"):
+            BinaryCode.from_words(np.array([[0, 2, 1]]))
+        with pytest.raises(FamilyError, match="must be an \\(N, m\\) matrix"):
+            BinaryCode.from_words(np.array([0, 1, 1]))
 
 
 class TestDistinctWords:
@@ -262,12 +267,12 @@ class TestDistinctWords:
         rng = np.random.default_rng(m)
         words = np.unique(rng.integers(0, 2, size=(20, m), dtype=np.uint8), axis=0)
         n = len(words)
-        assert BinaryCode(m=m, N=n, words=words).N == n
+        assert BinaryCode.from_words(words).N == n
         for i, j in ((0, 1), (n - 2, n - 1), (0, n - 1)):
             dup = words.copy()
             dup[j] = dup[i]
             with pytest.raises(FamilyError, match="codewords are not distinct"):
-                BinaryCode(m=m, N=n, words=dup)
+                BinaryCode.from_words(dup)
 
     @pytest.mark.parametrize("m", [9, 70])
     def test_words_one_bit_apart_across_a_byte_boundary_are_distinct(self, m):
@@ -277,10 +282,10 @@ class TestDistinctWords:
         for bit in (7, 8, m - 1):
             pair = np.stack([base, base])
             pair[1, bit] ^= 1
-            assert BinaryCode(m=m, N=2, words=pair).N == 2
+            assert BinaryCode.from_words(pair).N == 2
             both = np.concatenate([pair, pair[:1]])
             with pytest.raises(FamilyError, match="codewords are not distinct"):
-                BinaryCode(m=m, N=3, words=both)
+                BinaryCode.from_words(both)
 
 
 class TestCodeSizeCap:
@@ -312,14 +317,14 @@ class TestCodeSizeCap:
 
 class TestFromBinaryCode:
     def test_antipodal_pair(self):
-        code = BinaryCode(m=6, N=2, words=np.array([[0] * 6, [1] * 6], dtype=np.uint8))
+        code = BinaryCode.from_words(np.array([[0] * 6, [1] * 6], dtype=np.uint8))
         d = sk.from_binary_code(code)
         assert sk.coherence_profile(d).mu == pytest.approx(1.0, abs=1e-12)
 
     def test_equidistant_code_is_orthogonal(self):
         words = np.array([[0, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]],
                          dtype=np.uint8)
-        d = sk.from_binary_code(BinaryCode(m=4, N=4, words=words))
+        d = sk.from_binary_code(BinaryCode.from_words(words))
         assert sk.coherence_profile(d).mu < 1e-12
 
     def test_reed_muller_complements(self):
@@ -327,14 +332,13 @@ class TestFromBinaryCode:
         d = sk.from_binary_code(code)
         assert sk.coherence_profile(d).mu == pytest.approx(1.0, abs=1e-12)
         # dropping complements leaves 8 words at pairwise distance 4 = m/2
-        keep = code.words[code.words[:, 0] == 0]
-        half = BinaryCode(m=8, N=8, words=keep)
+        bits = code.bits()
+        half = BinaryCode.from_words(bits[bits[:, 0] == 0])
         d2 = sk.from_binary_code(half)
         assert sk.coherence_profile(d2).mu < 1e-12
 
     def test_orientation(self):
-        code = BinaryCode(m=4, N=2,
-                          words=np.array([[0, 0, 0, 0], [1, 0, 0, 0]], dtype=np.uint8))
+        code = BinaryCode.from_words(np.array([[0, 0, 0, 0], [1, 0, 0, 0]], dtype=np.uint8))
         d = sk.from_binary_code(code)
         assert d.entries[0, 0] == pytest.approx(0.5)       # bit 0 -> +1/sqrt(m)
         assert d.entries[0, 1] == pytest.approx(-0.5)      # bit 1 -> -1/sqrt(m)

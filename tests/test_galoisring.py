@@ -142,13 +142,13 @@ def test_generator_rows_shape_and_values():
 
 
 def test_difference_distances_match_exhaustive():
-    words = kerdock_binary_words(3, antipode_free=True)
+    words = kerdock_binary_words(3)
     bits = words.astype(np.int16)
     dists = set()
     for i in range(len(bits)):
         d = (bits[i + 1:] != bits[i]).sum(axis=1)
         dists.update(int(x) for x in d)
-    quick, dupes = kerdock_difference_distances(3, antipode_free=True)
+    quick, dupes = kerdock_difference_distances(3)
     assert dupes == 0
     assert set(int(x) for x in quick) == dists == {6, 8, 10}
 

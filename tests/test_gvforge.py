@@ -1,13 +1,16 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import stripkit as sk
-from stripkit.dictionaries import MAX_CODE_BITS, BinaryCode, span_of_generator
+from stripkit.dictionaries import MAX_CODE_BITS, BinaryCode
 from stripkit.gvforge import GvInfeasibleError, GvSpecError, GvSpec, _BandTables
+
+from conftest import span_bits
 
 
 def per_codeword_oracle(spec: GvSpec):
@@ -95,7 +98,7 @@ class TestGvRandom:
     def test_single_column(self):
         spec = GvSpec(l=1, mu_target=0.5, m=16)
         res = sk.gv_random(spec, seed=3)
-        weights = res.code.words.sum(axis=1)
+        weights = res.code.bits().sum(axis=1)
         w = int(weights.max())        # the only nonzero word's weight
         lo, hi = spec.band
         assert res.success == (lo <= w <= hi and res.code.N == 2)
@@ -122,6 +125,24 @@ class TestGvRandom:
                 assert mu <= spec.mu_target + 1e-12
                 d = sk.from_binary_code(res.code)
                 assert sk.coherence_profile(d).mu <= spec.mu_target + 1e-12
+
+    def test_l16_span_memory(self):
+        # a random 278 x 16 generator spans 2^16 words; their packed rows
+        # hold 2^16 * 5 * 8 bytes = 2.5 MiB, and nothing else comes close
+        spec = GvSpec(l=16, mu_target=0.4)
+        assert spec.m == 278
+        generator = np.random.default_rng(16).integers(0, 2, size=(278, 16),
+                                                       dtype=np.uint8)
+        for build in (lambda: sk.gv_random(spec, seed=16).code,
+                      lambda: BinaryCode.from_generator(generator)):
+            tracemalloc.start()
+            try:
+                code = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code.N, code.m, code.rows.shape[1]) == (2 ** 16, 278, 5)
+            assert peak <= 6 * 2 ** 20
 
 
 class TestGvDerandomized:
@@ -164,7 +185,7 @@ class TestGvDerandomized:
         spec = GvSpec(l=6, mu_target=0.5)
         a = sk.gv_derandomized(spec)
         b = sk.gv_derandomized(spec)
-        assert np.array_equal(a.code.words, b.code.words)
+        assert np.array_equal(a.code.rows, b.code.rows)
 
     def test_mu_one_trivial_band(self):
         res = sk.gv_derandomized(GvSpec(l=3, mu_target=1.0, m=8))
@@ -189,16 +210,16 @@ class TestGvDerandomizedOracle:
         res = sk.gv_derandomized(spec)
         generator, trace = expected
         assert res.expectation_trace == trace
-        words = span_of_generator(generator)
+        words = span_bits(generator)
         lo, hi = spec.band
         weights = words[1:].sum(axis=1)
         assert res.out_of_band == int(((weights < lo) | (weights > hi)).sum())
         assert res.success == (res.out_of_band == 0)
         if res.code.generator is None:       # collapsed span: dependent columns
-            assert np.array_equal(res.code.words, np.unique(words, axis=0))
+            assert np.array_equal(res.code.bits(), np.unique(words, axis=0))
         else:
             assert res.code.generator.tobytes() == generator.tobytes()
-            assert np.array_equal(res.code.words, words)
+            assert np.array_equal(res.code.bits(), words)
 
     def test_pinned_l12_digest(self):
         # generator and trace of the per-codeword implementation at l=12
@@ -227,12 +248,11 @@ class TestCodeWidth:
     def test_equidistant_code(self):
         words = np.array([[0, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]],
                          dtype=np.uint8)
-        width, mu = sk.code_width(BinaryCode(m=4, N=4, words=words))
+        width, mu = sk.code_width(BinaryCode.from_words(words))
         assert width == 0.0 and mu == 0.0
 
     def test_antipodal_pair(self):
-        code = BinaryCode(m=6, N=2,
-                          words=np.stack([np.zeros(6), np.ones(6)]).astype(np.uint8))
+        code = BinaryCode.from_words(np.stack([np.zeros(6), np.ones(6)]).astype(np.uint8))
         width, mu = sk.code_width(code)
         assert width == 3.0 and mu == 1.0
 
@@ -240,7 +260,6 @@ class TestCodeWidth:
         spec = GvSpec(l=5, mu_target=0.6)
         res = sk.gv_derandomized(spec)
         width_gen, _ = sk.code_width(res.code)
-        stripped = BinaryCode(m=res.code.m, N=res.code.N,
-                              words=res.code.words)     # no generator
+        stripped = BinaryCode.from_words(res.code.bits())     # no generator
         width_pairs, _ = sk.code_width(stripped)
         assert width_gen == width_pairs
