@@ -45,7 +45,6 @@ class CertificationReport:
     seed: Optional[int] = None
     wsinc_lhs: Optional[float] = None
     wsinc_threshold: Optional[float] = None
-    extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         out = {
@@ -63,8 +62,6 @@ class CertificationReport:
         if self.wsinc_lhs is not None:
             out["wsinc_lhs"] = self.wsinc_lhs
             out["wsinc_threshold"] = self.wsinc_threshold
-        if self.extra:
-            out["extra"] = self.extra
         return out
 
 

@@ -42,14 +42,22 @@ def _emit(payload, path=None):
 
 
 def _cmd_build(args) -> int:
-    if args.family == "dg" and args.code:
+    family_args = {k: getattr(args, k) for k in ("m", "N", "s", "r", "q", "seed")
+                   if getattr(args, k) is not None}
+    if args.code:
         # contract-level route for larger interleaving depths: the code comes
-        # from the sign pattern of a previously saved bipolar dictionary
+        # from the sign pattern of a previously saved bipolar dictionary, so
+        # --s and --r are the only parameters left
+        if args.family != "dg":
+            raise dc.FamilyError(f"--code takes --family dg, not {args.family!r}")
+        stray = [f"--{k}" for k in family_args if k not in ("s", "r")]
+        if stray:
+            raise dc.FamilyError(f"--family dg --code does not take {', '.join(stray)}")
+        if args.s is None:
+            raise dc.FamilyError("--family dg --code needs --s")
         code = _bipolar_code(dc.load_dictionary(args.code))
         d = dc.build_delsarte_goethals(args.s, args.r or 0, code=code)
     else:
-        family_args = {k: getattr(args, k) for k in ("m", "N", "s", "r", "q", "seed")
-                       if getattr(args, k) is not None}
         d = dc.build_family(args.family, **family_args)
     dc.save_dictionary(d, args.out)
     if args.csv:

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .galoisring import kerdock_binary_words, kerdock_difference_distances
+from .galoisring import kerdock_binary_words
 
 UNIT_COLUMN_TOL = 1e-10
 
@@ -24,11 +24,11 @@ UNIT_COLUMN_TOL = 1e-10
 GRAM_BLOCK_BYTES = 8 * 2 ** 20
 
 # codeword bits (N x m) a constructed binary code (a GV span, a dg code) may
-# hold. Building one and its bipolar dictionary peaks at about 24 bytes per
-# bit (GV l=14, dg s=3 under tracemalloc; the packed GV code alone takes 0.8,
-# the float64 dictionary the rest), so 2^32 bits needs about 100 GiB; past
-# that the build could not allocate. dg s=4 (2^29 bits) is under the cap,
-# dg s=5 (2^35) over it.
+# hold. Building one and its bipolar dictionary peaks at about 9.3 bytes per
+# bit (GV l=14, dg s=3 under tracemalloc: 8 for the float64 dictionary, 1 for
+# its sign mask, the rest for the packed code), so 2^32 bits needs about
+# 37 GiB, past what a desk machine can allocate. dg s=4 (2^29 bits) is under
+# the cap, dg s=5 (2^35) over it.
 MAX_CODE_BITS = 2 ** 32
 
 # Bernoulli row-mask draws of build_random_harmonic before an empty one fails
@@ -77,7 +77,11 @@ class Dictionary:
         self.entries.flags.writeable = False
 
     def column_norm_deviation(self) -> float:
-        return float(np.abs(np.linalg.norm(self.entries, axis=0) - 1.0).max())
+        # per-column sums of squares without an m x N temporary
+        a = self.entries
+        parts = (a.real, a.imag) if self.field == "complex" else (a,)
+        sq = sum(np.einsum("ij,ij->j", p, p) for p in parts)
+        return float(np.abs(np.sqrt(sq) - 1.0).max())
 
     def gram(self) -> np.ndarray:
         return self.entries.conj().T @ self.entries
@@ -128,11 +132,16 @@ class BinaryCode:
     """N distinct binary words of length m: row i of ``rows`` is word i in
     ``np.packbits`` bit order over ceil(m/64) uint64 words, pad bits zero. A
     linear code keeps its generator; its rows are span_of_generator(generator).
-    Build codes with ``from_words`` or ``from_generator``, which check them."""
+    Build codes with ``from_words`` or ``from_generator``, which check them.
+
+    ``distance_invariant`` records, from the construction, that the distances
+    from every codeword are the codeword weights (a linear code, the Gray
+    image of a Z4-linear code); only the builders that prove it set it."""
 
     m: int
     rows: np.ndarray                        # (N, ceil(m/64)) uint64
     generator: Optional[np.ndarray] = None  # (m, l) uint8; code = {G u : u in F2^l}
+    distance_invariant: bool = False
 
     @property
     def N(self) -> int:
@@ -159,7 +168,7 @@ class BinaryCode:
         # the 2^l words of the span are distinct iff G has full column rank
         if gf2_rank(g) < g.shape[1]:
             raise FamilyError("codewords are not distinct")
-        return cls(g.shape[0], span_of_generator(g), g)
+        return cls(g.shape[0], span_of_generator(g), g, distance_invariant=True)
 
     def bits(self) -> np.ndarray:
         """The words as an (N, m) uint8 matrix of 0/1."""
@@ -183,12 +192,12 @@ def distance_counts(code: BinaryCode) -> np.ndarray:
     """counts[w] = # ordered pairs of codewords (i = j included) at Hamming
     distance w, for w = 0..m.
 
-    A linear code (generator set) is its own difference set: counts = N *
-    its weight histogram. Otherwise dist(i, j) is the popcount of the xor
+    A distance-invariant code is its own difference set: counts = N * its
+    weight histogram. Otherwise dist(i, j) is the popcount of the xor
     of rows i and j, summed over their words, in row blocks whose
     (rows x N) uint64 xor holds about GRAM_BLOCK_BYTES.
     """
-    if code.generator is not None:
+    if code.distance_invariant:
         return code.N * np.bincount(_weights(code.rows), minlength=code.m + 1)
     counts = np.zeros(code.m + 1, dtype=np.int64)
     block = max(1, GRAM_BLOCK_BYTES // (8 * max(1, code.N)))
@@ -353,7 +362,8 @@ def from_binary_code(code: BinaryCode, name: str = "code") -> Dictionary:
     """Bipolar image of a binary code: bit 0 -> +1/sqrt(m), bit 1 -> -1/sqrt(m)."""
     if code.N < 1:
         raise FamilyError("empty code")
-    entries = (1.0 - 2.0 * code.bits().astype(np.float64)).T / np.sqrt(code.m)
+    entries = np.full((code.m, code.N), 1.0 / np.sqrt(code.m))
+    np.negative(entries, out=entries, where=code.bits().T.view(bool))
     return Dictionary(
         name=name, field="real", m=code.m, N=code.N, entries=entries,
         params={"family": "binary_code"},
@@ -365,7 +375,10 @@ def delsarte_goethals_code(s: int, r: int = 0) -> BinaryCode:
 
     Length 2^(2s+2), one representative per complementary pair (the offset
     coordinate runs over {0,1} instead of Z4), so N = 2^(4s+3) and all
-    pairwise distances sit in the band m/2 +- sqrt(m)/2.
+    pairwise distances sit in the band m/2 +- sqrt(m)/2. The code is the
+    Gray image of the Z4-linear Kerdock code cut to offsets {0, 1}; the
+    distances from any word a are the Lee weights of a - b, which sweep the
+    same multiset from every a, so the code is distance-invariant.
     """
     if s < 1:
         raise FamilyError("need s >= 1")
@@ -379,7 +392,8 @@ def delsarte_goethals_code(s: int, r: int = 0) -> BinaryCode:
         raise FamilyError(
             f"s={s} needs a {N} x {m} code ({N * m} bits), beyond the cap "
             f"MAX_CODE_BITS = {MAX_CODE_BITS}")
-    return BinaryCode.from_words(kerdock_binary_words(2 * s + 1))
+    return replace(BinaryCode.from_words(kerdock_binary_words(2 * s + 1)),
+                   distance_invariant=True)
 
 
 def build_delsarte_goethals(s: int, r: int = 0,
@@ -398,21 +412,16 @@ def build_delsarte_goethals(s: int, r: int = 0,
     mu_bound = 2 ** r / np.sqrt(m) + 1e-12
     if code is None:
         code = delsarte_goethals_code(s, r)
-        # exact contract check through the group structure: distances are the
-        # Lee weights of difference words, cheap at any size
-        distances, dupes = kerdock_difference_distances(2 * s + 1)
-        if dupes:
-            raise FamilyError("construction produced duplicate codewords")
-        mu = np.abs(1.0 - 2.0 * distances / m).max()
-    else:
-        if code.N > 4096:
-            raise FamilyError(
-                "supplied code too large for pairwise contract validation")
-        # the words are distinct, so distance 0 comes only from i = j
-        distances = np.flatnonzero(distance_counts(code)[1:]) + 1
-        mu = float(np.abs(1.0 - 2.0 * distances / code.m).max(initial=0.0))
+    elif code.N > 4096:
+        raise FamilyError(
+            "supplied code too large for pairwise contract validation")
     if code.m != m:
         raise FamilyError(f"code length {code.m} != 2^(2s+2) = {m}")
+    # exact contract check, from the weights of a built (distance-invariant)
+    # code and pairwise for a supplied one; the words are distinct, so
+    # distance 0 comes only from i = j
+    distances = np.flatnonzero(distance_counts(code)[1:]) + 1
+    mu = float(np.abs(1.0 - 2.0 * distances / m).max(initial=0.0))
     if mu > mu_bound:
         raise FamilyError(f"code violates the coherence contract: mu={mu:.4f}")
     d = from_binary_code(code, name=f"delsarte_goethals(s={s},r={r})")

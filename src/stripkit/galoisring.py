@@ -68,41 +68,23 @@ def kerdock_generator_rows(degree: int) -> np.ndarray:
 
 def gray_map(words4: np.ndarray) -> np.ndarray:
     """Gray image of Z4 words: 0->00, 1->01, 2->11, 3->10, bit pairs adjacent."""
-    w = np.asarray(words4)
-    first = ((w == 2) | (w == 3)).astype(np.uint8)
-    second = ((w == 1) | (w == 2)).astype(np.uint8)
+    w = np.asarray(words4, dtype=np.uint8)
     out = np.empty((w.shape[0], 2 * w.shape[1]), dtype=np.uint8)
-    out[:, 0::2] = first
-    out[:, 1::2] = second
+    # the pair is the Gray code w ^ (w >> 1), written in place
+    np.right_shift(w, 1, out=out[:, 0::2])
+    np.bitwise_xor(w, out[:, 0::2], out=out[:, 1::2])
+    out[:, 1::2] &= 1
     return out
 
 
-def _offset_words(degree: int, offsets) -> np.ndarray:
-    """Every Z4 combination of the generator rows plus each constant offset,
-    as rows: combination-major, offset-minor."""
-    rows = kerdock_generator_rows(degree)
-    coeffs = np.indices((4,) * degree).reshape(degree, -1).T  # all Z4 tuples
-    base = (coeffs @ rows) % 4                                # (4^degree, n4)
-    words4 = (base[:, None, :] + np.asarray(offsets)[None, :, None]) % 4
-    return words4.reshape(-1, rows.shape[1])
-
-
 def kerdock_binary_words(degree: int) -> np.ndarray:
-    """Binary Kerdock-type words of length 2^(degree+1), one of each
-    complementary pair (offset + 2): the constant offset runs over {0,1}."""
-    return gray_map(_offset_words(degree, (0, 1)))
-
-
-def kerdock_difference_distances(degree: int):
-    """Distinct pairwise Hamming distances of the binary code, cheaply.
-
-    The Gray map is an isometry from Lee distance, and differences of
-    (coefficients, offset) pairs sweep offsets {0, +-1}, so the distance
-    multiset equals the Lee weights of those difference words: no N^2 pair
-    enumeration needed. Returns (distinct nonzero distances, count of
-    duplicate codewords).
-    """
-    words4 = _offset_words(degree, (0, 1, 3))
-    lee = np.minimum(words4, 4 - words4).sum(axis=1)
-    lee = lee[1:]     # the (0, 0) difference is the zero word; drop it
-    return np.unique(lee[lee > 0]), int((lee == 0).sum())
+    """Binary Kerdock-type words of length 2^(degree+1): every Z4 combination
+    of the generator rows plus the constant offset 0, then 1, as rows
+    (combination-major, offset-minor). That is one of each complementary pair
+    (offset + 2). The Z4 symbols are uint8: a dot product is at most
+    9 * degree <= 99 before the reduction mod 4."""
+    rows = kerdock_generator_rows(degree).astype(np.uint8)
+    coeffs = np.indices((4,) * degree, dtype=np.uint8).reshape(degree, -1).T
+    words4 = (coeffs @ rows)[:, None, :] + np.arange(2, dtype=np.uint8)[:, None]
+    words4 %= 4                                    # (4^degree, 2, n4)
+    return gray_map(words4.reshape(-1, rows.shape[1]))

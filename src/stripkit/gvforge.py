@@ -105,9 +105,11 @@ def _span_code(generator: np.ndarray, band: tuple) -> tuple:
     lo, hi = band
     out_of_band = int(((w < lo) | (w > hi)).sum())
     # two codewords coincide iff their sum is zero; dependent generator
-    # columns still give a code, deduplicated for the container invariant
-    code = (BinaryCode(len(generator), rows, generator) if w.min() > 0
-            else BinaryCode(len(generator), _row_set(rows)))
+    # columns still give a code, deduplicated for the container invariant,
+    # and a linear subspace, so distance-invariant either way
+    full = w.min() > 0
+    code = BinaryCode(len(generator), rows if full else _row_set(rows),
+                      generator if full else None, distance_invariant=True)
     return code, out_of_band
 
 
@@ -227,7 +229,8 @@ def gv_derandomized(spec: GvSpec) -> GvResult:
 def code_width(code: BinaryCode) -> tuple:
     """(width, coherence): max deviation of nonzero pairwise distances from
     m/2, and the bipolar coherence 2 w / m it induces. The distances come
-    from ``distance_counts``, which reads a linear code's codeword weights.
+    from ``distance_counts``, which reads a distance-invariant code's
+    codeword weights.
     """
     if code.N < 1:
         raise GvSpecError("empty code")

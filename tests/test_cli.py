@@ -621,6 +621,19 @@ def test_file_errors_exit_2(case, dg_file, tmp_path, capsys):
 BAD_INPUT_CASES = {
     "build": (["build", "--family", "dg", "--s", "1", "--seed", "3",
                "--out", "{tmp}/x.dict"], "does not take ['seed']"),
+    # a supplied code builds dg from --s and --r alone; the code file is
+    # not opened when a flag is wrong
+    "build --code": (["build", "--family", "gaussian", "--m", "8", "--N", "16",
+                      "--code", "{tmp}/missing.dict", "--out", "{tmp}/x.dict"],
+                     "--code takes --family dg, not 'gaussian'"),
+    "build --code --m --seed": (["build", "--family", "dg", "--s", "1", "--m", "99",
+                                 "--seed", "5", "--code", "{dict}", "--out", "{tmp}/x.dict"],
+                                "--family dg --code does not take --m, --seed"),
+    "build --code --N --q": (["build", "--family", "dg", "--s", "1", "--N", "3", "--q", "5",
+                              "--code", "{dict}", "--out", "{tmp}/x.dict"],
+                             "--family dg --code does not take --N, --q"),
+    "build --code no --s": (["build", "--family", "dg", "--r", "1", "--code", "{dict}",
+                             "--out", "{tmp}/x.dict"], "--family dg --code needs --s"),
     "analyze": (["analyze", "--dict", "{gauss}", "--pless", "2"], "not bipolar"),
     "certify": (["certify", "--dict", "{dict}", "--property", "strip", "--k", "2"],
                 "--delta required"),

@@ -14,7 +14,7 @@ import stripkit as sk
 from stripkit.coherence import (INVARIANCE_TOL, CoherenceProfile,
                                 hollow_gram_norms, pless_relative_residual,
                                 spectral_norm, tight_frame_mean_sq)
-from stripkit import dictionaries
+from stripkit import dictionaries, gvforge
 from stripkit.dictionaries import BinaryCode, Dictionary, distance_counts
 
 from conftest import full_space, reed_muller_1_3, span_bits
@@ -272,11 +272,19 @@ class TestDistanceCounts:
         while dictionaries.gf2_rank(g) < l:
             g = rng.integers(0, 2, size=(m, l), dtype=np.uint8)
         linear = BinaryCode.from_generator(g)
-        for case in (code, linear):
+        # the same span from a repeated column: deduplicated, no generator
+        collapsed, _ = gvforge._span_code(np.column_stack([g, g[:, 0]]), (0, m))
+        assert collapsed.generator is None and collapsed.N == linear.N
+        assert linear.distance_invariant and collapsed.distance_invariant
+        assert not code.distance_invariant
+        for case in (code, linear, collapsed):
             counts = distance_counts(case)
             assert counts.shape == (m + 1,)
             assert ({w: int(c) for w, c in enumerate(counts) if c}
                     == brute_distance_counts(case.bits()))
+            # the weights path agrees with the pairwise path on the same words
+            pairwise = distance_counts(BinaryCode.from_words(case.bits()))
+            assert np.array_equal(counts, pairwise)
 
 
 class TestPackedDistanceCounts:

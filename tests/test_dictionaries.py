@@ -159,6 +159,21 @@ class TestDelsarteGoethals:
         with pytest.raises(FamilyError):
             sk.build_delsarte_goethals(1, code=bad)
 
+    @pytest.mark.parametrize("what, bound_mib", [("code", 24), ("dictionary", 96)])
+    def test_s3_build_memory(self, what, bound_mib):
+        # the 32768 x 256 code: its uint8 Z4 symbols and Gray bits take 12 MiB
+        # and its packed rows 1 MiB; the float64 dictionary built in place
+        # takes 64 MiB plus the 8 MiB sign mask
+        build = {"code": lambda: sk.delsarte_goethals_code(3),
+                 "dictionary": lambda: sk.build_family("dg", s=3)}[what]
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2 ** 20
+
     def test_empty_supplied_code_rejected(self):
         empty = BinaryCode.from_words(np.zeros((0, 16), dtype=np.uint8))
         with pytest.raises(FamilyError, match="empty code"):

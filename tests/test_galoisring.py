@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from stripkit.dictionaries import delsarte_goethals_code, distance_counts
 from stripkit.galoisring import (_PRIMITIVE, gray_map, hensel_lift,
                                  kerdock_binary_words,
-                                 kerdock_difference_distances,
                                  kerdock_generator_rows)
 
 
@@ -142,15 +142,18 @@ def test_generator_rows_shape_and_values():
 
 
 def test_difference_distances_match_exhaustive():
-    words = kerdock_binary_words(3)
-    bits = words.astype(np.int16)
-    dists = set()
-    for i in range(len(bits)):
-        d = (bits[i + 1:] != bits[i]).sum(axis=1)
-        dists.update(int(x) for x in d)
-    quick, dupes = kerdock_difference_distances(3)
-    assert dupes == 0
-    assert set(int(x) for x in quick) == dists == {6, 8, 10}
+    # the dg s=1 code is distance-invariant: its weight histogram times N
+    # is the exhaustive count over all ordered pairs
+    code = delsarte_goethals_code(1)
+    assert code.distance_invariant
+    bits = code.bits()
+    assert bits.tobytes() == kerdock_binary_words(3).tobytes()
+    exhaustive = np.zeros(code.m + 1, dtype=np.int64)
+    for word in bits:
+        exhaustive += np.bincount((bits != word).sum(axis=1), minlength=code.m + 1)
+    assert np.array_equal(distance_counts(code), exhaustive)
+    assert exhaustive[0] == code.N
+    assert set(np.flatnonzero(exhaustive[1:]) + 1) == {6, 8, 10}
 
 
 @pytest.mark.parametrize("degree", [3, 5, 7])

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import stripkit as sk
-from stripkit.dictionaries import MAX_CODE_BITS, BinaryCode
-from stripkit.gvforge import GvInfeasibleError, GvSpecError, GvSpec, _BandTables
+from stripkit.dictionaries import MAX_CODE_BITS, BinaryCode, distance_counts
+from stripkit.gvforge import (GvInfeasibleError, GvSpecError, GvSpec, _BandTables,
+                              _span_code)
 
 from conftest import span_bits
 
@@ -257,9 +258,18 @@ class TestCodeWidth:
         assert width == 3.0 and mu == 1.0
 
     def test_linear_route_matches_pairwise(self):
-        spec = GvSpec(l=5, mu_target=0.6)
-        res = sk.gv_derandomized(spec)
-        width_gen, _ = sk.code_width(res.code)
-        stripped = BinaryCode.from_words(res.code.bits())     # no generator
-        width_pairs, _ = sk.code_width(stripped)
-        assert width_gen == width_pairs
+        # a GV span, a span of dependent columns (deduplicated, no generator)
+        # and the dg codes are distance-invariant; the same words without
+        # that record go pairwise
+        g = np.random.default_rng(3).integers(0, 2, size=(24, 5), dtype=np.uint8)
+        g[:, 4] = g[:, 1] ^ g[:, 2]
+        collapsed, _ = _span_code(g, (0, 24))
+        assert collapsed.generator is None and collapsed.N == 16
+        codes = [sk.gv_derandomized(GvSpec(l=5, mu_target=0.6)).code, collapsed,
+                 sk.delsarte_goethals_code(1), sk.delsarte_goethals_code(2)]
+        for code in codes:
+            assert code.distance_invariant
+            stripped = BinaryCode.from_words(code.bits())
+            assert not stripped.distance_invariant
+            assert sk.code_width(code) == sk.code_width(stripped)
+            assert np.array_equal(distance_counts(code), distance_counts(stripped))
