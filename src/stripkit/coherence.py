@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dictionaries import BinaryCode, Dictionary, _abs_gram_blocks, distance_counts
+from .dictionaries import (BinaryCode, Dictionary, _abs_gram_blocks, _exact_levels,
+                           distance_counts)
 
 INVARIANCE_TOL = 1e-9
 
@@ -50,27 +51,57 @@ def spectral_norm(d: Dictionary) -> float:
 
 
 def coherence_profile(d: Dictionary, tol: float = INVARIANCE_TOL) -> CoherenceProfile:
-    """All pairwise coherence statistics of one dictionary, in one pass over
-    the |Gram| row blocks of about GRAM_BLOCK_BYTES that ``Dictionary.mu``
-    reads too, so the two agree bit for bit.
+    """All pairwise coherence statistics of one dictionary.
 
-    Each block adds to the running max and to the per-row sums of squares,
-    then is sorted row by row in place. Invariance compares the sorted
-    multiset of coherences seen from each column against column 0, entrywise,
-    at absolute tolerance ``tol``, until a row fails. ``gram_offdiag_count``
-    is 1 + the gaps above ``tol`` between the sorted distinct values of all
-    rows: a repeated value only adds zero gaps, so this is the count over the
-    whole off-diagonal multiset. Memory is one block plus that distinct set,
-    which is a few values for the structured families and up to N(N-1) for a
-    random one.
+    A dictionary that carries a distance-invariant code (``_exact_levels``)
+    has the same |Gram| multiset in every row, so its mu, per-row sums of
+    squares and sorted distinct values come from the exact
+    ``coherence_levels``, each rounded once, and it is invariant. Any other
+    is scanned once over the |Gram| row blocks of about GRAM_BLOCK_BYTES
+    (``_scan_profile``). Both feed one tail: the row averages, their mean
+    and max, ``gram_offdiag_count`` (1 + the gaps above ``tol`` between the
+    sorted distinct values) and the spectral norm.
     """
     if not (isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     n = d.N
     if n == 1:
         return CoherenceProfile(0.0, 0.0, 0.0, 0.0, True, spectral_norm(d), 0)
+    levels = _exact_levels(d)
+    if levels is not None:
+        values = sorted(levels)
+        mu, invariant = float(values[-1]), True
+        row_sq = np.full(n, float(sum(p * v * v for v, p in levels.items()) / n))
+        distinct = np.array([float(v) for v in values])
+    else:
+        mu, row_sq, invariant, distinct = _scan_profile(d, tol)
+    row_avg = row_sq / (n - 1)
+    mean_sq = float(row_avg.mean())
+    max_avg_sq = float(row_avg.max())
+    return CoherenceProfile(
+        mu=mu, mean_sq=mean_sq, max_avg_sq=max_avg_sq,
+        theta=mean_sq if invariant else max_avg_sq,
+        invariant=invariant, spectral_norm=spectral_norm(d),
+        gram_offdiag_count=1 + int(np.count_nonzero(np.diff(distinct) > tol)),
+    )
+
+
+def _scan_profile(d: Dictionary, tol: float) -> tuple:
+    """(mu, per-row sums of squares, invariant, sorted distinct values) in
+    one pass over the |Gram| row blocks that ``Dictionary.mu`` reads too, so
+    the two agree bit for bit.
+
+    Each block adds to the running max and to the per-row sums of squares,
+    then is sorted row by row in place. Invariance compares the sorted
+    multiset of coherences seen from each column against column 0, entrywise,
+    at absolute tolerance ``tol``, until a row fails. A repeated value only
+    adds zero gaps, so the distinct values give the gap count of the whole
+    off-diagonal multiset. Memory is one block plus that distinct set, which
+    is a few values for the structured families and up to N(N-1) for a
+    random one.
+    """
     mu = 0.0
-    row_sq = np.empty(n)
+    row_sq = np.empty(d.N)
     invariant = True
     distinct, pending = np.empty(0), []
     for start, g in _abs_gram_blocks(d):
@@ -93,15 +124,7 @@ def coherence_profile(d: Dictionary, tol: float = INVARIANCE_TOL) -> CoherencePr
             distinct, pending = _distinct(distinct, pending), []
     if pending:
         distinct = _distinct(distinct, pending)
-    row_avg = row_sq / (n - 1)
-    mean_sq = float(row_avg.mean())
-    max_avg_sq = float(row_avg.max())
-    return CoherenceProfile(
-        mu=mu, mean_sq=mean_sq, max_avg_sq=max_avg_sq,
-        theta=mean_sq if invariant else max_avg_sq,
-        invariant=invariant, spectral_norm=spectral_norm(d),
-        gram_offdiag_count=1 + int(np.count_nonzero(np.diff(distinct) > tol)),
-    )
+    return mu, row_sq, invariant, distinct
 
 
 def _distinct(distinct: np.ndarray, pending: list) -> np.ndarray:
@@ -201,12 +224,17 @@ def oa_strength(code: BinaryCode, t_max: int) -> OaStrengthResult:
 
 
 def moment_mu_l(d: Dictionary, l: int) -> float:
-    """Exact average of the l-th power of pairwise coherences (ordered pairs)."""
+    """Average of the l-th power of pairwise coherences (ordered pairs): the
+    exact rational of ``_exact_levels``, rounded once, for a dictionary with
+    a distance-invariant code, else summed over the |Gram| row blocks."""
     if l < 2 or l % 2:
         raise ValueError("need even l >= 2")
     n = d.N
     if n == 1:
         return 0.0
+    levels = _exact_levels(d)
+    if levels is not None:
+        return float(sum(p * v ** l for v, p in levels.items()) / (n * (n - 1)))
     total = sum(float((g ** l).sum()) for _, g in _abs_gram_blocks(d))
     return total / (n * (n - 1))
 

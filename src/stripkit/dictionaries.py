@@ -8,8 +8,10 @@ matrices.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -48,7 +50,11 @@ class DictionaryFormatError(ValueError):
 
 @dataclass
 class Dictionary:
-    """An m x N sampling matrix with unit-norm columns plus build metadata."""
+    """An m x N sampling matrix with unit-norm columns plus build metadata.
+
+    ``code`` is the binary code whose bipolar image the entries are, set only
+    by ``from_binary_code``: it is never inferred from entries, never saved,
+    and left out of ``repr`` and equality."""
 
     name: str
     field: str                      # "real" | "complex"
@@ -57,6 +63,7 @@ class Dictionary:
     entries: np.ndarray             # shape (m, N)
     params: dict = field(default_factory=dict)
     seed: Optional[int] = None
+    code: Optional[BinaryCode] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.entries = np.ascontiguousarray(self.entries)
@@ -77,20 +84,22 @@ class Dictionary:
         self.entries.flags.writeable = False
 
     def column_norm_deviation(self) -> float:
-        # per-column sums of squares without an m x N temporary
-        a = self.entries
-        parts = (a.real, a.imag) if self.field == "complex" else (a,)
-        sq = sum(np.einsum("ij,ij->j", p, p) for p in parts)
-        return float(np.abs(np.sqrt(sq) - 1.0).max())
+        return float(np.abs(np.sqrt(_column_sq_norms(self.entries)) - 1.0).max())
 
     def gram(self) -> np.ndarray:
         return self.entries.conj().T @ self.entries
 
     @cached_property
     def mu(self) -> float:
-        """Coherence, the largest off-diagonal |Gram| entry, over the row
-        blocks of ``_abs_gram_blocks``; computed once, since ``entries`` is
-        read-only after construction."""
+        """Coherence, the largest off-diagonal |Gram| entry; computed once,
+        since ``entries`` is read-only after construction.
+
+        With a distance-invariant ``code`` it is the largest of the exact
+        ``coherence_levels``, rounded once; otherwise the largest entry of
+        the row blocks of ``_abs_gram_blocks``."""
+        levels = _exact_levels(self)
+        if levels is not None:
+            return float(max(levels, default=0))
         return max(float(g.max()) for _, g in _abs_gram_blocks(self))
 
     @cached_property
@@ -103,6 +112,23 @@ class Dictionary:
         return spectrum
 
 
+def _column_sq_norms(a: np.ndarray) -> np.ndarray:
+    """Per-column sums of squares of an (m, N) array, real and imaginary
+    parts apart, without an m x N temporary."""
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    return sum(np.einsum("ij,ij->j", p, p) for p in parts)
+
+
+def _exact_levels(d: Dictionary) -> Optional[dict]:
+    """``coherence_levels(d.code)`` when ``d`` carries a distance-invariant
+    code, else None. Every |Gram| row of such a code is the same multiset,
+    so ``Dictionary.mu``, ``coherence_profile`` and ``moment_mu_l`` read it
+    from the weight histogram instead of ``_abs_gram_blocks``."""
+    if d.code is None or not d.code.distance_invariant:
+        return None
+    return coherence_levels(d.code)
+
+
 def _abs_gram_blocks(d: Dictionary):
     """Yield (start, |G[start:start + rows]|) over the Gram row blocks of about
     GRAM_BLOCK_BYTES, each with its diagonal zeroed, in row order.
@@ -110,7 +136,8 @@ def _abs_gram_blocks(d: Dictionary):
     When the whole Gram fits one block it is ``d.gram()``. A real row block
     is a gemm, which may round in the last place unlike the syrk of
     ``gram()``; ``Dictionary.mu``, ``coherence_profile`` and ``moment_mu_l``
-    all read these blocks, so they agree bit for bit.
+    all read these blocks for a dictionary without ``_exact_levels``, so
+    they agree bit for bit.
     """
     a = d.entries
     rows = max(1, GRAM_BLOCK_BYTES // (a.itemsize * d.N))
@@ -208,6 +235,20 @@ def distance_counts(code: BinaryCode) -> np.ndarray:
             dist += np.bitwise_count(rows[:, k, None] ^ code.rows[:, k])
         counts += np.bincount(dist.ravel(), minlength=code.m + 1)
     return counts
+
+
+def coherence_levels(code: BinaryCode) -> dict:
+    """{|Gram| value: # ordered pairs i != j at it} of the bipolar image of
+    ``code``: each value is the exact rational |m - 2w|/m of a distance w of
+    ``distance_counts``. The words are distinct, so distance 0 comes only
+    from i = j."""
+    counts = distance_counts(code)
+    counts[0] -= code.N
+    levels: dict = {}
+    for w in np.flatnonzero(counts).tolist():
+        level = Fraction(abs(code.m - 2 * w), code.m)
+        levels[level] = levels.get(level, 0) + int(counts[w])
+    return levels
 
 
 def span_of_generator(generator: np.ndarray) -> np.ndarray:
@@ -366,7 +407,7 @@ def from_binary_code(code: BinaryCode, name: str = "code") -> Dictionary:
     np.negative(entries, out=entries, where=code.bits().T.view(bool))
     return Dictionary(
         name=name, field="real", m=code.m, N=code.N, entries=entries,
-        params={"family": "binary_code"},
+        params={"family": "binary_code"}, code=code,
     )
 
 
@@ -418,10 +459,8 @@ def build_delsarte_goethals(s: int, r: int = 0,
     if code.m != m:
         raise FamilyError(f"code length {code.m} != 2^(2s+2) = {m}")
     # exact contract check, from the weights of a built (distance-invariant)
-    # code and pairwise for a supplied one; the words are distinct, so
-    # distance 0 comes only from i = j
-    distances = np.flatnonzero(distance_counts(code)[1:]) + 1
-    mu = float(np.abs(1.0 - 2.0 * distances / m).max(initial=0.0))
+    # code and pairwise for a supplied one
+    mu = float(max(coherence_levels(code), default=0))
     if mu > mu_bound:
         raise FamilyError(f"code violates the coherence contract: mu={mu:.4f}")
     d = from_binary_code(code, name=f"delsarte_goethals(s={s},r={r})")
@@ -470,58 +509,67 @@ def save_dictionary(d: Dictionary, path) -> None:
 
 
 def load_dictionary(path) -> Dictionary:
+    """Read a ``save_dictionary`` file, holding about one copy of the entries:
+    the payload is read into the array it fills and the column norms are
+    sums of squares per column."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        # anchored at a line start so a name ending in "data" cannot match
-        head_end = blob.index(b"\ndata\n") + len(b"\ndata\n")
-    except ValueError:
-        raise DictionaryFormatError("missing data marker")
-    header = blob[:head_end].decode("utf-8").splitlines()
-    if not header or not header[0].startswith(_MAGIC):
-        raise DictionaryFormatError("bad magic string")
-    try:
-        version = int(header[0].split()[1])
-    except (IndexError, ValueError):
-        raise DictionaryFormatError(f"bad header line {header[0]!r}")
-    if version != _FORMAT_VERSION:
-        raise DictionaryFormatError(f"unsupported format version {version}")
-    fields: dict = {"params": {}}
-    for line in header[1:-1]:
-        key, _, value = line.partition("=")
-        if key.startswith("param."):
-            try:
-                fields["params"][key[len("param."):]] = json.loads(value)
-            except RecursionError:
-                raise DictionaryFormatError(f"{key} is nested too deeply")
+        # the header ends at the first "data" line after the first line
+        lines = [fh.readline()]
+        while lines[-1].endswith(b"\n"):
+            lines.append(fh.readline())
+            if lines[-1] == b"data\n":
+                break
         else:
-            fields[key] = value
-    try:
-        fld = fields["field"]
-        m = int(fields["m"])
-        N = int(fields["N"])
-    except KeyError as exc:
-        raise DictionaryFormatError(f"missing header key {exc}")
-    if m < 1 or N < 1:
-        raise DictionaryFormatError(f"m and N must be positive, got m={m}, N={N}")
-    payload = np.frombuffer(blob[head_end:], dtype="<f8")
-    expect = m * N * (2 if fld == "complex" else 1)
-    if payload.size != expect:
-        raise DictionaryFormatError(
-            f"payload holds {payload.size} doubles, expected {expect}"
-        )
-    bad = int(payload.size - np.isfinite(payload).sum())
-    if bad:
-        raise DictionaryFormatError(
-            f"{bad} of {payload.size} payload doubles are not finite")
-    if fld == "complex":
-        entries = (payload[0::2] + 1j * payload[1::2]).reshape(m, N)
-    else:
-        entries = payload.reshape(m, N).copy()
+            raise DictionaryFormatError("missing data marker")
+        header = b"".join(lines).decode("utf-8").splitlines()
+        if not header or not header[0].startswith(_MAGIC):
+            raise DictionaryFormatError("bad magic string")
+        try:
+            version = int(header[0].split()[1])
+        except (IndexError, ValueError):
+            raise DictionaryFormatError(f"bad header line {header[0]!r}")
+        if version != _FORMAT_VERSION:
+            raise DictionaryFormatError(f"unsupported format version {version}")
+        fields: dict = {"params": {}}
+        for line in header[1:-1]:
+            key, _, value = line.partition("=")
+            if key.startswith("param."):
+                try:
+                    fields["params"][key[len("param."):]] = json.loads(value)
+                except RecursionError:
+                    raise DictionaryFormatError(f"{key} is nested too deeply")
+            else:
+                fields[key] = value
+        try:
+            fld = fields["field"]
+            m = int(fields["m"])
+            N = int(fields["N"])
+        except KeyError as exc:
+            raise DictionaryFormatError(f"missing header key {exc}")
+        if m < 1 or N < 1:
+            raise DictionaryFormatError(f"m and N must be positive, got m={m}, N={N}")
+        nbytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        if nbytes % 8:
+            raise DictionaryFormatError(
+                f"payload holds {nbytes} bytes, not a whole number of doubles")
+        expect = m * N * (2 if fld == "complex" else 1)
+        if nbytes // 8 != expect:
+            raise DictionaryFormatError(
+                f"payload holds {nbytes // 8} doubles, expected {expect}"
+            )
+        # the little-endian (re, im) double pairs are the "<c16" layout
+        entries = np.empty((m, N), dtype="<c16" if fld == "complex" else "<f8")
+        if fh.readinto(entries.reshape(-1).view(np.uint8)) != nbytes:
+            raise DictionaryFormatError("file shrank while it was read")
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(entries, axis=0)
-    overflow = np.flatnonzero(~np.isfinite(norms))
-    if overflow.size:
+        norms = np.sqrt(_column_sq_norms(entries))
+    if not np.isfinite(norms).all():
+        doubles = entries.reshape(-1).view("<f8")
+        bad = int(doubles.size - np.isfinite(doubles).sum())
+        if bad:
+            raise DictionaryFormatError(
+                f"{bad} of {doubles.size} payload doubles are not finite")
+        overflow = np.flatnonzero(~np.isfinite(norms))
         raise DictionaryFormatError(
             f"the norm of column {overflow[0]} overflows float64 "
             f"({overflow.size} of {N} columns)")

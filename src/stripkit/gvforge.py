@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .dictionaries import (MAX_CODE_BITS, BinaryCode, _row_set, _weights,
-                           distance_counts, span_of_generator)
+                           coherence_levels, span_of_generator)
 from .seeding import derive_rng
 
 HARD_M_CAP = 4096
@@ -228,15 +228,11 @@ def gv_derandomized(spec: GvSpec) -> GvResult:
 
 def code_width(code: BinaryCode) -> tuple:
     """(width, coherence): max deviation of nonzero pairwise distances from
-    m/2, and the bipolar coherence 2 w / m it induces. The distances come
-    from ``distance_counts``, which reads a distance-invariant code's
+    m/2, and the bipolar coherence 2 w / m it induces, the largest of the
+    exact ``coherence_levels``, which read a distance-invariant code's
     codeword weights.
     """
     if code.N < 1:
         raise GvSpecError("empty code")
-    # the words are distinct, so distance 0 comes only from i = j
-    distances = np.flatnonzero(distance_counts(code)[1:]) + 1
-    if distances.size == 0:
-        return 0.0, 0.0
-    width = float(np.abs(distances - code.m / 2.0).max())
-    return width, 2.0 * width / code.m
+    mu = max(coherence_levels(code), default=Fraction(0))
+    return float(mu * code.m / 2), float(mu)

@@ -1,5 +1,8 @@
+import json
 import math
+import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -14,8 +17,9 @@ import stripkit as sk
 from stripkit.coherence import (INVARIANCE_TOL, CoherenceProfile,
                                 hollow_gram_norms, pless_relative_residual,
                                 spectral_norm, tight_frame_mean_sq)
-from stripkit import dictionaries, gvforge
-from stripkit.dictionaries import BinaryCode, Dictionary, distance_counts
+from stripkit import coherence, dictionaries, gvforge
+from stripkit.dictionaries import (BinaryCode, Dictionary, distance_counts,
+                                   from_binary_code)
 
 from conftest import full_space, reed_muller_1_3, span_bits
 
@@ -132,9 +136,15 @@ def later_row_differs() -> Dictionary:
     return Dictionary("later_row_differs", "real", 40, 40, entries)
 
 
+def record_free(d: Dictionary) -> Dictionary:
+    """``d`` without the code it was built from: the same entries, scanned."""
+    return replace(d, code=None)
+
+
 # name -> (construction, whether every Gram product is exact)
 ORACLE_CASES = {
     "dg s=1": (lambda: sk.build_delsarte_goethals(1), True),
+    "dg s=1 record-free": (lambda: record_free(sk.build_delsarte_goethals(1)), True),
     "dg s=2": (lambda: sk.build_delsarte_goethals(2), True),
     "identity": (lambda: Dictionary("identity8", "real", 8, 8, np.eye(8)), True),
     "later row differs": (later_row_differs, True),
@@ -219,7 +229,7 @@ class TestBlockedProfile:
 
     def test_memory_is_one_block(self):
         # the full-Gram profile peaks near 164 MB on dg s=2 (64 x 2048)
-        d = sk.build_delsarte_goethals(2)
+        d = record_free(sk.build_delsarte_goethals(2))
         tracemalloc.start()
         try:
             sk.coherence_profile(d)
@@ -227,6 +237,127 @@ class TestBlockedProfile:
         finally:
             tracemalloc.stop()
         assert peak <= 48 * 2 ** 20
+
+
+def exact_coherence(code: BinaryCode) -> dict:
+    """Test oracle: mu, the mean-square coherence and the moments of orders
+    2, 4, 6 of the bipolar image of ``code`` as Fractions, and the number of
+    distinct off-diagonal |Gram| values, from its pairwise distances."""
+    bits = code.bits().astype(np.float64)
+    n, m = bits.shape
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for start in range(0, n, 512):
+        rows = bits[start:start + 512]
+        # dist(i, j) = w_i + w_j - 2 <b_i, b_j>, exact in float64
+        dist = rows.sum(axis=1)[:, None] + bits.sum(axis=1) - 2 * rows @ bits.T
+        counts += np.bincount(dist.astype(np.int64).ravel(), minlength=m + 1)
+    counts[0] -= n                        # the diagonal
+    pairs = {w: int(c) for w, c in enumerate(counts) if c}
+    moment = {l: sum(Fraction(c * (m - 2 * w) ** l, m ** l) for w, c in pairs.items())
+              / (n * (n - 1)) for l in (2, 4, 6)}
+    return {"mu": max(Fraction(abs(m - 2 * w), m) for w in pairs),
+            "moment": moment,
+            "levels": len({abs(m - 2 * w) for w in pairs})}
+
+
+@lru_cache(maxsize=None)
+def gv_code(l: int, mu: float) -> BinaryCode:
+    return sk.gv_derandomized(sk.GvSpec(l=l, mu_target=mu)).code
+
+
+# codes whose bipolar dictionaries take the exact path
+EXACT_CODES = {
+    "dg s=1": lambda: sk.delsarte_goethals_code(1),
+    "dg s=2": lambda: sk.delsarte_goethals_code(2),
+    "RM(1,3)": reed_muller_1_3,            # complement pairs: mu = 1
+    "GV l=8": lambda: gv_code(8, 0.55),
+    "GV l=9": lambda: gv_code(9, 0.5),
+    "GV l=10": lambda: gv_code(10, 0.45),
+    "GV l=12": lambda: gv_code(12, 0.4),
+}
+
+
+def no_scan(monkeypatch):
+    """Make any read of the |Gram| row blocks fail."""
+    def fail(d):
+        raise AssertionError("scanned the Gram")
+    monkeypatch.setattr(dictionaries, "_abs_gram_blocks", fail)
+    monkeypatch.setattr(coherence, "_abs_gram_blocks", fail)
+
+
+class TestExactLevels:
+    @pytest.mark.parametrize("name", sorted(EXACT_CODES))
+    def test_matches_exact_rationals(self, name, monkeypatch):
+        code = EXACT_CODES[name]()
+        want = exact_coherence(code)
+        d = from_binary_code(code)
+        assert d.code is code and code.distance_invariant
+        no_scan(monkeypatch)
+        p = sk.coherence_profile(d)
+        # mu and the moments are the rationals, rounded once
+        assert d.mu == p.mu == float(want["mu"])
+        for l in (2, 4, 6):
+            assert sk.moment_mu_l(d, l) == float(want["moment"][l])
+        # the mean-square coherence is the second moment; the tail divides the
+        # rounded row sum by N - 1 and averages N equal rows
+        mean_sq = float(want["moment"][2])
+        for key in ("mean_sq", "max_avg_sq", "theta"):
+            assert abs(getattr(p, key) - mean_sq) <= 2 * np.spacing(mean_sq), key
+        assert p.invariant
+        assert sk.coherence_profile(d, 0.0).gram_offdiag_count == want["levels"]
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_saved_and_loaded_dg_is_byte_identical(self, s, tmp_path):
+        # a loaded dg carries no code, so it is scanned; its Gram entries are
+        # dyadic, so the scan is exact too
+        built = sk.build_delsarte_goethals(s)
+        sk.save_dictionary(built, tmp_path / "dg.sdict")
+        loaded = sk.load_dictionary(tmp_path / "dg.sdict")
+        assert loaded.code is None
+        assert (json.dumps(sk.coherence_profile(loaded).as_dict())
+                == json.dumps(sk.coherence_profile(built).as_dict()))
+        assert loaded.mu == built.mu
+        for l in (2, 4, 6):
+            assert sk.moment_mu_l(loaded, l) == sk.moment_mu_l(built, l)
+
+    def test_from_words_code_takes_the_scan(self, monkeypatch):
+        code = BinaryCode.from_words(sk.delsarte_goethals_code(1).bits())
+        d = from_binary_code(code)
+        assert d.code is code and not code.distance_invariant
+        want = sk.coherence_profile(sk.build_delsarte_goethals(1)).as_dict()
+        scans = []
+        real = dictionaries._abs_gram_blocks
+
+        def spy(d):
+            scans.append(d)
+            return real(d)
+        monkeypatch.setattr(dictionaries, "_abs_gram_blocks", spy)
+        monkeypatch.setattr(coherence, "_abs_gram_blocks", spy)
+        assert sk.coherence_profile(d).as_dict() == want
+        assert d.mu == want["mu"] and len(scans) == 2
+
+    def test_exact_path_memory(self):
+        d = sk.build_delsarte_goethals(2)
+        tracemalloc.start()
+        try:
+            sk.coherence_profile(d)
+            sk.moment_mu_l(d, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
+
+    def test_dg_s3_is_fast(self, monkeypatch):
+        # the blocked scan took about 17 s for mu and 26 s for the profile
+        d = sk.build_delsarte_goethals(3)
+        no_scan(monkeypatch)
+        start = time.perf_counter()
+        mu = d.mu
+        mu_s = time.perf_counter() - start
+        p = sk.coherence_profile(d)
+        profile_s = time.perf_counter() - start - mu_s
+        assert mu == p.mu == 1 / 16 and p.gram_offdiag_count == 2
+        assert mu_s < 0.1 and profile_s < 0.5
 
 
 class TestDistanceDistribution:

@@ -4,6 +4,7 @@ import struct
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -427,6 +428,43 @@ class TestSerialization:
                          + bytes(8 * abs(m * n)))
         with pytest.raises(DictionaryFormatError, match="m and N must be positive"):
             sk.load_dictionary(path)
+
+    @pytest.mark.parametrize("build", [
+        lambda: sk.build_gaussian(512, 2048, seed=5),
+        lambda: sk.build_random_harmonic(256, 2048, seed=5),
+    ], ids=["real", "complex"])
+    def test_load_memory_is_one_copy(self, tmp_path, build):
+        # the payload is read into the returned array; whole-file reads, a
+        # payload copy and an m x N norm temporary once peaked at 4x
+        d = build()
+        assert d.entries.nbytes >= 8 * 2 ** 20
+        sk.save_dictionary(d, tmp_path / "d.sdict")
+        tracemalloc.start()
+        try:
+            back = sk.load_dictionary(tmp_path / "d.sdict")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.entries, d.entries)
+        assert peak <= 1.5 * d.entries.nbytes
+
+    def test_partial_double_payload(self, tmp_path):
+        d = sk.build_gaussian(4, 6, seed=0)
+        path = tmp_path / "d.dict"
+        sk.save_dictionary(d, path)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(DictionaryFormatError, match="not a whole number of doubles"):
+            sk.load_dictionary(path)
+
+    def test_code_is_kept_but_not_saved(self, tmp_path):
+        code = sk.delsarte_goethals_code(1)
+        d = sk.build_delsarte_goethals(1)
+        assert np.array_equal(d.code.rows, code.rows) and d.code.distance_invariant
+        assert "code" not in repr(d) and d == replace(d, code=None)
+        sk.save_dictionary(d, tmp_path / "d.sdict")
+        assert b"code" not in (tmp_path / "d.sdict").read_bytes().split(b"\ndata\n")[0]
+        assert sk.load_dictionary(tmp_path / "d.sdict").code is None
+        assert sk.realify(sk.build_chirp(3)).code is None
 
     def test_nonunit_columns_warn(self, tmp_path):
         d = sk.build_gaussian(4, 6, seed=0)
