@@ -33,7 +33,7 @@ from .solvers import basis_pursuit, error_report, lasso
 
 
 def _emit(payload, path=None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

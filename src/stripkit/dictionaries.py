@@ -50,38 +50,43 @@ class DictionaryFormatError(ValueError):
 
 @dataclass
 class Dictionary:
-    """An m x N sampling matrix with unit-norm columns plus build metadata.
+    """An m x N sampling matrix with unit-norm columns plus build metadata;
+    ``m``, ``N`` and ``field`` ("complex" or "real") are read from ``entries``.
 
     ``code`` is the binary code whose bipolar image the entries are, set only
     by ``from_binary_code``: it is never inferred from entries, never saved,
     and left out of ``repr`` and equality."""
 
     name: str
-    field: str                      # "real" | "complex"
-    m: int
-    N: int
-    entries: np.ndarray             # shape (m, N)
+    entries: np.ndarray             # (m, N) float64 or complex128
     params: dict = field(default_factory=dict)
     seed: Optional[int] = None
     code: Optional[BinaryCode] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.entries = np.ascontiguousarray(self.entries)
-        if self.field not in ("real", "complex"):
-            raise FamilyError(f"unknown field {self.field!r}")
-        if self.m < 1 or self.N < 1:
-            raise FamilyError("m and N must be positive")
-        if self.entries.shape != (self.m, self.N):
-            raise FamilyError(
-                f"entries shape {self.entries.shape} != ({self.m}, {self.N})"
-            )
-        expected = np.complex128 if self.field == "complex" else np.float64
-        if self.entries.dtype != expected:
-            self.entries = self.entries.astype(expected)
-        dev = self.column_norm_deviation()
-        if dev > UNIT_COLUMN_TOL:
+        self.entries = np.ascontiguousarray(
+            self.entries,
+            dtype=np.complex128 if np.iscomplexobj(self.entries) else np.float64)
+        if self.entries.ndim != 2 or 0 in self.entries.shape:
+            raise FamilyError("entries must be an m x N matrix with m, N >= 1, "
+                              f"got shape {self.entries.shape}")
+        with np.errstate(over="ignore"):
+            dev = self.column_norm_deviation()
+        if not dev <= UNIT_COLUMN_TOL:      # NaN fails too
             raise FamilyError(f"columns deviate from unit norm by {dev:.3e}")
         self.entries.flags.writeable = False
+
+    @property
+    def m(self) -> int:
+        return self.entries.shape[0]
+
+    @property
+    def N(self) -> int:
+        return self.entries.shape[1]
+
+    @property
+    def field(self) -> str:
+        return "complex" if np.iscomplexobj(self.entries) else "real"
 
     def column_norm_deviation(self) -> float:
         return float(np.abs(np.sqrt(_column_sq_norms(self.entries)) - 1.0).max())
@@ -306,11 +311,8 @@ def build_gaussian(m: int, N: int, seed: int) -> Dictionary:
         raise FamilyError("m and N must be positive")
     rng = np.random.default_rng(seed)
     entries = _normalize_columns(rng.standard_normal((m, N)))
-    return Dictionary(
-        name=f"gaussian(m={m},N={N},seed={seed})",
-        field="real", m=m, N=N, entries=entries,
-        params={"family": "gaussian"}, seed=seed,
-    )
+    return Dictionary(f"gaussian(m={m},N={N},seed={seed})", entries,
+                      params={"family": "gaussian"}, seed=seed)
 
 
 def build_random_harmonic(m: int, N: int, seed: int) -> Dictionary:
@@ -334,11 +336,9 @@ def build_random_harmonic(m: int, N: int, seed: int) -> Dictionary:
     phases = np.exp(2j * np.pi * np.outer(rows, j) / N)
     entries = phases / np.sqrt(len(rows))
     return Dictionary(
-        name=f"harmonic(N={N},target_m={m},seed={seed})",
-        field="complex", m=len(rows), N=N, entries=entries,
+        f"harmonic(N={N},target_m={m},seed={seed})", entries,
         params={"family": "harmonic", "target_m": m, "rows_selected": len(rows)},
-        seed=seed,
-    )
+        seed=seed)
 
 
 def _is_prime(n: int) -> bool:
@@ -364,10 +364,7 @@ def build_chirp(m: int) -> Dictionary:
     # exponent[t, a, b] = b t^2 + a t
     expo = (np.multiply.outer(t ** 2, b)[:, None, :] + np.multiply.outer(t, a)[:, :, None]) % m
     entries = np.exp(2j * np.pi * expo / m).reshape(m, m * m) / np.sqrt(m)
-    return Dictionary(
-        name=f"chirp(m={m})", field="complex", m=m, N=m * m,
-        entries=entries, params={"family": "chirp"},
-    )
+    return Dictionary(f"chirp(m={m})", entries, params={"family": "chirp"})
 
 
 def build_etf_paley(q: int) -> Dictionary:
@@ -393,10 +390,8 @@ def build_etf_paley(q: int) -> Dictionary:
         raise FamilyError("conference-matrix Gram factorization failed")
     entries = (vecs[:, -m:] * np.sqrt(top)).T
     entries = _normalize_columns(entries)  # absorb float roundoff
-    return Dictionary(
-        name=f"etf_paley(q={q})", field="real", m=m, N=n,
-        entries=entries, params={"family": "etf_paley", "q": q},
-    )
+    return Dictionary(f"etf_paley(q={q})", entries,
+                      params={"family": "etf_paley", "q": q})
 
 
 def from_binary_code(code: BinaryCode, name: str = "code") -> Dictionary:
@@ -405,10 +400,7 @@ def from_binary_code(code: BinaryCode, name: str = "code") -> Dictionary:
         raise FamilyError("empty code")
     entries = np.full((code.m, code.N), 1.0 / np.sqrt(code.m))
     np.negative(entries, out=entries, where=code.bits().T.view(bool))
-    return Dictionary(
-        name=name, field="real", m=code.m, N=code.N, entries=entries,
-        params={"family": "binary_code"}, code=code,
-    )
+    return Dictionary(name, entries, params={"family": "binary_code"}, code=code)
 
 
 def delsarte_goethals_code(s: int, r: int = 0) -> BinaryCode:
@@ -478,10 +470,8 @@ def realify(d: Dictionary) -> Dictionary:
     if d.field != "complex":
         raise FamilyError("realify expects a complex dictionary")
     entries = np.vstack([d.entries.real, d.entries.imag])
-    return Dictionary(
-        name=f"realified({d.name})", field="real", m=2 * d.m, N=d.N,
-        entries=entries, params=dict(d.params, realified=True), seed=d.seed,
-    )
+    return Dictionary(f"realified({d.name})", entries,
+                      params=dict(d.params, realified=True), seed=d.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +500,8 @@ def save_dictionary(d: Dictionary, path) -> None:
 
 def load_dictionary(path) -> Dictionary:
     """Read a ``save_dictionary`` file, holding about one copy of the entries:
-    the payload is read into the array it fills and the column norms are
-    sums of squares per column."""
+    the payload is read into the array it fills, and the constructor's
+    column check is the one pass over the columns of a good file."""
     with open(path, "rb") as fh:
         # the header ends at the first "data" line after the first line
         lines = [fh.readline()]
@@ -546,6 +536,8 @@ def load_dictionary(path) -> Dictionary:
             N = int(fields["N"])
         except KeyError as exc:
             raise DictionaryFormatError(f"missing header key {exc}")
+        if fld not in ("real", "complex"):
+            raise DictionaryFormatError(f"unknown field {fld!r}")
         if m < 1 or N < 1:
             raise DictionaryFormatError(f"m and N must be positive, got m={m}, N={N}")
         nbytes = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -561,6 +553,12 @@ def load_dictionary(path) -> Dictionary:
         entries = np.empty((m, N), dtype="<c16" if fld == "complex" else "<f8")
         if fh.readinto(entries.reshape(-1).view(np.uint8)) != nbytes:
             raise DictionaryFormatError("file shrank while it was read")
+    meta = {"name": fields.get("name", "loaded"), "params": fields["params"],
+            "seed": int(fields["seed"]) if "seed" in fields else None}
+    try:
+        return Dictionary(entries=entries, **meta)
+    except FamilyError:     # the columns are refused: say why, or renormalize
+        pass
     with np.errstate(over="ignore"):
         norms = np.sqrt(_column_sq_norms(entries))
     if not np.isfinite(norms).all():
@@ -574,15 +572,11 @@ def load_dictionary(path) -> Dictionary:
             f"the norm of column {overflow[0]} overflows float64 "
             f"({overflow.size} of {N} columns)")
     dev = float(np.abs(norms - 1.0).max())
-    if dev > UNIT_COLUMN_TOL:
-        warnings.warn(
-            f"loaded columns deviate from unit norm by {dev:.3e}; renormalizing",
-            stacklevel=2,
-        )
-        entries = _normalize_columns(entries)
-    seed = int(fields["seed"]) if "seed" in fields else None
-    return Dictionary(name=fields.get("name", "loaded"), field=fld, m=m, N=N,
-                      entries=entries, params=fields["params"], seed=seed)
+    warnings.warn(
+        f"loaded columns deviate from unit norm by {dev:.3e}; renormalizing",
+        stacklevel=2,
+    )
+    return Dictionary(entries=_normalize_columns(entries), **meta)
 
 
 def export_csv(d: Dictionary, path) -> None:

@@ -126,7 +126,8 @@ class ExperimentReport:
         return payload
 
     def to_json(self, include_runtime: bool = True) -> str:
-        return json.dumps(self.as_dict(include_runtime), indent=2, sort_keys=True)
+        return json.dumps(self.as_dict(include_runtime), indent=2, sort_keys=True,
+                          allow_nan=False)
 
 
 def _binomial_margin(floor: float, trials: int) -> float:

@@ -86,7 +86,12 @@ def observe(d: Dictionary, inst: SignalInstance, sigma: float,
         raise ValueError(f"dictionary N={d.N} vs signal N={inst.N}")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    z = sigma * rng.standard_normal(d.m) if sigma > 0 else np.zeros(d.m)
-    y = d.entries @ inst.x + z
+    # a sigma whose square or y.y overflows is refused before a solver meets inf
+    with np.errstate(over="ignore"):
+        z = sigma * rng.standard_normal(d.m) if sigma > 0 else np.zeros(d.m)
+        y = d.entries @ inst.x + z
+        if not (math.isfinite(sigma * sigma) and math.isfinite(y @ y)):
+            raise ValueError(f"sigma is out of range: sigma^2 or y.y overflows "
+                             f"float64 at sigma={sigma!r}")
     return replace(inst, y=y, z=z, sigma=sigma,
                    eps_noise=float(default_noise_bound(d.m, sigma)))

@@ -6,7 +6,7 @@ from stripkit.dictionaries import BinaryCode, Dictionary, span_of_generator
 
 @pytest.fixture(scope="session")
 def identity8() -> Dictionary:
-    return Dictionary("identity8", "real", 8, 8, np.eye(8))
+    return Dictionary("identity8", np.eye(8))
 
 
 def reed_muller_1_3() -> BinaryCode:

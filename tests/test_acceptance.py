@@ -459,7 +459,7 @@ def test_criterion_10_lasso():
     lam_big = float(np.abs(d.entries.T @ y).max()) * 1.000001
     zero_sol = sk.lasso(d, y, lam=lam_big, sigma=1.0)
     zero_ok = np.abs(zero_sol.x_hat).max() <= 1e-10
-    one = sk.Dictionary("one", "real", 1, 1, np.array([[1.0]]))
+    one = sk.Dictionary("one", np.array([[1.0]]))
     scalar = sk.lasso(one, np.array([3.0]), lam=1.0, sigma=1.0)
     scalar_ok = abs(scalar.x_hat[0] - 2.0) <= 1e-10
 

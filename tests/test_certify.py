@@ -95,8 +95,7 @@ class TestSincEstimate:
     def test_monte_carlo_vs_exhaustive_subsampled(self):
         # exhaustive oracle on a column-subsampled dictionary
         full = sk.build_delsarte_goethals(1)
-        sub = sk.Dictionary("dg-sub", "real", full.m, 20,
-                            full.entries[:, :20].copy())
+        sub = sk.Dictionary("dg-sub", full.entries[:, :20].copy())
         k, mu = 4, 0.25
         alpha = 0.6 * k * mu * mu
         exact = sk.sinc_estimate(sub, k, alpha, "exhaustive")

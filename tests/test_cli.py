@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -9,9 +12,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from stripkit.cli import main
+from stripkit.cli import _emit, main
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def load_schema(name):
@@ -710,3 +714,41 @@ def test_overflowing_column_norm_exits_2(tmp_path, capsys):
     assert captured.out == "" and "Traceback" not in captured.err
     error = json.loads(captured.err)["error"]
     assert "overflows" in error and "column 0" in error
+
+
+def test_emit_refuses_non_finite_payload(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit({"x": value}, out)
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
+def _run_cli(*argv):
+    """The CLI in a fresh interpreter, so stderr holds everything it wrote,
+    numpy RuntimeWarnings included."""
+    return subprocess.run([sys.executable, "-m", "stripkit.cli", *map(str, argv)],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+
+
+def _assert_sigma_out_of_range(proc):
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert json.loads(proc.stderr)["error"].startswith("sigma is out of range: ")
+
+
+@pytest.mark.parametrize("solver", ["bp", "lasso"])
+def test_recover_sigma_past_float_range_exits_2(solver, dg_file):
+    # once exited 0 with "objective": NaN
+    _assert_sigma_out_of_range(_run_cli(
+        "recover", "--dict", dg_file, "--k", "2", "--sigma", "1e200",
+        "--trials", "1", "--solver", solver))
+
+
+def test_lasso_experiment_sigma_past_float_range_exits_2(tmp_path):
+    # once ran seconds of FISTA on infinite data before an OverflowError
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text('family=dg\nfamily_args={"s": 1}\nk=2\ntrials=2\n'
+                   'solver=lasso\nsigma=1e308\n')
+    _assert_sigma_out_of_range(_run_cli("experiment", "--config", cfg))

@@ -133,7 +133,7 @@ def later_row_differs() -> Dictionary:
     see only zero coherences, so invariance first fails at row 38."""
     entries = np.eye(40)
     entries[38:, 39] = 1 / math.sqrt(2)
-    return Dictionary("later_row_differs", "real", 40, 40, entries)
+    return Dictionary("later_row_differs", entries)
 
 
 def record_free(d: Dictionary) -> Dictionary:
@@ -146,7 +146,7 @@ ORACLE_CASES = {
     "dg s=1": (lambda: sk.build_delsarte_goethals(1), True),
     "dg s=1 record-free": (lambda: record_free(sk.build_delsarte_goethals(1)), True),
     "dg s=2": (lambda: sk.build_delsarte_goethals(2), True),
-    "identity": (lambda: Dictionary("identity8", "real", 8, 8, np.eye(8)), True),
+    "identity": (lambda: Dictionary("identity8", np.eye(8)), True),
     "later row differs": (later_row_differs, True),
     "N=1": (lambda: sk.build_gaussian(4, 1, seed=0), True),
     "N=2": (lambda: sk.build_gaussian(3, 2, seed=4), False),

@@ -4,7 +4,7 @@ import struct
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +383,43 @@ class TestRealify:
             sk.realify(sk.build_gaussian(4, 4, seed=0))
 
 
+class TestRecord:
+    def test_shape_and_field_come_from_entries(self):
+        assert [f.name for f in fields(Dictionary)] == [
+            "name", "entries", "params", "seed", "code"]
+        for entries, dtype, fld in [(np.eye(3, dtype=int)[:, :2], np.float64, "real"),
+                                    ([[1j, 1.0]], np.complex128, "complex")]:
+            d = Dictionary("d", entries)
+            assert d.entries.dtype == dtype and d.field == fld
+            assert (d.m, d.N) == np.shape(entries) and not d.entries.flags.writeable
+            for name in ("m", "N", "field"):
+                with pytest.raises(AttributeError):
+                    setattr(d, name, 1)
+
+    @pytest.mark.parametrize("entries", [np.ones(3), np.ones((1, 1, 1)),
+                                         np.zeros((0, 2)), np.zeros((2, 0))])
+    def test_rejects_non_matrix(self, entries):
+        with pytest.raises(FamilyError, match="m x N matrix with m, N >= 1"):
+            Dictionary("d", entries)
+
+    # NaN compares False with the tolerance, so it once passed the check
+    @pytest.mark.parametrize("entries", [
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[complex(1.0, math.nan), 0.0], [0.0, 1.0]],
+        [[2.0, 0.0], [0.0, 1.0]],
+        [[1e200, 0.0], [0.0, 1.0]],        # a square past float range
+    ], ids=["nan-real", "nan-imag", "off-unit", "overflow"])
+    def test_rejects_columns_off_unit_norm(self, entries):
+        with pytest.raises(FamilyError, match="columns deviate from unit norm"):
+            Dictionary("d", entries)
+
+
+def _sdict(path, fld, m, n, doubles):
+    path.write_bytes(f"SDICT 1\nfield={fld}\nm={m}\nN={n}\nname=x\ndata\n".encode()
+                     + struct.pack(f"<{len(doubles)}d", *doubles))
+    return path
+
+
 class TestSerialization:
     @pytest.mark.parametrize("build", [
         lambda: sk.build_chirp(3),
@@ -478,8 +515,39 @@ class TestSerialization:
             back = sk.load_dictionary(tmp_path / "scaled.dict")
         assert back.column_norm_deviation() < 1e-10
 
+    def test_unknown_field_header(self, tmp_path):
+        with pytest.raises(DictionaryFormatError, match="unknown field 'foo'"):
+            sk.load_dictionary(_sdict(tmp_path / "d.dict", "foo", 1, 1, [1.0]))
+
+    def test_good_file_is_one_column_pass(self, tmp_path, monkeypatch):
+        sk.save_dictionary(sk.build_delsarte_goethals(1), tmp_path / "d.sdict")
+        calls = []
+        spied = dictionaries._column_sq_norms
+        monkeypatch.setattr(dictionaries, "_column_sq_norms",
+                            lambda a: calls.append(a.shape) or spied(a))
+        sk.load_dictionary(tmp_path / "d.sdict")
+        assert calls == [(16, 128)]
+
+    @pytest.mark.parametrize("fld, m, doubles, message", [
+        ("real", 2, [math.nan, 0.0], "1 of 2 payload doubles are not finite"),
+        ("complex", 1, [1.0, math.nan], "1 of 2 payload doubles are not finite"),
+        ("real", 2, [1e308, 1e308],
+         r"the norm of column 0 overflows float64 \(1 of 1 columns\)"),
+    ])
+    def test_bad_payload_messages(self, tmp_path, fld, m, doubles, message):
+        path = _sdict(tmp_path / "d.dict", fld, m, 1, doubles)
+        with pytest.raises(DictionaryFormatError, match=f"^{message}$"):
+            sk.load_dictionary(path)
+
+    def test_off_unit_payload_is_renormalized(self, tmp_path):
+        path = _sdict(tmp_path / "d.dict", "real", 2, 1, [2.0, 0.0])
+        with pytest.warns(UserWarning, match=r"^loaded columns deviate from unit "
+                                             r"norm by 1\.000e\+00; renormalizing$"):
+            back = sk.load_dictionary(path)
+        assert back.entries.tolist() == [[1.0], [0.0]]
+
     def test_csv_identity(self, tmp_path, identity8):
-        d = Dictionary("eye2", "real", 2, 2, np.eye(2))
+        d = Dictionary("eye2", np.eye(2))
         path = tmp_path / "d.csv"
         sk.export_csv(d, path)
         rows = path.read_text().strip().splitlines()

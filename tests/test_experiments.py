@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stripkit as sk
-from stripkit.experiments import (ExperimentConfig, parse_config_file,
-                                  records_csv, sweep_csv)
+from stripkit.experiments import (ExperimentConfig, ExperimentReport,
+                                  parse_config_file, records_csv, sweep_csv)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -130,6 +130,11 @@ class TestLassoStudy:
                         "cond_certificate", "cond_all"))
         assert json.loads(rep.to_json(include_runtime=False)) == {
             k: v for k, v in payload.items() if k != "runtime_seconds"}
+
+    def test_non_finite_report_is_refused(self):
+        rep = ExperimentReport("lasso_study", {}, 0, 0, [], {"ratio_max": float("nan")})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            rep.to_json()
 
 
 class TestSweep:

@@ -116,6 +116,15 @@ class TestObserve:
         with pytest.raises(ValueError, match="realify"):
             sk.observe(d, inst, sigma=0.0, rng=rng)
 
+    # 1e200: sigma^2 overflows; 1e154: only y.y does; 1e308: so does the noise
+    @pytest.mark.parametrize("sigma", [1e200, 1e154, 1e308])
+    def test_rejects_sigma_past_float_range(self, sigma):
+        d = sk.build_delsarte_goethals(1)
+        rng = np.random.default_rng(0)
+        inst = sk.sample_generic_signal(d.N, 2, "unit", rng)
+        with pytest.raises(ValueError, match="^sigma is out of range: "):
+            sk.observe(d, inst, sigma=sigma, rng=rng)
+
     def test_dimension_mismatch(self):
         d = sk.build_gaussian(4, 8, seed=0)
         rng = np.random.default_rng(0)

@@ -121,7 +121,7 @@ class TestBasisPursuit:
         entries = np.zeros((3, 2))
         entries[0, 0] = 1.0
         entries[1, 1] = 1.0
-        d = Dictionary("rank2", "real", 3, 2, entries)
+        d = Dictionary("rank2", entries)
         with pytest.raises(SolverInputError):
             sk.basis_pursuit(d, np.array([0.0, 0.0, 1.0]), 0.0)
 
@@ -173,7 +173,7 @@ class TestNoisyBasisPursuit:
         z = np.array([0.9, 0.02])
         cand = _polish_candidate(a, y, 0.1, y.copy(), z)
         assert np.array_equal(cand[0], y) and cand[2] == "refit"
-        res = sk.basis_pursuit(Dictionary("identity2", "real", 2, 2, a), y, 0.1)
+        res = sk.basis_pursuit(Dictionary("identity2", a), y, 0.1)
         assert res.converged
         assert np.abs(res.x_hat - [1.0 - math.sqrt(0.0075), 0.0]).max() <= 1e-6
 
@@ -315,7 +315,7 @@ def test_error_supports_contraction_inequality():
     # instances take 2.5k-14k iterations.
     m = 64
     entries = np.hstack([np.eye(m), np.full((m, 1), 1.0 / math.sqrt(m))])
-    d = Dictionary("eye-plus-flat", "real", m, m + 1, entries)
+    d = Dictionary("eye-plus-flat", entries)
     eps, delta = 0.5, 0.1
     s = 8 * math.log(2 * d.N / eps)
     assert 1.0 / m <= (1 - delta) ** 2 / s   # hypotheses hold for every support
@@ -409,7 +409,7 @@ class TestLasso:
         assert res.converged and np.all(res.x_hat == 0.0)
 
     def test_scalar_soft_threshold(self):
-        d = Dictionary("one", "real", 1, 1, np.array([[1.0]]))
+        d = Dictionary("one", np.array([[1.0]]))
         res = sk.lasso(d, np.array([3.0]), lam=1.0, sigma=1.0)
         assert res.converged
         assert abs(res.x_hat[0] - 2.0) < 1e-10
@@ -517,7 +517,7 @@ class TestDualCertificate:
         entries[:, 2:] = 0.0
         entries[4, 2] = 1.0
         entries[5, 3] = 1.0
-        d = Dictionary("blocks", "real", 6, 4, entries)
+        d = Dictionary("blocks", entries)
         cert = sk.dual_certificate(d, np.array([0, 1]), np.array([1.0, 1.0]))
         assert cert.valid and cert.sup_off == 0.0
 
@@ -556,7 +556,7 @@ class TestDualCertificate:
         base = sk.build_gaussian(8, 4, seed=1)
         entries = base.entries.copy()
         entries[:, 1] = entries[:, 0]          # duplicate column
-        d = Dictionary("dup", "real", 8, 4, entries)
+        d = Dictionary("dup", entries)
         cert = sk.dual_certificate(d, np.array([0, 1]), np.array([1.0, 1.0]))
         assert not cert.valid
         assert not np.isfinite(cert.gram_conditioning) or cert.gram_conditioning > 1e12
@@ -605,7 +605,7 @@ class TestLsRefit:
         base = sk.build_gaussian(8, 4, seed=1)
         entries = base.entries.copy()
         entries[:, 1] = entries[:, 0]
-        d = Dictionary("dup", "real", 8, 4, entries)
+        d = Dictionary("dup", entries)
         with pytest.raises(RankDeficiencyError):
             sk.ls_refit(d, np.array([0, 1]), entries[:, 0])
 
