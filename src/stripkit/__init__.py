@@ -21,7 +21,7 @@ from .gvforge import GvSpec, code_width, gv_derandomized, gv_random
 from .seeding import derive_rng
 from .signals import SignalInstance, observe, sample_generic_signal
 from .solvers import (Certificate, RecoveryResult, basis_pursuit, cp_conditions,
-                      dual_certificate, error_report, lasso, ls_refit,
+                      dual_certificate, error_report, lasso,
                       on_support_error_constant)
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ CROSS_CHUNK_BYTES = 32 * 2 ** 20
 
 
 class BudgetError(ValueError):
-    """Exhaustive enumeration would exceed the configured cap."""
+    """Exhaustive enumeration would exceed EXHAUSTIVE_CAP supports."""
 
 
 @dataclass
@@ -91,11 +91,11 @@ def _maybe_gram(d: Dictionary) -> Optional[np.ndarray]:
     return d.gram() if d.N <= 3000 else None
 
 
-def _enumerate_supports(N: int, k: int, cap: int) -> np.ndarray:
+def _enumerate_supports(N: int, k: int) -> np.ndarray:
     total = math.comb(N, k)
-    if total > cap:
+    if total > EXHAUSTIVE_CAP:
         raise BudgetError(
-            f"C({N},{k}) = {total} exceeds the exhaustive cap {cap}")
+            f"C({N},{k}) = {total} exceeds the exhaustive cap {EXHAUSTIVE_CAP}")
     flat = np.fromiter(
         (i for sup in combinations(range(N), k) for i in sup),
         dtype=np.int64, count=total * k)
@@ -165,7 +165,7 @@ def _sinc_stats(d: Dictionary, supports: np.ndarray, gram, probes=None):
 
 
 def _estimate(prop: str, d: Dictionary, k: int, k_max: int, params: dict,
-              statistic, method: str, trials: int, seed: int, cap: int,
+              statistic, method: str, trials: int, seed: int,
               probe: bool = False) -> CertificationReport:
     """Probability over uniform k-subsets that ``statistic`` flags a success.
 
@@ -186,7 +186,7 @@ def _estimate(prop: str, d: Dictionary, k: int, k_max: int, params: dict,
         return CertificationReport(prop, params, method, 1, 1, 1.0, (1.0, 1.0),
                                    seed=seed)
     hit, weight = statistic(*(_mc_draws(d.N, k, seed, prop, trials, probe) if mc
-                              else (_enumerate_supports(d.N, k, cap), None)))
+                              else (_enumerate_supports(d.N, k), None)))
     n, hits = hit.size, int(hit.sum())
     est = hits / n
     return CertificationReport(
@@ -196,24 +196,22 @@ def _estimate(prop: str, d: Dictionary, k: int, k_max: int, params: dict,
 
 
 def strip_estimate(d: Dictionary, k: int, delta: float, method: str = "monte_carlo",
-                   trials: int = 10_000, seed: int = 0,
-                   cap: int = EXHAUSTIVE_CAP) -> CertificationReport:
+                   trials: int = 10_000, seed: int = 0) -> CertificationReport:
     """P over uniform k-subsets I of ||Phi_I^H Phi_I - Id|| <= delta."""
     def statistic(sups, _):
         return hollow_gram_norms(d, sups, _maybe_gram(d)) <= delta, None
     return _estimate("strip", d, k, d.N, {"k": k, "delta": delta}, statistic,
-                     method, trials, seed, cap)
+                     method, trials, seed)
 
 
 def sinc_estimate(d: Dictionary, k: int, alpha: float, method: str = "monte_carlo",
-                  trials: int = 10_000, seed: int = 0,
-                  cap: int = EXHAUSTIVE_CAP) -> CertificationReport:
+                  trials: int = 10_000, seed: int = 0) -> CertificationReport:
     """P over uniform k-subsets I of max_{i not in I} ||Phi_I^H phi_i||^2 <= alpha."""
     def statistic(sups, _):
         return _sinc_stats(d, sups, _maybe_gram(d))[0] <= alpha, None
     # k = N leaves no outside column: the condition is vacuous
     return _estimate("sinc", d, k, d.N, {"k": k, "alpha": alpha},
-                     None if k == d.N else statistic, method, trials, seed, cap)
+                     None if k == d.N else statistic, method, trials, seed)
 
 
 def _square(value: float, name: str, expr: str) -> float:
@@ -255,7 +253,7 @@ def wsinc_estimate(d: Dictionary, k: int, delta: float, alpha: float,
         violated = worst > alpha
         return violated, np.where(violated, wsinc_weight(delta, np.sqrt(energy)), 0.0)
     rep = _estimate("wsinc", d, k, d.N - 1, {"k": k, "delta": delta, "alpha": alpha},
-                    statistic, "monte_carlo", trials, seed, EXHAUSTIVE_CAP, probe=True)
+                    statistic, "monte_carlo", trials, seed, probe=True)
     rep.wsinc_threshold = None if eps is None else eps_sq / (d.N - k)
     return rep
 
@@ -296,6 +294,14 @@ def _need_positive(**values):
             raise ValueError(f"need {name} > 0")
 
 
+def _need_nonnegative(**values):
+    # no coherence, moment or distortion is negative; squared or subtracted,
+    # a negative one would turn into a passing margin
+    for name, value in values.items():
+        if not value >= 0:
+            raise ValueError(f"need {name} >= 0")
+
+
 _A_LATTICE = tuple(float(a) for a in np.geomspace(1e-4, 1 - 1e-4, 41))
 _ABC_LATTICE = np.geomspace(1e-6, 0.99, 12)
 
@@ -329,6 +335,7 @@ def sinc_sufficient(mu: float, theta: float, k: int, N: int, eps: float,
     ``None`` searches it for the best worst-case margin.
     """
     _need_positive(k=k, N=N)
+    _need_nonnegative(mu=mu, theta=theta)
     if not 0 < eps < 1:
         raise ValueError("need 0 < eps < 1")
     if a is None:
@@ -355,6 +362,7 @@ def sinc_tail_sufficient(mu: float, theta: float, k: int, alpha: float,
     """Tail variant: under the two moment bounds, the chance that a random
     support accumulates squared coherence above alpha is at most 2 e^{-beta/alpha}."""
     _need_positive(k=k)
+    _need_nonnegative(mu=mu, theta=theta)
     if not (0 < a < 1) or alpha <= 0 or beta <= 0:
         raise ValueError("need 0 < a < 1 and positive alpha, beta")
     slack = {
@@ -373,6 +381,7 @@ def strip_sufficient_via_sinc(mu: float, theta: float, k: int, delta: float,
                               a: Optional[float] = 0.5) -> SufficientConditionVerdict:
     """StRIP through the incoherence route; admits mu up to order k^(-3/4)."""
     _need_positive(k=k)
+    _need_nonnegative(mu=mu, theta=theta, delta=delta)
     if a is None:
         return _best_on_lattice(
             lambda aa: strip_sufficient_via_sinc(mu, theta, k, delta, eps1, aa),
@@ -402,6 +411,7 @@ def strip_sufficient_direct(mu: float, theta: float, k: int, N: int,
     lattice and returns the triple with the best worst-case normalized slack.
     """
     _need_positive(k=k, N=N)
+    _need_nonnegative(mu=mu, theta=theta, frame_norm=frame_norm, delta=delta)
     eps_max = min(1.0 / k, math.exp(1 - 1 / math.log(2)))
     if not (0 < eps < eps_max):
         raise ValueError(f"need 0 < eps < {eps_max:.4g}")
@@ -458,13 +468,15 @@ def dg_sparsity_bound(m: int, delta: float, eps: float,
     exact sixth-moment of the r=1 member (its eps = 0.001 specialization is
     the usual 0.35 delta^(6/7) m^(3/7) form).
     """
-    _need_positive(m=m, eps=eps)
+    _need_positive(m=m, eps=eps, constant=constant)
+    _need_nonnegative(delta=delta)
     return constant * (delta ** 6 * eps * m ** 3) ** (1.0 / 7.0)
 
 
 def gershgorin_sufficient(mu: float, k: int, delta: float) -> SufficientConditionVerdict:
     """Deterministic floor: coherence mu makes every k-subset (k-1)mu-isometric."""
     _need_positive(k=k)
+    _need_nonnegative(mu=mu, delta=delta)
     return _verdict("gershgorin", {"mu": mu, "k": k, "delta": delta},
                     {"delta": delta - (k - 1) * mu})
 

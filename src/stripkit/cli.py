@@ -74,17 +74,19 @@ def _bipolar_code(d: dc.Dictionary) -> dc.BinaryCode:
 
 
 def _cmd_analyze(args) -> int:
+    if args.strength is not None and args.strength < 1:
+        raise ValueError(f"--strength must be at least 1, got {args.strength}")
     d = dc.load_dictionary(args.dict)
     profile = coh.coherence_profile(d, tol=args.tol)
     payload = {"schema_version": 1, "dictionary": d.name, "m": d.m, "N": d.N,
                "field": d.field, "profile": profile.as_dict()}
-    if args.pless or args.strength:
+    if args.pless or args.strength is not None:
         code = _bipolar_code(d)
         if args.pless:
             dist = coh.distance_distribution(code)
             payload["pless_residual"] = {
                 str(l): coh.pless_residual(dist, l) for l in args.pless}
-        if args.strength:
+        if args.strength is not None:
             res = coh.oa_strength(code, args.strength)
             payload["oa_strength"] = {"strength": res.strength,
                                       "exact": res.exact, "note": res.note}

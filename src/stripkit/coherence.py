@@ -40,14 +40,9 @@ class CoherenceProfile:
 
 
 def spectral_norm(d: Dictionary) -> float:
-    """Largest singular value via the smaller-side frame operator."""
-    a = d.entries
-    if d.m <= d.N:
-        op = a @ a.conj().T
-    else:
-        op = a.conj().T @ a
-    vals = np.linalg.eigvalsh(op)
-    return float(np.sqrt(max(vals[-1], 0.0)))
+    """Largest singular value, the root of the top eigenvalue of the cached
+    frame operator ``d.frame`` (its eigenvalues are clamped at zero)."""
+    return float(np.sqrt(d.frame[0].max()))
 
 
 def coherence_profile(d: Dictionary, tol: float = INVARIANCE_TOL) -> CoherenceProfile:

@@ -403,7 +403,7 @@ def from_binary_code(code: BinaryCode, name: str = "code") -> Dictionary:
     return Dictionary(name, entries, params={"family": "binary_code"}, code=code)
 
 
-def delsarte_goethals_code(s: int, r: int = 0) -> BinaryCode:
+def delsarte_goethals_code(s: int) -> BinaryCode:
     """Kerdock-type binary code behind the DG(s, r=0) dictionary.
 
     Length 2^(2s+2), one representative per complementary pair (the offset
@@ -415,11 +415,6 @@ def delsarte_goethals_code(s: int, r: int = 0) -> BinaryCode:
     """
     if s < 1:
         raise FamilyError("need s >= 1")
-    if r != 0:
-        raise FamilyError(
-            f"(s={s}, r={r}) unsupported: only r=0 is constructed; supply a "
-            "precomputed code for larger r"
-        )
     N, m = 2 ** (4 * s + 3), 2 ** (2 * s + 2)
     if N * m > MAX_CODE_BITS:
         raise FamilyError(
@@ -444,7 +439,11 @@ def build_delsarte_goethals(s: int, r: int = 0,
     m = 2 ** (2 * s + 2)
     mu_bound = 2 ** r / np.sqrt(m) + 1e-12
     if code is None:
-        code = delsarte_goethals_code(s, r)
+        if r != 0:
+            raise FamilyError(
+                f"(s={s}, r={r}) unsupported: only r=0 is constructed; supply a "
+                "precomputed code for larger r")
+        code = delsarte_goethals_code(s)
     elif code.N > 4096:
         raise FamilyError(
             "supplied code too large for pairwise contract validation")
@@ -487,15 +486,11 @@ def save_dictionary(d: Dictionary, path) -> None:
         lines.append(f"param.{key}={json.dumps(d.params[key])}")
     lines.append("data")
     header = ("\n".join(lines) + "\n").encode("utf-8")
-    if d.field == "complex":
-        flat = np.empty(2 * d.m * d.N)
-        flat[0::2] = d.entries.real.ravel()
-        flat[1::2] = d.entries.imag.ravel()
-    else:
-        flat = d.entries.ravel()
+    # "<c16" is the little-endian (re, im) double pairs that load_dictionary reads
+    payload = d.entries.astype("<c16" if d.field == "complex" else "<f8", copy=False)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(flat.astype("<f8").tobytes())
+        fh.write(payload.tobytes())
 
 
 def load_dictionary(path) -> Dictionary:

@@ -150,10 +150,10 @@ class _BandTables:
         row = self.prefix[remaining]
         return row[hi + 1] - row[lo]
 
-    def outside_scaled(self, decided_ones: int, remaining: int, m: int) -> int:
+    def outside_scaled(self, decided_ones: int, remaining: int) -> int:
         """2^m * P(out of band | decided): integer at the common scale."""
         total = 1 << remaining
-        return (total - self.inside(decided_ones, remaining)) << (m - remaining)
+        return (total - self.inside(decided_ones, remaining)) << (self.m - remaining)
 
 
 def gv_derandomized(spec: GvSpec) -> GvResult:
@@ -182,7 +182,7 @@ def gv_derandomized(spec: GvSpec) -> GvResult:
     tables = _BandTables(m, lo, hi)
     scale = 1 << m
 
-    total = (N - 1) * tables.outside_scaled(0, m, m)
+    total = (N - 1) * tables.outside_scaled(0, m)
     initial = Fraction(total, scale)
     if initial >= 1:
         raise GvInfeasibleError(
@@ -194,12 +194,12 @@ def gv_derandomized(spec: GvSpec) -> GvResult:
     generator = np.zeros((m, l), dtype=np.uint8)
     # after[k] is 2^m P(out of band) for first + k decided ones and m - i
     # rows left: the before table of row i
-    first, after = 0, [tables.outside_scaled(0, m, m)]
+    first, after = 0, [tables.outside_scaled(0, m)]
 
     for i in range(m):
         low, high = int(ones[1:].min()), int(ones[1:].max())
         before = after[low - first:high - first + 1]
-        first, after = low, [tables.outside_scaled(o, m - i - 1, m)
+        first, after = low, [tables.outside_scaled(o, m - i - 1)
                              for o in range(low, high + 2)]
         stay = [a - b for a, b in zip(after, before)]
         move = [a - b for a, b in zip(after[1:], before)]

@@ -69,11 +69,12 @@ def sample_generic_signal(N: int, k: int, magnitude_model: str,
                           tail_l1=tail_l1)
 
 
-def default_noise_bound(m: int, sigma: float, tail: float = NOISE_TAIL) -> float:
-    """High-probability bound on ||z||_2 for z ~ N(0, sigma^2 I_m)."""
+def default_noise_bound(m: int, sigma: float) -> float:
+    """Bound on ||z||_2 for z ~ N(0, sigma^2 I_m) that fails with probability
+    about NOISE_TAIL."""
     if sigma == 0.0:
         return 0.0
-    return sigma * math.sqrt(m + 2.0 * math.sqrt(m * math.log(1.0 / tail)))
+    return sigma * math.sqrt(m + 2.0 * math.sqrt(m * math.log(1.0 / NOISE_TAIL)))
 
 
 def observe(d: Dictionary, inst: SignalInstance, sigma: float,

@@ -126,13 +126,13 @@ def _range_apply(w: np.ndarray, v: np.ndarray, mask: np.ndarray,
 
 class _BallProjector:
     """Exact Euclidean projection onto {x : ||A x - y|| <= eps}; ``spectrum``
-    is ``frame_spectrum(a)`` when the caller has it already."""
+    is ``frame_spectrum(a)``."""
 
-    def __init__(self, a: np.ndarray, y: np.ndarray, eps: float, spectrum=None):
+    def __init__(self, a: np.ndarray, y: np.ndarray, eps: float, spectrum):
         self.a = a
         self.y = y
         self.eps = eps
-        self.w, self.v, self.rank_mask = spectrum or frame_spectrum(a)
+        self.w, self.v, self.rank_mask = spectrum
 
     def lift(self, g: np.ndarray) -> np.ndarray:
         """Least-squares solution nu of A^T nu = g (the range-space lift)."""
@@ -519,25 +519,6 @@ def dual_certificate(d: Dictionary, support, signs) -> Certificate:
     v[idx] = s       # exact by construction; pin the float solve noise
     sup_off = _off_support_max(v, idx)
     return Certificate(v, sup_off, cond, sup_off <= 0.5)
-
-
-def ls_refit(d: Dictionary, support, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients on the support, zeros elsewhere."""
-    _require_real(d)
-    idx = np.asarray(support)
-    if idx.size > d.m:
-        raise SolverInputError("support larger than the sketch dimension")
-    sub = d.entries[:, idx]
-    coef, _, rank, _ = np.linalg.lstsq(sub, np.asarray(y, dtype=float), rcond=None)
-    if rank < idx.size:
-        raise RankDeficiencyError(f"Phi_I has rank {rank} < {idx.size}")
-    rhs = sub.T @ y
-    normal_resid = np.linalg.norm(sub.T @ (sub @ coef) - rhs)
-    if normal_resid > 1e-10 * (1.0 + np.linalg.norm(rhs)):
-        raise RankDeficiencyError("normal equations residual too large")
-    out = np.zeros(d.N)
-    out[idx] = coef
-    return out
 
 
 @dataclass

@@ -64,7 +64,7 @@ class TestStripEstimate:
     def test_budget(self):
         d = sk.build_gaussian(8, 40, seed=0)
         with pytest.raises(BudgetError):
-            sk.strip_estimate(d, 10, 0.5, "exhaustive", cap=1000)
+            sk.strip_estimate(d, 10, 0.5, "exhaustive")
 
     def test_monotone_in_delta(self):
         d = sk.build_gaussian(8, 16, seed=3)
@@ -268,6 +268,45 @@ class TestSufficientConditions:
     def test_gershgorin_evaluator(self):
         assert sk.gershgorin_sufficient(0.1, 3, delta=0.2).satisfied
         assert not sk.gershgorin_sufficient(0.1, 3, delta=0.19).satisfied
+
+    # each refused before it could be squared or subtracted into a passing margin
+    NEGATIVE = {
+        "sinc mu": (lambda: sk.sinc_sufficient(-0.01, 1e-5, 4, 100, 0.1), "mu"),
+        "sinc theta": (lambda: sk.sinc_sufficient(0.01, -1e-5, 4, 100, 0.1), "theta"),
+        "sinc searched": (lambda: sk.sinc_sufficient(-0.01, 0.0, 4, 100, 0.1, a=None),
+                          "mu"),
+        "tail mu": (lambda: sk.sinc_tail_sufficient(-0.1, 0.01, 4, 0.5, 1.0), "mu"),
+        "tail theta": (lambda: sk.sinc_tail_sufficient(0.1, -0.01, 4, 0.5, 1.0),
+                       "theta"),
+        "via sinc delta": (lambda: sk.strip_sufficient_via_sinc(0.01, 1e-5, 4, -0.5, 0.1),
+                           "delta"),
+        "via sinc mu": (lambda: sk.strip_sufficient_via_sinc(-0.01, 1e-5, 4, 0.5, 0.1),
+                        "mu"),
+        "direct delta": (lambda: sk.strip_sufficient_direct(
+            0.0, 0.0, 4, 10 ** 9, 1.0, -0.5, 0.01, 1e-4, 1e-4, 1e-4), "delta"),
+        "direct frame_norm": (lambda: sk.strip_sufficient_direct(
+            0.0, 0.0, 4, 10 ** 9, -1.0, 0.5, 0.01, 1e-4, 1e-4, 1e-4), "frame_norm"),
+        "gershgorin mu": (lambda: sk.gershgorin_sufficient(-0.1, 3, 0.1), "mu"),
+        "gershgorin delta": (lambda: sk.gershgorin_sufficient(0.1, 3, -0.5), "delta"),
+        "dg delta": (lambda: certify.dg_sparsity_sufficient(4096, -0.5, 0.001, 3), "delta"),
+        "dg bound delta": (lambda: sk.dg_sparsity_bound(4096, -0.5, 0.001), "delta"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NEGATIVE))
+    def test_negative_input_refused(self, case):
+        call, name = self.NEGATIVE[case]
+        with pytest.raises(ValueError, match=f"^need {name} >= 0$"):
+            call()
+
+    @pytest.mark.parametrize("constant", [0.0, -1.0])
+    def test_nonpositive_dg_constant_refused(self, constant):
+        with pytest.raises(ValueError, match="^need constant > 0$"):
+            certify.dg_sparsity_sufficient(4096, 0.5, 0.001, 3, constant=constant)
+
+    def test_zero_delta_is_legal(self):
+        assert not sk.gershgorin_sufficient(0.1, 3, 0.0).satisfied
+        assert sk.gershgorin_sufficient(0.0, 3, 0.0).satisfied
+        assert sk.dg_sparsity_bound(4096, 0.0, 0.001) == 0.0
 
     def test_split_constant_search(self):
         # a=None picks the best budget split; it can only help

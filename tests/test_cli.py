@@ -98,6 +98,16 @@ class TestAnalyze:
         assert main(["analyze", "--dict", str(path), *flags]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize("strength", ["0", "-1"])
+    def test_strength_below_one_exits_2(self, strength, dg_file, capsys):
+        # 0 used to drop oa_strength from the payload, -1 to report strength 0
+        capsys.readouterr()
+        assert main(["analyze", "--dict", str(dg_file), "--strength", strength]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err) == {
+            "error": f"--strength must be at least 1, got {strength}"}
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_bad_tol_exits_2(self, tol, dg_file, capsys):
         capsys.readouterr()
@@ -312,6 +322,21 @@ class TestCheck:
         "strip-oa l 6.5": ("strip-oa", "l", "6.5", "l must be a finite integer"),
         "dg-sparsity eps -1": ("dg-sparsity", "eps", "-1", "need eps > 0"),
         "dg-sparsity m 0": ("dg-sparsity", "m", "0", "need m > 0"),
+        "dg-sparsity constant -1": ("dg-sparsity", "constant", "-1",
+                                    "need constant > 0"),
+        "dg-sparsity constant 0": ("dg-sparsity", "constant", "0", "need constant > 0"),
+        "dg-sparsity delta -0.5": ("dg-sparsity", "delta", "-0.5", "need delta >= 0"),
+        "gershgorin mu -0.1": ("gershgorin", "mu", "-0.1", "need mu >= 0"),
+        "gershgorin delta -0.5": ("gershgorin", "delta", "-0.5", "need delta >= 0"),
+        "sinc-coherence mu -0.01": ("sinc-coherence", "mu", "-0.01", "need mu >= 0"),
+        "sinc-coherence theta -0.00001": ("sinc-coherence", "theta", "-0.00001",
+                                          "need theta >= 0"),
+        "sinc-tail theta -0.01": ("sinc-tail", "theta", "-0.01", "need theta >= 0"),
+        "strip-via-sinc delta -0.5": ("strip-via-sinc", "delta", "-0.5",
+                                      "need delta >= 0"),
+        "strip-coherence mu -0.1": ("strip-coherence", "mu", "-0.1", "need mu >= 0"),
+        "strip-coherence frame_norm -2": ("strip-coherence", "frame_norm", "-2",
+                                          "need frame_norm >= 0"),
     }
 
     @pytest.mark.parametrize("condition", sorted(VALID))

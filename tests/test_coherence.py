@@ -91,6 +91,15 @@ class TestProfile:
         assert p.mean_sq == pytest.approx(tight_frame_mean_sq(d.m, d.N), abs=1e-12)
         assert p.spectral_norm == pytest.approx(math.sqrt(d.N / d.m), abs=1e-9)
 
+    @pytest.mark.parametrize("build", [lambda: sk.build_delsarte_goethals(1),
+                                       lambda: sk.build_delsarte_goethals(2),
+                                       lambda: sk.build_chirp(7)],
+                             ids=["dg s=1", "dg s=2", "chirp 7"])
+    def test_spectral_norm_reads_frame(self, build):
+        # the norm is the root of the cached frame's top eigenvalue, bit for bit
+        d = build()
+        assert spectral_norm(d) == math.sqrt(d.frame[0].max())
+
     def test_offdiag_count(self):
         # chirp coherences take exactly the two values {0, 1/sqrt(m)}
         p = sk.coherence_profile(sk.build_chirp(5))

@@ -149,7 +149,8 @@ class TestDelsarteGoethals:
     def test_unsupported_combinations(self):
         with pytest.raises(FamilyError):
             sk.build_delsarte_goethals(0)
-        with pytest.raises(FamilyError):
+        with pytest.raises(FamilyError, match=r"\(s=2, r=1\) unsupported: only r=0 "
+                           "is constructed; supply a precomputed code for larger r"):
             sk.build_delsarte_goethals(2, r=1)
 
     def test_precomputed_code_route_validates(self):
@@ -435,6 +436,17 @@ class TestSerialization:
         assert back.field == d.field and (back.m, back.N) == (d.m, d.N)
         assert np.array_equal(back.entries, d.entries)   # bit-exact
         assert back.params == d.params
+
+    def test_complex_payload_is_interleaved_doubles(self, tmp_path):
+        # the file layout: each complex entry as a little-endian (re, im) pair
+        # of doubles, row-major
+        d = sk.build_chirp(31)
+        sk.save_dictionary(d, tmp_path / "d.sdict")
+        flat = np.empty(2 * d.m * d.N)
+        flat[0::2] = d.entries.real.ravel()
+        flat[1::2] = d.entries.imag.ravel()
+        payload = (tmp_path / "d.sdict").read_bytes().split(b"\ndata\n", 1)[1]
+        assert payload == flat.astype("<f8").tobytes()
 
     def test_payload_size_mismatch(self, tmp_path):
         d = sk.build_gaussian(4, 6, seed=0)

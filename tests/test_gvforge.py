@@ -25,7 +25,7 @@ def per_codeword_oracle(spec: GvSpec):
     ones = [0] * N
     remaining = [m] * N
     partial = [0] * N
-    total = (N - 1) * tables.outside_scaled(0, m, m)
+    total = (N - 1) * tables.outside_scaled(0, m)
     if Fraction(total, scale) >= 1:
         return None
     trace = [Fraction(total, scale)]
@@ -38,11 +38,11 @@ def per_codeword_oracle(spec: GvSpec):
             finalized = by_top_bit[j]
             delta = {0: 0, 1: 0}
             for u in finalized:
-                old = tables.outside_scaled(ones[u], remaining[u], m)
+                old = tables.outside_scaled(ones[u], remaining[u])
                 rem = remaining[u] - 1
                 for b in (0, 1):
                     par = partial[u] ^ b
-                    delta[b] += tables.outside_scaled(ones[u] + par, rem, m) - old
+                    delta[b] += tables.outside_scaled(ones[u] + par, rem) - old
             bit = 0 if delta[0] <= delta[1] else 1
             generator[i, j] = bit
             total += delta[bit]

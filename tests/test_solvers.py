@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import stripkit as sk
 from stripkit import solvers
-from stripkit.dictionaries import Dictionary
-from stripkit.solvers import (RankDeficiencyError, SolverInputError,
-                              _BallProjector, _boundary_refit,
+from stripkit.dictionaries import Dictionary, frame_spectrum
+from stripkit.solvers import (SolverInputError, _BallProjector, _boundary_refit,
                               _lasso_columns, _polish_candidate,
                               lasso_kkt_residual)
 
@@ -225,7 +224,7 @@ def projection_case(seed, spread, rank_deficient=False):
     a = (u * svals) @ v.T
     y = rng.standard_normal(m)
     vec = rng.standard_normal(n)
-    proj = _BallProjector(a, y, 1.0)
+    proj = _BallProjector(a, y, 1.0, frame_spectrum(a))
     dt = proj.v.T @ (a @ vec - y)
     null_mass = float(np.linalg.norm(dt[~proj.rank_mask]))
     return a, y, vec, dt, float(np.linalg.norm(dt)), null_mass
@@ -234,7 +233,7 @@ def projection_case(seed, spread, rank_deficient=False):
 class TestBallProjector:
     @staticmethod
     def check_multiplier(a, y, dt, eps):
-        proj = _BallProjector(a, y, eps)
+        proj = _BallProjector(a, y, eps, frame_spectrum(a))
         lam = proj.multiplier(dt)
         ref = bisection_multiplier(dt, proj.w, eps)
         # both searches stop on a bracket of width 1e-15 * max(1, lam), so
@@ -294,7 +293,7 @@ class TestBallProjector:
             y = rng.standard_normal(m)
             vec = rng.standard_normal(2 * m)
             eps = 0.5 * float(np.linalg.norm(y[rank:]))
-            proj = _BallProjector(a, y, eps)
+            proj = _BallProjector(a, y, eps, frame_spectrum(a))
             dt = proj.v.T @ (a @ vec - y)
             with pytest.raises(SolverInputError, match="projection failed"):
                 bisection_multiplier(dt, proj.w, eps)
@@ -570,49 +569,6 @@ class TestDualCertificate:
         cert = sk.dual_certificate(d, np.array([0, j]), np.array([1.0, -1.0]))
         assert cert.v is not None
         assert cert.gram_conditioning == pytest.approx((1 + 0.25) / (1 - 0.25), rel=1e-12)
-
-
-class TestLsRefit:
-    def test_exact_inversion(self):
-        d = sk.build_gaussian(8, 20, seed=3)
-        sup = np.array([2, 7, 11])
-        coef = np.array([1.5, -2.0, 0.25])
-        y = d.entries[:, sup] @ coef
-        out = sk.ls_refit(d, sup, y)
-        assert np.abs(out[sup] - coef).max() <= 1e-10
-        assert np.all(out[np.setdiff1d(np.arange(20), sup)] == 0.0)
-
-    def test_single_column_scale(self):
-        d = sk.build_gaussian(8, 20, seed=3)
-        y = 2.0 * d.entries[:, 1]
-        out = sk.ls_refit(d, np.array([1]), y)
-        assert out[1] == pytest.approx(2.0, abs=1e-12)
-
-    def test_noisy_error_bound(self):
-        d = sk.build_gaussian(12, 30, seed=4)
-        sup = np.array([0, 5, 9])
-        coef = np.array([1.0, -1.0, 2.0])
-        rng = np.random.default_rng(0)
-        z = 0.01 * rng.standard_normal(12)
-        y = d.entries[:, sup] @ coef + z
-        out = sk.ls_refit(d, sup, y)
-        sub = d.entries[:, sup]
-        gram = sub.T @ sub
-        bound = np.linalg.norm(np.linalg.inv(gram), 2) * np.linalg.norm(sub.T @ z)
-        assert np.linalg.norm(out[sup] - coef) <= bound + 1e-12
-
-    def test_rank_deficiency_flagged(self):
-        base = sk.build_gaussian(8, 4, seed=1)
-        entries = base.entries.copy()
-        entries[:, 1] = entries[:, 0]
-        d = Dictionary("dup", entries)
-        with pytest.raises(RankDeficiencyError):
-            sk.ls_refit(d, np.array([0, 1]), entries[:, 0])
-
-    def test_oversized_support(self):
-        d = sk.build_gaussian(4, 8, seed=0)
-        with pytest.raises(SolverInputError):
-            sk.ls_refit(d, np.arange(5), np.zeros(4))
 
 
 class TestCpConditions:
