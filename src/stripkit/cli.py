@@ -76,6 +76,8 @@ def _bipolar_code(d: dc.Dictionary) -> dc.BinaryCode:
 def _cmd_analyze(args) -> int:
     if args.strength is not None and args.strength < 1:
         raise ValueError(f"--strength must be at least 1, got {args.strength}")
+    if args.pless == []:
+        raise ValueError("--pless needs at least one moment order L")
     d = dc.load_dictionary(args.dict)
     profile = coh.coherence_profile(d, tol=args.tol)
     payload = {"schema_version": 1, "dictionary": d.name, "m": d.m, "N": d.N,

@@ -3,10 +3,16 @@ phase-transition sweeps.
 
 Each trial draws its instance from its own rng stream (seed, "trial", t).
 Trials run in fixed blocks of TRIAL_BLOCK consecutive indices, one block per
-worker task with jobs > 1 and several blocks; a Lasso block is one
+worker task with jobs > 1 and several blocks. A Lasso block is one
 multi-column solve, padded to the full block width with zero observations,
-so the floats of record t depend only on (seed, t). Reports are therefore
-byte-identical across reruns, worker counts and trial counts; the wall-clock
+so the floats of record t depend only on (seed, t). A noiseless BP block is
+one block solve over the block's trials, unpadded: a column leaves the solve
+when it settles, so padding would only add work. Reports are therefore
+byte-identical across reruns and worker counts, and Lasso reports across
+trial counts too. Across trial counts, BP records certified by the support
+refit are byte-identical, while records certified on the ADMM iterate can
+move in their last digits, since a shorter study may cut its last block
+short and a gemm rounds a column by the block's width. The wall-clock
 runtime is the only non-reproducible field and is kept out of the
 comparison payload.
 """
@@ -27,7 +33,7 @@ import numpy as np
 from .dictionaries import Dictionary, build_family, load_dictionary, realify
 from .seeding import derive_rng
 from .signals import SignalInstance, observe, sample_generic_signal
-from .solvers import (RecoveryResult, _lasso_columns, basis_pursuit,
+from .solvers import (RecoveryResult, _bp_columns, _lasso_columns,
                       cp_conditions, dual_certificate, error_report)
 
 MIN_TRIALS_FOR_FLOOR = 200
@@ -155,9 +161,8 @@ def _trial_instance(d: Dictionary, config: ExperimentConfig, t: int) -> SignalIn
     return observe(d, inst, sigma=config.sigma, rng=rng)
 
 
-def _bp_trial(d: Dictionary, config: ExperimentConfig, t: int) -> dict:
-    inst = _trial_instance(d, config, t)
-    res = basis_pursuit(d, inst.y, 0.0)
+def _bp_record(d: Dictionary, config: ExperimentConfig, t: int,
+               inst: SignalInstance, res: RecoveryResult) -> dict:
     res = error_report(inst, res, config.eps)
     cert = dual_certificate(d, inst.support, inst.signs)
     top = np.sort(np.argsort(np.abs(res.x_hat))[-config.k:]) if config.k else np.array([], dtype=int)
@@ -185,7 +190,13 @@ def _trials_in(block: range, config: ExperimentConfig) -> range:
 
 
 def _bp_block(d: Dictionary, config: ExperimentConfig, block: range) -> list:
-    return [_bp_trial(d, config, t) for t in _trials_in(block, config)]
+    """Noiseless BP trials of one block: each instance from its own trial
+    stream, one solve over the block's trials (not padded: settled columns
+    leave the solve, so padding would only add work), then the records."""
+    insts = [_trial_instance(d, config, t) for t in _trials_in(block, config)]
+    results = _bp_columns(d, np.transpose([inst.y for inst in insts]), 0.0)
+    return [_bp_record(d, config, t, inst, res)
+            for t, inst, res in zip(block, insts, results)]
 
 
 def _run_trials(block_worker, d, config):

@@ -9,7 +9,8 @@ independently constructed dual-feasible point, so ``converged=True`` always
 means a verified duality gap, never just small iterate motion. Polishing
 tries a refit on the detected support before the raw iterate and stops at
 the first certified candidate; a dense sign fit is solved in the
-m-dimensional range space. Without noise the refit is least squares. With
+m-dimensional range space, on the cached frame when the support is every
+column. Without noise the refit is least squares. With
 eps > 0 it is the exact optimum of BP restricted to the support and signs,
 the least-squares fit moved onto the ball's boundary, and the support grows
 by any column the residual correlates with more strongly than with the
@@ -17,6 +18,12 @@ support; the scaled residual then certifies it as soon as ADMM has the
 support in view. ``info`` records the duality gap, which candidate was
 certified (``certified_by``) and the number of polish calls. Both solvers
 read the eigenpairs of Phi Phi^T from the dictionary's cached ``frame``.
+One ADMM kernel solves every column of an m x T observation matrix at once:
+its unsettled columns are held as rows, each step makes two block products
+with Phi and small ones with the eigenbasis, and each column is polished on
+its own on the CHECK_EVERY schedule and leaves the block when it certifies,
+meets the 1e-13 stop or reaches the cap; ``basis_pursuit`` is its
+one-column call, which runs the very products of a one-vector loop.
 Lasso runs accelerated proximal gradient at the fixed step 1/L, L the
 largest of those eigenvalues, restarts its momentum when the step turns
 against it, and is accepted only on a coordinatewise subgradient check,
@@ -111,35 +118,59 @@ def _soft(v: np.ndarray, t: float) -> np.ndarray:
 
 def _range_solve(w: np.ndarray, v: np.ndarray, mask: np.ndarray,
                  b: np.ndarray) -> np.ndarray:
-    """(A A^T)^+ b from the eigenpairs of A A^T, directions off the mask dropped."""
-    return _range_apply(w, v, mask, v.T @ b)
+    """(A A^T)^+ b for a vector b or each row of b, from the eigenpairs of
+    A A^T, directions off the mask dropped."""
+    return _range_coef(w, mask, b @ v) @ v.T
 
 
-def _range_apply(w: np.ndarray, v: np.ndarray, mask: np.ndarray,
-                 coef: np.ndarray) -> np.ndarray:
-    """``_range_solve`` from the eigenbasis coefficients coef = v^T b, which
-    it overwrites."""
-    coef[mask] /= w[mask]
-    coef[~mask] = 0.0
-    return v @ coef
+def _range_coef(w: np.ndarray, mask: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The eigenbasis coefficients coef = b @ v of a vector b (or of each row)
+    turned in place into those of (A A^T)^+ b, directions off the mask
+    dropped; returns coef."""
+    coef[..., mask] /= w[mask]
+    coef[..., ~mask] = 0.0
+    return coef
+
+
+def _row_dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p[j] @ q[j] for every row j, each by the same BLAS dot as 1-d ``@``."""
+    return np.vecdot(p, q)
+
+
+def _row_norms(p: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(p[j]) for every row j, each by the same BLAS dot."""
+    return np.sqrt(_row_dots(p, p))
 
 
 class _BallProjector:
-    """Exact Euclidean projection onto {x : ||A x - y|| <= eps}; ``spectrum``
-    is ``frame_spectrum(a)``."""
+    """Exact Euclidean projection of row j onto {x : ||A x - y_j|| <= eps_j},
+    for the rows y_j of ``y`` and the matching ``eps`` (a lone y and eps are
+    one row, and a lone vector is projected as one row); ``spectrum`` is
+    ``frame_spectrum(a)``."""
 
-    def __init__(self, a: np.ndarray, y: np.ndarray, eps: float, spectrum):
+    def __init__(self, a: np.ndarray, y: np.ndarray, eps, spectrum):
         self.a = a
-        self.y = y
-        self.eps = eps
+        self.y = np.atleast_2d(y)
+        self.eps = np.full(self.y.shape[0], eps, dtype=float)
         self.w, self.v, self.rank_mask = spectrum
+        self.full_rank = bool(self.rank_mask.all())
+        self.exact = np.flatnonzero(self.eps == 0.0)
+        self.noisy = np.flatnonzero(self.eps > 0.0)
 
     def lift(self, g: np.ndarray) -> np.ndarray:
-        """Least-squares solution nu of A^T nu = g (the range-space lift)."""
-        return _range_solve(self.w, self.v, self.rank_mask, self.a @ g)
+        """Least-squares solution nu of A^T nu = g, for a vector g or each
+        row of g (the range-space lift)."""
+        return self._range_coef(g @ self.a.T @ self.v) @ self.v.T
 
-    def multiplier(self, dt: np.ndarray) -> float:
-        """The lam >= 0 with ||dt / (1 + lam w)|| = eps, to within
+    def _range_coef(self, coef: np.ndarray) -> np.ndarray:
+        """``_range_coef`` on this frame; a full-rank one drops no direction."""
+        if self.full_rank:
+            coef /= self.w
+            return coef
+        return _range_coef(self.w, self.rank_mask, coef)
+
+    def multiplier(self, dt: np.ndarray, row: int = 0) -> float:
+        """The lam >= 0 with ||dt / (1 + lam w)|| = eps of ``row``, to within
         1e-15 * max(1, lam) and on its feasible side (needs eps < ||dt||).
 
         Safeguarded Newton on the secular equation
@@ -150,7 +181,8 @@ class _BallProjector:
         growing lo while no feasible point is known). Returns hi.
         """
         w = self.w
-        target = 1.0 / self.eps
+        eps = float(self.eps[row])
+        target = 1.0 / eps
         lo, hi, lam = 0.0, math.inf, 0.0
         probe = 0.5e-15     # relative width of a probe past a converged step
         for _ in range(200):
@@ -158,7 +190,7 @@ class _BallProjector:
             qq = (dt / den) ** 2
             f = float(qq.sum())
             r = math.sqrt(f)
-            feasible = r <= self.eps
+            feasible = r <= eps
             if feasible:
                 hi = lam
             else:
@@ -187,18 +219,29 @@ class _BallProjector:
         return hi
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
-        d = self.a @ vec - self.y
-        r = np.linalg.norm(d)
-        if r <= self.eps:
-            return vec
-        dt = self.v.T @ d
-        if self.eps == 0.0:
-            null_mass = np.linalg.norm(dt[~self.rank_mask])
-            if null_mass > 1e-9 * max(1.0, r):
-                raise SolverInputError("y is not in the range of Phi; eps=0 infeasible")
-            return vec - self.a.T @ _range_apply(self.w, self.v, self.rank_mask, dt)
-        lam = self.multiplier(dt)
-        return vec - self.a.T @ (self.v @ (lam * dt / (1.0 + lam * self.w)))
+        rows = vec if vec.ndim == 2 else vec[None]
+        d = rows @ self.a.T - self.y
+        r = _row_norms(d)
+        coef = d @ self.v
+        if self.exact.size:
+            # eps = 0: the minimum-norm correction, in the range of A A^T
+            sub = coef if self.exact.size == coef.shape[0] else coef[self.exact]
+            if not self.full_rank:
+                null_mass = np.linalg.norm(sub[:, ~self.rank_mask], axis=1)
+                if (null_mass > 1e-9 * np.maximum(1.0, r[self.exact])).any():
+                    raise SolverInputError("y is not in the range of Phi; eps=0 infeasible")
+            self._range_coef(sub)
+            if sub is not coef:
+                coef[self.exact] = sub
+        for j in self.noisy:
+            if r[j] > self.eps[j]:
+                lam = self.multiplier(coef[j], j)
+                coef[j] = lam * coef[j] / (1.0 + lam * self.w)
+        out = rows - (coef @ self.v.T) @ self.a
+        inside = r <= self.eps      # rows already in their ball stay
+        if inside.any():
+            out[inside] = rows[inside]
+        return out if vec.ndim == 2 else out[0]
 
 
 def _support_fit(a: np.ndarray, support, r: np.ndarray):
@@ -215,14 +258,15 @@ def _off_support_max(v: np.ndarray, support) -> float:
     return float(np.abs(off).max()) if off.size else 0.0
 
 
-def _dual_gap(a: np.ndarray, y: np.ndarray, eps: float, x: np.ndarray,
+def _dual_gap(a: np.ndarray, frame, y: np.ndarray, eps: float, x: np.ndarray,
               support: np.ndarray, extra_nu=None) -> float:
     """Duality gap against the best of several constructed dual-feasible points.
 
     Dual: maximize <y, nu> - eps ||nu|| over ||A^T nu||_inf <= 1. Candidates:
     the least-squares sign certificate on the detected support, the scaled
     residual direction, and (when supplied) the splitting iteration's own
-    dual variable lifted through the frame operator.
+    dual variable lifted through the frame operator. ``frame`` is
+    ``frame_spectrum(a)``, which serves a support of every column.
     """
     obj = float(np.abs(x).sum())
     best = 0.0
@@ -236,7 +280,9 @@ def _dual_gap(a: np.ndarray, y: np.ndarray, eps: float, x: np.ndarray,
                 # dense optimum: least-squares fit of the full sign pattern,
                 # solved in m-space through the eigenpairs of asub asub^T
                 asub = a[:, support]
-                nu = _range_solve(*frame_spectrum(asub), asub @ sgn)
+                if support.size < a.shape[1]:
+                    frame = frame_spectrum(asub)
+                nu = _range_solve(*frame, asub @ sgn)
             candidates.append(nu)
         except np.linalg.LinAlgError:
             pass
@@ -269,46 +315,88 @@ def basis_pursuit(d: Dictionary, y: np.ndarray, eps_noise: float) -> RecoveryRes
         raise SolverInputError("eps_noise must be finite")
     if eps_noise < 0:
         raise SolverInputError("eps_noise must be nonnegative")
-    yn = float(np.linalg.norm(y))
-    if yn == 0.0 or yn <= eps_noise:
-        x0 = np.zeros(d.N)
-        return RecoveryResult(x0, True, 0, 0.0, max(0.0, yn - eps_noise), 0.0)
-    # scale-normalize so tolerances and rho act on a unit-size problem
-    ys = y / yn
-    es = eps_noise / yn
+    return _bp_columns(d, y[:, None], eps_noise)[0]
+
+
+def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
+    """``basis_pursuit`` of every column of the m x T matrix ``ys`` at the
+    one ``eps_noise``, as T results; the caller has checked d, eps_noise and ys.
+
+    One ADMM runs over the unsettled columns, held as rows as in
+    ``_lasso_columns``, with two block products per step. Each column is
+    polished on its own on the CHECK_EVERY schedule and leaves the block when
+    it certifies, meets the 1e-13 stop or reaches MAX_ITER, so its
+    iterations, polish calls and convergence are its own. Its floats depend
+    on its own column and on the columns still beside it at each step: a
+    gemm rounds a column by the block's width. A certified support refit
+    depends only on the support and signs it was fitted on. T = 1 runs the
+    very gemv and dot calls of a one-vector loop.
+    """
     a = d.entries
-    project = _BallProjector(a, ys, es, d.frame)
-    z = project(np.zeros(d.N))
-    u = np.zeros(d.N)
-    best = None
-    iterations = 0
-    polish_calls = 0
-    x = z
+    spectrum = d.frame
+    rows = np.ascontiguousarray(ys.T)
+    width = rows.shape[0]
+    yn = _row_norms(rows)
+    out = [None] * width
+    trivial = yn <= eps_noise       # x = 0 is optimal (eps_noise >= 0)
+    for j in np.flatnonzero(trivial):
+        out[j] = RecoveryResult(np.zeros(d.N), True, 0, 0.0,
+                                max(0.0, float(yn[j]) - eps_noise), 0.0)
+    live = np.flatnonzero(~trivial)
+    # scale-normalize so tolerances and rho act on unit-size problems
+    ys = rows[live] / yn[live, None]
+    es = eps_noise / yn[live]
+    project = _BallProjector(a, ys, es, spectrum)
+    z = project(np.zeros((live.size, d.N)))
+    u = np.zeros_like(z)
+    best = [None] * width
+    polish_calls = [0] * width
     for it in range(1, MAX_ITER + 1):
-        iterations = it
+        if not live.size:
+            break
         x = project(z - u)
         xr = OVER_RELAX * x + (1.0 - OVER_RELAX) * z
         z_new = _soft(xr + u, 1.0 / RHO)
         u = u + xr - z_new
-        prim = np.linalg.norm(x - z_new)
-        dual = RHO * np.linalg.norm(z_new - z)
+        # the larger of the primal and dual residuals
+        motion = np.maximum(_row_norms(x - z_new), RHO * _row_norms(z_new - z))
         z = z_new
-        if it % CHECK_EVERY == 0 or (prim < 1e-12 and dual < 1e-12):
-            nu_admm = project.lift(RHO * u)
-            polish_calls += 1
-            cand = _polish_candidate(a, ys, es, x, z, nu_admm)
-            if cand is not None:
-                if _certified(cand[0], cand[1]):
-                    best = cand
-                    break
-                if best is None or cand[1] < best[1]:
-                    best = cand
-        if prim < 1e-13 and dual < 1e-13:
-            break
-    if best is None:
-        support = np.flatnonzero(np.abs(x) > SUPPORT_THRESHOLD)
-        best = (x, _dual_gap(a, ys, es, x, support, project.lift(RHO * u)),
-                "iterate")
+        scheduled = it % CHECK_EVERY == 0
+        if not (scheduled or it == MAX_ITER or motion.min() < 1e-12):
+            continue
+        done = (motion < 1e-13) | (it == MAX_ITER)
+        due = np.arange(live.size) if scheduled else np.flatnonzero(motion < 1e-12)
+        for i, nu_admm in zip(due, project.lift(RHO * u[due])):
+            j = live[i]
+            polish_calls[j] += 1
+            cand = _polish_candidate(a, spectrum, ys[i], es[i], x[i], z[i], nu_admm)
+            if cand is None:
+                continue
+            if _certified(cand[0], cand[1]):
+                best[j] = cand
+                done[i] = True
+            elif best[j] is None or cand[1] < best[j][1]:
+                best[j] = (cand[0].copy(), *cand[1:])   # x[i] is a view of the block
+        if not done.any():
+            continue
+        for i in np.flatnonzero(done):
+            j = live[i]
+            if best[j] is None:
+                support = np.flatnonzero(np.abs(x[i]) > SUPPORT_THRESHOLD)
+                best[j] = (x[i], _dual_gap(a, spectrum, ys[i], es[i], x[i], support,
+                                           project.lift(RHO * u[i])), "iterate")
+            out[j] = _bp_result(a, rows[j], eps_noise, yn[j], best[j], it,
+                                polish_calls[j])
+        keep = ~done
+        live, ys, es, z, u = live[keep], ys[keep], es[keep], z[keep], u[keep]
+        if live.size:
+            project = _BallProjector(a, ys, es, spectrum)
+    return out
+
+
+def _bp_result(a, y, eps_noise, yn, best, iterations, polish_calls) -> RecoveryResult:
+    """The result of a column y of ``_bp_columns`` from its scaled candidate
+    ``best`` = (point, gap, kind)."""
     xs, gap, kind = best
     x_hat = xs * yn
     feas = max(0.0, float(np.linalg.norm(a @ x_hat - y)) - eps_noise)
@@ -326,11 +414,11 @@ def _certified(x: np.ndarray, gap: float) -> bool:
     return gap <= OBJ_TOL * (1.0 + np.abs(x).sum())
 
 
-def _polish_candidate(a, y, eps, x, z, nu_admm=None):
+def _polish_candidate(a, frame, y, eps, x, z, nu_admm=None):
     """Feasible candidate with the smallest duality gap among the iterate and
     the ``_boundary_refit`` on the detected support of z (tried first, when
     it lowers the l1 objective), as (point, gap, "refit" or "iterate"); a
-    certified refit ends the scan."""
+    certified refit ends the scan; ``frame`` is ``frame_spectrum(a)``."""
     support = np.flatnonzero(np.abs(z) > SUPPORT_THRESHOLD)
     cands = [(x, np.flatnonzero(np.abs(x) > SUPPORT_THRESHOLD), "iterate")]
     if 0 < support.size <= a.shape[0]:
@@ -343,7 +431,7 @@ def _polish_candidate(a, y, eps, x, z, nu_admm=None):
     for cand, sup, kind in cands:
         if np.linalg.norm(a @ cand - y) > eps + FEAS_TOL:
             continue
-        gap = _dual_gap(a, y, eps, cand, sup, nu_admm)
+        gap = _dual_gap(a, frame, y, eps, cand, sup, nu_admm)
         if out is None or gap < out[1]:
             out = (cand, gap, kind)
         if _certified(cand, gap):
@@ -394,10 +482,6 @@ def _boundary_refit(a, y, eps, support, signs):
         sub = a[:, support]
         coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
 
-
-def _row_dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """p[j] @ q[j] for every row j, each by the same BLAS dot as 1-d ``@``."""
-    return np.matmul(p[:, None, :], q[:, :, None])[:, 0, 0]
 
 
 def _lasso_kkt_rows(a: np.ndarray, ys: np.ndarray, xs: np.ndarray,

@@ -108,6 +108,15 @@ class TestAnalyze:
         assert json.loads(captured.err) == {
             "error": f"--strength must be at least 1, got {strength}"}
 
+    def test_pless_without_orders_exits_2(self, dg_file, capsys):
+        # it used to exit 0 and leave pless_residual out of the payload
+        capsys.readouterr()
+        assert main(["analyze", "--dict", str(dg_file), "--pless"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err) == {
+            "error": "--pless needs at least one moment order L"}
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_bad_tol_exits_2(self, tol, dg_file, capsys):
         capsys.readouterr()

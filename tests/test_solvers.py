@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import stripkit as sk
 from stripkit import solvers
 from stripkit.dictionaries import Dictionary, frame_spectrum
+from stripkit.experiments import ExperimentConfig, _trial_instance
 from stripkit.solvers import (SolverInputError, _BallProjector, _boundary_refit,
                               _lasso_columns, _polish_candidate,
                               lasso_kkt_residual)
@@ -170,7 +173,7 @@ class TestNoisyBasisPursuit:
         _, coef = _boundary_refit(a, y, 0.1, np.arange(2), np.ones(2))
         assert np.array_equal(coef, y)
         z = np.array([0.9, 0.02])
-        cand = _polish_candidate(a, y, 0.1, y.copy(), z)
+        cand = _polish_candidate(a, frame_spectrum(a), y, 0.1, y.copy(), z)
         assert np.array_equal(cand[0], y) and cand[2] == "refit"
         res = sk.basis_pursuit(Dictionary("identity2", a), y, 0.1)
         assert res.converged
@@ -501,6 +504,118 @@ class TestLassoColumns:
         assert capped.kkt_residual == pytest.approx(lasso_kkt_residual(
             d.entries, ys[:, 0], capped.x_hat, lam * 0.01 ** 2), rel=1e-9)
         assert capped.kkt_residual > solvers.KKT_TOL
+
+
+def bp_digest(results) -> str:
+    """sha256 over each result's x_hat bytes and its other fields."""
+    h = hashlib.sha256()
+    for r in results:
+        h.update(r.x_hat.tobytes())
+        h.update(json.dumps([r.iterations, r.converged, r.objective, r.feas_residual,
+                             r.kkt_residual, r.info], sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def bp_block(d, k, count, model="unit", sigma=0.0, seed=5):
+    """``count`` seeded observations of k-sparse signals as the columns of an
+    m x count matrix, and their common eps_noise."""
+    insts = []
+    for j in range(count):
+        rng = sk.derive_rng(seed, "bp-block", j)
+        inst = sk.sample_generic_signal(d.N, k, model, rng)
+        insts.append(sk.observe(d, inst, sigma=sigma, rng=rng))
+    return np.transpose([inst.y for inst in insts]), insts[0].eps_noise
+
+
+class TestBpColumns:
+    def test_width_one_is_the_one_vector_loop(self):
+        # pinned from the one-vector ADMM loop that the block kernel
+        # replaced, on solves certified on the raw iterate, whose floats
+        # carry every product of the loop
+        d = sk.build_delsarte_goethals(1)
+        cfg = ExperimentConfig(family="dg", family_args={"s": 1}, k=2, eps=0.1,
+                               trials=10, seed=3, magnitudes="compressible")
+        results = [sk.basis_pursuit(d, _trial_instance(d, cfg, t).y, 0.0)
+                   for t in range(10)]
+        assert all(r.info["certified_by"] == "iterate" for r in results)
+        assert (bp_digest(results)
+                == "16231a589eb08d3db7337d9e71ef186ceeeff06ec1a042416a64bf94ed0a814f")
+
+    @pytest.mark.parametrize("s, k, count, model, sigma", [
+        (1, 2, 12, "unit", 0.0),
+        (2, 4, 6, "unit", 0.0),
+        (1, 2, 8, "compressible", 0.0),
+        (1, 2, 8, "unit", 0.01),
+    ], ids=["dg1", "dg2", "dg1-compressible", "dg1-noisy"])
+    def test_columns_match_lone_solves(self, s, k, count, model, sigma):
+        # a certified refit is a function of its support and signs alone;
+        # an estimate certified on the iterate moves by float dust
+        d = sk.build_family("dg", s=s)
+        ys, eps = bp_block(d, k, count, model, sigma)
+        block = solvers._bp_columns(d, ys, eps)
+        assert len(block) == count
+        for j, res in enumerate(block):
+            one = sk.basis_pursuit(d, ys[:, j], eps)
+            assert res.converged and one.converged
+            assert res.info["certified_by"] == one.info["certified_by"]
+            if one.info["certified_by"] == "refit":
+                # the duality gap also scores the ADMM dual, which moves
+                assert np.array_equal(res.x_hat, one.x_hat)
+                assert ((res.iterations, res.info["polish_calls"])
+                        == (one.iterations, one.info["polish_calls"]))
+            else:
+                assert (np.linalg.norm(res.x_hat - one.x_hat)
+                        <= 1e-12 * np.linalg.norm(one.x_hat))
+
+    def test_settled_columns_leave_the_block(self, monkeypatch):
+        # zero and in-ball observations never enter; a certified column
+        # leaves at its check; a capped one runs on alone to MAX_ITER
+        d = sk.build_family("dg", s=1)
+        easy = bp_block(d, 1, 1)[0][:, 0]
+        hard = bp_block(d, 2, 1, "compressible", seed=3)[0][:, 0]
+        assert sk.basis_pursuit(d, easy, 0.0).iterations == 25
+        assert sk.basis_pursuit(d, hard, 0.0).iterations > 60
+        widths = []
+        project = solvers._BallProjector.__call__
+
+        def spy(self, vec):
+            widths.append(vec.shape[0])
+            return project(self, vec)
+        monkeypatch.setattr(solvers._BallProjector, "__call__", spy)
+        monkeypatch.setattr(solvers, "MAX_ITER", 60)
+        zero, cert, capped = solvers._bp_columns(
+            d, np.column_stack([np.zeros(d.m), easy, hard]), 0.0)
+        assert widths == [2] * 26 + [1] * 35
+        assert zero.converged and zero.iterations == 0 and not zero.x_hat.any()
+        assert cert.converged and cert.iterations == 25
+        assert not capped.converged and capped.iterations == 60
+        assert capped.info["polish_calls"] == 2
+        inside = solvers._bp_columns(d, np.column_stack([0.01 * easy, easy]), 0.05)[0]
+        assert inside.converged and inside.iterations == 0 and not inside.x_hat.any()
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_dense_dual_gap_reads_the_cached_frame(s, monkeypatch):
+    # a support of every column needs the eigenpairs of A A^T, which the
+    # dictionary holds; a dense support short of that forms its own
+    d = sk.build_family("dg", s=s)
+    a = d.entries
+    x = np.random.default_rng(s).standard_normal(d.N)
+    y = a @ x
+    every = np.arange(d.N)
+    fresh = solvers._dual_gap(a, frame_spectrum(a[:, every]), y, 0.0, x, every)
+    frame = d.frame
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(mat, *args, **kw):
+        shapes.append(mat.shape)
+        return eigh(mat, *args, **kw)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert solvers._dual_gap(a, frame, y, 0.0, x, every) == fresh
+    assert shapes == []
+    solvers._dual_gap(a, frame, y, 0.0, x, every[1:])
+    assert shapes == [(d.m, d.m)]
 
 
 class TestDualCertificate:
