@@ -9,12 +9,14 @@ so the floats of record t depend only on (seed, t). A noiseless BP block is
 one block solve over the block's trials, unpadded: a column leaves the solve
 when it settles, so padding would only add work. Reports are therefore
 byte-identical across reruns and worker counts, and Lasso reports across
-trial counts too. Across trial counts, BP records certified by the support
-refit are byte-identical, while records certified on the ADMM iterate can
-move in their last digits, since a shorter study may cut its last block
-short and a gemm rounds a column by the block's width. The wall-clock
-runtime is the only non-reproducible field and is kept out of the
-comparison payload.
+trial counts too. A BP record is not bound to its trial count: a shorter
+study may cut its last block short, and a gemm rounds a column by the
+block's width, so the ADMM iterate drifts in its last digits. A refit
+estimate depends only on the support and signs it was fitted on, but which
+support is detected, whether the refit certifies and at which iteration
+still follow the iterate, and an estimate certified on the iterate moves
+with it. The wall-clock runtime is the only non-reproducible field and is
+kept out of the comparison payload.
 """
 
 from __future__ import annotations

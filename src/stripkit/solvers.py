@@ -126,9 +126,8 @@ def _range_solve(w: np.ndarray, v: np.ndarray, mask: np.ndarray,
 def _range_coef(w: np.ndarray, mask: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """The eigenbasis coefficients coef = b @ v of a vector b (or of each row)
     turned in place into those of (A A^T)^+ b, directions off the mask
-    dropped; returns coef."""
-    coef[..., mask] /= w[mask]
-    coef[..., ~mask] = 0.0
+    dropped (divided by inf); returns coef."""
+    coef /= np.where(mask, w, np.inf)
     return coef
 
 
@@ -143,34 +142,31 @@ def _row_norms(p: np.ndarray) -> np.ndarray:
 
 
 class _BallProjector:
-    """Exact Euclidean projection of row j onto {x : ||A x - y_j|| <= eps_j},
-    for the rows y_j of ``y`` and the matching ``eps`` (a lone y and eps are
-    one row, and a lone vector is projected as one row); ``spectrum`` is
-    ``frame_spectrum(a)``."""
+    """Exact Euclidean projection of each row of a T x n block onto
+    {x : ||A x - y_j|| <= eps_j}, for the rows y_j of the T x m ``y`` and the
+    matching ``eps`` (one value or T); ``spectrum`` is ``frame_spectrum(a)``.
+    The eps are all zero or all positive."""
 
     def __init__(self, a: np.ndarray, y: np.ndarray, eps, spectrum):
         self.a = a
-        self.y = np.atleast_2d(y)
-        self.eps = np.full(self.y.shape[0], eps, dtype=float)
+        self.y = y
+        self.eps = np.full(y.shape[0], eps, dtype=float)
+        self.exact = not self.eps.any()
         self.w, self.v, self.rank_mask = spectrum
-        self.full_rank = bool(self.rank_mask.all())
-        self.exact = np.flatnonzero(self.eps == 0.0)
-        self.noisy = np.flatnonzero(self.eps > 0.0)
+        if self.exact:
+            # A x - y has the null part of -y whatever x is, so y out of the
+            # range of A leaves the set empty
+            null_mass = _row_norms(y @ self.v[:, ~self.rank_mask])
+            if (null_mass > 1e-9 * np.maximum(1.0, _row_norms(y))).any():
+                raise SolverInputError("y is not in the range of Phi; eps=0 infeasible")
 
     def lift(self, g: np.ndarray) -> np.ndarray:
-        """Least-squares solution nu of A^T nu = g, for a vector g or each
-        row of g (the range-space lift)."""
-        return self._range_coef(g @ self.a.T @ self.v) @ self.v.T
+        """Least-squares solution nu of A^T nu = g, for each row of g (the
+        range-space lift)."""
+        return _range_solve(self.w, self.v, self.rank_mask, g @ self.a.T)
 
-    def _range_coef(self, coef: np.ndarray) -> np.ndarray:
-        """``_range_coef`` on this frame; a full-rank one drops no direction."""
-        if self.full_rank:
-            coef /= self.w
-            return coef
-        return _range_coef(self.w, self.rank_mask, coef)
-
-    def multiplier(self, dt: np.ndarray, row: int = 0) -> float:
-        """The lam >= 0 with ||dt / (1 + lam w)|| = eps of ``row``, to within
+    def multiplier(self, dt: np.ndarray, eps: float) -> float:
+        """The lam >= 0 with ||dt / (1 + lam w)|| = eps, to within
         1e-15 * max(1, lam) and on its feasible side (needs eps < ||dt||).
 
         Safeguarded Newton on the secular equation
@@ -181,7 +177,7 @@ class _BallProjector:
         growing lo while no feasible point is known). Returns hi.
         """
         w = self.w
-        eps = float(self.eps[row])
+        eps = float(eps)
         target = 1.0 / eps
         lo, hi, lam = 0.0, math.inf, 0.0
         probe = 0.5e-15     # relative width of a probe past a converged step
@@ -218,30 +214,23 @@ class _BallProjector:
             raise SolverInputError("projection failed; frame operator singular?")
         return hi
 
-    def __call__(self, vec: np.ndarray) -> np.ndarray:
-        rows = vec if vec.ndim == 2 else vec[None]
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
         d = rows @ self.a.T - self.y
         r = _row_norms(d)
-        coef = d @ self.v
-        if self.exact.size:
-            # eps = 0: the minimum-norm correction, in the range of A A^T
-            sub = coef if self.exact.size == coef.shape[0] else coef[self.exact]
-            if not self.full_rank:
-                null_mass = np.linalg.norm(sub[:, ~self.rank_mask], axis=1)
-                if (null_mass > 1e-9 * np.maximum(1.0, r[self.exact])).any():
-                    raise SolverInputError("y is not in the range of Phi; eps=0 infeasible")
-            self._range_coef(sub)
-            if sub is not coef:
-                coef[self.exact] = sub
-        for j in self.noisy:
-            if r[j] > self.eps[j]:
-                lam = self.multiplier(coef[j], j)
-                coef[j] = lam * coef[j] / (1.0 + lam * self.w)
-        out = rows - (coef @ self.v.T) @ self.a
         inside = r <= self.eps      # rows already in their ball stay
-        if inside.any():
+        coef = d @ self.v
+        if self.exact:
+            # the minimum-norm correction, in the range of A A^T
+            _range_coef(self.w, self.rank_mask, coef)
+        else:
+            for dt, eps, stays in zip(coef, self.eps, inside):
+                if not stays:
+                    lam = self.multiplier(dt, eps)
+                    np.divide(lam * dt, 1.0 + lam * self.w, out=dt)
+        out = rows - (coef @ self.v.T) @ self.a
+        if np.count_nonzero(inside):
             out[inside] = rows[inside]
-        return out if vec.ndim == 2 else out[0]
+        return out
 
 
 def _support_fit(a: np.ndarray, support, r: np.ndarray):
@@ -328,9 +317,9 @@ def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
     it certifies, meets the 1e-13 stop or reaches MAX_ITER, so its
     iterations, polish calls and convergence are its own. Its floats depend
     on its own column and on the columns still beside it at each step: a
-    gemm rounds a column by the block's width. A certified support refit
-    depends only on the support and signs it was fitted on. T = 1 runs the
-    very gemv and dot calls of a one-vector loop.
+    gemm rounds a column by the block's width. A support refit depends only
+    on the support and signs it was fitted on, which are read off the
+    iterate. T = 1 runs the very gemv and dot calls of a one-vector loop.
     """
     a = d.entries
     spectrum = d.frame
@@ -343,6 +332,8 @@ def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
         out[j] = RecoveryResult(np.zeros(d.N), True, 0, 0.0,
                                 max(0.0, float(yn[j]) - eps_noise), 0.0)
     live = np.flatnonzero(~trivial)
+    if not live.size:
+        return out
     # scale-normalize so tolerances and rho act on unit-size problems
     ys = rows[live] / yn[live, None]
     es = eps_noise / yn[live]
@@ -352,8 +343,6 @@ def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
     best = [None] * width
     polish_calls = [0] * width
     for it in range(1, MAX_ITER + 1):
-        if not live.size:
-            break
         x = project(z - u)
         xr = OVER_RELAX * x + (1.0 - OVER_RELAX) * z
         z_new = _soft(xr + u, 1.0 / RHO)
@@ -387,10 +376,11 @@ def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
                                            project.lift(RHO * u[i])), "iterate")
             out[j] = _bp_result(a, rows[j], eps_noise, yn[j], best[j], it,
                                 polish_calls[j])
+        if done.all():
+            break
         keep = ~done
         live, ys, es, z, u = live[keep], ys[keep], es[keep], z[keep], u[keep]
-        if live.size:
-            project = _BallProjector(a, ys, es, spectrum)
+        project = _BallProjector(a, ys, es, spectrum)
     return out
 
 

@@ -401,8 +401,10 @@ def test_lasso_records_do_not_depend_on_trial_count():
 
 
 def test_floor_records_do_not_depend_on_trial_count():
-    # a block solve rounds a column by the columns beside it, but a record
-    # certified by the support refit depends only on its support and signs
+    # a block solve rounds a column by the columns beside it; on this floor
+    # every record is certified by the support refit, which depends only on
+    # its support and signs, and the drift does not reach the detected
+    # support or the iteration it certifies at
     d = sk.build_delsarte_goethals(1)
     long = sk.run_recovery_floor(dg_config(trials=40), d=d)
     assert [r["trial"] for r in long.records] == list(range(40))

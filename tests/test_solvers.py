@@ -124,8 +124,19 @@ class TestBasisPursuit:
         entries[0, 0] = 1.0
         entries[1, 1] = 1.0
         d = Dictionary("rank2", entries)
-        with pytest.raises(SolverInputError):
+        with pytest.raises(SolverInputError, match="not in the range of Phi"):
             sk.basis_pursuit(d, np.array([0.0, 0.0, 1.0]), 0.0)
+
+    def test_zero_eps_on_a_rank_deficient_frame(self):
+        # y in range(Phi) is matched; the null direction of Phi Phi^T is dropped
+        entries = np.zeros((3, 3))
+        entries[:2, :2] = np.eye(2)
+        entries[:2, 2] = math.sqrt(0.5)
+        d = Dictionary("rank2", entries)
+        assert not d.frame[2].all()
+        res = sk.basis_pursuit(d, np.array([1.0, 2.0, 0.0]), 0.0)
+        assert res.converged
+        assert np.allclose(res.x_hat, [0.0, 1.0, math.sqrt(2.0)], atol=1e-7)
 
 
 def noisy_instance(d, k, sigma, seed):
@@ -227,7 +238,7 @@ def projection_case(seed, spread, rank_deficient=False):
     a = (u * svals) @ v.T
     y = rng.standard_normal(m)
     vec = rng.standard_normal(n)
-    proj = _BallProjector(a, y, 1.0, frame_spectrum(a))
+    proj = _BallProjector(a, y[None], 1.0, frame_spectrum(a))
     dt = proj.v.T @ (a @ vec - y)
     null_mass = float(np.linalg.norm(dt[~proj.rank_mask]))
     return a, y, vec, dt, float(np.linalg.norm(dt)), null_mass
@@ -236,8 +247,8 @@ def projection_case(seed, spread, rank_deficient=False):
 class TestBallProjector:
     @staticmethod
     def check_multiplier(a, y, dt, eps):
-        proj = _BallProjector(a, y, eps, frame_spectrum(a))
-        lam = proj.multiplier(dt)
+        proj = _BallProjector(a, y[None], eps, frame_spectrum(a))
+        lam = proj.multiplier(dt, eps)
         ref = bisection_multiplier(dt, proj.w, eps)
         # both searches stop on a bracket of width 1e-15 * max(1, lam), so
         # below lam = 1 the agreement has that absolute floor
@@ -252,7 +263,7 @@ class TestBallProjector:
         a, y, vec, dt, r, null_mass = projection_case(seed, 0.3, rank_deficient)
         eps = null_mass + (r - null_mass) * (0.05 + 0.9 * (seed % 7) / 6)
         proj, _ = self.check_multiplier(a, y, dt, eps)
-        assert np.linalg.norm(a @ proj(vec) - y) <= eps * (1 + 1e-12)
+        assert np.linalg.norm(a @ proj(vec[None])[0] - y) <= eps * (1 + 1e-12)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_wide_spectra(self, seed):
@@ -268,7 +279,7 @@ class TestBallProjector:
             eps = r * (1.0 - gap)
             proj, lam = self.check_multiplier(a, y, dt, eps)
             assert 0.0 < lam < 10.0 * gap
-            assert np.linalg.norm(a @ proj(vec) - y) <= eps * (1 + 1e-12)
+            assert np.linalg.norm(a @ proj(vec[None])[0] - y) <= eps * (1 + 1e-12)
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-9, 1e-12])
     def test_very_large_multiplier(self, scale):
@@ -296,14 +307,14 @@ class TestBallProjector:
             y = rng.standard_normal(m)
             vec = rng.standard_normal(2 * m)
             eps = 0.5 * float(np.linalg.norm(y[rank:]))
-            proj = _BallProjector(a, y, eps, frame_spectrum(a))
+            proj = _BallProjector(a, y[None], eps, frame_spectrum(a))
             dt = proj.v.T @ (a @ vec - y)
             with pytest.raises(SolverInputError, match="projection failed"):
                 bisection_multiplier(dt, proj.w, eps)
             with pytest.raises(SolverInputError, match="projection failed"):
-                proj.multiplier(dt)
+                proj.multiplier(dt, eps)
             with pytest.raises(SolverInputError, match="projection failed"):
-                proj(vec)
+                proj(vec[None])
 
 
 def test_error_supports_contraction_inequality():
