@@ -8,9 +8,12 @@ of its bracket. Convergence is certified a posteriori through an
 independently constructed dual-feasible point, so ``converged=True`` always
 means a verified duality gap, never just small iterate motion. Polishing
 tries a refit on the detected support before the raw iterate and stops at
-the first certified candidate; a dense sign fit is solved in the
-m-dimensional range space, on the cached frame when the support is every
-column. Without noise the refit is least squares. With
+the first certified candidate. The sign fit of a dense iterate (a support of
+more than m columns) is one m x m solve of (A_S A_S^T) nu = A_S s, where
+A_S A_S^T is the cached frame operator less the complement's columns once S
+holds half of them; a support of every column reads the frame's eigenpairs,
+and a rank-deficient frame takes a pseudo-inverse. Without noise the refit
+is least squares. With
 eps > 0 it is the exact optimum of BP restricted to the support and signs,
 the least-squares fit moved onto the ball's boundary, and the support grows
 by any column the residual correlates with more strongly than with the
@@ -28,8 +31,9 @@ Lasso runs accelerated proximal gradient at the fixed step 1/L, L the
 largest of those eigenvalues, restarts its momentum when the step turns
 against it, and is accepted only on a coordinatewise subgradient check,
 made every 10th iteration. One FISTA kernel solves every column of an
-m x T observation matrix at once with two matrix products per step; each
-column keeps its own momentum and restart and is taken at its first passing
+m x T observation matrix at once with two matrix products per step, in
+preallocated buffers; each column keeps its own momentum, read from a table
+by its steps since its last restart, and is taken at its first passing
 check, so iterations and non-convergence are reported per column. ``lasso``
 is its one-column call; ``lam=None`` is the standard 2 sqrt(2 ln N).
 
@@ -111,9 +115,32 @@ def _observation(d: Dictionary, y) -> np.ndarray:
     return y
 
 
-def _soft(v: np.ndarray, t: float) -> np.ndarray:
-    """Soft threshold: v - t sign(v) where |v| > t, zero elsewhere."""
-    return v - np.minimum(np.maximum(v, -t), t)
+def _soft(v: np.ndarray, t: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Soft threshold: v - t sign(v) where |v| > t, zero elsewhere; written
+    into ``out`` (not v) when given."""
+    out = np.maximum(v, -t, out=out)
+    np.minimum(out, t, out=out)
+    return np.subtract(v, out, out=out)
+
+
+_MOMENTUM = np.zeros(0)
+
+
+def _momentum_table(n: int) -> np.ndarray:
+    """FISTA's momentum (t_c - 1) / t_(c+1) for c = 0, 1, ... (at least n
+    terms), t_0 = 1 and t_(c+1) = (1 + sqrt(1 + 4 t_c^2)) / 2 in float64, the
+    floats of the per-row recurrence. A pure function of c, so one read-only
+    table serves every call; it grows by doubling, never at import."""
+    global _MOMENTUM
+    if _MOMENTUM.size < n:
+        terms, t = [], 1.0
+        for _ in range(max(n, 2 * _MOMENTUM.size)):
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            terms.append((t - 1.0) / t_next)
+            t = t_next
+        _MOMENTUM = np.array(terms)
+        _MOMENTUM.flags.writeable = False
+    return _MOMENTUM
 
 
 def _range_solve(w: np.ndarray, v: np.ndarray, mask: np.ndarray,
@@ -247,6 +274,40 @@ def _off_support_max(v: np.ndarray, support) -> float:
     return float(np.abs(off).max()) if off.size else 0.0
 
 
+def _dense_sign_fit(a: np.ndarray, frame, support: np.ndarray,
+                    sgn: np.ndarray) -> np.ndarray:
+    """The least-squares nu of A_S^T nu = sgn on a support S of more than m
+    columns, (A_S A_S^T) nu = A_S sgn; ``frame`` is ``frame_spectrum(a)``.
+
+    A support of every column reads the eigenpairs of ``frame``. Otherwise,
+    on a full-rank frame, A_S A_S^T is the frame operator V diag(w) V^T less
+    A_c A_c^T for the complement c when S holds at least half the columns,
+    else formed from A_S, and one solve gives nu. A rank-deficient frame, or
+    a singular A_S A_S^T (a ``LinAlgError``), takes the pseudo-inverse
+    through the eigenpairs of A_S A_S^T. Any nu is a dual point once
+    ``_dual_gap`` scales it, so only the tightness of the bound depends on
+    the route.
+    """
+    s_full = np.zeros(a.shape[1])
+    s_full[support] = sgn
+    rhs = a @ s_full
+    w, v, mask = frame
+    if support.size == a.shape[1]:
+        return _range_solve(w, v, mask, rhs)
+    if mask.all():
+        if 2 * support.size >= a.shape[1]:
+            comp = np.delete(a, support, axis=1)
+            gram = (v * w) @ v.T - comp @ comp.T
+        else:
+            sub = a[:, support]
+            gram = sub @ sub.T
+        try:
+            return np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            pass
+    return _range_solve(*frame_spectrum(a[:, support]), rhs)
+
+
 def _dual_gap(a: np.ndarray, frame, y: np.ndarray, eps: float, x: np.ndarray,
               support: np.ndarray, extra_nu=None) -> float:
     """Duality gap against the best of several constructed dual-feasible points.
@@ -255,7 +316,9 @@ def _dual_gap(a: np.ndarray, frame, y: np.ndarray, eps: float, x: np.ndarray,
     the least-squares sign certificate on the detected support, the scaled
     residual direction, and (when supplied) the splitting iteration's own
     dual variable lifted through the frame operator. ``frame`` is
-    ``frame_spectrum(a)``, which serves a support of every column.
+    ``frame_spectrum(a)``. A support of more than m columns (a dense iterate)
+    is fitted by ``_dense_sign_fit``: one m x m solve, no eigendecomposition
+    on a full-rank frame.
     """
     obj = float(np.abs(x).sum())
     best = 0.0
@@ -266,12 +329,7 @@ def _dual_gap(a: np.ndarray, frame, y: np.ndarray, eps: float, x: np.ndarray,
             if support.size <= a.shape[0]:
                 _, nu = _support_fit(a, support, sgn)
             else:
-                # dense optimum: least-squares fit of the full sign pattern,
-                # solved in m-space through the eigenpairs of asub asub^T
-                asub = a[:, support]
-                if support.size < a.shape[1]:
-                    frame = frame_spectrum(asub)
-                nu = _range_solve(*frame, asub @ sgn)
+                nu = _dense_sign_fit(a, frame, support, sgn)
             candidates.append(nu)
         except np.linalg.LinAlgError:
             pass
@@ -509,6 +567,7 @@ def _lasso_columns(d: Dictionary, ys: np.ndarray, lam: Optional[float],
                    sigma: float) -> list:
     """``lasso`` of every column of the m x T matrix ``ys`` at once, as T
     results; the caller has checked d, lam, sigma and ys; lam=None is 2 sqrt(2 ln N).
+    A penalty lam sigma^2 that under- or overflows is a ``SolverInputError``.
 
     Each column keeps its own momentum and restart and is taken at its first
     passing check (or at MAX_ITER), so its iterations and convergence are its
@@ -521,36 +580,49 @@ def _lasso_columns(d: Dictionary, ys: np.ndarray, lam: Optional[float],
     a = d.entries
     rows = np.ascontiguousarray(ys.T)
     width = rows.shape[0]
-    if lam is None:
-        lam = 2.0 * math.sqrt(2.0 * math.log(d.N))
+    lam = 2.0 * math.sqrt(2.0 * math.log(d.N)) if lam is None else float(lam)
+    sigma = float(sigma)
     penalty = lam * sigma * sigma
     # L >= 1: unit-norm columns put ||Phi||^2 at or above every column's norm
     step = 1.0 / float(d.frame[0].max())
     thresh = step * penalty
-    x = np.zeros((width, d.N))
-    v = x
-    t = np.ones(width)
+    if not (thresh > 0.0 and math.isfinite(penalty)):
+        raise SolverInputError(
+            f"lam * sigma^2 = {penalty!r} at lam={lam!r}, sigma={sigma!r}: the "
+            "Lasso penalty must be a positive finite float64 (it under- or overflows)")
+    # every step runs in these buffers, with the operands and association of
+    # x_new = soft(v - step (v A^T - y) A), v = x_new + momentum (x_new - x)
+    x, x_new, v, dx, work = (np.zeros((width, d.N)) for _ in range(5))
+    resid = np.empty((width, d.m))
+    since = np.zeros(width, dtype=int)     # steps since the last restart
     x_hat = np.zeros_like(x)
     iterations = np.zeros(width, dtype=int)
     kkt = np.zeros(width)
     live = np.ones(width, dtype=bool)
     for it in range(1, MAX_ITER + 1):
-        x_new = _soft(v - step * ((v @ a.T - rows) @ a), thresh)
-        dx = x_new - x
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        momentum = (t - 1.0) / t_new
+        np.matmul(v, a.T, out=resid)
+        np.subtract(resid, rows, out=resid)
+        np.matmul(resid, a, out=work)
+        np.multiply(work, step, out=work)
+        np.subtract(v, work, out=work)
+        _soft(work, thresh, x_new)
+        np.subtract(x_new, x, out=dx)
+        momentum = _momentum_table(it)[since]
         # where the step opposes the momentum, restart: v = x_new, t = 1
-        restart = _row_dots(v - x_new, dx) > 0.0
+        np.subtract(v, x_new, out=work)
+        restart = _row_dots(work, dx) > 0.0
         momentum[restart] = 0.0
-        t_new[restart] = 1.0
-        v = x_new + momentum[:, None] * dx
-        x, t = x_new, t_new
+        since += 1
+        since[restart] = 0
+        np.multiply(dx, momentum[:, None], out=v)
+        np.add(v, x_new, out=v)
+        x, x_new = x_new, x
         if it % 10 == 0 or it == MAX_ITER:
-            resid = _lasso_kkt_rows(a, rows, x, penalty)
-            settled = live & ((resid <= KKT_TOL) | (it == MAX_ITER))
+            kkt_rows = _lasso_kkt_rows(a, rows, x, penalty)
+            settled = live & ((kkt_rows <= KKT_TOL) | (it == MAX_ITER))
             x_hat[settled] = x[settled]
             iterations[settled] = it
-            kkt[settled] = resid[settled]
+            kkt[settled] = kkt_rows[settled]
             live &= ~settled
             if not live.any():
                 break

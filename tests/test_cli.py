@@ -786,3 +786,26 @@ def test_lasso_experiment_sigma_past_float_range_exits_2(tmp_path):
     cfg.write_text('family=dg\nfamily_args={"s": 1}\nk=2\ntrials=2\n'
                    'solver=lasso\nsigma=1e308\n')
     _assert_sigma_out_of_range(_run_cli("experiment", "--config", cfg))
+
+
+@pytest.mark.parametrize("flags", [["--sigma", "1e-200"], ["--lam", "1e300", "--sigma", "1e10"]],
+                         ids=["underflow", "overflow"])
+def test_recover_lasso_penalty_out_of_range_exits_2(flags, dg_file):
+    # lam sigma^2 underflowing to 0 once reported a least-squares fit as a
+    # converged Lasso; overflowing, it warned and blamed a nan in the JSON
+    proc = _run_cli("recover", "--dict", dg_file, "--k", "2", "--trials", "1",
+                    "--solver", "lasso", *flags)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    error = json.loads(proc.stderr)["error"]
+    assert error.startswith("lam * sigma^2 = ")
+    assert f", sigma={float(flags[-1])!r}: the Lasso penalty" in error
+
+
+def test_recover_compressible_p_nan_exits_2(dg_file, capsys):
+    # a nan p once reached the observation and was blamed on sigma
+    capsys.readouterr()
+    assert main(["recover", "--dict", str(dg_file), "--k", "2", "--trials", "1",
+                 "--magnitudes", "compressible", "--p", "nan"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "compressible decay needs a finite p > 0, got p=nan"}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import stripkit as sk
 from stripkit.experiments import (ExperimentConfig, ExperimentReport,
                                   parse_config_file, records_csv, sweep_csv)
+from stripkit.solvers import SolverInputError
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -386,6 +387,12 @@ def test_lasso_jobs_do_not_change_results():
     texts = [sk.run_lasso_study(dg_config(trials=6, sigma=0.01, solver="lasso", jobs=jobs)
                                 ).to_json(include_runtime=False) for jobs in (1, 2)]
     assert texts[0] == texts[1]
+
+
+def test_lasso_study_refuses_an_underflowed_penalty():
+    # sigma^2 underflows to 0: the study would report least squares as Lasso
+    with pytest.raises(SolverInputError, match="sigma=1e-200"):
+        sk.run_lasso_study(dg_config(trials=2, sigma=1e-200, solver="lasso"))
 
 
 def test_lasso_records_do_not_depend_on_trial_count():

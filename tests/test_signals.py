@@ -52,6 +52,11 @@ class TestSampling:
         assert np.allclose(tail, want)
         assert inst.tail_l1 == pytest.approx(want.sum())
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
+    def test_compressible_needs_finite_positive_p(self, p):
+        with pytest.raises(ValueError, match="needs a finite p > 0"):
+            sk.sample_generic_signal(10, 2, "compressible", np.random.default_rng(0), p=p)
+
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             sk.sample_generic_signal(10, 2, "cauchy", np.random.default_rng(0))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -456,6 +457,15 @@ class TestLasso:
         assert np.array_equal(default.x_hat, standard.x_hat)
         assert default.objective == standard.objective
 
+    @pytest.mark.parametrize("lam, sigma", [(1.0, 1e-200), (1e300, 1e10)],
+                             ids=["underflow", "overflow"])
+    def test_rejects_penalty_out_of_range(self, lam, sigma):
+        # lam sigma^2 of 0 would report a least-squares fit as a Lasso; of
+        # inf, a nan objective
+        d = sk.build_gaussian(4, 8, seed=0)
+        with pytest.raises(SolverInputError, match=re.escape(f"lam={lam!r}, sigma={sigma!r}")):
+            sk.lasso(d, np.ones(4), lam, sigma)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["lam", "sigma"])
     def test_rejects_non_finite_penalty(self, name, bad):
@@ -515,6 +525,44 @@ class TestLassoColumns:
         assert capped.kkt_residual == pytest.approx(lasso_kkt_residual(
             d.entries, ys[:, 0], capped.x_hat, lam * 0.01 ** 2), rel=1e-9)
         assert capped.kkt_residual > solvers.KKT_TOL
+
+    # bp_digest of the results, pinned before the FISTA step moved into
+    # preallocated buffers and a momentum table: every float is unchanged.
+    # dg s=1 is the benchmark's Lasso block (30 trials padded to 32); the
+    # dg s=2 block restarts its momentum; the last is a one-column lasso
+    PINNED = {
+        "dg1-harness": ((1, 2, 30, 32, 2026),
+                        "2663f2ed964f8370745bf767b478a2dce325aeeb169f016e8b76f58e0f129621"),
+        "dg2-restarts": ((2, 4, 6, 8, 2026),
+                         "5500cda56c7d621792a5d90df2d4b70dc31ce91a64d2e200f58d957ec049e20c"),
+        "width-one": ((1, 2, 1, 1, 7),
+                      "7704a555283509f38165b716ce7f090909aaab26dca938e82a4113df9b93bf3b"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_digest(self, case, monkeypatch):
+        (s, k, trials, width, seed), digest = self.PINNED[case]
+        d = sk.build_family("dg", s=s)
+        cfg = ExperimentConfig(family="dg", family_args={"s": s}, k=k, sigma=0.01,
+                               trials=trials, seed=seed, solver="lasso")
+        ys = np.zeros((d.m, width))
+        ys[:, :trials] = np.transpose([_trial_instance(d, cfg, t).y
+                                       for t in range(trials)])
+        restarts = []
+        row_dots = solvers._row_dots
+
+        def counted(p, q):
+            out = row_dots(p, q)
+            restarts.append(int((out > 0.0).sum()))
+            return out
+        monkeypatch.setattr(solvers, "_row_dots", counted)
+        if width == 1:
+            results = [sk.lasso(d, ys[:, 0], None, 0.01)]
+        else:
+            results = _lasso_columns(d, ys, None, 0.01)
+        assert all(r.converged for r in results)
+        assert sum(restarts) > 0
+        assert bp_digest(results) == digest
 
 
 def bp_digest(results) -> str:
@@ -605,17 +653,8 @@ class TestBpColumns:
         assert inside.converged and inside.iterations == 0 and not inside.x_hat.any()
 
 
-@pytest.mark.parametrize("s", [1, 2])
-def test_dense_dual_gap_reads_the_cached_frame(s, monkeypatch):
-    # a support of every column needs the eigenpairs of A A^T, which the
-    # dictionary holds; a dense support short of that forms its own
-    d = sk.build_family("dg", s=s)
-    a = d.entries
-    x = np.random.default_rng(s).standard_normal(d.N)
-    y = a @ x
-    every = np.arange(d.N)
-    fresh = solvers._dual_gap(a, frame_spectrum(a[:, every]), y, 0.0, x, every)
-    frame = d.frame
+def count_eigh(monkeypatch) -> list:
+    """Patch np.linalg.eigh to record the shape of every matrix it is given."""
     shapes = []
     eigh = np.linalg.eigh
 
@@ -623,9 +662,73 @@ def test_dense_dual_gap_reads_the_cached_frame(s, monkeypatch):
         shapes.append(mat.shape)
         return eigh(mat, *args, **kw)
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes
+
+
+def pinv_sign_fit_gap(a, y, x, support):
+    """The duality gap of the dense sign fit by the pseudo-inverse through the
+    eigenpairs of A_S A_S^T, the only candidate when y = A x exactly."""
+    sub = a[:, support]
+    nu = solvers._range_solve(*frame_spectrum(sub), sub @ np.sign(x[support]))
+    nu = nu / np.abs(a.T @ nu).max()
+    return float(np.abs(x).sum()) - float(y @ nu)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_dense_dual_gap_reads_the_cached_frame(s, monkeypatch):
+    # a support of every column needs the eigenpairs of A A^T, which the
+    # dictionary holds
+    d = sk.build_family("dg", s=s)
+    a = d.entries
+    x = np.random.default_rng(s).standard_normal(d.N)
+    y = a @ x
+    every = np.arange(d.N)
+    fresh = solvers._dual_gap(a, frame_spectrum(a[:, every]), y, 0.0, x, every)
+    frame = d.frame
+    shapes = count_eigh(monkeypatch)
     assert solvers._dual_gap(a, frame, y, 0.0, x, every) == fresh
     assert shapes == []
-    solvers._dual_gap(a, frame, y, 0.0, x, every[1:])
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_dense_sign_fit_is_one_solve(s, monkeypatch):
+    # a dense proper subset on a full-rank frame is fitted by one m x m solve,
+    # from the frame operator less the complement at or past N/2 columns and
+    # from the support below; no eigendecomposition, and the gap of the
+    # pseudo-inverse it replaced
+    d = sk.build_family("dg", s=s)
+    a, frame = d.entries, d.frame
+    assert frame[2].all()
+    rng = np.random.default_rng(s)
+    x = rng.standard_normal(d.N)
+    y = a @ x
+    supports = [np.sort(rng.choice(d.N, size, replace=False))
+                for size in (2 * d.m, d.N // 2 - 1, d.N // 2, d.N - 1)]
+    refs = [pinv_sign_fit_gap(a, y, x, sup) for sup in supports]
+    shapes = count_eigh(monkeypatch)
+    for sup, ref in zip(supports, refs):
+        assert solvers._dual_gap(a, frame, y, 0.0, x, sup) == pytest.approx(ref, rel=1e-9)
+    assert shapes == []
+
+
+def test_dense_sign_fit_on_a_rank_deficient_frame(monkeypatch):
+    # the rank-2 frame of test_zero_eps_on_a_rank_deficient_frame, with two
+    # more columns in its range so a support can hold more than m columns:
+    # the sign fit takes the pseudo-inverse through its own eigenpairs
+    entries = np.zeros((3, 5))
+    entries[:2, :2] = np.eye(2)
+    entries[:2, 2] = math.sqrt(0.5)
+    entries[:2, 3] = [0.6, -0.8]
+    entries[:2, 4] = [-0.8, -0.6]
+    d = Dictionary("rank2", entries)
+    a, frame = d.entries, d.frame
+    assert not frame[2].all()
+    x = np.array([1.0, -2.0, 0.5, 1.5, -1.0])
+    y = a @ x
+    support = np.arange(4)
+    ref = pinv_sign_fit_gap(a, y, x, support)
+    shapes = count_eigh(monkeypatch)
+    assert solvers._dual_gap(a, frame, y, 0.0, x, support) == pytest.approx(ref, rel=1e-9)
     assert shapes == [(d.m, d.m)]
 
 
