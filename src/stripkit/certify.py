@@ -449,11 +449,14 @@ def oa_strip_required_m(l: int, k: int, delta: float, eps: float) -> float:
     if l < 2 or l % 2:
         raise ValueError("need even l >= 2")
     _need_positive(k=k, delta=delta, eps=eps)
+    if eps >= 1:
+        raise ValueError("need eps < 1")
     return 0.75 * l * (k / delta) ** 2 * (k / eps) ** (2.0 / l)
 
 
 def oa_strip_sufficient(l: int, k: int, delta: float, eps: float,
                         m: int) -> SufficientConditionVerdict:
+    _need_positive(m=m)
     required = oa_strip_required_m(l, k, delta, eps)
     return _verdict("strip_oa",
                     {"l": l, "k": k, "delta": delta, "eps": eps, "m": m},
@@ -469,6 +472,8 @@ def dg_sparsity_bound(m: int, delta: float, eps: float,
     the usual 0.35 delta^(6/7) m^(3/7) form).
     """
     _need_positive(m=m, eps=eps, constant=constant)
+    if eps >= 1:
+        raise ValueError("need eps < 1")
     _need_nonnegative(delta=delta)
     return constant * (delta ** 6 * eps * m ** 3) ** (1.0 / 7.0)
 

@@ -44,21 +44,7 @@ def _emit(payload, path=None):
 def _cmd_build(args) -> int:
     family_args = {k: getattr(args, k) for k in ("m", "N", "s", "r", "q", "seed")
                    if getattr(args, k) is not None}
-    if args.code:
-        # contract-level route for larger interleaving depths: the code comes
-        # from the sign pattern of a previously saved bipolar dictionary, so
-        # --s and --r are the only parameters left
-        if args.family != "dg":
-            raise dc.FamilyError(f"--code takes --family dg, not {args.family!r}")
-        stray = [f"--{k}" for k in family_args if k not in ("s", "r")]
-        if stray:
-            raise dc.FamilyError(f"--family dg --code does not take {', '.join(stray)}")
-        if args.s is None:
-            raise dc.FamilyError("--family dg --code needs --s")
-        code = _bipolar_code(dc.load_dictionary(args.code))
-        d = dc.build_delsarte_goethals(args.s, args.r or 0, code=code)
-    else:
-        d = dc.build_family(args.family, **family_args)
+    d = dc.build_family(args.family, **family_args)
     dc.save_dictionary(d, args.out)
     if args.csv:
         dc.export_csv(d, args.csv)
@@ -137,7 +123,11 @@ def _cmd_check(args) -> int:
         if not math.isfinite(value) or integral and not value.is_integer():
             raise ValueError(f"{key} must be a finite {'integer' if integral else 'number'}")
         kw[key] = int(value) if integral else value
-    verdict = fn(**kw)
+    try:
+        verdict = fn(**kw)
+    except OverflowError as exc:
+        raise ValueError(f"{args.condition}: a result is out of range of a float "
+                         f"for inputs {kw}") from None
     _emit(verdict.as_dict(), args.out)
     return 0
 
@@ -249,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--r", type=int)
     b.add_argument("--q", type=int)
     b.add_argument("--seed", type=int)
-    b.add_argument("--code", help="bipolar dictionary file supplying a "
-                                  "precomputed code (dg family, r > 0)")
     b.add_argument("--out", required=True)
     b.add_argument("--csv")
     b.set_defaults(fn=_cmd_build)

@@ -305,10 +305,16 @@ def _normalize_columns(entries: np.ndarray) -> np.ndarray:
     return entries / norms
 
 
+def _need_seed(seed: int) -> None:
+    if seed < 0:
+        raise FamilyError(f"seed must be nonnegative, got {seed}")
+
+
 def build_gaussian(m: int, N: int, seed: int) -> Dictionary:
     """I.i.d. standard-normal entries, each column rescaled to unit norm."""
     if m < 1 or N < 1:
         raise FamilyError("m and N must be positive")
+    _need_seed(seed)
     rng = np.random.default_rng(seed)
     entries = _normalize_columns(rng.standard_normal((m, N)))
     return Dictionary(f"gaussian(m={m},N={N},seed={seed})", entries,
@@ -323,6 +329,7 @@ def build_random_harmonic(m: int, N: int, seed: int) -> Dictionary:
     """
     if not (1 <= m <= N):
         raise FamilyError("need 1 <= m <= N")
+    _need_seed(seed)
     rng = np.random.default_rng(seed)
     for _ in range(HARMONIC_MAX_RETRIES):
         mask = rng.random(N) < (m / N)
@@ -424,35 +431,19 @@ def delsarte_goethals_code(s: int) -> BinaryCode:
                    distance_invariant=True)
 
 
-def build_delsarte_goethals(s: int, r: int = 0,
-                            code: Optional[BinaryCode] = None) -> Dictionary:
+def build_delsarte_goethals(s: int, r: int = 0) -> Dictionary:
     """Bipolar Kerdock-family dictionary: m = 2^(2s+2), coherence 2^r/sqrt(m).
 
-    Only r = 0 is constructed here. Larger r is contract-only: pass a
-    precomputed ``code`` and it is validated against the family contract
-    (length 2^(2s+2), coherence at most 2^r/sqrt(m)).
+    Only r = 0 is constructed; any other r is refused.
     """
     if s < 1:
         raise FamilyError("need s >= 1")
-    if not (0 <= r <= s - 1) and r != 0:
-        raise FamilyError(f"(s={s}, r={r}) outside the family range")
-    m = 2 ** (2 * s + 2)
-    mu_bound = 2 ** r / np.sqrt(m) + 1e-12
-    if code is None:
-        if r != 0:
-            raise FamilyError(
-                f"(s={s}, r={r}) unsupported: only r=0 is constructed; supply a "
-                "precomputed code for larger r")
-        code = delsarte_goethals_code(s)
-    elif code.N > 4096:
-        raise FamilyError(
-            "supplied code too large for pairwise contract validation")
-    if code.m != m:
-        raise FamilyError(f"code length {code.m} != 2^(2s+2) = {m}")
-    # exact contract check, from the weights of a built (distance-invariant)
-    # code and pairwise for a supplied one
+    if r != 0:
+        raise FamilyError(f"(s={s}, r={r}) unsupported: only r=0 is constructed")
+    code = delsarte_goethals_code(s)
+    # exact contract check from the weights of the distance-invariant code
     mu = float(max(coherence_levels(code), default=0))
-    if mu > mu_bound:
+    if mu > 1 / np.sqrt(code.m) + 1e-12:
         raise FamilyError(f"code violates the coherence contract: mu={mu:.4f}")
     d = from_binary_code(code, name=f"delsarte_goethals(s={s},r={r})")
     d.params.update({"family": "delsarte_goethals", "s": s, "r": r,

@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise ValueError("family_args must be a JSON object")
         if self.k < 0:
             raise ValueError("k must be nonnegative")
+        if self.k_range == []:
+            raise ValueError("k_range needs at least one k")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.jobs < 1:
@@ -167,7 +169,7 @@ def _bp_record(d: Dictionary, config: ExperimentConfig, t: int,
                inst: SignalInstance, res: RecoveryResult) -> dict:
     res = error_report(inst, res, config.eps)
     cert = dual_certificate(d, inst.support, inst.signs)
-    top = np.sort(np.argsort(np.abs(res.x_hat))[-config.k:]) if config.k else np.array([], dtype=int)
+    top = np.sort(np.argsort(np.abs(res.x_hat))[-config.k:])
     return {
         "trial": t,
         "converged": bool(res.converged),
@@ -196,7 +198,7 @@ def _bp_block(d: Dictionary, config: ExperimentConfig, block: range) -> list:
     stream, one solve over the block's trials (not padded: settled columns
     leave the solve, so padding would only add work), then the records."""
     insts = [_trial_instance(d, config, t) for t in _trials_in(block, config)]
-    results = _bp_columns(d, np.transpose([inst.y for inst in insts]), 0.0)
+    results = _bp_columns(d, np.array([inst.y for inst in insts]), 0.0)
     return [_bp_record(d, config, t, inst, res)
             for t, inst, res in zip(block, insts, results)]
 
@@ -284,8 +286,8 @@ def _lasso_block(d: Dictionary, config: ExperimentConfig, block: range) -> list:
     one solve over every column, padded with zero observations to the full
     block width (gemm rounds a column by the width), then the records."""
     insts = [_trial_instance(d, config, t) for t in _trials_in(block, config)]
-    ys = np.zeros((d.m, len(block)))
-    ys[:, :len(insts)] = np.transpose([inst.y for inst in insts])
+    ys = np.zeros((len(block), d.m))
+    ys[:len(insts)] = [inst.y for inst in insts]
     results = _lasso_columns(d, ys, config.lam, config.sigma)
     return [_lasso_record(d, config, t, inst, res)
             for t, inst, res in zip(block, insts, results)]

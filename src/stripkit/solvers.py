@@ -362,26 +362,26 @@ def basis_pursuit(d: Dictionary, y: np.ndarray, eps_noise: float) -> RecoveryRes
         raise SolverInputError("eps_noise must be finite")
     if eps_noise < 0:
         raise SolverInputError("eps_noise must be nonnegative")
-    return _bp_columns(d, y[:, None], eps_noise)[0]
+    return _bp_columns(d, y[None], eps_noise)[0]
 
 
 def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
-    """``basis_pursuit`` of every column of the m x T matrix ``ys`` at the
+    """``basis_pursuit`` of every row of the T x m matrix ``ys`` at the
     one ``eps_noise``, as T results; the caller has checked d, eps_noise and ys.
 
-    One ADMM runs over the unsettled columns, held as rows as in
-    ``_lasso_columns``, with two block products per step. Each column is
-    polished on its own on the CHECK_EVERY schedule and leaves the block when
-    it certifies, meets the 1e-13 stop or reaches MAX_ITER, so its
-    iterations, polish calls and convergence are its own. Its floats depend
-    on its own column and on the columns still beside it at each step: a
-    gemm rounds a column by the block's width. A support refit depends only
-    on the support and signs it was fitted on, which are read off the
-    iterate. T = 1 runs the very gemv and dot calls of a one-vector loop.
+    One ADMM runs over the unsettled rows, as ``_lasso_columns`` does, with
+    two block products per step. Each row is polished on its own on the
+    CHECK_EVERY schedule and leaves the block when it certifies, meets the
+    1e-13 stop or reaches MAX_ITER, so its iterations, polish calls and
+    convergence are its own. Its floats depend on its own row and on the
+    rows still beside it at each step: a gemm rounds a row by the block's
+    width. A support refit depends only on the support and signs it was
+    fitted on, which are read off the iterate. T = 1 runs the very gemv and
+    dot calls of a one-vector loop.
     """
     a = d.entries
     spectrum = d.frame
-    rows = np.ascontiguousarray(ys.T)
+    rows = np.ascontiguousarray(ys)
     width = rows.shape[0]
     yn = _row_norms(rows)
     out = [None] * width
@@ -560,25 +560,24 @@ def lasso(d: Dictionary, y: np.ndarray, lam: Optional[float],
         raise SolverInputError("lam must be positive")
     if sigma <= 0:
         raise SolverInputError("sigma must be positive (the penalty degenerates)")
-    return _lasso_columns(d, _observation(d, y)[:, None], lam, sigma)[0]
+    return _lasso_columns(d, _observation(d, y)[None], lam, sigma)[0]
 
 
 def _lasso_columns(d: Dictionary, ys: np.ndarray, lam: Optional[float],
                    sigma: float) -> list:
-    """``lasso`` of every column of the m x T matrix ``ys`` at once, as T
+    """``lasso`` of every row of the T x m matrix ``ys`` at once, as T
     results; the caller has checked d, lam, sigma and ys; lam=None is 2 sqrt(2 ln N).
     A penalty lam sigma^2 that under- or overflows is a ``SolverInputError``.
 
-    Each column keeps its own momentum and restart and is taken at its first
+    Each row keeps its own momentum and restart and is taken at its first
     passing check (or at MAX_ITER), so its iterations and convergence are its
-    own. Its floats depend on its own column and on T only: the products are
-    one BLAS gemm per step, and a gemm rounds column j the same for any
-    values of the other columns but not for every width T. The state is held
-    as rows, one per column of ys, so T = 1 runs the very gemv and dot calls
-    of a one-vector loop.
+    own. Its floats depend on its own row and on T only: the products are
+    one BLAS gemm per step, and a gemm rounds row j the same for any values
+    of the other rows but not for every width T. T = 1 runs the very gemv
+    and dot calls of a one-vector loop.
     """
     a = d.entries
-    rows = np.ascontiguousarray(ys.T)
+    rows = np.ascontiguousarray(ys)
     width = rows.shape[0]
     lam = 2.0 * math.sqrt(2.0 * math.log(d.N)) if lam is None else float(lam)
     sigma = float(sigma)

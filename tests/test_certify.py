@@ -252,6 +252,23 @@ class TestSufficientConditions:
         assert v.satisfied
         assert not sk.oa_strip_sufficient(6, 4, 0.5, 0.01, m=2122).satisfied
 
+    # eps is a failure probability: at 1 or above the verdict is vacuous
+    @pytest.mark.parametrize("eps", [1.0, 1e6])
+    def test_oa_and_dg_refuse_eps_at_least_one(self, eps):
+        with pytest.raises(ValueError, match="^need eps < 1$"):
+            sk.oa_strip_required_m(2, 4, 0.5, eps)
+        with pytest.raises(ValueError, match="^need eps < 1$"):
+            sk.oa_strip_sufficient(2, 4, 0.5, eps, m=100)
+        with pytest.raises(ValueError, match="^need eps < 1$"):
+            sk.dg_sparsity_bound(64, 0.5, eps)
+        with pytest.raises(ValueError, match="^need eps < 1$"):
+            certify.dg_sparsity_sufficient(64, 0.5, eps, 30)
+
+    @pytest.mark.parametrize("m", [0, -5])
+    def test_oa_refuses_nonpositive_m(self, m):
+        with pytest.raises(ValueError, match="^need m > 0$"):
+            sk.oa_strip_sufficient(6, 4, 0.5, 0.01, m=m)
+
     def test_oa_required_m_monotone_in_delta(self):
         ms = [sk.oa_strip_required_m(6, 4, d, 0.01) for d in (0.5, 0.25, 0.1, 0.01)]
         assert all(a < b for a, b in zip(ms, ms[1:]))

@@ -346,6 +346,23 @@ class TestCheck:
         "strip-coherence mu -0.1": ("strip-coherence", "mu", "-0.1", "need mu >= 0"),
         "strip-coherence frame_norm -2": ("strip-coherence", "frame_norm", "-2",
                                           "need frame_norm >= 0"),
+        # eps is a failure probability (at 1 or above a verdict is vacuous) and m a row count
+        "strip-oa eps 1": ("strip-oa", "eps", "1", "need eps < 1"),
+        "strip-oa eps 1e6": ("strip-oa", "eps", "1e6", "need eps < 1"),
+        "strip-oa m 0": ("strip-oa", "m", "0", "need m > 0"),
+        "strip-oa m -5": ("strip-oa", "m", "-5", "need m > 0"),
+        "dg-sparsity eps 1": ("dg-sparsity", "eps", "1", "need eps < 1"),
+        "dg-sparsity eps 1e9": ("dg-sparsity", "eps", "1e9", "need eps < 1"),
+        # a power past float range names the condition's inputs
+        "sinc-coherence mu 1e100": ("sinc-coherence", "mu", "1e100",
+                                    "out of range of a float for inputs {'mu': 1e+100"),
+        "strip-via-sinc delta 1e100": ("strip-via-sinc", "delta", "1e100",
+                                       "'delta': 1e+100"),
+        "strip-coherence frame_norm 1e200": ("strip-coherence", "frame_norm", "1e200",
+                                             "'frame_norm': 1e+200"),
+        "strip-oa delta 1e-300": ("strip-oa", "delta", "1e-300", "'delta': 1e-300"),
+        "dg-sparsity delta 1e100": ("dg-sparsity", "delta", "1e100", "'delta': 1e+100"),
+        "sinc-tail alpha 1e308": ("sinc-tail", "alpha", "1e308", "'alpha': 1e+308"),
     }
 
     @pytest.mark.parametrize("condition", sorted(VALID))
@@ -368,6 +385,14 @@ class TestCheck:
         assert captured.out == "" and "Traceback" not in captured.err
         assert len(captured.err.splitlines()) == 1
         assert message in json.loads(captured.err)["error"]
+
+    def test_overflow_names_condition_and_inputs(self, capsys):
+        assert main(["check", "--condition", "sinc-tail", "--param", "mu", "0.1",
+                     "--param", "theta", "0.01", "--param", "k", "4",
+                     "--param", "alpha", "1e308", "--param", "beta", "1e308"]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": (
+            "sinc-tail: a result is out of range of a float for inputs "
+            "{'mu': 0.1, 'theta': 0.01, 'k': 4, 'alpha': 1e+308, 'beta': 1e+308}")}
 
     def test_repeated_param_exits_2(self, capsys):
         # the last value used to win silently (k = 2 here)
@@ -577,6 +602,10 @@ class TestExperiment:
         "bp sigma": ({"sigma": "0.5"}, "the bp floor study is noiseless"),
         "lasso sweep": ({"solver": "lasso", "sigma": "0.1", "k_range": "1,2"},
                         "a floor study runs bp, not solver=lasso"),
+        "k_range empty": ({"k_range": ""}, "k_range needs at least one k"),
+        "family_args negative seed": ({"family": "gaussian",
+                                       "family_args": '{"m": 4, "N": 8, "seed": -1}'},
+                                      "seed must be nonnegative, got -1"),
     }
 
     @pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
@@ -610,8 +639,6 @@ class TestExperiment:
 # a directory that does not exist. {dict} is a saved dg s=1 dictionary, {cfg}
 # a valid study config, {gone} a path under a missing directory.
 FILE_ERROR_CASES = {
-    "build --code": ["build", "--family", "dg", "--s", "1", "--r", "1",
-                     "--code", "{gone}", "--out", "{tmp}/x.dict"],
     "build --out": ["build", "--family", "chirp", "--m", "7", "--out", "{gone}"],
     "build --csv": ["build", "--family", "chirp", "--m", "7",
                     "--out", "{tmp}/c.dict", "--csv", "{gone}"],
@@ -659,19 +686,6 @@ def test_file_errors_exit_2(case, dg_file, tmp_path, capsys):
 BAD_INPUT_CASES = {
     "build": (["build", "--family", "dg", "--s", "1", "--seed", "3",
                "--out", "{tmp}/x.dict"], "does not take ['seed']"),
-    # a supplied code builds dg from --s and --r alone; the code file is
-    # not opened when a flag is wrong
-    "build --code": (["build", "--family", "gaussian", "--m", "8", "--N", "16",
-                      "--code", "{tmp}/missing.dict", "--out", "{tmp}/x.dict"],
-                     "--code takes --family dg, not 'gaussian'"),
-    "build --code --m --seed": (["build", "--family", "dg", "--s", "1", "--m", "99",
-                                 "--seed", "5", "--code", "{dict}", "--out", "{tmp}/x.dict"],
-                                "--family dg --code does not take --m, --seed"),
-    "build --code --N --q": (["build", "--family", "dg", "--s", "1", "--N", "3", "--q", "5",
-                              "--code", "{dict}", "--out", "{tmp}/x.dict"],
-                             "--family dg --code does not take --N, --q"),
-    "build --code no --s": (["build", "--family", "dg", "--r", "1", "--code", "{dict}",
-                             "--out", "{tmp}/x.dict"], "--family dg --code needs --s"),
     "analyze": (["analyze", "--dict", "{gauss}", "--pless", "2"], "not bipolar"),
     "certify": (["certify", "--dict", "{dict}", "--property", "strip", "--k", "2"],
                 "--delta required"),
@@ -684,6 +698,18 @@ BAD_INPUT_CASES = {
     "gv span": (["gv", "--l", "40", "--mu", "1"], "2^40 x m span is beyond the cap"),
     "gv --derandomize span": (["gv", "--l", "40", "--mu", "1", "--derandomize"],
                               "2^40 x m span is beyond the cap"),
+    "build dg s=1 r=1": (["build", "--family", "dg", "--s", "1", "--r", "1",
+                          "--out", "{tmp}/x.dict"],
+                         "(s=1, r=1) unsupported: only r=0 is constructed"),
+    "build dg s=2 r=1": (["build", "--family", "dg", "--s", "2", "--r", "1",
+                          "--out", "{tmp}/x.dict"],
+                         "(s=2, r=1) unsupported: only r=0 is constructed"),
+    "build gaussian seed": (["build", "--family", "gaussian", "--m", "4", "--N", "8",
+                             "--seed", "-1", "--out", "{tmp}/x.dict"],
+                            "seed must be nonnegative, got -1"),
+    "build harmonic seed": (["build", "--family", "harmonic", "--m", "4", "--N", "8",
+                             "--seed", "-1", "--out", "{tmp}/x.dict"],
+                            "seed must be nonnegative, got -1"),
     "build dg size": (["build", "--family", "dg", "--s", "5", "--out", "{tmp}/x.dict"],
                       "s=5 needs a 8388608 x 4096 code"),
     "experiment": (["experiment", "--config", "{cfg}"], "does not take ['typo']"),
@@ -714,8 +740,6 @@ NON_FINITE_CASES = {
     "certify": ["certify", "--dict", "{bad}", "--property", "strip", "--k", "1",
                 "--delta", "0.5", "--trials", "10"],
     "recover": ["recover", "--dict", "{bad}", "--k", "1", "--trials", "1"],
-    "build --code": ["build", "--family", "dg", "--s", "1", "--r", "1",
-                     "--code", "{bad}", "--out", "{tmp}/x.dict"],
 }
 
 

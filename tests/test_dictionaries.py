@@ -80,6 +80,13 @@ class TestHarmonic:
             sk.build_random_harmonic(9, 8, seed=0)
 
 
+@pytest.mark.parametrize("build", [sk.build_gaussian, sk.build_random_harmonic])
+def test_negative_seed_refused(build):
+    # numpy's own message names no parameter
+    with pytest.raises(FamilyError, match="^seed must be nonnegative, got -1$"):
+        build(4, 8, seed=-1)
+
+
 class TestChirp:
     def test_dimensions_and_mu(self):
         d = sk.build_chirp(3)
@@ -150,16 +157,17 @@ class TestDelsarteGoethals:
         with pytest.raises(FamilyError):
             sk.build_delsarte_goethals(0)
         with pytest.raises(FamilyError, match=r"\(s=2, r=1\) unsupported: only r=0 "
-                           "is constructed; supply a precomputed code for larger r"):
+                           "is constructed$"):
             sk.build_delsarte_goethals(2, r=1)
 
-    def test_precomputed_code_route_validates(self):
-        code = sk.delsarte_goethals_code(1)
-        d = sk.build_delsarte_goethals(1, code=code)
-        assert d.N == code.N
-        bad = BinaryCode.from_words(np.array([[0] * 8, [1] * 8], dtype=np.uint8))
-        with pytest.raises(FamilyError):
-            sk.build_delsarte_goethals(1, code=bad)
+    def test_contract_check_refuses_a_coherent_code(self, monkeypatch):
+        # two words at distance 2 of 16: coherence 3/4, past 1/sqrt(16)
+        words = np.zeros((2, 16), dtype=np.uint8)
+        words[1, :2] = 1
+        monkeypatch.setattr(dictionaries, "delsarte_goethals_code",
+                            lambda s: BinaryCode.from_words(words))
+        with pytest.raises(FamilyError, match="violates the coherence contract: mu=0.7500"):
+            sk.build_delsarte_goethals(1)
 
     @pytest.mark.parametrize("what, bound_mib", [("code", 24), ("dictionary", 96)])
     def test_s3_build_memory(self, what, bound_mib):
@@ -175,11 +183,6 @@ class TestDelsarteGoethals:
         finally:
             tracemalloc.stop()
         assert peak <= bound_mib * 2 ** 20
-
-    def test_empty_supplied_code_rejected(self):
-        empty = BinaryCode.from_words(np.zeros((0, 16), dtype=np.uint8))
-        with pytest.raises(FamilyError, match="empty code"):
-            sk.build_delsarte_goethals(1, code=empty)
 
     @pytest.mark.parametrize("s, digest", [
         (1, "c3efce46e533b9b9ffe7f389c8fd013d103f2d3d9dad32b8cd490508b44f9ad4"),
@@ -353,6 +356,11 @@ class TestFromBinaryCode:
         half = BinaryCode.from_words(bits[bits[:, 0] == 0])
         d2 = sk.from_binary_code(half)
         assert sk.coherence_profile(d2).mu < 1e-12
+
+    def test_empty_code_rejected(self):
+        empty = BinaryCode.from_words(np.zeros((0, 16), dtype=np.uint8))
+        with pytest.raises(FamilyError, match="^empty code$"):
+            sk.from_binary_code(empty)
 
     def test_orientation(self):
         code = BinaryCode.from_words(np.array([[0, 0, 0, 0], [1, 0, 0, 0]], dtype=np.uint8))

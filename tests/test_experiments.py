@@ -324,6 +324,8 @@ def test_config_validation():
         ExperimentConfig(family="dg", dictionary_path="x").validate()
     with pytest.raises(ValueError):
         ExperimentConfig(family="dg", trials=0).validate()
+    with pytest.raises(ValueError, match="k_range needs at least one k"):
+        ExperimentConfig(family="dg", k_range=[]).validate()
 
 
 @pytest.mark.parametrize("jobs", [0, -2])

@@ -499,7 +499,7 @@ class TestLassoColumns:
         d = build()
         lam = 2.0 * math.sqrt(2.0 * math.log(d.N))
         ys = lasso_block(d, k, sigma, count)
-        block = _lasso_columns(d, ys, lam, sigma)
+        block = _lasso_columns(d, ys.T, lam, sigma)
         assert len(block) == count
         for j, res in enumerate(block):
             one = sk.lasso(d, ys[:, j], lam, sigma)
@@ -517,7 +517,7 @@ class TestLassoColumns:
         assert sk.lasso(d, ys[:, 0], lam, 0.01).iterations > 30
         monkeypatch.setattr(solvers, "MAX_ITER", 25)
         zero, capped, zero_too = _lasso_columns(
-            d, np.column_stack([np.zeros(d.m), ys[:, 0], np.zeros(d.m)]), lam, 0.01)
+            d, np.array([np.zeros(d.m), ys[:, 0], np.zeros(d.m)]), lam, 0.01)
         for res in (zero, zero_too):
             assert res.converged and res.iterations == 10
             assert not res.x_hat.any() and res.kkt_residual == 0.0
@@ -559,7 +559,7 @@ class TestLassoColumns:
         if width == 1:
             results = [sk.lasso(d, ys[:, 0], None, 0.01)]
         else:
-            results = _lasso_columns(d, ys, None, 0.01)
+            results = _lasso_columns(d, ys.T, None, 0.01)
         assert all(r.converged for r in results)
         assert sum(restarts) > 0
         assert bp_digest(results) == digest
@@ -611,7 +611,7 @@ class TestBpColumns:
         # an estimate certified on the iterate moves by float dust
         d = sk.build_family("dg", s=s)
         ys, eps = bp_block(d, k, count, model, sigma)
-        block = solvers._bp_columns(d, ys, eps)
+        block = solvers._bp_columns(d, ys.T, eps)
         assert len(block) == count
         for j, res in enumerate(block):
             one = sk.basis_pursuit(d, ys[:, j], eps)
@@ -643,13 +643,13 @@ class TestBpColumns:
         monkeypatch.setattr(solvers._BallProjector, "__call__", spy)
         monkeypatch.setattr(solvers, "MAX_ITER", 60)
         zero, cert, capped = solvers._bp_columns(
-            d, np.column_stack([np.zeros(d.m), easy, hard]), 0.0)
+            d, np.array([np.zeros(d.m), easy, hard]), 0.0)
         assert widths == [2] * 26 + [1] * 35
         assert zero.converged and zero.iterations == 0 and not zero.x_hat.any()
         assert cert.converged and cert.iterations == 25
         assert not capped.converged and capped.iterations == 60
         assert capped.info["polish_calls"] == 2
-        inside = solvers._bp_columns(d, np.column_stack([0.01 * easy, easy]), 0.05)[0]
+        inside = solvers._bp_columns(d, np.array([0.01 * easy, easy]), 0.05)[0]
         assert inside.converged and inside.iterations == 0 and not inside.x_hat.any()
 
 
