@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .coherence import SUPPORT_CHUNK, hollow_gram_norms
 from .dictionaries import Dictionary
 from .seeding import derive_rng
 
@@ -25,8 +24,10 @@ EXHAUSTIVE_CAP = 10 ** 6
 CI_LEVEL = 0.99
 # Monte Carlo trials per derived rng stream. Changing it changes every MC draw.
 MC_BLOCK = 1024
-# bytes of one chunk of the (b, k, N) cross-correlation in _sinc_stats
-CROSS_CHUNK_BYTES = 32 * 2 ** 20
+# bytes of the largest array one chunk of b supports builds: StRIP's (m, b, k)
+# column gather, or its (b, k, k) Gram block, and SINC's (b, k, N)
+# cross-correlation
+CHUNK_BYTES = 32 * 2 ** 20
 
 
 class BudgetError(ValueError):
@@ -138,16 +139,41 @@ def _mc_draws(N: int, k: int, seed: int, label: str, trials: int, probe: bool):
             np.concatenate(probes)[:trials] if probe else None)
 
 
+def _chunks(supports: np.ndarray, bytes_per_support: int):
+    """(slice, supports[slice]) over the rows of ``supports`` (B, k), as many
+    per chunk as keep its largest array within CHUNK_BYTES (at least one)."""
+    step = max(1, CHUNK_BYTES // bytes_per_support)
+    for lo in range(0, len(supports), step):
+        part = slice(lo, lo + step)
+        yield part, supports[part]
+
+
+def hollow_gram_norms(d: Dictionary, supports: np.ndarray,
+                      gram: Optional[np.ndarray] = None) -> np.ndarray:
+    """Spectral norms of Phi_I^H Phi_I - Id for a batch of supports (B, k)."""
+    B, k = supports.shape
+    out = np.empty(B)
+    eye = np.eye(k)
+    rows = k if gram is not None else d.m
+    for part, sup in _chunks(supports, rows * k * d.entries.itemsize):
+        if gram is not None:
+            sub = gram[sup[:, :, None], sup[:, None, :]]
+        else:
+            cols = d.entries[:, sup]                       # (m, b, k)
+            sub = np.einsum("mbi,mbj->bij", cols.conj(), cols)
+            del cols               # free it before the next chunk's is built
+        vals = np.linalg.eigvalsh(sub - eye)
+        out[part] = np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
+    return out
+
+
 def _sinc_stats(d: Dictionary, supports: np.ndarray, gram, probes=None):
     """Worst outside-column energy max_{i not in I} ||Phi_I^H phi_i||^2 of each
     support (B, k), and the energy at each of ``probes`` (B,) if given."""
     B, k = supports.shape
     out = np.empty(B)
     at_probe = None if probes is None else np.empty(B)
-    chunk = max(1, min(SUPPORT_CHUNK,
-                       CROSS_CHUNK_BYTES // (k * d.N * d.entries.itemsize)))
-    for lo in range(0, B, chunk):
-        sup = supports[lo:lo + chunk]
+    for part, sup in _chunks(supports, k * d.N * d.entries.itemsize):
         if gram is not None:
             cross = gram[sup, :]                           # (b, k, N)
         else:
@@ -157,10 +183,10 @@ def _sinc_stats(d: Dictionary, supports: np.ndarray, gram, probes=None):
         col_sq = np.square(cross, out=cross).sum(axis=1)  # (b, N)
         del cross                  # free it before the next chunk's is built
         if probes is not None:
-            at_probe[lo:lo + chunk] = np.take_along_axis(
-                col_sq, probes[lo:lo + chunk, None], axis=1)[:, 0]
+            at_probe[part] = np.take_along_axis(
+                col_sq, probes[part, None], axis=1)[:, 0]
         np.put_along_axis(col_sq, sup, -np.inf, axis=1)
-        out[lo:lo + chunk] = col_sq.max(axis=1)
+        out[part] = col_sq.max(axis=1)
     return out, at_probe
 
 
@@ -382,14 +408,14 @@ def strip_sufficient_via_sinc(mu: float, theta: float, k: int, delta: float,
     """StRIP through the incoherence route; admits mu up to order k^(-3/4)."""
     _need_positive(k=k)
     _need_nonnegative(mu=mu, theta=theta, delta=delta)
+    if not 0 < eps1 < 1:        # a failure probability
+        raise ValueError("need 0 < eps1 < 1")
     if a is None:
         return _best_on_lattice(
             lambda aa: strip_sufficient_via_sinc(mu, theta, k, delta, eps1, aa),
             "margin_ratio", _A_LATTICE)
     if not (0 < a < 1):
         raise ValueError("need 0 < a < 1")
-    if not (0 < eps1 < 2 * k):
-        raise ValueError("need 0 < eps1 < 2k")
     rhs1 = a * delta ** 2 / k ** 2
     rhs2 = (1 - a) ** 2 * delta ** 4 / (32 * k ** 3 * math.log(2 * k / eps1))
     slack = {"theta": rhs1 - theta, "mu4": rhs2 - mu ** 4}

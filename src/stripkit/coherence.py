@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isfinite
-from typing import Optional
 
 import numpy as np
 
@@ -238,24 +237,3 @@ def tight_frame_mean_sq(m: int, N: int) -> float:
     """Mean-square coherence forced on any unit-norm tight frame."""
     return (N - m) / (m * (N - 1))
 
-
-# supports per batch in the support-batched statistics
-SUPPORT_CHUNK = 4096
-
-
-def hollow_gram_norms(d: Dictionary, supports: np.ndarray,
-                      gram: Optional[np.ndarray] = None) -> np.ndarray:
-    """Spectral norms of Phi_I^H Phi_I - Id for a batch of supports (B, k)."""
-    B, k = supports.shape
-    out = np.empty(B)
-    eye = np.eye(k)
-    for lo in range(0, B, SUPPORT_CHUNK):
-        sup = supports[lo:lo + SUPPORT_CHUNK]
-        if gram is not None:
-            sub = gram[sup[:, :, None], sup[:, None, :]]
-        else:
-            cols = d.entries[:, sup]                       # (m, b, k)
-            sub = np.einsum("mbi,mbj->bij", cols.conj(), cols)
-        vals = np.linalg.eigvalsh(sub - eye)
-        out[lo:lo + SUPPORT_CHUNK] = np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
-    return out

@@ -7,6 +7,7 @@ matrices.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import warnings
@@ -197,10 +198,11 @@ class BinaryCode:
         """The linear code {G u : u in F2^l} of an (m, l) 0/1 generator, its
         rows in span order."""
         g = np.ascontiguousarray(generator, dtype=np.uint8)
-        # the 2^l words of the span are distinct iff G has full column rank
-        if gf2_rank(g) < g.shape[1]:
+        rows = span_of_generator(g)
+        # two words coincide iff their sum, a nonzero combination, has weight 0
+        if not _weights(rows[1:]).all():
             raise FamilyError("codewords are not distinct")
-        return cls(g.shape[0], span_of_generator(g), g, distance_invariant=True)
+        return cls(g.shape[0], rows, g, distance_invariant=True)
 
     def bits(self) -> np.ndarray:
         """The words as an (N, m) uint8 matrix of 0/1."""
@@ -273,19 +275,6 @@ def span_of_generator(generator: np.ndarray) -> np.ndarray:
     return rows
 
 
-def gf2_rank(matrix: np.ndarray) -> int:
-    """Column rank over GF(2) of a 0/1 matrix."""
-    basis = []              # nonzero, distinct leading bits, largest first
-    for col in _pack_rows(np.asarray(matrix, dtype=np.uint8).T):
-        v = int.from_bytes(col.tobytes(), "big")
-        for b in basis:
-            v = min(v, v ^ b)   # clears b's leading bit if v has it
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
 def _row_set(rows: np.ndarray) -> np.ndarray:
     """The distinct packed rows in lexicographic bit order: lexsorted on
     their bytes, which hold the bits in order, then each row kept when it
@@ -310,7 +299,7 @@ def _need_seed(seed: int) -> None:
         raise FamilyError(f"seed must be nonnegative, got {seed}")
 
 
-def build_gaussian(m: int, N: int, seed: int) -> Dictionary:
+def build_gaussian(m: int, N: int, seed: int = 0) -> Dictionary:
     """I.i.d. standard-normal entries, each column rescaled to unit norm."""
     if m < 1 or N < 1:
         raise FamilyError("m and N must be positive")
@@ -321,7 +310,7 @@ def build_gaussian(m: int, N: int, seed: int) -> Dictionary:
                       params={"family": "gaussian"}, seed=seed)
 
 
-def build_random_harmonic(m: int, N: int, seed: int) -> Dictionary:
+def build_random_harmonic(m: int, N: int, seed: int = 0) -> Dictionary:
     """Bernoulli(m/N) row subsample of the N x N DFT, columns renormalized.
 
     The realized row count |M| is recorded in params and drives the
@@ -576,23 +565,18 @@ def export_csv(d: Dictionary, path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-# family -> (construction over the parameter dict, the parameters it takes)
-_FACTORIES = {
-    "gaussian": (lambda args: build_gaussian(args["m"], args["N"], args.get("seed", 0)),
-                 ("m", "N", "seed")),
-    "harmonic": (lambda args: build_random_harmonic(args["m"], args["N"], args.get("seed", 0)),
-                 ("m", "N", "seed")),
-    "chirp": (lambda args: build_chirp(args["m"]), ("m",)),
-    "etf": (lambda args: build_etf_paley(args["q"]), ("q",)),
-    "dg": (lambda args: build_delsarte_goethals(args["s"], args.get("r", 0)), ("s", "r")),
-}
+# family -> builder; its signature gives the family's parameters
+_FACTORIES = {"gaussian": build_gaussian, "harmonic": build_random_harmonic,
+              "chirp": build_chirp, "etf": build_etf_paley,
+              "dg": build_delsarte_goethals}
 
 
 def build_family(family: str, **args) -> Dictionary:
     """Dispatch table used by the command line."""
     if family not in _FACTORIES:
         raise FamilyError(f"unknown family {family!r}; pick from {sorted(_FACTORIES)}")
-    build, accepted = _FACTORIES[family]
+    build = _FACTORIES[family]
+    accepted = inspect.signature(build).parameters
     stray = sorted(set(args) - set(accepted))
     if stray:
         raise FamilyError(f"family {family!r} does not take {stray}; accepted keys: "
@@ -601,7 +585,7 @@ def build_family(family: str, **args) -> Dictionary:
         if isinstance(value, bool) or not isinstance(value, int):
             raise FamilyError(f"family {family!r} parameter {key!r} must be an "
                               f"integer, got {value!r}")
-    try:
-        return build(args)
-    except KeyError as exc:
-        raise FamilyError(f"family {family!r} is missing parameter {exc}")
+    for key, p in accepted.items():
+        if p.default is p.empty and key not in args:
+            raise FamilyError(f"family {family!r} is missing parameter {key!r}")
+    return build(**args)

@@ -107,7 +107,7 @@ def _span_code(generator: np.ndarray, band: tuple) -> tuple:
     # two codewords coincide iff their sum is zero; dependent generator
     # columns still give a code, deduplicated for the container invariant,
     # and a linear subspace, so distance-invariant either way
-    full = w.min() > 0
+    full = w.all()
     code = BinaryCode(len(generator), rows if full else _row_set(rows),
                       generator if full else None, distance_invariant=True)
     return code, out_of_band

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 import stripkit as sk
 from stripkit import certify
 from stripkit.certify import (MC_BLOCK, BudgetError, _mc_draws, _sinc_stats,
-                              wsinc_weight)
-from stripkit.coherence import hollow_gram_norms
+                              hollow_gram_norms, wsinc_weight)
 from stripkit.seeding import derive_rng
 
 EDGE = 1 + 1e-10   # ulp guard for floors evaluated exactly at (k-1) mu
@@ -188,6 +188,13 @@ class TestSufficientConditions:
             32 * k ** 3 * math.log(2 * k / eps1))
         assert v.satisfied == (want_theta_ok and want_mu_ok)
         assert v.satisfied   # recorded verdict for these numbers
+
+    @pytest.mark.parametrize("eps1", [0.0, -0.5, 1.0, 7.99, math.nan])
+    @pytest.mark.parametrize("a", [0.5, None])
+    def test_via_sinc_eps1_is_a_probability(self, eps1, a):
+        # eps1 is a failure probability; at 1 or more the verdict is vacuous
+        with pytest.raises(ValueError, match=r"need 0 < eps1 < 1"):
+            sk.strip_sufficient_via_sinc(0.1, 0.001, 4, 0.5, eps1, a)
 
     def test_via_sinc_scaling_law(self):
         # max admissible mu from bisection scales like k^(-3/4)
@@ -528,6 +535,23 @@ def test_sinc_stats_without_gram_bit_equal(build, k):
     assert all(np.array_equal(a, b) for a, b in zip(direct, cached))
 
 
+@pytest.mark.parametrize("build, k, bound_mib", [
+    (lambda: sk.build_gaussian(256, 3001, seed=5), 24, 64),
+    (lambda: sk.build_random_harmonic(128, 4000, seed=2), 16, 96),  # complex
+])
+def test_strip_estimate_memory_within_chunk_budget(build, k, bound_mib):
+    # past the Gram cache each chunk gathers (m, b, k) columns within
+    # CHUNK_BYTES, and frees them before the next chunk gathers its own
+    d = build()
+    tracemalloc.start()
+    try:
+        sk.strip_estimate(d, k, 0.9, trials=5000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20
+
+
 @pytest.mark.parametrize("call", [
     lambda d: sk.strip_estimate(d, 2, math.nan, trials=10),
     lambda d: sk.sinc_estimate(d, 2, math.inf, trials=10),
@@ -570,7 +594,7 @@ def test_sinc_stats_independent_of_chunk_bytes(build, monkeypatch):
     for gram in (d.gram(), None):
         whole = _sinc_stats(d, sups, gram, probes)
         # room for 7 supports' (k, N) cross-correlation rows per chunk
-        monkeypatch.setattr(certify, "CROSS_CHUNK_BYTES",
+        monkeypatch.setattr(certify, "CHUNK_BYTES",
                             7 * 3 * d.N * d.entries.itemsize)
         chunked = _sinc_stats(d, sups, gram, probes)
         monkeypatch.undo()

@@ -353,6 +353,9 @@ class TestCheck:
         "strip-oa m -5": ("strip-oa", "m", "-5", "need m > 0"),
         "dg-sparsity eps 1": ("dg-sparsity", "eps", "1", "need eps < 1"),
         "dg-sparsity eps 1e9": ("dg-sparsity", "eps", "1e9", "need eps < 1"),
+        "strip-via-sinc eps1 7.99": ("strip-via-sinc", "eps1", "7.99",
+                                     "need 0 < eps1 < 1"),
+        "strip-via-sinc eps1 1": ("strip-via-sinc", "eps1", "1", "need 0 < eps1 < 1"),
         # a power past float range names the condition's inputs
         "sinc-coherence mu 1e100": ("sinc-coherence", "mu", "1e100",
                                     "out of range of a float for inputs {'mu': 1e+100"),

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import stripkit as sk
 from stripkit import dictionaries
 from stripkit.dictionaries import (BinaryCode, Dictionary, DictionaryFormatError,
-                                   FamilyError, frame_spectrum, gf2_rank,
+                                   FamilyError, frame_spectrum,
                                    span_of_generator)
 
 from conftest import full_space, reed_muller_1_3, span_bits
@@ -226,13 +226,17 @@ class TestGeneratorBackedCode:
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 9), l=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
-    def test_gf2_rank_counts_distinct_span_words(self, m, l, seed):
+    def test_accepts_exactly_distinct_spans(self, m, l, seed):
         rng = np.random.default_rng(seed)
         g = rng.integers(0, 2, size=(m, l), dtype=np.uint8)
         if l > 1 and seed % 2:
             g[:, -1] = g[:, 0] ^ g[:, l // 2]
         distinct = len(np.unique(span_of_generator(g), axis=0))
-        assert 2 ** gf2_rank(g) == distinct
+        if distinct == 2 ** l:
+            assert BinaryCode.from_generator(g).N == distinct
+        else:
+            with pytest.raises(FamilyError, match="codewords are not distinct"):
+                BinaryCode.from_generator(g)
 
 
 def span_by_matmul(generator: np.ndarray) -> np.ndarray:
@@ -655,6 +659,17 @@ def test_build_family_dispatch():
     for bad in ("3", 3.0, True, None, [3]):
         with pytest.raises(FamilyError, match="'m' must be an integer"):
             sk.build_family("chirp", m=bad)
+
+
+@pytest.mark.parametrize("family,build", [("gaussian", sk.build_gaussian),
+                                           ("harmonic", sk.build_random_harmonic)])
+def test_build_family_reads_builder_signature(family, build):
+    # a family's parameters and their defaults are its builder's
+    want = build(4, 6, seed=0).entries
+    assert np.array_equal(build(4, 6).entries, want)
+    assert np.array_equal(sk.build_family(family, m=4, N=6).entries, want)
+    with pytest.raises(FamilyError, match="is missing parameter 'N'"):
+        sk.build_family(family, m=4)
 
 
 @pytest.mark.parametrize("family,args,accepted", [
