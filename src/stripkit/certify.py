@@ -24,9 +24,9 @@ EXHAUSTIVE_CAP = 10 ** 6
 CI_LEVEL = 0.99
 # Monte Carlo trials per derived rng stream. Changing it changes every MC draw.
 MC_BLOCK = 1024
-# bytes of the largest array one chunk of b supports builds: StRIP's (m, b, k)
-# column gather, or its (b, k, k) Gram block, and SINC's (b, k, N)
-# cross-correlation
+# bytes of the largest arrays one chunk of b supports builds: StRIP's (m, b, k)
+# column gather (with its conjugate copy when complex), or its (b, k, k) Gram
+# block, and SINC's (b, k, N) cross-correlation
 CHUNK_BYTES = 32 * 2 ** 20
 
 
@@ -154,8 +154,9 @@ def hollow_gram_norms(d: Dictionary, supports: np.ndarray,
     B, k = supports.shape
     out = np.empty(B)
     eye = np.eye(k)
+    copies = 2 if gram is None and np.iscomplexobj(d.entries) else 1
     rows = k if gram is not None else d.m
-    for part, sup in _chunks(supports, rows * k * d.entries.itemsize):
+    for part, sup in _chunks(supports, copies * rows * k * d.entries.itemsize):
         if gram is not None:
             sub = gram[sup[:, :, None], sup[:, None, :]]
         else:

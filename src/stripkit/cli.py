@@ -28,8 +28,8 @@ from . import dictionaries as dc
 from . import experiments as ex
 from . import gvforge as gv
 from .seeding import derive_rng
-from .signals import observe, sample_generic_signal
-from .solvers import basis_pursuit, error_report, lasso
+from .signals import MAGNITUDE_MODELS, observe, sample_generic_signal
+from .solvers import SOLVERS, basis_pursuit, check_recovery_inputs, error_report, lasso
 
 
 def _emit(payload, path=None):
@@ -137,18 +137,9 @@ RECOVER_FIELDS = ("trial", "converged", "iterations", "objective", "err_on_l2",
 
 
 def _cmd_recover(args) -> int:
-    for name in ("sigma", "lam", "eps"):
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
-    if args.sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if args.eps is not None and args.eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if args.lam is not None and args.lam <= 0:
-        raise ValueError("lam must be positive")
-    if not 0 < args.prob_eps < 1:
-        raise ValueError("prob-eps must be in (0, 1)")
+    check_recovery_inputs(sigma=args.sigma, lam=args.lam, eps_noise=args.eps,
+                          eps=args.prob_eps, solver=args.solver,
+                          names={"eps_noise": "eps", "eps": "prob-eps"})
     if args.trials < 1:
         raise ValueError("need at least one trial")
     d = dc.load_dictionary(args.dict)
@@ -275,13 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("recover", help="run sparse-recovery trials")
     r.add_argument("--dict", required=True)
-    r.add_argument("--solver", choices=["bp", "lasso"], default="bp")
+    r.add_argument("--solver", choices=SOLVERS, default="bp")
     r.add_argument("--k", type=int, required=True)
     r.add_argument("--eps", type=float)
     r.add_argument("--lambda", "--lam", dest="lam", type=float)
     r.add_argument("--sigma", type=float, default=0.0)
-    r.add_argument("--magnitudes", default="unit",
-                   choices=["unit", "uniform", "compressible"])
+    r.add_argument("--magnitudes", default="unit", choices=MAGNITUDE_MODELS)
     r.add_argument("--p", type=float, default=0.5)
     r.add_argument("--prob-eps", type=float, default=0.1,
                    help="eps in the error-bound constant")

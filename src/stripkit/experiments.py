@@ -34,9 +34,10 @@ import numpy as np
 
 from .dictionaries import Dictionary, build_family, load_dictionary, realify
 from .seeding import derive_rng
-from .signals import SignalInstance, observe, sample_generic_signal
+from .signals import MAGNITUDE_MODELS, SignalInstance, observe, sample_generic_signal
 from .solvers import (RecoveryResult, _bp_columns, _lasso_columns,
-                      cp_conditions, dual_certificate, error_report)
+                      check_recovery_inputs, cp_conditions, dual_certificate,
+                      error_report)
 
 MIN_TRIALS_FOR_FLOOR = 200
 # trial indices per block: at least the 30 trials of a small Lasso study
@@ -74,24 +75,14 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if not (0 < self.eps < 1):
-            raise ValueError("eps must be in (0, 1)")
-        for name in ("sigma", "p", "lam", "bound_tol"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.bound_tol < 0:
-            raise ValueError("bound_tol must be nonnegative")
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.solver not in ("bp", "lasso"):
-            raise ValueError(f"unknown solver {self.solver!r}")
+        check_recovery_inputs(sigma=self.sigma, lam=self.lam, eps=self.eps,
+                              bound_tol=self.bound_tol, solver=self.solver)
+        if not math.isfinite(self.p):
+            raise ValueError("p must be finite")
         if self.solver == "bp" and self.sigma != 0:
             raise ValueError("the bp floor study is noiseless: sigma must be 0 "
                              "with solver=bp (use solver=lasso for noise)")
-        if self.magnitudes not in ("unit", "uniform", "compressible"):
+        if self.magnitudes not in MAGNITUDE_MODELS:
             raise ValueError(f"unknown magnitude model {self.magnitudes!r}")
 
     def load_dictionary(self) -> Dictionary:
@@ -318,8 +309,7 @@ def run_lasso_study(config: ExperimentConfig,
     fractions and the compressed-error ratio distribution; no floor assertion
     (the guarantee constant is not pinned numerically)."""
     config.validate()
-    if config.sigma <= 0:
-        raise ValueError("lasso study needs sigma > 0")
+    check_recovery_inputs(sigma=config.sigma, solver="lasso")
     t0 = time.perf_counter()
     d = d or config.load_dictionary()
     records = _run_trials(_lasso_block, d, config)

@@ -11,6 +11,7 @@ import numpy as np
 
 from .certify import sample_support
 from .dictionaries import Dictionary
+from .solvers import check_recovery_inputs
 
 MAGNITUDE_MODELS = ("unit", "uniform", "compressible")
 NOISE_TAIL = 1e-6
@@ -85,8 +86,7 @@ def observe(d: Dictionary, inst: SignalInstance, sigma: float,
         raise ValueError("complex dictionary: realify it before observing")
     if d.N != inst.N:
         raise ValueError(f"dictionary N={d.N} vs signal N={inst.N}")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    check_recovery_inputs(sigma=sigma)
     # a sigma whose square or y.y overflows is refused before a solver meets inf
     with np.errstate(over="ignore"):
         z = sigma * rng.standard_normal(d.m) if sigma > 0 else np.zeros(d.m)

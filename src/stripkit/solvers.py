@@ -51,12 +51,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .dictionaries import Dictionary, frame_spectrum
-from .signals import SignalInstance
+if TYPE_CHECKING:     # signals imports this module for its sigma rule
+    from .signals import SignalInstance
 
 CONDITION_LIMIT = 1e12
 MAX_ITER = 100_000
@@ -67,10 +68,35 @@ RHO = 1.0
 OVER_RELAX = 1.8
 CHECK_EVERY = 25
 SUPPORT_THRESHOLD = 10.0 * FEAS_TOL
+SOLVERS = ("bp", "lasso")
 
 
 class SolverInputError(ValueError):
     pass
+
+
+def check_recovery_inputs(*, sigma=None, lam=None, eps_noise=None, eps=None,
+                          bound_tol=None, solver=None, names=None) -> None:
+    """Each recovery-parameter rule, picked by keyword: sigma, the BP noise
+    radius eps_noise and bound_tol are finite and >= 0, lam finite and > 0, the
+    error bound's failure probability eps in (0, 1), solver one of SOLVERS, and
+    "lasso" needs sigma > 0. None skips an input; ``names`` renames one in messages."""
+    names = names or {}
+    for key, value in (("sigma", sigma), ("lam", lam), ("eps_noise", eps_noise),
+                       ("bound_tol", bound_tol)):
+        if value is None:
+            continue
+        if not math.isfinite(value):
+            raise SolverInputError(f"{names.get(key, key)} must be finite")
+        if value < 0 or key == "lam" and value == 0:
+            rule = "positive" if key == "lam" else "nonnegative"
+            raise SolverInputError(f"{names.get(key, key)} must be {rule}")
+    if eps is not None and not 0 < eps < 1:
+        raise SolverInputError(f"{names.get('eps', 'eps')} must be in (0, 1)")
+    if solver is not None and solver not in SOLVERS:
+        raise SolverInputError(f"unknown solver {solver!r}")
+    if solver == "lasso" and sigma == 0:
+        raise SolverInputError("sigma must be positive (the penalty degenerates)")
 
 
 class RankDeficiencyError(np.linalg.LinAlgError):
@@ -358,10 +384,7 @@ def basis_pursuit(d: Dictionary, y: np.ndarray, eps_noise: float) -> RecoveryRes
     """
     _require_real(d)
     y = _observation(d, y)
-    if not math.isfinite(eps_noise):
-        raise SolverInputError("eps_noise must be finite")
-    if eps_noise < 0:
-        raise SolverInputError("eps_noise must be nonnegative")
+    check_recovery_inputs(eps_noise=eps_noise)
     return _bp_columns(d, y[None], eps_noise)[0]
 
 
@@ -553,13 +576,7 @@ def lasso(d: Dictionary, y: np.ndarray, lam: Optional[float],
     gradient-based momentum restart of O'Donoghue & Candes (2015).
     ``lam=None`` is the standard 2 sqrt(2 ln N) of Candes & Plan (2009)."""
     _require_real(d)
-    for name, value in (("lam", lam), ("sigma", sigma)):
-        if value is not None and not math.isfinite(value):
-            raise SolverInputError(f"{name} must be finite")
-    if lam is not None and lam <= 0:
-        raise SolverInputError("lam must be positive")
-    if sigma <= 0:
-        raise SolverInputError("sigma must be positive (the penalty degenerates)")
+    check_recovery_inputs(sigma=sigma, lam=lam, solver="lasso")
     return _lasso_columns(d, _observation(d, y)[None], lam, sigma)[0]
 
 
@@ -710,6 +727,7 @@ def cp_conditions(d: Dictionary, support, signs, z: np.ndarray) -> LassoConditio
 
 def on_support_error_constant(N: int, eps: float) -> float:
     """Multiplier of the best k-term l1 error in the on-support l2 bound."""
+    check_recovery_inputs(eps=eps)
     return 0.5 / math.sqrt(2.0 * math.log(2.0 * N / eps))
 
 

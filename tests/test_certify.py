@@ -537,7 +537,7 @@ def test_sinc_stats_without_gram_bit_equal(build, k):
 
 @pytest.mark.parametrize("build, k, bound_mib", [
     (lambda: sk.build_gaussian(256, 3001, seed=5), 24, 64),
-    (lambda: sk.build_random_harmonic(128, 4000, seed=2), 16, 96),  # complex
+    (lambda: sk.build_random_harmonic(128, 4000, seed=2), 16, 48),  # complex
 ])
 def test_strip_estimate_memory_within_chunk_budget(build, k, bound_mib):
     # past the Gram cache each chunk gathers (m, b, k) columns within

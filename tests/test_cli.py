@@ -10,9 +10,12 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+import stripkit as sk
 from stripkit.cli import _emit, main
+from stripkit.solvers import SolverInputError
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -836,3 +839,62 @@ def test_recover_compressible_p_nan_exits_2(dg_file, capsys):
                  "--magnitudes", "compressible", "--p", "nan"]) == 2
     assert json.loads(capsys.readouterr().err) == {
         "error": "compressible decay needs a finite p > 0, got p=nan"}
+
+
+# one bad value of a recovery input -> the message of its rule, "{}" standing
+# for the name each front end gives the input
+BAD_RECOVERY_INPUTS = {
+    "sigma nan": ("sigma", "nan", "{} must be finite"),
+    "sigma inf": ("sigma", "inf", "{} must be finite"),
+    "sigma negative": ("sigma", "-0.1", "{} must be nonnegative"),
+    "sigma zero for lasso": ("sigma", "0", "sigma must be positive (the penalty degenerates)"),
+    "lam nan": ("lam", "nan", "{} must be finite"),
+    "lam inf": ("lam", "inf", "{} must be finite"),
+    "lam zero": ("lam", "0", "{} must be positive"),
+    "lam negative": ("lam", "-2", "{} must be positive"),
+    "radius nan": ("eps_noise", "nan", "{} must be finite"),
+    "radius inf": ("eps_noise", "inf", "{} must be finite"),
+    "radius negative": ("eps_noise", "-0.5", "{} must be nonnegative"),
+    "probability zero": ("eps", "0", "{} must be in (0, 1)"),
+    "probability one": ("eps", "1", "{} must be in (0, 1)"),
+    "probability negative": ("eps", "-1", "{} must be in (0, 1)"),
+    "probability nan": ("eps", "nan", "{} must be in (0, 1)"),
+}
+# input -> its recover flag, recover's name for it, its config key (the
+# floor study has no noise radius)
+RECOVERY_INPUT_NAMES = {"sigma": ("--sigma", "sigma", "sigma"),
+                        "lam": ("--lam", "lam", "lam"),
+                        "eps_noise": ("--eps", "eps", None),
+                        "eps": ("--prob-eps", "prob-eps", "eps")}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECOVERY_INPUTS))
+def test_front_ends_refuse_a_bad_recovery_input_alike(case, tmp_path, capsys):
+    key, text, rule = BAD_RECOVERY_INPUTS[case]
+    flag, flag_name, config_key = RECOVERY_INPUT_NAMES[key]
+    gone = tmp_path / "never-read.dict"     # refused before the dictionary loads
+    capsys.readouterr()
+    assert main(["recover", "--dict", str(gone), "--k", "2", "--solver", "lasso",
+                 "--sigma", "0.1", flag, text]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": rule.format(flag_name)}
+    if config_key is not None:
+        keys = {"dictionary_path": gone, "k": 2, "solver": "lasso", "sigma": "0.1",
+                config_key: text}
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in keys.items()))
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": rule.format(config_key)}
+    value, d = float(text), sk.build_gaussian(4, 8, seed=0)
+    y = np.ones(d.m)
+    consumers = {"sigma": [lambda: sk.lasso(d, y, None, value)],
+                 "lam": [lambda: sk.lasso(d, y, value, 0.1)],
+                 "eps_noise": [lambda: sk.basis_pursuit(d, y, value)],
+                 "eps": [lambda: sk.on_support_error_constant(d.N, value)]}[key]
+    if key == "sigma" and value != 0:
+        rng = np.random.default_rng(0)
+        inst = sk.sample_generic_signal(d.N, 2, "unit", rng)
+        consumers.append(lambda: sk.observe(d, inst, sigma=value, rng=rng))
+    for consume in consumers:
+        with pytest.raises(SolverInputError) as refused:
+            consume()
+        assert str(refused.value) == rule.format(key)

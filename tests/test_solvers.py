@@ -888,6 +888,18 @@ class TestErrorReport:
         assert sk.on_support_error_constant(256, 0.1) == pytest.approx(
             0.12097703629486811, abs=1e-15)
 
+    # 0 and 2N divided by zero, -1 left the log's domain, nan passed through
+    # and 1 < eps < 2N gave a constant that means nothing
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 256.0, -1.0, math.nan, 1.5])
+    def test_eps_outside_unit_interval_refused(self, eps):
+        d = sk.build_delsarte_goethals(1)
+        inst = bp_instance(d, 2, seed=1)
+        res = sk.basis_pursuit(d, inst.y, 0.0)
+        for call in (lambda: sk.on_support_error_constant(d.N, eps),
+                     lambda: sk.error_report(inst, res, eps)):
+            with pytest.raises(SolverInputError, match=r"^eps must be in \(0, 1\)$"):
+                call()
+
 
 def test_bp_matches_linear_programming_oracle():
     # independent route: min sum(u+v) s.t. A(u-v) = y, u, v >= 0
