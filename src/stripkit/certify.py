@@ -434,8 +434,9 @@ def strip_sufficient_direct(mu: float, theta: float, k: int, N: int,
                             c: Optional[float] = None) -> SufficientConditionVerdict:
     """Direct StRIP condition; admits mu up to order (k log k log^3(1/eps))^(-1/4).
 
-    With any of a, b, c omitted, grid-searches the free constants over a log
-    lattice and returns the triple with the best worst-case normalized slack.
+    With any of a, b, c omitted, grid-searches the omitted constants over a
+    log lattice, keeping the given ones, and returns the triple with the best
+    worst-case normalized slack.
     """
     _need_positive(k=k, N=N)
     _need_nonnegative(mu=mu, theta=theta, frame_norm=frame_norm, delta=delta)
@@ -446,7 +447,8 @@ def strip_sufficient_direct(mu: float, theta: float, k: int, N: int,
         return _best_on_lattice(
             lambda aa, bb, cc: strip_sufficient_direct(mu, theta, k, N, frame_norm,
                                                        delta, eps, aa, bb, cc),
-            "normalized_slack", _ABC_LATTICE, _ABC_LATTICE, _ABC_LATTICE)
+            "normalized_slack",
+            *(_ABC_LATTICE if x is None else (x,) for x in (a, b, c)))
     if not all(0 < x < 1 for x in (a, b, c)):
         raise ValueError("need a, b, c in (0, 1)")
     L1 = math.log(1 / eps)

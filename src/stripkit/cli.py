@@ -132,16 +132,11 @@ def _cmd_check(args) -> int:
     return 0
 
 
-RECOVER_FIELDS = ("trial", "converged", "iterations", "objective", "err_on_l2",
-                  "err_off_l1", "bound_on", "bound_off", "recovery_l2")
-
-
 def _cmd_recover(args) -> int:
     check_recovery_inputs(sigma=args.sigma, lam=args.lam, eps_noise=args.eps,
-                          eps=args.prob_eps, solver=args.solver,
+                          eps=args.prob_eps, solver=args.solver, p=args.p,
+                          trials=args.trials,
                           names={"eps_noise": "eps", "eps": "prob-eps"})
-    if args.trials < 1:
-        raise ValueError("need at least one trial")
     d = dc.load_dictionary(args.dict)
     if d.field == "complex":
         d = dc.realify(d)
@@ -168,7 +163,7 @@ def _cmd_recover(args) -> int:
     _emit(payload, args.out)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=RECOVER_FIELDS)
+            writer = csv.DictWriter(fh, fieldnames=list(records[0]))
             writer.writeheader()
             writer.writerows(records)
     return 0

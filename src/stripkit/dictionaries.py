@@ -139,16 +139,16 @@ def _abs_gram_blocks(d: Dictionary):
     """Yield (start, |G[start:start + rows]|) over the Gram row blocks of about
     GRAM_BLOCK_BYTES, each with its diagonal zeroed, in row order.
 
-    When the whole Gram fits one block it is ``d.gram()``. A real row block
-    is a gemm, which may round in the last place unlike the syrk of
-    ``gram()``; ``Dictionary.mu``, ``coherence_profile`` and ``moment_mu_l``
-    all read these blocks for a dictionary without ``_exact_levels``, so
-    they agree bit for bit.
+    A block of every row is the product of ``d.gram()``: for real entries
+    numpy hands both to the one syrk. A real block of fewer rows is a gemm,
+    which may round in the last place unlike that syrk; ``Dictionary.mu``,
+    ``coherence_profile`` and ``moment_mu_l`` all read these blocks for a
+    dictionary without ``_exact_levels``, so they agree bit for bit.
     """
     a = d.entries
     rows = max(1, GRAM_BLOCK_BYTES // (a.itemsize * d.N))
     for start in range(0, d.N, rows):
-        g = np.abs(d.gram() if rows >= d.N else a[:, start:start + rows].conj().T @ a)
+        g = np.abs(a[:, start:start + rows].conj().T @ a)
         np.fill_diagonal(g[:, start:], 0.0)
         yield start, g
 
@@ -429,12 +429,11 @@ def build_delsarte_goethals(s: int, r: int = 0) -> Dictionary:
         raise FamilyError("need s >= 1")
     if r != 0:
         raise FamilyError(f"(s={s}, r={r}) unsupported: only r=0 is constructed")
-    code = delsarte_goethals_code(s)
-    # exact contract check from the weights of the distance-invariant code
-    mu = float(max(coherence_levels(code), default=0))
-    if mu > 1 / np.sqrt(code.m) + 1e-12:
-        raise FamilyError(f"code violates the coherence contract: mu={mu:.4f}")
-    d = from_binary_code(code, name=f"delsarte_goethals(s={s},r={r})")
+    d = from_binary_code(delsarte_goethals_code(s),
+                         name=f"delsarte_goethals(s={s},r={r})")
+    # exact contract check: d.mu reads the weights of the distance-invariant code
+    if d.mu > 1 / np.sqrt(d.m) + 1e-12:
+        raise FamilyError(f"code violates the coherence contract: mu={d.mu:.4f}")
     d.params.update({"family": "delsarte_goethals", "s": s, "r": r,
                      "antipode_free": True})
     return d

@@ -71,14 +71,11 @@ class ExperimentConfig:
             raise ValueError("k must be nonnegative")
         if self.k_range == []:
             raise ValueError("k_range needs at least one k")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         check_recovery_inputs(sigma=self.sigma, lam=self.lam, eps=self.eps,
-                              bound_tol=self.bound_tol, solver=self.solver)
-        if not math.isfinite(self.p):
-            raise ValueError("p must be finite")
+                              bound_tol=self.bound_tol, solver=self.solver,
+                              p=self.p, trials=self.trials)
         if self.solver == "bp" and self.sigma != 0:
             raise ValueError("the bp floor study is noiseless: sigma must be 0 "
                              "with solver=bp (use solver=lasso for noise)")

@@ -48,8 +48,7 @@ def sample_generic_signal(N: int, k: int, magnitude_model: str,
     """
     if magnitude_model not in MAGNITUDE_MODELS:
         raise ValueError(f"unknown magnitude model {magnitude_model!r}")
-    if magnitude_model == "compressible" and not (math.isfinite(p) and p > 0):
-        raise ValueError(f"compressible decay needs a finite p > 0, got p={p!r}")
+    check_recovery_inputs(p=p)
     support = sample_support(N, k, rng)
     signs = rng.integers(0, 2, size=k) * 2 - 1
     x = np.zeros(N)

@@ -76,20 +76,24 @@ class SolverInputError(ValueError):
 
 
 def check_recovery_inputs(*, sigma=None, lam=None, eps_noise=None, eps=None,
-                          bound_tol=None, solver=None, names=None) -> None:
+                          bound_tol=None, solver=None, p=None, trials=None,
+                          names=None) -> None:
     """Each recovery-parameter rule, picked by keyword: sigma, the BP noise
-    radius eps_noise and bound_tol are finite and >= 0, lam finite and > 0, the
-    error bound's failure probability eps in (0, 1), solver one of SOLVERS, and
-    "lasso" needs sigma > 0. None skips an input; ``names`` renames one in messages."""
+    radius eps_noise and bound_tol are finite and >= 0, lam and the
+    compressible decay exponent p finite and > 0 (p for every magnitude
+    model), the error bound's failure probability eps in (0, 1), solver one
+    of SOLVERS, "lasso" needs sigma > 0, and there is at least one trial.
+    None skips an input; ``names`` renames one in messages."""
     names = names or {}
     for key, value in (("sigma", sigma), ("lam", lam), ("eps_noise", eps_noise),
-                       ("bound_tol", bound_tol)):
+                       ("bound_tol", bound_tol), ("p", p)):
         if value is None:
             continue
         if not math.isfinite(value):
             raise SolverInputError(f"{names.get(key, key)} must be finite")
-        if value < 0 or key == "lam" and value == 0:
-            rule = "positive" if key == "lam" else "nonnegative"
+        positive = key in ("lam", "p")
+        if value < 0 or positive and value == 0:
+            rule = "positive" if positive else "nonnegative"
             raise SolverInputError(f"{names.get(key, key)} must be {rule}")
     if eps is not None and not 0 < eps < 1:
         raise SolverInputError(f"{names.get('eps', 'eps')} must be in (0, 1)")
@@ -97,6 +101,8 @@ def check_recovery_inputs(*, sigma=None, lam=None, eps_noise=None, eps=None,
         raise SolverInputError(f"unknown solver {solver!r}")
     if solver == "lasso" and sigma == 0:
         raise SolverInputError("sigma must be positive (the penalty degenerates)")
+    if trials is not None and trials < 1:
+        raise SolverInputError("need at least one trial")
 
 
 class RankDeficiencyError(np.linalg.LinAlgError):
@@ -473,7 +479,7 @@ def _bp_result(a, y, eps_noise, yn, best, iterations, polish_calls) -> RecoveryR
     feas = max(0.0, float(np.linalg.norm(a @ x_hat - y)) - eps_noise)
     objective = float(np.abs(x_hat).sum())
     rel_gap = float(gap / (1.0 + np.abs(xs).sum()))
-    converged = bool(feas <= FEAS_TOL and rel_gap <= OBJ_TOL)
+    converged = bool(feas <= FEAS_TOL and _certified(xs, gap))
     info = {"duality_gap": float(gap * yn), "certified_by": kind if converged else None,
             "polish_calls": polish_calls}
     return RecoveryResult(x_hat, converged, iterations, objective, feas,

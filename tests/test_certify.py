@@ -248,6 +248,16 @@ class TestSufficientConditions:
                                         frame_norm=1.0, delta=delta, eps=eps)
         assert v2.satisfied
 
+    def test_direct_search_keeps_given_constants(self):
+        # only the omitted c is searched; a and b stay as given
+        args = (2 ** -6, 2.0 ** -24, 4, 10 ** 9, 1.0, 0.9, 0.05)
+        v = sk.strip_sufficient_direct(*args, a=0.3, b=0.2)
+        assert (v.inputs["a"], v.inputs["b"]) == (0.3, 0.2)
+        best = max(certify._ABC_LATTICE, key=lambda c: min(
+            sk.strip_sufficient_direct(*args, 0.3, 0.2, c)
+            .derived["normalized_slack"].values()))
+        assert v.as_dict() == sk.strip_sufficient_direct(*args, 0.3, 0.2, best).as_dict()
+
     def test_direct_eps_range(self):
         with pytest.raises(ValueError):
             sk.strip_sufficient_direct(0.1, 0.01, k=4, N=100, frame_norm=1.0,

@@ -284,6 +284,17 @@ class TestCheck:
         jsonschema.validate(payload, load_schema("sufficient_condition.v1.json"))
         assert payload["satisfied"] is True
 
+    def test_strip_coherence_keeps_given_constants(self, capsys):
+        given = {"mu": 2 ** -6, "theta": 2.0 ** -24, "k": 4, "N": 10 ** 9,
+                 "frame_norm": 1.0, "delta": 0.9, "eps": 0.05, "a": 0.3, "b": 0.2}
+        assert main(["check", "--condition", "strip-coherence",
+                     *(t for key, v in given.items() for t in ("--param", key, str(v)))
+                     ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        want = sk.strip_sufficient_direct(**given).as_dict()
+        assert payload == json.loads(json.dumps(want))
+        assert (payload["inputs"]["a"], payload["inputs"]["b"]) == (0.3, 0.2)
+
     def test_unknown_param_exits_2(self, capsys):
         code = main(["check", "--condition", "gershgorin",
                      "--param", "bogus", "1"])
@@ -837,8 +848,7 @@ def test_recover_compressible_p_nan_exits_2(dg_file, capsys):
     capsys.readouterr()
     assert main(["recover", "--dict", str(dg_file), "--k", "2", "--trials", "1",
                  "--magnitudes", "compressible", "--p", "nan"]) == 2
-    assert json.loads(capsys.readouterr().err) == {
-        "error": "compressible decay needs a finite p > 0, got p=nan"}
+    assert json.loads(capsys.readouterr().err) == {"error": "p must be finite"}
 
 
 # one bad value of a recovery input -> the message of its rule, "{}" standing
@@ -859,13 +869,18 @@ BAD_RECOVERY_INPUTS = {
     "probability one": ("eps", "1", "{} must be in (0, 1)"),
     "probability negative": ("eps", "-1", "{} must be in (0, 1)"),
     "probability nan": ("eps", "nan", "{} must be in (0, 1)"),
+    "p nan": ("p", "nan", "{} must be finite"),
+    "p inf": ("p", "inf", "{} must be finite"),
+    "p zero": ("p", "0", "{} must be positive"),
+    "p negative": ("p", "-1", "{} must be positive"),
 }
 # input -> its recover flag, recover's name for it, its config key (the
 # floor study has no noise radius)
 RECOVERY_INPUT_NAMES = {"sigma": ("--sigma", "sigma", "sigma"),
                         "lam": ("--lam", "lam", "lam"),
                         "eps_noise": ("--eps", "eps", None),
-                        "eps": ("--prob-eps", "prob-eps", "eps")}
+                        "eps": ("--prob-eps", "prob-eps", "eps"),
+                        "p": ("--p", "p", "p")}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RECOVERY_INPUTS))
@@ -889,7 +904,10 @@ def test_front_ends_refuse_a_bad_recovery_input_alike(case, tmp_path, capsys):
     consumers = {"sigma": [lambda: sk.lasso(d, y, None, value)],
                  "lam": [lambda: sk.lasso(d, y, value, 0.1)],
                  "eps_noise": [lambda: sk.basis_pursuit(d, y, value)],
-                 "eps": [lambda: sk.on_support_error_constant(d.N, value)]}[key]
+                 "eps": [lambda: sk.on_support_error_constant(d.N, value)],
+                 "p": [lambda: sk.sample_generic_signal(d.N, 2, "compressible",
+                                                        np.random.default_rng(0),
+                                                        p=value)]}[key]
     if key == "sigma" and value != 0:
         rng = np.random.default_rng(0)
         inst = sk.sample_generic_signal(d.N, 2, "unit", rng)

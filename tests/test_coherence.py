@@ -202,7 +202,8 @@ class TestBlockedProfile:
         want = full_gram_profile(d)
         force_block_rows(monkeypatch, d, rows)
         one_block = dictionaries.GRAM_BLOCK_BYTES // (d.entries.itemsize * d.N) >= d.N
-        # one block is d.gram() itself, so it matches bit for bit
+        # a block of every row is the very product of d.gram(), so it matches
+        # bit for bit
         assert_profiles_match(sk.coherence_profile(d), want,
                               exact=ORACLE_CASES[name][1] or one_block)
 

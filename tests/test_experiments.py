@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stripkit as sk
+from stripkit import coherence, dictionaries
 from stripkit.experiments import (ExperimentConfig, ExperimentReport,
                                   parse_config_file, records_csv, sweep_csv)
 from stripkit.solvers import SolverInputError
@@ -171,12 +172,13 @@ class TestSweep:
 
     def test_gram_formed_once_per_dictionary(self, monkeypatch):
         calls = []
-        gram = sk.Dictionary.gram
+        blocks = dictionaries._abs_gram_blocks
 
         def counted(d):
             calls.append(d.name)
-            return gram(d)
-        monkeypatch.setattr(sk.Dictionary, "gram", counted)
+            return blocks(d)
+        monkeypatch.setattr(dictionaries, "_abs_gram_blocks", counted)
+        monkeypatch.setattr(coherence, "_abs_gram_blocks", counted)
         # mu is read only when the floor can be asserted, i.e. from 200 trials
         cfg = ExperimentConfig(family="etf", family_args={"q": 13},
                                k_range=[1, 2, 3], trials=200, seed=4)

@@ -653,6 +653,21 @@ class TestBpColumns:
         assert inside.converged and inside.iterations == 0 and not inside.x_hat.any()
 
 
+    def test_certified_column_is_reported_converged(self):
+        # the gap of 1.5e-8 at ||x||_1 = 0.5 sits exactly on the certificate's
+        # bound OBJ_TOL (1 + ||x||_1), while gap / (1 + ||x||_1) reads one ulp
+        # over OBJ_TOL; the column leaves the block certified, so it converged
+        d = sk.build_delsarte_goethals(1)
+        xs = np.zeros(d.N)
+        xs[0] = 0.5
+        gap = 1e-8 * 1.5
+        assert solvers._certified(xs, gap)
+        res = solvers._bp_result(d.entries, d.entries @ xs, 0.0, 1.0,
+                                 (xs, gap, "refit"), 25, 1)
+        assert res.kkt_residual > solvers.OBJ_TOL
+        assert res.converged and res.info["certified_by"] == "refit"
+
+
 def count_eigh(monkeypatch) -> list:
     """Patch np.linalg.eigh to record the shape of every matrix it is given."""
     shapes = []
