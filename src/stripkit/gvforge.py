@@ -8,15 +8,16 @@ The derandomized builder fixes generator entries one at a time, choosing
 each bit to minimize the exact conditional expectation of the number of
 out-of-band codewords, as in Porat and Rothschild (IEEE Trans. IT, 2011).
 Codewords with equal decided weight and pending row parity contribute alike,
-so each decision sums over a histogram of those pairs: the pending parity
-of a codeword index is the bit parity (popcount) of the index masked by the
-row bits decided so far, and the per-weight probabilities come from one
-table per generator row. All probabilities are dyadic rationals, so the
-bookkeeping stays in exact integer arithmetic (numerator at scale 2^m),
-equal to a per-codeword sum.
+so each decision sums over a histogram of those pairs: the pending parities
+of a group of codeword indices double from the previous group's and the bit
+just decided, and the per-weight probabilities come from one Pascal prefix
+row of binomial counts, stepped down a row per generator row. All
+probabilities are dyadic rationals, so the bookkeeping stays in exact
+integer arithmetic (numerator at scale 2^m), equal to a per-codeword sum.
 
-A spec is refused up front (``GvSpecError``) when m exceeds HARD_M_CAP or
-the 2^l x m span exceeds ``dictionaries.MAX_CODE_BITS`` bits.
+A spec is refused up front (``GvSpecError``) when m, given or auto-sized,
+exceeds HARD_M_CAP or the 2^l x m span exceeds ``dictionaries.MAX_CODE_BITS``
+bits.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import Optional
 
@@ -59,9 +61,12 @@ class GvSpec:
         # auto_m forms 2^l
         if self.l >= MAX_CODE_BITS.bit_length():
             raise GvSpecError(self._span_error("m"))
-        auto = self.auto_m()
         if self.m is None:
-            self.m = auto
+            self.m = self.auto_m()
+            if self.m is None:
+                raise GvSpecError(
+                    f"mu = {self.mu_target} needs m = 4 ln N / mu^2 beyond the "
+                    f"exact-arithmetic cap {HARD_M_CAP}")
         if self.m < 1:
             raise GvSpecError("need m >= 1")
         if self.m > HARD_M_CAP:
@@ -73,8 +78,13 @@ class GvSpec:
         return (f"the 2^{self.l} x {m} span is beyond the cap MAX_CODE_BITS = "
                 f"{MAX_CODE_BITS} bits")
 
-    def auto_m(self) -> int:
-        return math.ceil(4.0 * math.log(2 ** self.l) / self.mu_target ** 2)
+    def auto_m(self) -> Optional[int]:
+        """ceil(4 ln N / mu^2), or None when that passes HARD_M_CAP; the test
+        multiplies, so a mu whose square underflows forms no size."""
+        four_ln_n = 4.0 * math.log(2 ** self.l)
+        if self.mu_target ** 2 * HARD_M_CAP < four_ln_n:
+            return None
+        return math.ceil(four_ln_n / self.mu_target ** 2)
 
     @property
     def N(self) -> int:
@@ -123,37 +133,14 @@ def gv_random(spec: GvSpec, seed: int) -> GvResult:
                     out_of_band=bad)
 
 
-class _BandTables:
-    """Exact counts of binomial outcomes landing inside [lo-d, hi-d]."""
-
-    def __init__(self, m: int, lo: int, hi: int):
-        self.m = m
-        self.lo = lo
-        self.hi = hi
-        # prefix[r][x + 1] = sum_{j<=x} C(r, j) and prefix[r][0] = 0. Pascal's
-        # rule C(r+1, j) = C(r, j) + C(r, j-1) makes row r+1 the sum of row r
-        # and row r shifted by one; its last entry, 2^(r+1), is twice row r's.
-        row = [0, 1]
-        self.prefix = [row]
-        for r in range(m):
-            row = [0] + [row[j] + row[j + 1] for j in range(r + 1)] + [2 * row[r + 1]]
-            self.prefix.append(row)
-
-    def inside(self, decided_ones: int, remaining: int) -> int:
-        """# of Bin(remaining) outcomes j with decided_ones + j inside the band."""
-        lo = self.lo - decided_ones
-        hi = self.hi - decided_ones
-        lo = max(lo, 0)
-        hi = min(hi, remaining)
-        if hi < lo:
-            return 0
-        row = self.prefix[remaining]
-        return row[hi + 1] - row[lo]
-
-    def outside_scaled(self, decided_ones: int, remaining: int) -> int:
-        """2^m * P(out of band | decided): integer at the common scale."""
-        total = 1 << remaining
-        return (total - self.inside(decided_ones, remaining)) << (self.m - remaining)
+def _step_down(prefix: list) -> list:
+    """Pascal prefix row r - 1 from row r, a row r being
+    prefix[x + 1] = sum_{j<=x} C(r, j) for x = 0..r with prefix[0] = 0.
+    Pascal's rule C(r, x) = C(r-1, x) + C(r-1, x-1) gives
+    prefix_r[x + 1] = prefix_(r-1)[x + 1] + prefix_(r-1)[x], solved for
+    prefix_(r-1)[x + 1] from x = 0 up."""
+    last = 0                     # each entry is v minus the one before it
+    return [last := v - last for v in prefix[:-1]]
 
 
 def gv_derandomized(spec: GvSpec) -> GvResult:
@@ -161,64 +148,91 @@ def gv_derandomized(spec: GvSpec) -> GvResult:
     codewords whenever the initial expectation is below one.
 
     Entries are decided row-major; fixing entry (i, j) finalizes the row-i
-    parity of exactly the 2^j codeword indices whose top set bit is j, since
-    a parity stays uniform while any participating bit is undecided. That
-    parity is the bit parity of the index masked by the row-i bits decided
-    so far. The running expectation (kept as an exact integer numerator at
-    scale 2^m) never increases because each decided bit picks the smaller
-    branch of an average.
+    parity of exactly the 2^j codeword indices 2^j + r, r < 2^j, whose top
+    set bit is j, since a parity stays uniform while any participating bit
+    is undecided. Their pending parities P_j[r] (row-i bits decided so far,
+    masked by r) double: P_0 = [0] and P_{j+1} = [P_j, P_j xor b_j], where
+    b_j is the bit just decided. So one buffer holds them, and the slice
+    the doubling fills, P_j xor b_j, is also the row-i bit each index of
+    group j adds to its decided ones. The running expectation (kept as an
+    exact integer numerator at scale 2^m) never increases because each
+    decided bit picks the smaller branch of an average.
 
-    Every index in that group has m - i rows left, so its change under either
+    Every index in a group has m - i rows left, so its change under either
     branch depends only on its (decided ones o, pending parity) pair: it
     moves from the row's table before[o] to after[o] ("stay") or to
-    after[o + 1] ("move"). Both tables are built once per row, over the
-    decided-ones range only, and a row's after table is the next row's
-    before table. Each branch sum is then one exact integer dot product of
-    the pair counts with the stay and move differences, the same integer a
-    per-codeword loop adds up.
+    after[o + 1] ("move"). Both tables are formed once per row, over the
+    decided-ones range only, from one Pascal prefix row of binomial counts
+    that steps down a row per generator row; a row's after table is the
+    next row's before table. Each branch sum is then one exact integer dot
+    product of the pair counts with the stay and move differences, the same
+    integer a per-codeword loop adds up.
     """
     m, l, N = spec.m, spec.l, spec.N
     lo, hi = spec.band
-    tables = _BandTables(m, lo, hi)
     scale = 1 << m
 
-    total = (N - 1) * tables.outside_scaled(0, m)
+    def outside(prefix: list, least: int, most: int) -> list:
+        """2^m P(out of band) for least..most decided ones, ``prefix`` being
+        the Pascal prefix row P of the r rows left: the count inside the band
+        is P(hi + 1 - o) - P(lo - o), with P(x) = 0 below the row and 2^r
+        above it."""
+        r = len(prefix) - 2
+        shift = m - r
+        below = max(most - lo, 0)
+        ext = [0] * below + prefix + prefix[-1:] * max(hi - least - r, 0)
+        upper = ext[below + hi + 1 - most:below + hi + 2 - least]
+        lower = ext[below + lo - most:below + lo + 1 - least]
+        return [scale - ((u - v) << shift)
+                for u, v in zip(reversed(upper), reversed(lower))]
+
+    prefix = list(accumulate((math.comb(m, x) for x in range(m + 1)), initial=0))
+    after = outside(prefix, 0, 0)
+    total = (N - 1) * after[0]
     initial = Fraction(total, scale)
     if initial >= 1:
+        auto = spec.auto_m()
         raise GvInfeasibleError(
-            f"initial expectation {float(initial):.4g} >= 1; enlarge m "
-            f"(auto size {spec.auto_m()})")
+            f"initial expectation {float(initial):.4g} >= 1; enlarge m (auto size "
+            f"{f'beyond the cap {HARD_M_CAP}' if auto is None else auto})")
     trace = [initial]
-    index = np.arange(N)
-    ones = np.zeros(N, dtype=np.int64)       # decided-parity one counts
-    generator = np.zeros((m, l), dtype=np.uint8)
+    twice = np.zeros(N, dtype=np.intp)       # 2 x decided-parity one counts
+    # parity[:2^j] is P_j of the current row; parity[2^j:2^(j+1)] receives
+    # P_j xor b_j, group j's row bits, which is also the upper half of P_{j+1}
+    parity = np.zeros(N, dtype=np.intp)
+    # per group j (the indices with top set bit j): its 2 x ones, its
+    # pending parities P_j and the slice P_j xor b_j fills
+    groups = [(twice[size:2 * size], parity[:size], parity[size:2 * size])
+              for size in (1 << j for j in range(l))]
+    rows = []
     # after[k] is 2^m P(out of band) for first + k decided ones and m - i
     # rows left: the before table of row i
-    first, after = 0, [tables.outside_scaled(0, m)]
+    first = 0
 
-    for i in range(m):
-        low, high = int(ones[1:].min()), int(ones[1:].max())
+    for _ in range(m):
+        low, high = int(twice[1:].min()) // 2, int(twice[1:].max()) // 2
         before = after[low - first:high - first + 1]
-        first, after = low, [tables.outside_scaled(o, m - i - 1)
-                             for o in range(low, high + 2)]
+        prefix = _step_down(prefix)
+        first, after = low, outside(prefix, low, high + 1)
         stay = [a - b for a, b in zip(after, before)]
         move = [a - b for a, b in zip(after[1:], before)]
         # differences per key 2 (o - low) + parity under bit 0, resp. bit 1
         diffs = ([d for pair in zip(stay, move) for d in pair],
                  [d for pair in zip(move, stay) for d in pair])
-        row_bits = 0                         # the row-i bits decided so far
-        for j in range(l):
-            group = slice(1 << j, 2 << j)    # indices with top set bit j
-            parity = np.bitwise_count(index[group] & row_bits) & 1
-            counts = np.bincount(2 * ones[group] + parity)[2 * low:].tolist()
+        row = []
+        for group, pending, row_bits in groups:
+            counts = np.bincount(group + pending)[2 * low:].tolist()
             delta = [sum(map(mul, counts, d)) for d in diffs]
             bit = 0 if delta[0] <= delta[1] else 1
-            generator[i, j] = bit
+            row.append(bit)
             total += delta[bit]
             trace.append(Fraction(total, scale))
-            ones[group] += parity ^ bit
-            row_bits |= bit << j
+            np.bitwise_xor(pending, bit, out=row_bits)
+            group += row_bits            # twice, as group holds 2 x ones
+            group += row_bits
+        rows.append(row)
 
+    generator = np.array(rows, dtype=np.uint8)
     # a zero-weight combination is out of band whenever lo >= 1, so a
     # collapsed span can only happen on the trivial mu = 1 band
     code, bad = _span_code(generator, (lo, hi))

@@ -509,6 +509,17 @@ class TestGv:
                      "--derandomize"])
         assert code == 1
 
+    def test_explicit_m_with_tiny_mu(self, capsys):
+        # a given m needs no auto size; the random code runs, and the
+        # derandomized one is infeasible with a hint past the cap
+        assert main(["gv", "--l", "1", "--mu", "1e-300", "--m", "64"]) == 0
+        assert json.loads(capsys.readouterr().out)["m"] == 64
+        assert main(["gv", "--l", "2", "--mu", "1e-300", "--m", "64",
+                     "--derandomize"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"].endswith("(auto size beyond the cap 4096)")
+
     def test_dictionary_built_only_for_out(self, tmp_path, capsys):
         # the float64 bipolar dictionary of the l = 16 span would take
         # 8 * 278 * 2^16 bytes = 139 MiB; without --out nothing reads it
@@ -711,6 +722,11 @@ BAD_INPUT_CASES = {
     "recover": (["recover", "--dict", "{dict}", "--k", "1", "--solver", "lasso",
                  "--sigma", "nan"], "sigma must be finite"),
     "gv": (["gv", "--l", "3", "--mu", "1.5"], "need 0 < mu <= 1"),
+    # an auto size past the cap, whether mu^2 underflows to 0 or is subnormal
+    "gv mu 1e-300": (["gv", "--l", "1", "--mu", "1e-300"],
+                     "mu = 1e-300 needs m = 4 ln N / mu^2 beyond the exact-arithmetic cap"),
+    "gv mu 1e-160": (["gv", "--l", "1", "--mu", "1e-160"],
+                     "mu = 1e-160 needs m = 4 ln N / mu^2 beyond the exact-arithmetic cap"),
     # sizes past the caps, rejected before the span or code is allocated
     "gv span": (["gv", "--l", "40", "--mu", "1"], "2^40 x m span is beyond the cap"),
     "gv --derandomize span": (["gv", "--l", "40", "--mu", "1", "--derandomize"],

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -8,10 +9,42 @@ import pytest
 
 import stripkit as sk
 from stripkit.dictionaries import MAX_CODE_BITS, BinaryCode, distance_counts
-from stripkit.gvforge import (GvInfeasibleError, GvSpecError, GvSpec, _BandTables,
-                              _span_code)
+from stripkit.gvforge import (GvInfeasibleError, GvSpecError, GvSpec, _span_code,
+                              _step_down)
 
 from conftest import span_bits
+
+
+class _BandTables:
+    """Exact counts of binomial outcomes landing inside [lo-d, hi-d], from
+    every Pascal prefix row 0..m at once."""
+
+    def __init__(self, m: int, lo: int, hi: int):
+        self.m = m
+        self.lo = lo
+        self.hi = hi
+        # prefix[r][x + 1] = sum_{j<=x} C(r, j) and prefix[r][0] = 0. Pascal's
+        # rule C(r+1, j) = C(r, j) + C(r, j-1) makes row r+1 the sum of row r
+        # and row r shifted by one; its last entry, 2^(r+1), is twice row r's.
+        row = [0, 1]
+        self.prefix = [row]
+        for r in range(m):
+            row = [0] + [row[j] + row[j + 1] for j in range(r + 1)] + [2 * row[r + 1]]
+            self.prefix.append(row)
+
+    def inside(self, decided_ones: int, remaining: int) -> int:
+        """# of Bin(remaining) outcomes j with decided_ones + j inside the band."""
+        lo = max(self.lo - decided_ones, 0)
+        hi = min(self.hi - decided_ones, remaining)
+        if hi < lo:
+            return 0
+        row = self.prefix[remaining]
+        return row[hi + 1] - row[lo]
+
+    def outside_scaled(self, decided_ones: int, remaining: int) -> int:
+        """2^m * P(out of band | decided): integer at the common scale."""
+        total = 1 << remaining
+        return (total - self.inside(decided_ones, remaining)) << (self.m - remaining)
 
 
 def per_codeword_oracle(spec: GvSpec):
@@ -78,6 +111,17 @@ class TestSpec:
             GvSpec(l=4, mu_target=0.0)
         with pytest.raises(GvSpecError):
             GvSpec(l=4, mu_target=0.2, m=10_000)
+        # an auto size past the cap is refused by name, before it is formed
+        with pytest.raises(GvSpecError, match=re.escape(
+                "mu = 0.01 needs m = 4 ln N / mu^2 beyond the exact-arithmetic cap 4096")):
+            GvSpec(l=12, mu_target=0.01)
+
+    def test_explicit_m_skips_auto_size(self):
+        # mu^2 underflows to 0, so 4 ln N / mu^2 has no value; a given m
+        # never forms it
+        spec = GvSpec(l=1, mu_target=1e-300, m=64)
+        assert (spec.m, spec.band) == (64, (32, 32))
+        assert spec.auto_m() is None
 
     def test_span_cap(self):
         # the 2^l x m span may hold MAX_CODE_BITS bits and no more
@@ -192,6 +236,20 @@ class TestGvDerandomized:
         res = sk.gv_derandomized(GvSpec(l=3, mu_target=1.0, m=8))
         assert res.success and res.out_of_band == 0
 
+    def test_band_memory_one_row(self):
+        # one Pascal prefix row of m + 2 integers below 2^m is held at a
+        # time, about 0.6 MiB at m = 2048; a table of every row 0..m peaks
+        # at 392 MiB
+        spec = GvSpec(l=4, mu_target=0.1, m=2048)
+        tracemalloc.start()
+        try:
+            res = sk.gv_derandomized(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.success and len(res.expectation_trace) == 2048 * 4 + 1
+        assert peak <= 16 * 2 ** 20
+
 
 ORACLE_GRID = ([(l, mu, None) for l in range(1, 9) for mu in (0.4, 0.6, 0.9)]
                + [(l, 0.5, m) for l in (2, 5, 7) for m in (9, 30, 64)]
@@ -233,6 +291,19 @@ class TestGvDerandomizedOracle:
         assert (hashlib.sha256(repr(pairs).encode()).hexdigest()
                 == "0c45fec32d25c01c99ceefcb75ed4c4ae789b52c8dbe43323f0dd5844e4b3176")
 
+    def test_pinned_l14_digest(self):
+        # groups of up to 2^13 indices, past the oracle grid; pinned from the
+        # implementation that read parities as popcounts and kept every
+        # Pascal row
+        res = sk.gv_derandomized(GvSpec(l=14, mu_target=0.4))
+        assert res.code.m == 243 and len(res.expectation_trace) == 243 * 14 + 1
+        assert (hashlib.sha256(res.code.generator.tobytes()).hexdigest()
+                == "20bee921c96e87f139d5a4a5d407b61a9a698577a2d46ca6bcffc5ec1c1c074b")
+        assert res.expectation_trace[-1] == 0
+        pairs = [(f.numerator, f.denominator) for f in res.expectation_trace]
+        assert (hashlib.sha256(repr(pairs).encode()).hexdigest()
+                == "27aec346efccf7bd1b1f9d048671ef0265140b366ce66f9a82e49eedf489f913")
+
 
 @pytest.mark.parametrize("m", [0, 1, 2, 7, 64])
 def test_band_tables_pascal_rows_match_binomials(m):
@@ -243,6 +314,15 @@ def test_band_tables_pascal_rows_match_binomials(m):
         for j in range(r + 1):
             partial.append(partial[-1] + math.comb(r, j))
         assert row == partial
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64])
+def test_step_down_walks_pascal_rows(m):
+    rows = _BandTables(m, 0, m).prefix
+    row = rows[m]
+    for r in range(m - 1, -1, -1):
+        row = _step_down(row)
+        assert row == rows[r]
 
 
 class TestCodeWidth:
