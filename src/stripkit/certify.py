@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from .dictionaries import Dictionary
-from .seeding import derive_rng
+from .seeding import check_seed, derive_rng
 
 EXHAUSTIVE_CAP = 10 ** 6
 CI_LEVEL = 0.99
@@ -93,14 +93,39 @@ def _maybe_gram(d: Dictionary) -> Optional[np.ndarray]:
 
 
 def _enumerate_supports(N: int, k: int) -> np.ndarray:
+    """Every k-subset of range(N) as a sorted row, in ``combinations`` order."""
     total = math.comb(N, k)
     if total > EXHAUSTIVE_CAP:
         raise BudgetError(
             f"C({N},{k}) = {total} exceeds the exhaustive cap {EXHAUSTIVE_CAP}")
-    flat = np.fromiter(
-        (i for sup in combinations(range(N), k) for i in sup),
-        dtype=np.int64, count=total * k)
-    return flat.reshape(total, k)
+    # the last j columns are the j-subsets of range(k - j, N); prefixing a head
+    # f takes the tail of those rows whose first index exceeds f
+    table = np.arange(k - 1, N, dtype=np.int64)[:, None]
+    for lo in range(k - 2, -1, -1):
+        heads = np.arange(lo, N - k + lo + 1)
+        starts = np.searchsorted(table[:, 0], heads + 1)
+        lengths = len(table) - starts
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        table = np.column_stack((np.repeat(heads, lengths),
+                                 table[np.arange(len(shift)) + shift]))
+    return table
+
+
+def _support_ranks(supports: np.ndarray, N: int) -> Optional[np.ndarray]:
+    """Row of each support (B, k) in ``_enumerate_supports(N, k)``, by the
+    combinatorial number system; None unless B > C(N, k), so that some
+    support repeats, the table is within EXHAUSTIVE_CAP, and every row
+    strictly increases within range(N)."""
+    B, k = supports.shape
+    total = math.comb(N, k)
+    if not (total < B and total <= EXHAUSTIVE_CAP and supports[:, 0].min() >= 0
+            and supports[:, -1].max() < N and (np.diff(supports, axis=1) > 0).all()):
+        return None
+    # the lexicographic rank of c_0 < ... < c_{k-1} is
+    # C(N, k) - 1 - sum_i C(N - 1 - c_i, k - i); N - 1 - c_i <= N - 1 - i
+    binom = np.array([[math.comb(n, k - i) if n < N - i else 0 for n in range(N)]
+                      for i in range(k)], dtype=np.int64)
+    return total - 1 - binom[np.arange(k), N - 1 - supports].sum(axis=1)
 
 
 def _floyd_supports(N: int, k: int, rng: np.random.Generator, rows: int) -> np.ndarray:
@@ -150,8 +175,13 @@ def _chunks(supports: np.ndarray, bytes_per_support: int):
 
 def hollow_gram_norms(d: Dictionary, supports: np.ndarray,
                       gram: Optional[np.ndarray] = None) -> np.ndarray:
-    """Spectral norms of Phi_I^H Phi_I - Id for a batch of supports (B, k)."""
+    """Spectral norms of Phi_I^H Phi_I - Id for a batch of supports (B, k).
+    A batch with more rows than there are supports is evaluated once per
+    support and read back by rank."""
     B, k = supports.shape
+    ranks = _support_ranks(supports, d.N)
+    if ranks is not None:
+        return hollow_gram_norms(d, _enumerate_supports(d.N, k), gram)[ranks]
     out = np.empty(B)
     eye = np.eye(k)
     copies = 2 if gram is None and np.iscomplexobj(d.entries) else 1
@@ -170,11 +200,16 @@ def hollow_gram_norms(d: Dictionary, supports: np.ndarray,
 
 def _sinc_stats(d: Dictionary, supports: np.ndarray, gram, probes=None):
     """Worst outside-column energy max_{i not in I} ||Phi_I^H phi_i||^2 of each
-    support (B, k), and the energy at each of ``probes`` (B,) if given."""
+    support (B, k), and the energy at each of ``probes`` (B,) if given. A
+    batch with more rows than there are supports is evaluated once per
+    support; each row reads its support's results by rank."""
     B, k = supports.shape
-    out = np.empty(B)
+    ranks = _support_ranks(supports, d.N)
+    table = supports if ranks is None else _enumerate_supports(d.N, k)
+    rows = np.arange(B) if ranks is None else ranks   # each row's table row
+    worst = np.empty(len(table))
     at_probe = None if probes is None else np.empty(B)
-    for part, sup in _chunks(supports, k * d.N * d.entries.itemsize):
+    for part, sup in _chunks(table, k * d.N * d.entries.itemsize):
         if gram is not None:
             cross = gram[sup, :]                           # (b, k, N)
         else:
@@ -184,11 +219,11 @@ def _sinc_stats(d: Dictionary, supports: np.ndarray, gram, probes=None):
         col_sq = np.square(cross, out=cross).sum(axis=1)  # (b, N)
         del cross                  # free it before the next chunk's is built
         if probes is not None:
-            at_probe[part] = np.take_along_axis(
-                col_sq, probes[part, None], axis=1)[:, 0]
+            here = np.flatnonzero((rows >= part.start) & (rows < part.stop))
+            at_probe[here] = col_sq[rows[here] - part.start, probes[here]]
         np.put_along_axis(col_sq, sup, -np.inf, axis=1)
-        out[part] = col_sq.max(axis=1)
-    return out, at_probe
+        worst[part] = col_sq.max(axis=1)
+    return worst if ranks is None else worst[ranks], at_probe
 
 
 def _estimate(prop: str, d: Dictionary, k: int, k_max: int, params: dict,
@@ -207,8 +242,10 @@ def _estimate(prop: str, d: Dictionary, k: int, k_max: int, params: dict,
     if method not in ("exhaustive", "monte_carlo"):
         raise ValueError(f"unknown method {method!r}")
     mc = method == "monte_carlo"
-    if mc and trials < 1:
-        raise ValueError("need at least one trial")
+    if mc:
+        if trials < 1:
+            raise ValueError("need at least one trial")
+        check_seed(seed)        # a vacuous estimate draws nothing, yet reports it
     if statistic is None:
         return CertificationReport(prop, params, method, 1, 1, 1.0, (1.0, 1.0),
                                    seed=seed)

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .dictionaries import Dictionary, build_family, load_dictionary, realify
-from .seeding import derive_rng
+from .seeding import check_seed, derive_rng
 from .signals import MAGNITUDE_MODELS, SignalInstance, observe, sample_generic_signal
 from .solvers import (RecoveryResult, _bp_columns, _lasso_columns,
                       check_recovery_inputs, cp_conditions, dual_certificate,
@@ -73,6 +73,7 @@ class ExperimentConfig:
             raise ValueError("k_range needs at least one k")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        check_seed(self.seed)
         check_recovery_inputs(sigma=self.sigma, lam=self.lam, eps=self.eps,
                               bound_tol=self.bound_tol, solver=self.solver,
                               p=self.p, trials=self.trials)

@@ -20,7 +20,16 @@ def _label_key(label) -> int:
     return zlib.crc32(str(label).encode("utf-8"))
 
 
+def check_seed(master_seed: int) -> int:
+    """The master seed as an int. A seed outside [0, 2^64) is refused: its
+    64-bit key would draw exactly what another seed draws."""
+    seed = int(master_seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def derive_rng(master_seed: int, *labels) -> np.random.Generator:
     """Independent, reproducible stream for (master_seed, labels...)."""
-    keys = [int(master_seed) & 0xFFFFFFFFFFFFFFFF] + [_label_key(x) for x in labels]
+    keys = [check_seed(master_seed)] + [_label_key(x) for x in labels]
     return np.random.default_rng(keys)

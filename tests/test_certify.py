@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import tracemalloc
 from itertools import combinations
@@ -11,6 +13,7 @@ import stripkit as sk
 from stripkit import certify
 from stripkit.certify import (MC_BLOCK, BudgetError, _mc_draws, _sinc_stats,
                               hollow_gram_norms, wsinc_weight)
+from stripkit.cli import main
 from stripkit.seeding import derive_rng
 
 EDGE = 1 + 1e-10   # ulp guard for floors evaluated exactly at (k-1) mu
@@ -609,3 +612,125 @@ def test_sinc_stats_independent_of_chunk_bytes(build, monkeypatch):
         chunked = _sinc_stats(d, sups, gram, probes)
         monkeypatch.undo()
         assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_enumerate_supports_matches_itertools(N):
+    for k in range(1, N + 1):
+        got = certify._enumerate_supports(N, k)
+        want = np.fromiter((i for sup in combinations(range(N), k) for i in sup),
+                           dtype=np.int64).reshape(-1, k)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # ranks need more rows than supports; one row past the table will do
+        assert certify._support_ranks(got, N) is None
+        ranks = certify._support_ranks(np.concatenate([got, got[-1:]]), N)
+        assert np.array_equal(ranks, np.append(np.arange(len(got)), len(got) - 1))
+
+
+def test_enumerate_supports_cap_message_unchanged():
+    with pytest.raises(BudgetError, match=r"^C\(40,10\) = 847660528 exceeds the "
+                                          r"exhaustive cap 1000000$"):
+        certify._enumerate_supports(40, 10)
+
+
+@pytest.mark.parametrize("build, k, trials", [
+    (lambda: sk.build_gaussian(8, 16, seed=1), 1, 100),
+    (lambda: sk.build_gaussian(8, 16, seed=1), 2, 500),
+    (lambda: sk.build_gaussian(8, 16, seed=1), 3, 2500),
+    (lambda: sk.build_chirp(7), 2, 2000),           # complex entries
+    (lambda: sk.build_chirp(7), 3, 20_000),
+    (lambda: sk.build_gaussian(6, 10, seed=4), 8, 100),
+])
+def test_repeated_supports_bit_equal_to_one_row_calls(build, k, trials, monkeypatch):
+    # more draws than supports: each support is evaluated once and read back
+    # by rank, bit for bit what the per-row path and a call on that support
+    # alone return
+    d = build()
+    sups, probes = _mc_draws(d.N, k, 3, "wsinc", trials, probe=True)
+    ranks = certify._support_ranks(sups, d.N)
+    assert ranks is not None and trials > math.comb(d.N, k)
+    table = certify._enumerate_supports(d.N, k)
+    assert np.array_equal(table[ranks], sups)
+    for gram in (d.gram(), None):
+        got = (hollow_gram_norms(d, sups, gram), *_sinc_stats(d, sups, gram, probes))
+        with monkeypatch.context() as m:
+            m.setattr(certify, "_support_ranks", lambda supports, N: None)
+            per_row = (hollow_gram_norms(d, sups, gram), *_sinc_stats(d, sups, gram, probes))
+        assert all(np.array_equal(a, b) for a, b in zip(got, per_row))
+        if gram is None and k == 1:
+            # a one-row call's product is a matrix-vector product, whose sums
+            # BLAS orders otherwise
+            continue
+        one_norm = np.array([hollow_gram_norms(d, s[None], gram)[0] for s in table])
+        one_worst = np.array([_sinc_stats(d, s[None], gram)[0][0] for s in table])
+        one_probe = [_sinc_stats(d, s[None], gram, p[None])[1][0]
+                     for s, p in zip(sups[:1000], probes[:1000])]
+        assert np.array_equal(got[0], one_norm[ranks])
+        assert np.array_equal(got[1], one_worst[ranks])
+        assert np.array_equal(got[2][:1000], one_probe)
+
+
+def test_unsorted_or_repeated_index_rows_take_the_per_row_path():
+    d = sk.build_gaussian(8, 16, seed=1)
+    sups, _ = _mc_draws(d.N, 2, 3, "strip", 500, probe=False)
+    assert certify._support_ranks(sups, d.N) is not None
+    unsorted = sups[:, ::-1].copy()
+    repeated = sups.copy()
+    repeated[0, 1] = repeated[0, 0]
+    for rows in (unsorted, repeated):
+        assert certify._support_ranks(rows, d.N) is None
+    # each row is evaluated as given
+    want = [hollow_gram_norms(d, s[None], d.gram())[0] for s in unsorted]
+    assert np.array_equal(hollow_gram_norms(d, unsorted, d.gram()), want)
+
+
+# sha256 of json.dumps([strip, sinc, wsinc reports], sort_keys=True) on
+# build_gaussian(8, 16, seed), k=3, delta 0.6, alpha 1.5 mu^2, MC seed = seed;
+# pinned before the repeated-support table path, which must not move them
+MC_REPORT_SHA256 = {
+    (0, 2500): "1dbc053e343b1fdc07d0d181589c893a7c95280d0e7015c9eb0af078baadd9ed",
+    (0, 10000): "dc082273175acaf2871c4681963acba371d3c99ae8eb15b3719c378c02192ecf",
+    (1, 2500): "a6ed6cef86e07041fc8a4117b4c19eb3e9650842de7dad4f7fcbf7a150d50a96",
+    (1, 10000): "71be75d15f548312e15b66dc22a1ec871407c3625fc214c84a1fbf116563daae",
+    (2, 2500): "c51749ed350076989815d1072361b12279bfc6b5d3a7f166a1f8b3dfdcbc4cf5",
+    (2, 10000): "16c0245e4051a6d1ed0fa2c5527ef47db4cb354bd72308f67d6fa6fb4185797c",
+    (3, 2500): "465935f1e669d2c3ea79bafd1b676da9839bcad7241d77925e388228d75dfbec",
+    (3, 10000): "fa3879da4328c69c1e986d8a2a90191af4988d9cfffe7b0cdbcd0ad96ece8d09",
+}
+
+
+@pytest.mark.parametrize("seed, trials", sorted(MC_REPORT_SHA256))
+def test_mc_reports_pinned(seed, trials):
+    d = sk.build_gaussian(8, 16, seed=seed)
+    alpha = 1.5 * sk.coherence_profile(d).mu ** 2
+    reports = [sk.strip_estimate(d, 3, 0.6, trials=trials, seed=seed),
+               sk.sinc_estimate(d, 3, alpha, trials=trials, seed=seed),
+               sk.wsinc_estimate(d, 3, 0.6, alpha, trials=trials, seed=seed)]
+    text = json.dumps([r.as_dict() for r in reports], sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MC_REPORT_SHA256[seed, trials]
+
+
+def test_readme_mc_sinc_stdout_pinned(tmp_path, capsys):
+    # README: certify --property sinc --k 2 --alpha 0.2 --trials 10000 --seed 7
+    # on dg s=1, whose 10000 draws outnumber the C(128, 2) = 8128 supports
+    path = str(tmp_path / "dg.dict")
+    assert main(["build", "--family", "dg", "--s", "1", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["certify", "--dict", path, "--property", "sinc", "--k", "2",
+                 "--alpha", "0.2", "--trials", "10000", "--seed", "7"]) == 0
+    assert (hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+            == "7574170f9ae60d08e170d584590285758709b1ddf7f2be50243054b8dae6da96")
+
+
+def test_seed_outside_64_bits_refused():
+    # the stream key is 64 bits wide: -1 would draw what 2^64 - 1 draws
+    d = sk.build_gaussian(8, 16, seed=1)
+    assert sk.strip_estimate(d, 2, 0.5, trials=10, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+    for seed in (-1, 2 ** 64, 2 ** 64 + 5):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+            derive_rng(seed, "strip", 0)
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+            sk.strip_estimate(d, 2, 0.5, trials=10, seed=seed)
+        # a vacuous estimate draws nothing, yet would report the seed
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+            sk.sinc_estimate(d, d.N, 0.5, trials=10, seed=seed)

@@ -746,6 +746,20 @@ BAD_INPUT_CASES = {
     "build dg size": (["build", "--family", "dg", "--s", "5", "--out", "{tmp}/x.dict"],
                       "s=5 needs a 8388608 x 4096 code"),
     "experiment": (["experiment", "--config", "{cfg}"], "does not take ['typo']"),
+    # a master seed is one 64-bit key: -1 would draw what 2^64 - 1 draws
+    "certify seed -1": (["certify", "--dict", "{dict}", "--property", "strip", "--k", "2",
+                         "--delta", "0.5", "--seed", "-1"],
+                        "seed must be in [0, 2^64), got -1"),
+    "certify seed 2^64": (["certify", "--dict", "{dict}", "--property", "sinc", "--k", "2",
+                           "--alpha", "0.2", "--seed", str(2 ** 64)],
+                          f"seed must be in [0, 2^64), got {2 ** 64}"),
+    "recover seed -1": (["recover", "--dict", "{dict}", "--k", "1", "--seed", "-1"],
+                        "seed must be in [0, 2^64), got -1"),
+    "gv seed 2^64": (["gv", "--l", "3", "--mu", "1", "--seed", str(2 ** 64)],
+                     f"seed must be in [0, 2^64), got {2 ** 64}"),
+    # refused before the configured dictionary is built
+    "experiment seed -1": (["experiment", "--config", "{cfg}", "--seed", "-1"],
+                           "seed must be in [0, 2^64), got -1"),
 }
 
 
