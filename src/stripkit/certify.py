@@ -223,7 +223,7 @@ def _sinc_stats(d: Dictionary, supports: np.ndarray, gram, probes=None):
             at_probe[here] = col_sq[rows[here] - part.start, probes[here]]
         np.put_along_axis(col_sq, sup, -np.inf, axis=1)
         worst[part] = col_sq.max(axis=1)
-    return worst if ranks is None else worst[ranks], at_probe
+    return worst[rows], at_probe
 
 
 def _estimate(prop: str, d: Dictionary, k: int, k_max: int, params: dict,
