@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Optional
 
@@ -88,12 +89,18 @@ def sample_support(N: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _maybe_gram(d: Dictionary) -> Optional[np.ndarray]:
-    # full Gram caching pays off until it stops fitting comfortably
+    # the full Gram, formed anew on every estimator call (15-18 ms on
+    # dg s=2, 64 x 2048), while it still fits comfortably
     return d.gram() if d.N <= 3000 else None
 
 
+@lru_cache(maxsize=1)
 def _enumerate_supports(N: int, k: int) -> np.ndarray:
-    """Every k-subset of range(N) as a sorted row, in ``combinations`` order."""
+    """Every k-subset of range(N) as a sorted row, in ``combinations`` order.
+
+    The last table built is kept, read-only, for the next call with the same
+    (N, k): at most EXHAUSTIVE_CAP * k * 8 bytes, which the call that built
+    it already held. A call past the cap raises every time."""
     total = math.comb(N, k)
     if total > EXHAUSTIVE_CAP:
         raise BudgetError(
@@ -108,24 +115,44 @@ def _enumerate_supports(N: int, k: int) -> np.ndarray:
         shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
         table = np.column_stack((np.repeat(heads, lengths),
                                  table[np.arange(len(shift)) + shift]))
+    table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=1)
+def _rank_terms(N: int, k: int) -> tuple:
+    """k read-only views; view i holds C(N - 1 - c, k - i) at every index c
+    that column i of a sorted support can take, i <= c <= N - k + i. The
+    views share one buffer of k (N - k + 1) entries, no more than the
+    C(N, k) rows of k that ``_enumerate_supports`` holds."""
+    width = N - k + 1
+    flat = np.array([math.comb(N - 1 - c, k - i)
+                     for i in range(k) for c in range(i, i + width)], dtype=np.int64)
+    flat.flags.writeable = False
+    # view i starts i (N - k) entries in, so that index c lands on its slot
+    return tuple(flat[i * (N - k):] for i in range(k))
 
 
 def _support_ranks(supports: np.ndarray, N: int) -> Optional[np.ndarray]:
     """Row of each support (B, k) in ``_enumerate_supports(N, k)``, by the
     combinatorial number system; None unless B > C(N, k), so that some
     support repeats, the table is within EXHAUSTIVE_CAP, and every row
-    strictly increases within range(N)."""
+    strictly increases within range(N). Works one column at a time: numpy
+    runs a reduction along the short k axis as B loops of length k."""
     B, k = supports.shape
     total = math.comb(N, k)
-    if not (total < B and total <= EXHAUSTIVE_CAP and supports[:, 0].min() >= 0
-            and supports[:, -1].max() < N and (np.diff(supports, axis=1) > 0).all()):
+    if not (total < B and total <= EXHAUSTIVE_CAP):
+        return None
+    cols = supports.T
+    if not (cols[0].min() >= 0 and cols[-1].max() < N
+            and all((lo < hi).all() for lo, hi in zip(cols[:-1], cols[1:]))):
         return None
     # the lexicographic rank of c_0 < ... < c_{k-1} is
-    # C(N, k) - 1 - sum_i C(N - 1 - c_i, k - i); N - 1 - c_i <= N - 1 - i
-    binom = np.array([[math.comb(n, k - i) if n < N - i else 0 for n in range(N)]
-                      for i in range(k)], dtype=np.int64)
-    return total - 1 - binom[np.arange(k), N - 1 - supports].sum(axis=1)
+    # C(N, k) - 1 - sum_i C(N - 1 - c_i, k - i)
+    ranks = np.full(B, total - 1, dtype=np.int64)
+    for terms, col in zip(_rank_terms(N, k), cols):
+        ranks -= terms[col]
+    return ranks
 
 
 def _floyd_supports(N: int, k: int, rng: np.random.Generator, rows: int) -> np.ndarray:
@@ -133,10 +160,15 @@ def _floyd_supports(N: int, k: int, rng: np.random.Generator, rows: int) -> np.n
     every row at once. Column c draws t ~ U[0, j], j = N-k+c, and takes j
     wherever t is already in the row. Memory is O(rows k), whatever N is."""
     sups = np.empty((rows, k), dtype=np.int64)
+    taken = np.empty(rows, dtype=bool)
     for c in range(k):
         j = N - k + c
         t = rng.integers(0, j + 1, size=rows)
-        sups[:, c] = np.where((sups[:, :c] == t[:, None]).any(axis=1), j, t)
+        taken.fill(False)
+        for p in range(c):
+            taken |= sups[:, p] == t
+        t[taken] = j
+        sups[:, c] = t
     sups.sort(axis=1)
     return sups
 

@@ -468,6 +468,40 @@ class TestBatchedDraws:
         assert sups.shape == (3, 4) and (np.diff(sups, axis=1) > 0).all()
         assert not (sups == probes[:, None]).any()
 
+    # sha256 of the int64 bytes of the supports and of the outside indices
+    # (None without probes); pinned before the column-wise Floyd step, which
+    # must not move a single draw. 3000 trials cross a block boundary.
+    DRAWS_SHA256 = {
+        (16, 3, 3, "wsinc", 2500): (
+            "5d7dc379b507a45f57ea15e75778a66f609097f8d305ac968bb384e39912c414",
+            "91534fc2b8e5be4b98c3f7b0ed917ef37f7c3d04353ecdcfd42bf7c85f489a94"),
+        (40, 3, 2, "wsinc", MC_BLOCK + 5): (
+            "0cf8e21d0c347c9c41b4a2fd1f4806e5f00bbfe85d3f8eca34ccced2b1d50853",
+            "67822bd23455d902cb13ace3a1309a6c5478dd5b9aca234af7da4e4fda10cd3c"),
+        (5, 2, 3, "wsinc", 60_000): (
+            "119d37bab1be625244ea5fcb04981880b96854ad67820d8b7efcae635372aeac",
+            "618b08584028b30de59b0113cdcf948e9f1fe92f8f9e5551eac70d8ac354ebba"),
+        (2048, 5, 7, "strip", 3000): (
+            "a20a1db0d9b7acbafbeecdf586a7df7ca17f41953e7d5f32dffffbf2c1561f0a", None),
+        (2048, 8, 7, "strip", 3000): (
+            "433d814b0d012c74969956e4219821dd333cd5fa606e9de0c86cf5a5add6c49e", None),
+        (10 ** 12, 4, 0, "sinc", 2000): (
+            "07f38742958c89d694728e29690eea26a0886142266bb7067102ac17c7190067",
+            "5983012be0786e48a0177abdadc23e2620f79838a3a858f914018a84c9980ce6"),
+    }
+
+    @pytest.mark.parametrize("N, k, seed, label, trials", sorted(DRAWS_SHA256))
+    def test_draws_pinned(self, N, k, seed, label, trials):
+        want_sups, want_probes = self.DRAWS_SHA256[N, k, seed, label, trials]
+        sups, probes = _mc_draws(N, k, seed, label, trials, probe=want_probes is not None)
+        assert sups.dtype == np.int64 and sups.shape == (trials, k)
+        assert hashlib.sha256(sups.tobytes()).hexdigest() == want_sups
+        if want_probes is None:
+            assert probes is None
+        else:
+            assert probes.dtype == np.int64
+            assert hashlib.sha256(probes.tobytes()).hexdigest() == want_probes
+
 
 def test_batched_wsinc_matches_per_trial_loop():
     d = sk.build_gaussian(6, 12, seed=2)
@@ -628,9 +662,41 @@ def test_enumerate_supports_matches_itertools(N):
 
 
 def test_enumerate_supports_cap_message_unchanged():
-    with pytest.raises(BudgetError, match=r"^C\(40,10\) = 847660528 exceeds the "
-                                          r"exhaustive cap 1000000$"):
-        certify._enumerate_supports(40, 10)
+    for _ in range(2):      # a refused call is not cached: the next one refuses too
+        with pytest.raises(BudgetError, match=r"^C\(40,10\) = 847660528 exceeds the "
+                                              r"exhaustive cap 1000000$"):
+            certify._enumerate_supports(40, 10)
+
+
+def test_enumerate_supports_kept_read_only():
+    table = certify._enumerate_supports(16, 3)
+    assert certify._enumerate_supports(16, 3) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 5
+    assert np.array_equal(table, list(combinations(range(16), 3)))
+    # one table is kept: another (N, k) replaces it
+    other = certify._enumerate_supports(7, 2)
+    assert certify._enumerate_supports(16, 3) is not table
+    assert np.array_equal(certify._enumerate_supports(16, 3), table)
+    assert np.array_equal(other, list(combinations(range(7), 2)))
+
+
+def test_rank_table_built_only_when_supports_repeat():
+    # B <= C(N, k): no rank, and no N-wide table, at any N
+    certify._rank_terms.cache_clear()
+    sups, _ = _mc_draws(10 ** 9, 3, 1, "strip", 2000, probe=False)
+    assert certify._support_ranks(sups, 10 ** 9) is None
+    small = certify._enumerate_supports(6, 2)
+    assert certify._support_ranks(small, 6) is None
+    assert certify._rank_terms.cache_info().currsize == 0
+    # B > C(N, k): one read-only table, reused by the next batch of that (N, k)
+    ranks = certify._support_ranks(np.concatenate([small, small]), 6)
+    assert np.array_equal(ranks, np.tile(np.arange(len(small)), 2))
+    certify._support_ranks(small[::-1].repeat(2, axis=0), 6)
+    info = certify._rank_terms.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    with pytest.raises(ValueError, match="read-only"):
+        certify._rank_terms(6, 2)[0][0] = 1
 
 
 @pytest.mark.parametrize("build, k, trials", [

@@ -178,6 +178,25 @@ class TestCertify:
             outs.append(path.read_text())
         assert outs[0] == outs[1]
 
+    # sha256 of the whole stdout on dg s=1, k=2, 10000 trials, seed 7: the
+    # draws outnumber the C(128, 2) = 8128 supports, so StRIP's norms and
+    # WSINC's worst and probe energies are read back by rank (1220 StRIP
+    # successes; wsinc_lhs 0.7310385866018175)
+    PINNED = {
+        "strip": (["--delta", "0.2"],
+                  "f4771acba5347aa6b33f45af86fbe59a76eaf77361f929ee3797c2cf715366c9"),
+        "wsinc": (["--delta", "0.5", "--alpha", "0.1"],
+                  "1751ff2ebaed2059c2d1e79da2838b753bc20f2177d604bbfb96538021080252"),
+    }
+
+    @pytest.mark.parametrize("prop", sorted(PINNED))
+    def test_repeated_support_stdout_pinned(self, prop, dg_file, capsys):
+        flags, digest = self.PINNED[prop]
+        capsys.readouterr()
+        assert main(["certify", "--dict", str(dg_file), "--property", prop, "--k", "2",
+                     *flags, "--trials", "10000", "--seed", "7"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
     def test_wsinc_requires_both_thresholds(self, dg_file, tmp_path, capsys):
         out = tmp_path / "rep.json"
         for given, missing in ((["--delta", "0.5"], "--alpha"),
