@@ -4,14 +4,18 @@ phase-transition sweeps.
 Each trial draws its instance from its own rng stream (seed, "trial", t).
 Trials run in fixed blocks of TRIAL_BLOCK consecutive indices, one block per
 worker task with jobs > 1 and several blocks. A Lasso block is one
-multi-column solve, padded to the full block width with zero observations,
-so the floats of record t depend only on (seed, t). A noiseless BP block is
-one block solve over the block's trials, unpadded: a column leaves the solve
-when it settles, so padding would only add work. Reports are therefore
-byte-identical across reruns and worker counts, and Lasso reports across
-trial counts too. A BP record is not bound to its trial count: a shorter
-study may cut its last block short, and a gemm rounds a column by the
-block's width, so the ADMM iterate drifts in its last digits. A refit
+multi-column solve, padded to the full block width with zero observations;
+the solve sheds settled columns only in whole groups of solvers.LASSO_GROUP
+(8), widths at which a gemm rounds a column the same, so the floats of
+record t depend only on (seed, t) (pinned by
+test_lasso_records_do_not_depend_on_trial_count in tests/test_experiments.py
+and the TestLassoColumns digests in tests/test_solvers.py). A noiseless BP
+block is one block solve over the block's trials, unpadded: a column leaves
+the solve when it settles, so padding would only add work. Reports are
+therefore byte-identical across reruns and worker counts, and Lasso reports
+across trial counts too. A BP record is not bound to its trial count: a
+shorter study may cut its last block short, and a gemm rounds a column by
+the block's width, so the ADMM iterate drifts in its last digits. A refit
 estimate depends only on the support and signs it was fitted on, but which
 support is detected, whether the refit certifies and at which iteration
 still follow the iterate, and an estimate certified on the iterate moves

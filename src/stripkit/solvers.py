@@ -23,10 +23,11 @@ certified (``certified_by``) and the number of polish calls. Both solvers
 read the eigenpairs of Phi Phi^T from the dictionary's cached ``frame``.
 One ADMM kernel solves every column of an m x T observation matrix at once:
 its unsettled columns are held as rows, each step makes two block products
-with Phi and small ones with the eigenbasis, and each column is polished on
-its own on the CHECK_EVERY schedule and leaves the block when it certifies,
-meets the 1e-13 stop or reaches the cap; ``basis_pursuit`` is its
-one-column call, which runs the very products of a one-vector loop.
+with Phi and small ones with the eigenbasis, in preallocated buffers, and
+each column is polished on its own on the CHECK_EVERY schedule and leaves
+the block when it certifies, meets the 1e-13 stop or reaches the cap;
+``basis_pursuit`` is its one-column call, which runs the very products of a
+one-vector loop.
 Lasso runs accelerated proximal gradient at the fixed step 1/L, L the
 largest of those eigenvalues, restarts its momentum when the step turns
 against it, and is accepted only on a coordinatewise subgradient check,
@@ -34,8 +35,12 @@ made every 10th iteration. One FISTA kernel solves every column of an
 m x T observation matrix at once with two matrix products per step, in
 preallocated buffers; each column keeps its own momentum, read from a table
 by its steps since its last restart, and is taken at its first passing
-check, so iterations and non-convergence are reported per column. ``lasso``
-is its one-column call; ``lam=None`` is the standard 2 sqrt(2 ln N).
+check, so iterations and non-convergence are reported per column. At each
+check a block whose width is a multiple of LASSO_GROUP (8) narrows to its
+unsettled columns in whole groups of 8, settled columns padding the last
+group: BLAS rounds a row of the products the same at every such width, so
+no float of a column moves. ``lasso`` is its one-column call; ``lam=None``
+is the standard 2 sqrt(2 ln N).
 
 One least-squares fit on a support (its normal equations) serves the polish,
 the sign certificate (Fuchs 2004) and both off-support terms of the Lasso
@@ -69,6 +74,13 @@ OVER_RELAX = 1.8
 CHECK_EVERY = 25
 SUPPORT_THRESHOLD = 10.0 * FEAS_TOL
 SOLVERS = ("bp", "lasso")
+# A Lasso block narrows only to a multiple of LASSO_GROUP rows, settled rows
+# padding the last group, so that no unsettled row's floats move. OpenBLAS
+# 0.3.31 (Haswell kernels) rounds a row of v @ A^T or r @ A the same at every
+# multiple of 8 rows on dg s=1, dg s=2, Gaussian 30 x 500 and 64 x 2048, but
+# not always elsewhere: width 1 runs gemv, every width below 8 differs on
+# 64 x 2048, and most widths off a multiple of 4 differ on 30 x 500.
+LASSO_GROUP = 8
 
 
 class SolverInputError(ValueError):
@@ -138,12 +150,14 @@ def _require_real(d: Dictionary):
             "complex dictionary: apply realify() before solving")
 
 
-def _observation(d: Dictionary, y) -> np.ndarray:
+def _observation(d: Dictionary, y, name: str = "y") -> np.ndarray:
+    """y as a finite float vector of length m, else a ``SolverInputError``
+    naming it as ``name``."""
     y = np.asarray(y, dtype=float)
     if y.shape != (d.m,):
-        raise SolverInputError(f"y has shape {y.shape}, expected ({d.m},)")
+        raise SolverInputError(f"{name} has shape {y.shape}, expected ({d.m},)")
     if not np.isfinite(y).all():
-        raise SolverInputError("y must be finite")
+        raise SolverInputError(f"{name} must be finite")
     return y
 
 
@@ -398,15 +412,16 @@ def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
     """``basis_pursuit`` of every row of the T x m matrix ``ys`` at the
     one ``eps_noise``, as T results; the caller has checked d, eps_noise and ys.
 
-    One ADMM runs over the unsettled rows, as ``_lasso_columns`` does, with
-    two block products per step. Each row is polished on its own on the
-    CHECK_EVERY schedule and leaves the block when it certifies, meets the
-    1e-13 stop or reaches MAX_ITER, so its iterations, polish calls and
-    convergence are its own. Its floats depend on its own row and on the
-    rows still beside it at each step: a gemm rounds a row by the block's
-    width. A support refit depends only on the support and signs it was
-    fitted on, which are read off the iterate. T = 1 runs the very gemv and
-    dot calls of a one-vector loop.
+    One ADMM runs over the unsettled rows with two block products per step,
+    in buffers allocated once per block width. Each row is polished on its
+    own on the CHECK_EVERY schedule and leaves the block when it certifies,
+    meets the 1e-13 stop or reaches MAX_ITER, so its iterations, polish calls
+    and convergence are its own. Settled rows leave the block as in
+    ``_lasso_columns``, but at once, not in groups of LASSO_GROUP, so a row's
+    floats depend on its own row and on the rows still beside it at each
+    step: a gemm rounds a row by the block's width. A support refit depends
+    only on the support and signs it was fitted on, which are read off the
+    iterate. T = 1 runs the very gemv and dot calls of a one-vector loop.
     """
     a = d.entries
     spectrum = d.frame
@@ -427,16 +442,26 @@ def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
     project = _BallProjector(a, ys, es, spectrum)
     z = project(np.zeros((live.size, d.N)))
     u = np.zeros_like(z)
+    # the step runs in these buffers, with the operands and association of
+    # xr = OVER_RELAX x + (1 - OVER_RELAX) z, z_new = soft(xr + u), u + xr - z_new
+    scratch, xr, z_new = (np.empty_like(z) for _ in range(3))
     best = [None] * width
     polish_calls = [0] * width
     for it in range(1, MAX_ITER + 1):
-        x = project(z - u)
-        xr = OVER_RELAX * x + (1.0 - OVER_RELAX) * z
-        z_new = _soft(xr + u, 1.0 / RHO)
-        u = u + xr - z_new
+        np.subtract(z, u, out=scratch)
+        x = project(scratch)        # a fresh array: best[j] keeps views of it
+        np.multiply(x, OVER_RELAX, out=xr)
+        np.multiply(z, 1.0 - OVER_RELAX, out=scratch)
+        np.add(xr, scratch, out=xr)
+        np.add(xr, u, out=scratch)
+        _soft(scratch, 1.0 / RHO, out=z_new)
+        np.add(u, xr, out=u)
+        np.subtract(u, z_new, out=u)
         # the larger of the primal and dual residuals
-        motion = np.maximum(_row_norms(x - z_new), RHO * _row_norms(z_new - z))
-        z = z_new
+        np.subtract(x, z_new, out=scratch)
+        np.subtract(z_new, z, out=xr)
+        motion = np.maximum(_row_norms(scratch), RHO * _row_norms(xr))
+        z, z_new = z_new, z
         scheduled = it % CHECK_EVERY == 0
         if not (scheduled or it == MAX_ITER or motion.min() < 1e-12):
             continue
@@ -468,6 +493,7 @@ def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
         keep = ~done
         live, ys, es, z, u = live[keep], ys[keep], es[keep], z[keep], u[keep]
         project = _BallProjector(a, ys, es, spectrum)
+        scratch, xr, z_new = (np.empty_like(z) for _ in range(3))
     return out
 
 
@@ -594,9 +620,13 @@ def _lasso_columns(d: Dictionary, ys: np.ndarray, lam: Optional[float],
 
     Each row keeps its own momentum and restart and is taken at its first
     passing check (or at MAX_ITER), so its iterations and convergence are its
-    own. Its floats depend on its own row and on T only: the products are
-    one BLAS gemm per step, and a gemm rounds row j the same for any values
-    of the other rows but not for every width T. T = 1 runs the very gemv
+    own. The products are one BLAS gemm per step, which rounds row j the same
+    for any values of the other rows but not at every width. When T is a
+    multiple of LASSO_GROUP, each check narrows the block to its unsettled
+    rows, filled up to a multiple of LASSO_GROUP with settled ones, whose
+    results are already taken; every width stepped is then a multiple of 8,
+    where a row rounds the same. Any other T is never narrowed. So a row's
+    floats depend on its own row and on T only, and T = 1 runs the very gemv
     and dot calls of a one-vector loop.
     """
     a = d.entries
@@ -620,10 +650,12 @@ def _lasso_columns(d: Dictionary, ys: np.ndarray, lam: Optional[float],
     x_hat = np.zeros_like(x)
     iterations = np.zeros(width, dtype=int)
     kkt = np.zeros(width)
+    # block row i solves row block[i] of ys, whose observation is obs[i]
+    block, obs = np.arange(width), rows
     live = np.ones(width, dtype=bool)
     for it in range(1, MAX_ITER + 1):
         np.matmul(v, a.T, out=resid)
-        np.subtract(resid, rows, out=resid)
+        np.subtract(resid, obs, out=resid)
         np.matmul(resid, a, out=work)
         np.multiply(work, step, out=work)
         np.subtract(v, work, out=work)
@@ -640,14 +672,24 @@ def _lasso_columns(d: Dictionary, ys: np.ndarray, lam: Optional[float],
         np.add(v, x_new, out=v)
         x, x_new = x_new, x
         if it % 10 == 0 or it == MAX_ITER:
-            kkt_rows = _lasso_kkt_rows(a, rows, x, penalty)
+            kkt_rows = _lasso_kkt_rows(a, obs, x, penalty)
             settled = live & ((kkt_rows <= KKT_TOL) | (it == MAX_ITER))
-            x_hat[settled] = x[settled]
-            iterations[settled] = it
-            kkt[settled] = kkt_rows[settled]
+            x_hat[block[settled]] = x[settled]
+            iterations[block[settled]] = it
+            kkt[block[settled]] = kkt_rows[settled]
             live &= ~settled
-            if not live.any():
+            n_live = np.count_nonzero(live)
+            if not n_live:
                 break
+            narrow = -(-n_live // LASSO_GROUP) * LASSO_GROUP
+            if narrow < x.shape[0] and x.shape[0] % LASSO_GROUP == 0:
+                # the unsettled rows and, as padding, the first settled ones
+                keep = live.copy()
+                keep[np.flatnonzero(~live)[:narrow - n_live]] = True
+                block, obs, x, v, since, live = (
+                    arr[keep] for arr in (block, obs, x, v, since, live))
+                x_new, dx, work = (np.empty_like(x) for _ in range(3))
+                resid = np.empty((narrow, d.m))
     out = []
     for xj, yj, n, res in zip(x_hat, rows, iterations, kkt):
         r = a @ xj - yj
@@ -669,6 +711,8 @@ def _checked_support(d: Dictionary, support, signs):
         raise SolverInputError("support is empty")
     if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= d.N:
         raise SolverInputError(f"support must hold column indices in [0, {d.N})")
+    if np.unique(idx).size != idx.size:
+        raise SolverInputError("support must not repeat a column index")
     sub = d.entries[:, idx]
     return idx, s, np.linalg.eigvalsh(sub.T @ sub)
 
@@ -706,10 +750,10 @@ def cp_conditions(d: Dictionary, support, signs, z: np.ndarray) -> LassoConditio
     """The three deterministic conditions under which the Lasso error bound
     ||Phi x - Phi x_hat||^2 <= C k log(N) sigma^2 is known to hold."""
     idx, s, vals = _checked_support(d, support, signs)
+    z = _observation(d, z, "z")
     if vals[0] <= 0:
         raise RankDeficiencyError("support Gram is singular")
     a, N = d.entries, d.N
-    z = np.asarray(z, dtype=float)
     margin1 = 2.0 - 1.0 / vals[0]
 
     corr = np.abs(a.T @ z).max()

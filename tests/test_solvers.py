@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import stripkit as sk
 from stripkit import solvers
 from stripkit.dictionaries import Dictionary, frame_spectrum
-from stripkit.experiments import ExperimentConfig, _trial_instance
+from stripkit.experiments import TRIAL_BLOCK, ExperimentConfig, _trial_instance
 from stripkit.solvers import (SolverInputError, _BallProjector, _boundary_refit,
                               _lasso_columns, _polish_candidate,
                               lasso_kkt_residual)
@@ -564,6 +564,69 @@ class TestLassoColumns:
         assert sum(restarts) > 0
         assert bp_digest(results) == digest
 
+    # bp_digest of every trial's result, with each block of TRIAL_BLOCK
+    # padded by zero observations as the Lasso study pads it; pinned before
+    # settled rows left the block, and equal at 1 and 2 BLAS threads there.
+    # The dg s=1 study has two blocks, the second padded
+    STUDY_PINNED = {
+        "dg1-40": (("dg", {"s": 1}, 2, 0.01, 40),
+                   "103f2bbc32d67c6d9bc3d4437834f39c3d7f94a740d3db18a29400d184241aa0"),
+        "dg2-k8": (("dg", {"s": 2}, 8, 0.1, 32),
+                   "2eeb5b590dda27f01e8f9c1009f3b0ac4e79d1bc98c644854c9073beb0a3e002"),
+        "gaussian-30x500": (("gaussian", {"m": 30, "N": 500, "seed": 1}, 3, 0.01, 40),
+                            "e53a7c7ce526e2eef08beaafa159f8351b3ef3c7fd4fd467938ed2006c129c85"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STUDY_PINNED))
+    def test_pinned_study_digest(self, case):
+        (family, args, k, sigma, trials), digest = self.STUDY_PINNED[case]
+        d = sk.build_family(family, **args)
+        cfg = ExperimentConfig(family=family, family_args=args, k=k, sigma=sigma,
+                               trials=trials, seed=2026, solver="lasso")
+        results = []
+        for start in range(0, trials, TRIAL_BLOCK):
+            ys, count = study_block(d, cfg, start)
+            results += _lasso_columns(d, ys, None, sigma)[:count]
+        assert all(r.converged for r in results)
+        assert bp_digest(results) == digest
+
+    def test_settled_rows_leave_in_groups(self, monkeypatch):
+        # the benchmark's Lasso block (30 trials padded to 32) narrows to 24,
+        # 16 and 8 rows as its rows settle: 17,120 row-steps, not
+        # 32 x 800 = 25,600; 30 rows, off a multiple of LASSO_GROUP, keep
+        # their width
+        d = sk.build_family("dg", s=1)
+        cfg = ExperimentConfig(family="dg", family_args={"s": 1}, k=2, sigma=0.01,
+                               trials=30, seed=2026, solver="lasso")
+        ys, _ = study_block(d, cfg, 0)
+        widths = []
+        row_dots = solvers._row_dots
+
+        def counted(p, q):
+            widths.append(p.shape[0])
+            return row_dots(p, q)
+        monkeypatch.setattr(solvers, "_row_dots", counted)
+        results = _lasso_columns(d, ys, None, 0.01)
+        last = max(r.iterations for r in results)
+        assert len(widths) == last
+        assert all(w % solvers.LASSO_GROUP == 0 for w in widths)
+        assert widths[-1] == solvers.LASSO_GROUP
+        assert sum(widths) < 0.75 * TRIAL_BLOCK * last
+        widths.clear()
+        assert [r.iterations for r in _lasso_columns(d, ys[:30], None, 0.01)] == [
+            r.iterations for r in results[:30]]
+        assert set(widths) == {30}
+
+
+def study_block(d, cfg, start):
+    """The observations of a Lasso study's trials from ``start`` as the rows
+    of one TRIAL_BLOCK-wide block, zero-padded as the study pads it, and
+    their count."""
+    count = min(TRIAL_BLOCK, cfg.trials - start)
+    ys = np.zeros((TRIAL_BLOCK, d.m))
+    ys[:count] = [_trial_instance(d, cfg, t).y for t in range(start, start + count)]
+    return ys, count
+
 
 def bp_digest(results) -> str:
     """sha256 over each result's x_hat bytes and its other fields."""
@@ -864,18 +927,39 @@ class TestCpConditions:
             assert conds.margins["certificate"] == want
 
 
-@pytest.mark.parametrize("check", [sk.dual_certificate, sk.cp_conditions])
-@pytest.mark.parametrize("support, signs, message", [
+BAD_SUPPORTS = [
     ([], [], "support is empty"),
     ([0, 1], [1.0], "must be 1-d and aligned"),
     ([[0, 1]], [[1.0, -1.0]], "must be 1-d and aligned"),
     ([0, 128], [1.0, -1.0], r"column indices in \[0, 128\)"),
     ([-1, 2], [1.0, -1.0], "column indices"),
     ([0.0, 2.0], [1.0, -1.0], "column indices"),
-])
-def test_bad_support_is_a_named_input_error(check, support, signs, message):
+    ([0, 0], [1.0, -1.0], "must not repeat a column index"),
+]
+# the noise z of cp_conditions on a good support of dg s=1 (m = 16)
+BAD_NOISE = [
+    (np.zeros((16, 2)), r"z has shape \(16, 2\), expected \(16,\)"),
+    (np.full(16, np.nan), "z must be finite"),
+    (np.zeros(15), r"z has shape \(15,\)"),
+]
+
+
+def bad_input_rows():
+    """(check, support, signs, z, message): each bad support on both checks,
+    each bad z on cp_conditions."""
+    for i, (support, signs, message) in enumerate(BAD_SUPPORTS):
+        for check in (sk.dual_certificate, sk.cp_conditions):
+            yield pytest.param(check, support, signs, np.zeros(16), message,
+                               id=f"support{i}-signs{i}-{message}-{check.__name__}")
+    for i, (z, message) in enumerate(BAD_NOISE):
+        yield pytest.param(sk.cp_conditions, [0, 1], [1.0, -1.0], z, message,
+                           id=f"z{i}-{message}-cp_conditions")
+
+
+@pytest.mark.parametrize("check, support, signs, z, message", bad_input_rows())
+def test_bad_support_is_a_named_input_error(check, support, signs, z, message):
     d = sk.build_delsarte_goethals(1)
-    args = (d, support, signs) + ((np.zeros(d.m),) if check is sk.cp_conditions else ())
+    args = (d, support, signs) + ((z,) if check is sk.cp_conditions else ())
     with pytest.raises(SolverInputError, match=message):
         check(*args)
 
