@@ -5,12 +5,15 @@ Probability estimates over uniformly random supports come in two flavors:
 exhaustive enumeration of all k-subsets (exact, budget-capped) and Monte
 Carlo with 99% Clopper-Pearson intervals. Monte Carlo draws come in blocks
 of MC_BLOCK trials, one derived rng stream per (seed, property, block), so
-the draws of a T-trial call are the first T of any longer call.
+the draws of a T-trial call are the first T of any longer call. The
+estimators keep the Gram and the per-support tables of the last dictionary
+they certified for the next call on it (``_Slot``).
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -89,9 +92,49 @@ def sample_support(N: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _maybe_gram(d: Dictionary) -> Optional[np.ndarray]:
-    # the full Gram, formed anew on every estimator call (15-18 ms on
-    # dg s=2, 64 x 2048), while it still fits comfortably
+    # the full Gram while it still fits comfortably; the slot below keeps it
+    # for the next call on the same dictionary (15-18 ms to form on dg s=2)
     return d.gram() if d.N <= 3000 else None
+
+
+@dataclass
+class _Slot:
+    """What the estimators know of one dictionary at one k: its Gram (None
+    past ``_maybe_gram``'s size) and ``tables``, which maps "strip" and
+    "sinc" to that statistic of every row of ``_enumerate_supports(N, k)``,
+    each built at its first read. ``ref`` never keeps the dictionary alive,
+    and ``entries`` tells a reassigned matrix apart."""
+    ref: weakref.ref
+    entries: np.ndarray
+    gram: Optional[np.ndarray]
+    k: int
+    tables: dict = field(default_factory=dict)
+
+
+# the slot of the last (dictionary, k) certified; emptied when that
+# dictionary is collected
+_last: Optional[_Slot] = None
+
+
+def _release(ref: weakref.ref) -> None:
+    global _last
+    if _last is not None and _last.ref is ref:
+        _last = None
+
+
+def _slot(d: Dictionary, k: int) -> _Slot:
+    """The slot of (d, k): the last one if it holds this very object, with
+    these very entries, at k; else a new one, which keeps the last one's Gram
+    when only k changed. Equal dictionaries that are distinct objects share
+    nothing: a ``Dictionary`` is compared by value and cannot be hashed."""
+    global _last
+    slot = _last
+    if slot is None or slot.ref() is not d or slot.entries is not d.entries:
+        slot = _Slot(weakref.ref(d, _release), d.entries, _maybe_gram(d), k)
+    elif slot.k != k:
+        slot = _Slot(slot.ref, slot.entries, slot.gram, k)
+    _last = slot
+    return slot
 
 
 @lru_cache(maxsize=1)
@@ -258,13 +301,46 @@ def _sinc_stats(d: Dictionary, supports: np.ndarray, gram, probes=None):
     return worst[rows], at_probe
 
 
+def _per_support(slot: _Slot, kind: str, d: Dictionary, supports: np.ndarray,
+                 rows) -> np.ndarray:
+    """StRIP norms (``kind`` "strip") or SINC worst energies ("sinc") of each
+    support (B, k): with ``rows``, those rows of the slot's table, built at
+    its first read; with ``rows`` None, the kernel run on ``supports``."""
+    def kernel(sups):
+        if kind == "strip":
+            return hollow_gram_norms(d, sups, slot.gram)
+        return _sinc_stats(d, sups, slot.gram)[0]
+    if rows is None:
+        return kernel(supports)
+    if kind not in slot.tables:
+        table = kernel(_enumerate_supports(d.N, slot.k))
+        table.flags.writeable = False
+        slot.tables[kind] = table
+    return slot.tables[kind][rows]
+
+
+def _probe_energies(gram: np.ndarray, supports: np.ndarray,
+                    probes: np.ndarray) -> np.ndarray:
+    """||Phi_I^H phi_i||^2 of each support (B, k) at its probe (B,), read off
+    the Gram. The k terms are added one column at a time, in order, as
+    ``_sinc_stats`` adds them along the k axis of its (b, k, N) chunk; a sum
+    along the last axis of a (B, k) gather would pair them otherwise."""
+    energy = np.zeros(len(supports))
+    for col in supports.T:
+        energy += np.square(np.abs(gram[col, probes]))
+    return energy
+
+
 def _estimate(prop: str, d: Dictionary, k: int, k_max: int, params: dict,
               statistic, method: str, trials: int, seed: int,
               probe: bool = False) -> CertificationReport:
     """Probability over uniform k-subsets that ``statistic`` flags a success.
 
-    ``statistic(supports, probes)`` returns a boolean success per support and
-    per-support weights (or None); weights average into ``wsinc_lhs``. A None
+    ``statistic(slot, supports, rows, probes)`` returns a boolean success
+    per support and per-support weights (or None); weights average into
+    ``wsinc_lhs``. ``slot`` is ``_slot(d, k)``, and ``rows`` each support's
+    row in ``_enumerate_supports(d.N, k)``: all of them when exhaustive, the
+    ranks when Monte Carlo draws repeat supports, else None. A None
     statistic means the property holds vacuously.
     """
     if not (1 <= k <= k_max):
@@ -280,9 +356,13 @@ def _estimate(prop: str, d: Dictionary, k: int, k_max: int, params: dict,
         check_seed(seed)        # a vacuous estimate draws nothing, yet reports it
     if statistic is None:
         return CertificationReport(prop, params, method, 1, 1, 1.0, (1.0, 1.0),
-                                   seed=seed)
-    hit, weight = statistic(*(_mc_draws(d.N, k, seed, prop, trials, probe) if mc
-                              else (_enumerate_supports(d.N, k), None)))
+                                   seed=seed if mc else None)
+    if mc:
+        sups, probes = _mc_draws(d.N, k, seed, prop, trials, probe)
+        rows = _support_ranks(sups, d.N)
+    else:
+        sups, probes, rows = _enumerate_supports(d.N, k), None, slice(None)
+    hit, weight = statistic(_slot(d, k), sups, rows, probes)
     n, hits = hit.size, int(hit.sum())
     est = hits / n
     return CertificationReport(
@@ -294,8 +374,8 @@ def _estimate(prop: str, d: Dictionary, k: int, k_max: int, params: dict,
 def strip_estimate(d: Dictionary, k: int, delta: float, method: str = "monte_carlo",
                    trials: int = 10_000, seed: int = 0) -> CertificationReport:
     """P over uniform k-subsets I of ||Phi_I^H Phi_I - Id|| <= delta."""
-    def statistic(sups, _):
-        return hollow_gram_norms(d, sups, _maybe_gram(d)) <= delta, None
+    def statistic(slot, sups, rows, _):
+        return _per_support(slot, "strip", d, sups, rows) <= delta, None
     return _estimate("strip", d, k, d.N, {"k": k, "delta": delta}, statistic,
                      method, trials, seed)
 
@@ -303,8 +383,8 @@ def strip_estimate(d: Dictionary, k: int, delta: float, method: str = "monte_car
 def sinc_estimate(d: Dictionary, k: int, alpha: float, method: str = "monte_carlo",
                   trials: int = 10_000, seed: int = 0) -> CertificationReport:
     """P over uniform k-subsets I of max_{i not in I} ||Phi_I^H phi_i||^2 <= alpha."""
-    def statistic(sups, _):
-        return _sinc_stats(d, sups, _maybe_gram(d))[0] <= alpha, None
+    def statistic(slot, sups, rows, _):
+        return _per_support(slot, "sinc", d, sups, rows) <= alpha, None
     # k = N leaves no outside column: the condition is vacuous
     return _estimate("sinc", d, k, d.N, {"k": k, "alpha": alpha},
                      None if k == d.N else statistic, method, trials, seed)
@@ -344,8 +424,12 @@ def wsinc_estimate(d: Dictionary, k: int, delta: float, alpha: float,
     _square(1.0 - delta, "delta", "(1 - delta)^2")    # before any sampling
     eps_sq = None if eps is None else _square(eps, "eps", "eps^2")
 
-    def statistic(sups, probes):
-        worst, energy = _sinc_stats(d, sups, _maybe_gram(d), probes)
+    def statistic(slot, sups, rows, probes):
+        if rows is None or slot.gram is None:
+            worst, energy = _sinc_stats(d, sups, slot.gram, probes)
+        else:
+            worst = _per_support(slot, "sinc", d, sups, rows)
+            energy = _probe_energies(slot.gram, sups, probes)
         violated = worst > alpha
         return violated, np.where(violated, wsinc_weight(delta, np.sqrt(energy)), 0.0)
     rep = _estimate("wsinc", d, k, d.N - 1, {"k": k, "delta": delta, "alpha": alpha},

@@ -1,7 +1,11 @@
+import gc
 import hashlib
 import json
 import math
+import sys
+import threading
 import tracemalloc
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -800,3 +804,162 @@ def test_seed_outside_64_bits_refused():
         # a vacuous estimate draws nothing, yet would report the seed
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
             sk.sinc_estimate(d, d.N, 0.5, trials=10, seed=seed)
+
+
+def test_vacuous_exhaustive_report_has_no_seed():
+    # k = N leaves no outside column; an exhaustive report draws nothing and
+    # names no seed, a Monte Carlo one still reports the seed it was given
+    d = sk.build_gaussian(6, 12, seed=2)
+    assert "seed" not in sk.sinc_estimate(d, d.N, 0.5, "exhaustive").as_dict()
+    assert sk.sinc_estimate(d, d.N, 0.5, trials=10, seed=4).as_dict()["seed"] == 4
+
+
+def _five_calls(d, k, trials):
+    """Criterion 4's five estimator calls on one dictionary."""
+    delta, alpha, seed = 0.6, k * d.mu ** 2 / 2, 11
+    return [
+        lambda: sk.strip_estimate(d, k, delta, "exhaustive"),
+        lambda: sk.strip_estimate(d, k, delta, trials=trials, seed=seed),
+        lambda: sk.sinc_estimate(d, k, alpha, "exhaustive"),
+        lambda: sk.sinc_estimate(d, k, alpha, trials=trials, seed=seed),
+        lambda: sk.wsinc_estimate(d, k, delta, alpha, trials=trials, seed=seed),
+    ]
+
+
+def _text(report):
+    return json.dumps(report.as_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("build, k, trials", [
+    (lambda: sk.build_gaussian(8, 16, seed=1), 3, 2500),
+    (lambda: sk.build_gaussian(6, 10, seed=4), 8, 100),     # k >= 8 sums
+    (lambda: sk.build_chirp(7), 2, 2000),                   # complex entries
+    (lambda: sk.build_chirp(7), 3, 20_000),
+    (lambda: sk.build_chirp(7), 3, 500),                    # fewer draws than supports
+    (lambda: sk.build_gaussian(8, 3072, seed=2), 1, 5000),  # no Gram
+])
+def test_reports_independent_of_call_order(build, k, trials):
+    # each call cold (on a dictionary of its own), after the other four on
+    # the same dictionary, and all five in reverse order: the same bytes
+    cold = [_text(_five_calls(build(), k, trials)[i]()) for i in range(5)]
+    for i in range(5):
+        calls = _five_calls(build(), k, trials)
+        for j in range(5):
+            if j != i:
+                calls[j]()
+        assert _text(calls[i]()) == cold[i]
+    calls = _five_calls(build(), k, trials)
+    assert [_text(call()) for call in calls[::-1]] == cold[::-1]
+
+
+def _count_calls(monkeypatch, owner, name, counted=lambda *args: True):
+    """Patch ``owner.name`` to count the calls for which ``counted`` holds."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(counted(*args))
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+    return lambda: sum(calls)
+
+
+def _counters(monkeypatch):
+    """Counts of Gram formations and of StRIP and SINC evaluations of a
+    whole enumeration."""
+    def whole(d, sups, *_):
+        return sups is certify._enumerate_supports(d.N, sups.shape[1])
+    return (_count_calls(monkeypatch, sk.Dictionary, "gram"),
+            _count_calls(monkeypatch, certify, "hollow_gram_norms", whole),
+            _count_calls(monkeypatch, certify, "_sinc_stats", whole))
+
+
+def test_five_calls_form_the_gram_and_each_table_once(monkeypatch):
+    grams, strip_tables, sinc_tables = _counters(monkeypatch)
+    d = sk.build_gaussian(8, 16, seed=1)
+    for call in _five_calls(d, 3, 2500):
+        call()
+    assert (grams(), strip_tables(), sinc_tables()) == (1, 1, 1)
+    # another k keeps the Gram and builds its own tables
+    for call in _five_calls(d, 2, 2500):
+        call()
+    assert (grams(), strip_tables(), sinc_tables()) == (1, 2, 2)
+
+
+def test_slot_releases_a_deleted_dictionary():
+    d = sk.build_gaussian(8, 16, seed=1)
+    sk.strip_estimate(d, 3, 0.6, "exhaustive")
+    ref = weakref.ref(d)
+    assert certify._last.ref() is d
+    del d
+    gc.collect()
+    assert ref() is None
+    assert certify._last is None
+
+
+def test_second_dictionary_replaces_the_first(monkeypatch):
+    grams, strip_tables, _ = _counters(monkeypatch)
+    first, second = sk.build_gaussian(8, 16, seed=1), sk.build_gaussian(8, 16, seed=2)
+    for d in (first, second, first):
+        sk.strip_estimate(d, 3, 0.6, "exhaustive")
+    assert certify._last.ref() is first
+    assert (grams(), strip_tables()) == (3, 3)
+
+
+def test_equal_dictionary_is_evaluated_anew(monkeypatch):
+    grams, strip_tables, _ = _counters(monkeypatch)
+    d = sk.build_gaussian(8, 16, seed=1)
+    copy = sk.Dictionary(d.name, d.entries.copy(), d.params, d.seed)
+    same = sk.Dictionary(d.name, d.entries, d.params, d.seed)     # same array
+    assert np.array_equal(copy.entries, d.entries) and same.entries is d.entries
+    want = _text(sk.strip_estimate(d, 3, 0.6, "exhaustive"))
+    for c in (copy, same):
+        assert _text(sk.strip_estimate(c, 3, 0.6, "exhaustive")) == want
+    # a reassigned matrix is evaluated anew too
+    same.entries = copy.entries
+    assert _text(sk.strip_estimate(same, 3, 0.6, "exhaustive")) == want
+    assert (grams(), strip_tables()) == (4, 4)
+
+
+def test_probe_energies_bit_equal_to_chunk_sums():
+    # the Gram gather adds the k terms in the order the (b, k, N) chunk sum
+    # does, at every k, past the 8 at which numpy's pairwise sum of a row
+    # would start to pair them
+    d = sk.build_gaussian(8, 30, seed=6)
+    gram = d.gram()
+    for k in range(1, 25):
+        sups, probes = _mc_draws(d.N, k, 1, "wsinc", 200, probe=True)
+        assert np.array_equal(certify._probe_energies(gram, sups, probes),
+                              _sinc_stats(d, sups, gram, probes)[1])
+
+
+def test_threads_sharing_the_slot_read_the_same_reports():
+    # threads that replace each other's slot between calls (two dictionaries,
+    # two k) lose only reuse: every report has the bytes of a serial call
+    dicts = [sk.build_gaussian(8, 16, seed=1), sk.build_chirp(5)]
+    jobs = [(d, k) for d in dicts for k in (2, 3)]
+    want = {(i, j): [_text(call()) for call in _five_calls(d, k, 500)]
+            for i, d in enumerate(dicts) for j, k in enumerate((2, 3))}
+    got, errors = [], []
+
+    def work(offset):
+        try:
+            for n in range(40):
+                i, j = divmod((n + offset) % 4, 2)
+                d, k = jobs[2 * i + j]
+                got.append(((i, j), [_text(call()) for call in _five_calls(d, k, 500)]))
+        except Exception as exc:     # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert len(got) == 160 and all(texts == want[key] for key, texts in got)
