@@ -91,21 +91,13 @@ def sample_support(N: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.choice(N, size=k, replace=False))
 
 
-def _maybe_gram(d: Dictionary) -> Optional[np.ndarray]:
-    # the full Gram while it still fits comfortably; the slot below keeps it
-    # for the next call on the same dictionary (15-18 ms to form on dg s=2)
-    return d.gram() if d.N <= 3000 else None
-
-
 @dataclass
 class _Slot:
     """What the estimators know of one dictionary at one k: its Gram (None
-    past ``_maybe_gram``'s size) and ``tables``, which maps "strip" and
-    "sinc" to that statistic of every row of ``_enumerate_supports(N, k)``,
-    each built at its first read. ``ref`` never keeps the dictionary alive,
-    and ``entries`` tells a reassigned matrix apart."""
+    past N = 3000) and ``tables``, which maps "strip" and "sinc" to that
+    statistic of every row of ``_enumerate_supports(N, k)``, each built at
+    its first read. ``ref`` never keeps the dictionary alive."""
     ref: weakref.ref
-    entries: np.ndarray
     gram: Optional[np.ndarray]
     k: int
     tables: dict = field(default_factory=dict)
@@ -123,16 +115,18 @@ def _release(ref: weakref.ref) -> None:
 
 
 def _slot(d: Dictionary, k: int) -> _Slot:
-    """The slot of (d, k): the last one if it holds this very object, with
-    these very entries, at k; else a new one, which keeps the last one's Gram
-    when only k changed. Equal dictionaries that are distinct objects share
-    nothing: a ``Dictionary`` is compared by value and cannot be hashed."""
+    """The slot of (d, k): the last one if it holds this very dictionary at
+    k; else a new one, which keeps the last one's Gram when only k changed.
+    A ``Dictionary`` is immutable and compared by identity, so equal copies
+    share nothing."""
     global _last
     slot = _last
-    if slot is None or slot.ref() is not d or slot.entries is not d.entries:
-        slot = _Slot(weakref.ref(d, _release), d.entries, _maybe_gram(d), k)
+    if slot is None or slot.ref() is not d:
+        # the full Gram while it still fits comfortably (15-18 ms to form on
+        # dg s=2), kept for the next call on this dictionary
+        slot = _Slot(weakref.ref(d, _release), d.gram() if d.N <= 3000 else None, k)
     elif slot.k != k:
-        slot = _Slot(slot.ref, slot.entries, slot.gram, k)
+        slot = _Slot(slot.ref, slot.gram, k)
     _last = slot
     return slot
 
@@ -177,23 +171,19 @@ def _rank_terms(N: int, k: int) -> tuple:
 
 
 def _support_ranks(supports: np.ndarray, N: int) -> Optional[np.ndarray]:
-    """Row of each support (B, k) in ``_enumerate_supports(N, k)``, by the
-    combinatorial number system; None unless B > C(N, k), so that some
-    support repeats, the table is within EXHAUSTIVE_CAP, and every row
-    strictly increases within range(N). Works one column at a time: numpy
-    runs a reduction along the short k axis as B loops of length k."""
+    """Row of each sorted support (B, k) of range(N), as ``_mc_draws`` draws
+    them, in ``_enumerate_supports(N, k)``, by the combinatorial number
+    system; None unless B > C(N, k), so that some support repeats, and the
+    table is within EXHAUSTIVE_CAP. Works one column at a time: numpy runs a
+    reduction along the short k axis as B loops of length k."""
     B, k = supports.shape
     total = math.comb(N, k)
     if not (total < B and total <= EXHAUSTIVE_CAP):
         return None
-    cols = supports.T
-    if not (cols[0].min() >= 0 and cols[-1].max() < N
-            and all((lo < hi).all() for lo, hi in zip(cols[:-1], cols[1:]))):
-        return None
     # the lexicographic rank of c_0 < ... < c_{k-1} is
     # C(N, k) - 1 - sum_i C(N - 1 - c_i, k - i)
     ranks = np.full(B, total - 1, dtype=np.int64)
-    for terms, col in zip(_rank_terms(N, k), cols):
+    for terms, col in zip(_rank_terms(N, k), supports.T):
         ranks -= terms[col]
     return ranks
 
@@ -250,13 +240,8 @@ def _chunks(supports: np.ndarray, bytes_per_support: int):
 
 def hollow_gram_norms(d: Dictionary, supports: np.ndarray,
                       gram: Optional[np.ndarray] = None) -> np.ndarray:
-    """Spectral norms of Phi_I^H Phi_I - Id for a batch of supports (B, k).
-    A batch with more rows than there are supports is evaluated once per
-    support and read back by rank."""
+    """Spectral norms of Phi_I^H Phi_I - Id for a batch of supports (B, k)."""
     B, k = supports.shape
-    ranks = _support_ranks(supports, d.N)
-    if ranks is not None:
-        return hollow_gram_norms(d, _enumerate_supports(d.N, k), gram)[ranks]
     out = np.empty(B)
     eye = np.eye(k)
     copies = 2 if gram is None and np.iscomplexobj(d.entries) else 1
@@ -275,16 +260,11 @@ def hollow_gram_norms(d: Dictionary, supports: np.ndarray,
 
 def _sinc_stats(d: Dictionary, supports: np.ndarray, gram, probes=None):
     """Worst outside-column energy max_{i not in I} ||Phi_I^H phi_i||^2 of each
-    support (B, k), and the energy at each of ``probes`` (B,) if given. A
-    batch with more rows than there are supports is evaluated once per
-    support; each row reads its support's results by rank."""
+    support (B, k), and the energy at each of ``probes`` (B,) if given."""
     B, k = supports.shape
-    ranks = _support_ranks(supports, d.N)
-    table = supports if ranks is None else _enumerate_supports(d.N, k)
-    rows = np.arange(B) if ranks is None else ranks   # each row's table row
-    worst = np.empty(len(table))
+    worst = np.empty(B)
     at_probe = None if probes is None else np.empty(B)
-    for part, sup in _chunks(table, k * d.N * d.entries.itemsize):
+    for part, sup in _chunks(supports, k * d.N * d.entries.itemsize):
         if gram is not None:
             cross = gram[sup, :]                           # (b, k, N)
         else:
@@ -294,11 +274,10 @@ def _sinc_stats(d: Dictionary, supports: np.ndarray, gram, probes=None):
         col_sq = np.square(cross, out=cross).sum(axis=1)  # (b, N)
         del cross                  # free it before the next chunk's is built
         if probes is not None:
-            here = np.flatnonzero((rows >= part.start) & (rows < part.stop))
-            at_probe[here] = col_sq[rows[here] - part.start, probes[here]]
+            at_probe[part] = col_sq[np.arange(len(sup)), probes[part]]
         np.put_along_axis(col_sq, sup, -np.inf, axis=1)
         worst[part] = col_sq.max(axis=1)
-    return worst[rows], at_probe
+    return worst, at_probe
 
 
 def _per_support(slot: _Slot, kind: str, d: Dictionary, supports: np.ndarray,
@@ -425,8 +404,8 @@ def wsinc_estimate(d: Dictionary, k: int, delta: float, alpha: float,
     eps_sq = None if eps is None else _square(eps, "eps", "eps^2")
 
     def statistic(slot, sups, rows, probes):
-        if rows is None or slot.gram is None:
-            worst, energy = _sinc_stats(d, sups, slot.gram, probes)
+        if slot.gram is None:
+            worst, energy = _sinc_stats(d, sups, None, probes)
         else:
             worst = _per_support(slot, "sinc", d, sups, rows)
             energy = _probe_energies(slot.gram, sups, probes)

@@ -49,25 +49,27 @@ class DictionaryFormatError(ValueError):
     """Malformed dictionary file."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """An m x N sampling matrix with unit-norm columns plus build metadata;
     ``m``, ``N`` and ``field`` ("complex" or "real") are read from ``entries``.
+    Immutable (no field can be reassigned, ``entries`` is read-only) and
+    compared and hashed by identity.
 
     ``code`` is the binary code whose bipolar image the entries are, set only
     by ``from_binary_code``: it is never inferred from entries, never saved,
-    and left out of ``repr`` and equality."""
+    and left out of ``repr``."""
 
     name: str
     entries: np.ndarray             # (m, N) float64 or complex128
     params: dict = field(default_factory=dict)
     seed: Optional[int] = None
-    code: Optional[BinaryCode] = field(default=None, repr=False, compare=False)
+    code: Optional[BinaryCode] = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.entries = np.ascontiguousarray(
+        object.__setattr__(self, "entries", np.ascontiguousarray(
             self.entries,
-            dtype=np.complex128 if np.iscomplexobj(self.entries) else np.float64)
+            dtype=np.complex128 if np.iscomplexobj(self.entries) else np.float64))
         if self.entries.ndim != 2 or 0 in self.entries.shape:
             raise FamilyError("entries must be an m x N matrix with m, N >= 1, "
                               f"got shape {self.entries.shape}")
@@ -98,7 +100,7 @@ class Dictionary:
     @cached_property
     def mu(self) -> float:
         """Coherence, the largest off-diagonal |Gram| entry; computed once,
-        since ``entries`` is read-only after construction.
+        since a ``Dictionary`` is immutable.
 
         With a distance-invariant ``code`` it is the largest of the exact
         ``coherence_levels``, rounded once; otherwise the largest entry of

@@ -711,10 +711,10 @@ def test_rank_table_built_only_when_supports_repeat():
     (lambda: sk.build_chirp(7), 3, 20_000),
     (lambda: sk.build_gaussian(6, 10, seed=4), 8, 100),
 ])
-def test_repeated_supports_bit_equal_to_one_row_calls(build, k, trials, monkeypatch):
-    # more draws than supports: each support is evaluated once and read back
-    # by rank, bit for bit what the per-row path and a call on that support
-    # alone return
+def test_repeated_supports_bit_equal_to_one_row_calls(build, k, trials):
+    # more draws than supports: the slot's tables, read by the ranks that
+    # _estimate computes, hold bit for bit what the kernels return on the
+    # draws themselves and on each support alone, with the Gram and without
     d = build()
     sups, probes = _mc_draws(d.N, k, 3, "wsinc", trials, probe=True)
     ranks = certify._support_ranks(sups, d.N)
@@ -722,11 +722,11 @@ def test_repeated_supports_bit_equal_to_one_row_calls(build, k, trials, monkeypa
     table = certify._enumerate_supports(d.N, k)
     assert np.array_equal(table[ranks], sups)
     for gram in (d.gram(), None):
-        got = (hollow_gram_norms(d, sups, gram), *_sinc_stats(d, sups, gram, probes))
-        with monkeypatch.context() as m:
-            m.setattr(certify, "_support_ranks", lambda supports, N: None)
-            per_row = (hollow_gram_norms(d, sups, gram), *_sinc_stats(d, sups, gram, probes))
-        assert all(np.array_equal(a, b) for a, b in zip(got, per_row))
+        slot = certify._Slot(weakref.ref(d), gram, k)
+        got = [certify._per_support(slot, kind, d, sups, ranks) for kind in ("strip", "sinc")]
+        worst, at_probe = _sinc_stats(d, sups, gram, probes)
+        assert np.array_equal(got[0], hollow_gram_norms(d, sups, gram))
+        assert np.array_equal(got[1], worst)
         if gram is None and k == 1:
             # a one-row call's product is a matrix-vector product, whose sums
             # BLAS orders otherwise
@@ -737,21 +737,19 @@ def test_repeated_supports_bit_equal_to_one_row_calls(build, k, trials, monkeypa
                      for s, p in zip(sups[:1000], probes[:1000])]
         assert np.array_equal(got[0], one_norm[ranks])
         assert np.array_equal(got[1], one_worst[ranks])
-        assert np.array_equal(got[2][:1000], one_probe)
+        assert np.array_equal(at_probe[:1000], one_probe)
 
 
 def test_unsorted_or_repeated_index_rows_take_the_per_row_path():
+    # the kernels evaluate each row as given, whatever its order or repeats
     d = sk.build_gaussian(8, 16, seed=1)
     sups, _ = _mc_draws(d.N, 2, 3, "strip", 500, probe=False)
-    assert certify._support_ranks(sups, d.N) is not None
     unsorted = sups[:, ::-1].copy()
     repeated = sups.copy()
     repeated[0, 1] = repeated[0, 0]
     for rows in (unsorted, repeated):
-        assert certify._support_ranks(rows, d.N) is None
-    # each row is evaluated as given
-    want = [hollow_gram_norms(d, s[None], d.gram())[0] for s in unsorted]
-    assert np.array_equal(hollow_gram_norms(d, unsorted, d.gram()), want)
+        want = [hollow_gram_norms(d, s[None], d.gram())[0] for s in rows]
+        assert np.array_equal(hollow_gram_norms(d, rows, d.gram()), want)
 
 
 # sha256 of json.dumps([strip, sinc, wsinc reports], sort_keys=True) on
@@ -778,6 +776,36 @@ def test_mc_reports_pinned(seed, trials):
                sk.wsinc_estimate(d, 3, 0.6, alpha, trials=trials, seed=seed)]
     text = json.dumps([r.as_dict() for r in reports], sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MC_REPORT_SHA256[seed, trials]
+
+
+# the same for the Gram-free path (N > 3000): sha256 of the Monte Carlo
+# StRIP, SINC and WSINC reports (then exhaustive StRIP and SINC at k = 1) on
+# build_gaussian(m, N, seed=2), MC seed 7, delta 0.6, alpha = factor k mu^2;
+# at 1.5 every support is incoherent, at 0.5 SINC and WSINC split the draws.
+# Pinned before the WSINC statistic read its draws instead of the enumeration
+GRAM_FREE_REPORT_SHA256 = {
+    (8, 3072, 1, 5000, 1.5): "23abbf4d9fbdca87b7943affadd09c1c5906c175e6a1c7d87707839d6cbc1b80",
+    (8, 3072, 1, 5000, 0.5): "a0d1c754cb38dd01f1491999633b5e52f0bb30a320bca1f8774a44c5ec6837bb",
+    (8, 3072, 3, 2000, 1.5): "180e0960dc82390c5e5352d1c4efbcfb01ea41f9174a315ef2a35a14d57b13ad",
+    (8, 3072, 3, 2000, 0.5): "02659579d8a3fc40a324aed93a3e22ab8005f9b9d15338832b0508362978e98e",
+    (64, 4096, 2, 3000, 1.5): "e2c71a5943e706da641e752a0ed0d830cf0a20e45dffa71bb7b84c5ef7eaad5f",
+    (64, 4096, 2, 3000, 0.5): "a5a52787cc87ae5412e94ac92a658c611c33582ae1f03962b82946e2d787dd1b",
+}
+
+
+@pytest.mark.parametrize("m, N, k, trials, factor", sorted(GRAM_FREE_REPORT_SHA256))
+def test_gram_free_reports_pinned(m, N, k, trials, factor):
+    d = sk.build_gaussian(m, N, seed=2)
+    alpha = factor * k * d.mu ** 2
+    calls = [lambda: sk.strip_estimate(d, k, 0.6, trials=trials, seed=7),
+             lambda: sk.sinc_estimate(d, k, alpha, trials=trials, seed=7),
+             lambda: sk.wsinc_estimate(d, k, 0.6, alpha, trials=trials, seed=7)]
+    if k == 1:
+        calls += [lambda: sk.strip_estimate(d, k, 0.6, "exhaustive"),
+                  lambda: sk.sinc_estimate(d, k, alpha, "exhaustive")]
+    text = json.dumps([call().as_dict() for call in calls], sort_keys=True)
+    assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
+            == GRAM_FREE_REPORT_SHA256[m, N, k, trials, factor])
 
 
 def test_readme_mc_sinc_stdout_pinned(tmp_path, capsys):
@@ -915,10 +943,7 @@ def test_equal_dictionary_is_evaluated_anew(monkeypatch):
     want = _text(sk.strip_estimate(d, 3, 0.6, "exhaustive"))
     for c in (copy, same):
         assert _text(sk.strip_estimate(c, 3, 0.6, "exhaustive")) == want
-    # a reassigned matrix is evaluated anew too
-    same.entries = copy.entries
-    assert _text(sk.strip_estimate(same, 3, 0.6, "exhaustive")) == want
-    assert (grams(), strip_tables()) == (4, 4)
+    assert (grams(), strip_tables()) == (3, 3)
 
 
 def test_probe_energies_bit_equal_to_chunk_sums():
