@@ -3,18 +3,17 @@ experiment subcommands sharing one master seed.
 
 Exit codes: 0 success, 1 an asserted floor failed or an infeasible
 derandomized construction, 2 usage errors, any other ValueError (numpy's
-LinAlgError, hence a rank-deficient support, is one), any OverflowError (an
-input past float range) and any OSError, such as an input file that does
-not exist or an output path in a missing directory. Sizes past the caps
-exit 2 before anything is allocated: ``gv`` when the 2^l x m span, and
-``build --family dg`` when the code, exceeds ``dictionaries.MAX_CODE_BITS``
-= 2^32 bits (``gv --l 40 --mu 1``, ``build --family dg --s 5`` and up).
+LinAlgError is one), any OverflowError (an input past float range) and any
+OSError, such as an input file that does not exist or an output path in a
+missing directory. Sizes past the caps exit 2 before anything is allocated:
+``gv`` when the 2^l x m span, and ``build --family dg`` when the code,
+exceeds ``dictionaries.MAX_CODE_BITS`` = 2^32 bits (``gv --l 40 --mu 1``,
+``build --family dg --s 5`` and up).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import json
 import math
@@ -137,9 +136,7 @@ def _cmd_recover(args) -> int:
                           eps=args.prob_eps, solver=args.solver, p=args.p,
                           trials=args.trials,
                           names={"eps_noise": "eps", "eps": "prob-eps"})
-    d = dc.load_dictionary(args.dict)
-    if d.field == "complex":
-        d = dc.realify(d)
+    d = ex.recovery_dictionary(dc.load_dictionary(args.dict))
     records = []
     for t in range(args.trials):
         rng = derive_rng(args.seed, "recover", t)
@@ -162,10 +159,7 @@ def _cmd_recover(args) -> int:
                "sigma": args.sigma, "seed": args.seed, "records": records}
     _emit(payload, args.out)
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(records[0]))
-            writer.writeheader()
-            writer.writerows(records)
+        ex.records_csv(records, args.csv)
     return 0
 
 
@@ -203,7 +197,7 @@ def _cmd_experiment(args) -> int:
         run = ex.run_lasso_study if config.solver == "lasso" else ex.run_recovery_floor
         reports = [run(config)]
         if args.csv:
-            ex.records_csv(reports[0], args.csv)
+            ex.records_csv(reports[0].records, args.csv)
     payload = [r.as_dict() for r in reports]
     _emit(payload if config.k_range else payload[0], args.out)
     return 1 if any(r.floor_asserted and not r.floor_passed for r in reports) else 0

@@ -38,7 +38,7 @@ import numpy as np
 
 from .dictionaries import Dictionary, build_family, load_dictionary, realify
 from .seeding import check_seed, derive_rng
-from .signals import MAGNITUDE_MODELS, SignalInstance, observe, sample_generic_signal
+from .signals import SignalInstance, observe, sample_generic_signal
 from .solvers import (RecoveryResult, _bp_columns, _lasso_columns,
                       check_recovery_inputs, cp_conditions, dual_certificate,
                       error_report)
@@ -80,23 +80,28 @@ class ExperimentConfig:
         check_seed(self.seed)
         check_recovery_inputs(sigma=self.sigma, lam=self.lam, eps=self.eps,
                               bound_tol=self.bound_tol, solver=self.solver,
-                              p=self.p, trials=self.trials)
+                              magnitudes=self.magnitudes, p=self.p,
+                              trials=self.trials)
         if self.solver == "bp" and self.sigma != 0:
             raise ValueError("the bp floor study is noiseless: sigma must be 0 "
                              "with solver=bp (use solver=lasso for noise)")
-        if self.magnitudes not in MAGNITUDE_MODELS:
-            raise ValueError(f"unknown magnitude model {self.magnitudes!r}")
 
     def load_dictionary(self) -> Dictionary:
         if self.dictionary_path is not None:
             d = load_dictionary(self.dictionary_path)
         else:
             d = build_family(self.family, **self.family_args)
-        if d.field == "complex":
-            warnings.warn(f"realifying complex dictionary {d.name} for recovery",
-                          stacklevel=2)
-            d = realify(d)
-        return d
+        return recovery_dictionary(d)
+
+
+def recovery_dictionary(d: Dictionary) -> Dictionary:
+    """d itself when real; a complex d realified, with a warning, since the
+    solvers take only real dictionaries."""
+    if d.field == "complex":
+        warnings.warn(f"realifying complex dictionary {d.name} for recovery",
+                      stacklevel=2)
+        d = realify(d)
+    return d
 
 
 @dataclass
@@ -357,16 +362,14 @@ def sweep_csv(reports: list, path) -> None:
             ])
 
 
-def records_csv(report: ExperimentReport, path) -> None:
-    if not report.records:
-        with open(path, "w", encoding="utf-8"):
-            pass
-        return
-    keys = list(report.records[0])
+def records_csv(records: list, path) -> None:
+    """One CSV row per record under a header of the first record's keys; an
+    empty file when there is no record."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        writer.writerows(report.records)
+        if records:
+            writer = csv.DictWriter(fh, fieldnames=list(records[0]))
+            writer.writeheader()
+            writer.writerows(records)
 
 
 def parse_config_file(path) -> ExperimentConfig:

@@ -11,9 +11,8 @@ import numpy as np
 
 from .certify import sample_support
 from .dictionaries import Dictionary
-from .solvers import check_recovery_inputs
+from .solvers import MAGNITUDE_MODELS, _require_real, check_recovery_inputs
 
-MAGNITUDE_MODELS = ("unit", "uniform", "compressible")
 NOISE_TAIL = 1e-6
 COMPRESSIBLE_TAU = 0.5
 
@@ -46,9 +45,7 @@ def sample_generic_signal(N: int, k: int, magnitude_model: str,
     "compressible" adds a signed power-law tail tau * j^(-1/p) off the
     support, scaled so the support still dominates.
     """
-    if magnitude_model not in MAGNITUDE_MODELS:
-        raise ValueError(f"unknown magnitude model {magnitude_model!r}")
-    check_recovery_inputs(p=p)
+    check_recovery_inputs(magnitudes=magnitude_model, p=p)
     support = sample_support(N, k, rng)
     signs = rng.integers(0, 2, size=k) * 2 - 1
     x = np.zeros(N)
@@ -81,8 +78,7 @@ def observe(d: Dictionary, inst: SignalInstance, sigma: float,
             rng: np.random.Generator) -> SignalInstance:
     """Fill y = Phi x + z with i.i.d. Gaussian noise of std sigma, and
     eps_noise with ``default_noise_bound`` of sigma."""
-    if d.field != "real":
-        raise ValueError("complex dictionary: realify it before observing")
+    _require_real(d)
     if d.N != inst.N:
         raise ValueError(f"dictionary N={d.N} vs signal N={inst.N}")
     check_recovery_inputs(sigma=sigma)

@@ -44,7 +44,8 @@ is the standard 2 sqrt(2 ln N).
 
 One least-squares fit on a support (its normal equations) serves the polish,
 the sign certificate (Fuchs 2004) and both off-support terms of the Lasso
-conditions (Candes & Plan 2009); the last two share one support check.
+conditions (Candes & Plan 2009); the last two share one support check and
+one rule for a support Gram that cannot be inverted.
 
 The numerics are module constants, not options: the iteration cap
 ``MAX_ITER``; BP's ``RHO``, ``OVER_RELAX``, polish period ``CHECK_EVERY``,
@@ -74,6 +75,7 @@ OVER_RELAX = 1.8
 CHECK_EVERY = 25
 SUPPORT_THRESHOLD = 10.0 * FEAS_TOL
 SOLVERS = ("bp", "lasso")
+MAGNITUDE_MODELS = ("unit", "uniform", "compressible")
 # A Lasso block narrows only to a multiple of LASSO_GROUP rows, settled rows
 # padding the last group, so that no unsettled row's floats move. OpenBLAS
 # 0.3.31 (Haswell kernels) rounds a row of v @ A^T or r @ A the same at every
@@ -88,14 +90,15 @@ class SolverInputError(ValueError):
 
 
 def check_recovery_inputs(*, sigma=None, lam=None, eps_noise=None, eps=None,
-                          bound_tol=None, solver=None, p=None, trials=None,
-                          names=None) -> None:
+                          bound_tol=None, solver=None, magnitudes=None, p=None,
+                          trials=None, names=None) -> None:
     """Each recovery-parameter rule, picked by keyword: sigma, the BP noise
     radius eps_noise and bound_tol are finite and >= 0, lam and the
     compressible decay exponent p finite and > 0 (p for every magnitude
     model), the error bound's failure probability eps in (0, 1), solver one
-    of SOLVERS, "lasso" needs sigma > 0, and there is at least one trial.
-    None skips an input; ``names`` renames one in messages."""
+    of SOLVERS, "lasso" needs sigma > 0, the magnitude model one of
+    MAGNITUDE_MODELS, and there is at least one trial. None skips an input;
+    ``names`` renames one in messages."""
     names = names or {}
     for key, value in (("sigma", sigma), ("lam", lam), ("eps_noise", eps_noise),
                        ("bound_tol", bound_tol), ("p", p)):
@@ -113,12 +116,10 @@ def check_recovery_inputs(*, sigma=None, lam=None, eps_noise=None, eps=None,
         raise SolverInputError(f"unknown solver {solver!r}")
     if solver == "lasso" and sigma == 0:
         raise SolverInputError("sigma must be positive (the penalty degenerates)")
+    if magnitudes is not None and magnitudes not in MAGNITUDE_MODELS:
+        raise SolverInputError(f"unknown magnitude model {magnitudes!r}")
     if trials is not None and trials < 1:
         raise SolverInputError("need at least one trial")
-
-
-class RankDeficiencyError(np.linalg.LinAlgError):
-    pass
 
 
 @dataclass
@@ -192,16 +193,8 @@ def _momentum_table(n: int) -> np.ndarray:
 def _range_solve(w: np.ndarray, v: np.ndarray, mask: np.ndarray,
                  b: np.ndarray) -> np.ndarray:
     """(A A^T)^+ b for a vector b or each row of b, from the eigenpairs of
-    A A^T, directions off the mask dropped."""
-    return _range_coef(w, mask, b @ v) @ v.T
-
-
-def _range_coef(w: np.ndarray, mask: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """The eigenbasis coefficients coef = b @ v of a vector b (or of each row)
-    turned in place into those of (A A^T)^+ b, directions off the mask
-    dropped (divided by inf); returns coef."""
-    coef /= np.where(mask, w, np.inf)
-    return coef
+    A A^T, directions off the mask dropped (divided by inf)."""
+    return (b @ v / np.where(mask, w, np.inf)) @ v.T
 
 
 def _row_dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -214,96 +207,78 @@ def _row_norms(p: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(p, p))
 
 
-class _BallProjector:
-    """Exact Euclidean projection of each row of a T x n block onto
-    {x : ||A x - y_j|| <= eps_j}, for the rows y_j of the T x m ``y`` and the
-    matching ``eps`` (one value or T); ``spectrum`` is ``frame_spectrum(a)``.
-    The eps are all zero or all positive."""
+def _multiplier(w: np.ndarray, dt: np.ndarray, eps: float) -> float:
+    """The lam >= 0 with ||dt / (1 + lam w)|| = eps, to within
+    1e-15 * max(1, lam) and on its feasible side (needs eps < ||dt||).
 
-    def __init__(self, a: np.ndarray, y: np.ndarray, eps, spectrum):
-        self.a = a
-        self.y = y
-        self.eps = np.full(y.shape[0], eps, dtype=float)
-        self.exact = not self.eps.any()
-        self.w, self.v, self.rank_mask = spectrum
-        if self.exact:
-            # A x - y has the null part of -y whatever x is, so y out of the
-            # range of A leaves the set empty
-            null_mass = _row_norms(y @ self.v[:, ~self.rank_mask])
-            if (null_mass > 1e-9 * np.maximum(1.0, _row_norms(y))).any():
-                raise SolverInputError("y is not in the range of Phi; eps=0 infeasible")
-
-    def lift(self, g: np.ndarray) -> np.ndarray:
-        """Least-squares solution nu of A^T nu = g, for each row of g (the
-        range-space lift)."""
-        return _range_solve(self.w, self.v, self.rank_mask, g @ self.a.T)
-
-    def multiplier(self, dt: np.ndarray, eps: float) -> float:
-        """The lam >= 0 with ||dt / (1 + lam w)|| = eps, to within
-        1e-15 * max(1, lam) and on its feasible side (needs eps < ||dt||).
-
-        Safeguarded Newton on the secular equation
-        phi(lam) = 1/||dt / (1 + lam w)|| - 1/eps, which is increasing and
-        concave, so a step from the infeasible side stays infeasible and
-        converges monotonically. The bracket [lo, hi] has lo infeasible and
-        hi feasible; a step that leaves it falls back to bisection (or to
-        growing lo while no feasible point is known). Returns hi.
-        """
-        w = self.w
-        eps = float(eps)
-        target = 1.0 / eps
-        lo, hi, lam = 0.0, math.inf, 0.0
-        probe = 0.5e-15     # relative width of a probe past a converged step
-        for _ in range(200):
-            den = 1.0 + lam * w
-            qq = (dt / den) ** 2
-            f = float(qq.sum())
-            r = math.sqrt(f)
-            feasible = r <= eps
-            if feasible:
-                hi = lam
-            else:
-                lo = lam
-            if hi < math.inf and hi - lo <= 1e-15 * max(1.0, hi):
-                break
-            slope = float((qq * w / den).sum()) / (f * r) if f > 0.0 else 0.0
-            nxt = lam + ((target - 1.0 / r) / slope if slope > 0.0 else math.inf)
-            # a step within the probe width means the root is within reach:
-            # probe just past it, to the other side of the bracket; the width
-            # doubles per probe, so a stretch where the float residual is flat
-            # is crossed in a few steps
-            if nxt >= hi or (feasible and nxt > hi - 0.5 * probe * max(1.0, hi)):
-                nxt = hi - probe * max(1.0, hi)
-                probe *= 2.0
-            elif not feasible and nxt < lo + 0.5 * probe * max(1.0, lo):
-                nxt = lo + probe * max(1.0, lo)
-                probe *= 2.0
-            if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi) if hi < math.inf else 4.0 * max(lo, 0.25)
-            if nxt > 1e30:
-                raise SolverInputError("projection failed; frame operator singular?")
-            lam = nxt
-        if hi == math.inf:
-            raise SolverInputError("projection failed; frame operator singular?")
-        return hi
-
-    def __call__(self, rows: np.ndarray) -> np.ndarray:
-        d = rows @ self.a.T - self.y
-        r = _row_norms(d)
-        inside = r <= self.eps      # rows already in their ball stay
-        coef = d @ self.v
-        if self.exact:
-            # the minimum-norm correction, in the range of A A^T
-            _range_coef(self.w, self.rank_mask, coef)
+    Safeguarded Newton on the secular equation
+    phi(lam) = 1/||dt / (1 + lam w)|| - 1/eps, which is increasing and
+    concave, so a step from the infeasible side stays infeasible and
+    converges monotonically. The bracket [lo, hi] has lo infeasible and
+    hi feasible; a step that leaves it falls back to bisection (or to
+    growing lo while no feasible point is known). Returns hi.
+    """
+    eps = float(eps)
+    target = 1.0 / eps
+    lo, hi, lam = 0.0, math.inf, 0.0
+    probe = 0.5e-15     # relative width of a probe past a converged step
+    for _ in range(200):
+        den = 1.0 + lam * w
+        qq = (dt / den) ** 2
+        f = float(qq.sum())
+        r = math.sqrt(f)
+        feasible = r <= eps
+        if feasible:
+            hi = lam
         else:
-            for dt, eps, stays in zip(coef, self.eps, inside):
-                if not stays:
-                    lam = self.multiplier(dt, eps)
-                    np.divide(lam * dt, 1.0 + lam * self.w, out=dt)
-        out = rows - (coef @ self.v.T) @ self.a
-        if np.count_nonzero(inside):
-            out[inside] = rows[inside]
-        return out
+            lo = lam
+        if hi < math.inf and hi - lo <= 1e-15 * max(1.0, hi):
+            break
+        slope = float((qq * w / den).sum()) / (f * r) if f > 0.0 else 0.0
+        nxt = lam + ((target - 1.0 / r) / slope if slope > 0.0 else math.inf)
+        # a step within the probe width means the root is within reach:
+        # probe just past it, to the other side of the bracket; the width
+        # doubles per probe, so a stretch where the float residual is flat
+        # is crossed in a few steps
+        if nxt >= hi or (feasible and nxt > hi - 0.5 * probe * max(1.0, hi)):
+            nxt = hi - probe * max(1.0, hi)
+            probe *= 2.0
+        elif not feasible and nxt < lo + 0.5 * probe * max(1.0, lo):
+            nxt = lo + probe * max(1.0, lo)
+            probe *= 2.0
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi) if hi < math.inf else 4.0 * max(lo, 0.25)
+        if nxt > 1e30:
+            raise SolverInputError("projection failed; frame operator singular?")
+        lam = nxt
+    if hi == math.inf:
+        raise SolverInputError("projection failed; frame operator singular?")
+    return hi
+
+
+def _project(a: np.ndarray, spectrum, y: np.ndarray, eps: np.ndarray,
+             rows: np.ndarray) -> np.ndarray:
+    """Exact Euclidean projection of each row of the T x n ``rows`` onto
+    {x : ||A x - y_j|| <= eps_j}, for the rows y_j of the T x m ``y`` and the
+    T ``eps``, all zero or all positive; ``spectrum`` is
+    ``frame_spectrum(a)``. With eps zero the caller has checked that each
+    y_j is in the range of A."""
+    w, v, mask = spectrum
+    d = rows @ a.T - y
+    inside = _row_norms(d) <= eps      # rows already in their ball stay
+    coef = d @ v
+    if not eps.any():
+        # the minimum-norm correction, in the range of A A^T
+        coef /= np.where(mask, w, np.inf)
+    else:
+        for dt, e, stays in zip(coef, eps, inside):
+            if not stays:
+                lam = _multiplier(w, dt, e)
+                np.divide(lam * dt, 1.0 + lam * w, out=dt)
+    out = rows - (coef @ v.T) @ a
+    if np.count_nonzero(inside):
+        out[inside] = rows[inside]
+    return out
 
 
 def _support_fit(a: np.ndarray, support, r: np.ndarray):
@@ -411,6 +386,7 @@ def basis_pursuit(d: Dictionary, y: np.ndarray, eps_noise: float) -> RecoveryRes
 def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
     """``basis_pursuit`` of every row of the T x m matrix ``ys`` at the
     one ``eps_noise``, as T results; the caller has checked d, eps_noise and ys.
+    At eps_noise = 0 a row outside the range of Phi is a ``SolverInputError``.
 
     One ADMM runs over the unsettled rows with two block products per step,
     in buffers allocated once per block width. Each row is polished on its
@@ -439,8 +415,14 @@ def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
     # scale-normalize so tolerances and rho act on unit-size problems
     ys = rows[live] / yn[live, None]
     es = eps_noise / yn[live]
-    project = _BallProjector(a, ys, es, spectrum)
-    z = project(np.zeros((live.size, d.N)))
+    if not es.any():
+        # A x - y has the null part of -y whatever x is, so y out of the
+        # range of A leaves the set empty
+        w, v, mask = spectrum
+        null_mass = _row_norms(ys @ v[:, ~mask])
+        if (null_mass > 1e-9 * np.maximum(1.0, _row_norms(ys))).any():
+            raise SolverInputError("y is not in the range of Phi; eps=0 infeasible")
+    z = _project(a, spectrum, ys, es, np.zeros((live.size, d.N)))
     u = np.zeros_like(z)
     # the step runs in these buffers, with the operands and association of
     # xr = OVER_RELAX x + (1 - OVER_RELAX) z, z_new = soft(xr + u), u + xr - z_new
@@ -449,7 +431,8 @@ def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
     polish_calls = [0] * width
     for it in range(1, MAX_ITER + 1):
         np.subtract(z, u, out=scratch)
-        x = project(scratch)        # a fresh array: best[j] keeps views of it
+        # a fresh array: best[j] keeps views of it
+        x = _project(a, spectrum, ys, es, scratch)
         np.multiply(x, OVER_RELAX, out=xr)
         np.multiply(z, 1.0 - OVER_RELAX, out=scratch)
         np.add(xr, scratch, out=xr)
@@ -467,7 +450,7 @@ def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
             continue
         done = (motion < 1e-13) | (it == MAX_ITER)
         due = np.arange(live.size) if scheduled else np.flatnonzero(motion < 1e-12)
-        for i, nu_admm in zip(due, project.lift(RHO * u[due])):
+        for i, nu_admm in zip(due, _range_solve(*spectrum, RHO * u[due] @ a.T)):
             j = live[i]
             polish_calls[j] += 1
             cand = _polish_candidate(a, spectrum, ys[i], es[i], x[i], z[i], nu_admm)
@@ -484,15 +467,15 @@ def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
             j = live[i]
             if best[j] is None:
                 support = np.flatnonzero(np.abs(x[i]) > SUPPORT_THRESHOLD)
+                nu_admm = _range_solve(*spectrum, RHO * u[i] @ a.T)
                 best[j] = (x[i], _dual_gap(a, spectrum, ys[i], es[i], x[i], support,
-                                           project.lift(RHO * u[i])), "iterate")
+                                           nu_admm), "iterate")
             out[j] = _bp_result(a, rows[j], eps_noise, yn[j], best[j], it,
                                 polish_calls[j])
         if done.all():
             break
         keep = ~done
         live, ys, es, z, u = live[keep], ys[keep], es[keep], z[keep], u[keep]
-        project = _BallProjector(a, ys, es, spectrum)
         scratch, xr, z_new = (np.empty_like(z) for _ in range(3))
     return out
 
@@ -700,8 +683,10 @@ def _lasso_columns(d: Dictionary, ys: np.ndarray, lam: Optional[float],
 
 
 def _checked_support(d: Dictionary, support, signs):
-    """(indices, float signs, eigenvalues of A_S^T A_S) of a nonempty support
-    and its aligned signs, else a ``SolverInputError`` naming the problem."""
+    """(indices, float signs, lambda_min, condition) of a nonempty support and
+    its aligned signs, else a ``SolverInputError`` naming the problem. The
+    condition is lambda_max / lambda_min of A_S^T A_S, inf when lambda_min
+    <= 0; above CONDITION_LIMIT the support Gram counts as not invertible."""
     _require_real(d)
     idx = np.asarray(support)
     s = np.asarray(signs, dtype=float)
@@ -714,7 +699,8 @@ def _checked_support(d: Dictionary, support, signs):
     if np.unique(idx).size != idx.size:
         raise SolverInputError("support must not repeat a column index")
     sub = d.entries[:, idx]
-    return idx, s, np.linalg.eigvalsh(sub.T @ sub)
+    vals = np.linalg.eigvalsh(sub.T @ sub)
+    return idx, s, vals[0], math.inf if vals[0] <= 0 else float(vals[-1] / vals[0])
 
 
 def dual_certificate(d: Dictionary, support, signs) -> Certificate:
@@ -723,8 +709,7 @@ def dual_certificate(d: Dictionary, support, signs) -> Certificate:
     Valid when the off-support sup-norm is at most 1/2 and the support Gram
     is numerically invertible (condition below 1e12).
     """
-    idx, s, vals = _checked_support(d, support, signs)
-    cond = math.inf if vals[0] <= 0 else float(vals[-1] / vals[0])
+    idx, s, _, cond = _checked_support(d, support, signs)
     if cond > CONDITION_LIMIT:
         return Certificate(None, math.inf, cond, False)
     v = d.entries.T @ _support_fit(d.entries, idx, s)[1]
@@ -748,31 +733,29 @@ class LassoConditions:
 
 def cp_conditions(d: Dictionary, support, signs, z: np.ndarray) -> LassoConditions:
     """The three deterministic conditions under which the Lasso error bound
-    ||Phi x - Phi x_hat||^2 <= C k log(N) sigma^2 is known to hold."""
-    idx, s, vals = _checked_support(d, support, signs)
+    ||Phi x - Phi x_hat||^2 <= C k log(N) sigma^2 is known to hold. A support
+    Gram that ``dual_certificate`` counts as not invertible fails the inverse
+    Gram and certificate conditions, with None margins."""
+    idx, s, lam_min, cond = _checked_support(d, support, signs)
     z = _observation(d, z, "z")
-    if vals[0] <= 0:
-        raise RankDeficiencyError("support Gram is singular")
     a, N = d.entries, d.N
-    margin1 = 2.0 - 1.0 / vals[0]
-
     corr = np.abs(a.T @ z).max()
-    margin2 = 2.0 * math.sqrt(math.log(N)) - float(corr)
-
-    # max_{j off S} |phi_j^T Phi_S (Phi_S^T Phi_S)^{-1} r| for r = Phi_S^T z, s
-    term_noise, term_sign = (_off_support_max(a.T @ _support_fit(a, idx, r)[1], idx)
-                             for r in (a[:, idx].T @ z, s))
-    lhs3 = term_noise + math.sqrt(8.0 * math.log(N)) * term_sign
-    margin3 = (2.0 - math.sqrt(2.0)) * math.sqrt(2.0 * math.log(N)) - lhs3
-
     # plain bool / float, not numpy scalars, so reports built from these serialize
-    return LassoConditions(
-        inverse_gram_ok=bool(margin1 >= 0),
-        noise_correlation_ok=bool(margin2 >= 0),
-        certificate_ok=bool(margin3 >= 0),
-        margins={"inverse_gram": float(margin1), "noise_correlation": float(margin2),
-                 "certificate": float(margin3)},
-    )
+    margins = {"inverse_gram": None,
+               "noise_correlation": float(2.0 * math.sqrt(math.log(N)) - float(corr)),
+               "certificate": None}
+    if cond <= CONDITION_LIMIT:
+        margins["inverse_gram"] = float(2.0 - 1.0 / lam_min)
+        # max_{j off S} |phi_j^T Phi_S (Phi_S^T Phi_S)^{-1} r| for r = Phi_S^T z, s
+        term_noise, term_sign = (_off_support_max(a.T @ _support_fit(a, idx, r)[1], idx)
+                                 for r in (a[:, idx].T @ z, s))
+        lhs3 = term_noise + math.sqrt(8.0 * math.log(N)) * term_sign
+        margins["certificate"] = float(
+            (2.0 - math.sqrt(2.0)) * math.sqrt(2.0 * math.log(N)) - lhs3)
+    ok = {key: margin is not None and margin >= 0 for key, margin in margins.items()}
+    return LassoConditions(inverse_gram_ok=ok["inverse_gram"],
+                           noise_correlation_ok=ok["noise_correlation"],
+                           certificate_ok=ok["certificate"], margins=margins)
 
 
 def on_support_error_constant(N: int, eps: float) -> float:

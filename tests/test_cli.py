@@ -454,6 +454,16 @@ class TestRecover:
         assert len(lines) == 4
         assert sorted(lines[0].split(",")) == sorted(payload["records"][0])
 
+    def test_complex_dictionary_is_realified(self, chirp_file, tmp_path, capsys):
+        csv = tmp_path / "rec.csv"
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="realifying"):
+            assert main(["recover", "--dict", str(chirp_file), "--k", "2",
+                         "--trials", "3", "--csv", str(csv)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["trial"] for r in payload["records"]] == [0, 1, 2]
+        assert len(csv.read_text().strip().splitlines()) == 4
+
     # sha256 of the whole stdout on dg s=1, k=2, 10 trials, seed 3; pins the
     # solver floats (iterations, objectives, errors) of each route
     PINNED = {
@@ -586,10 +596,9 @@ class TestExperiment:
 
     def test_rank_deficiency_exits_2(self, tmp_path, capsys, monkeypatch):
         from stripkit import experiments
-        from stripkit.solvers import RankDeficiencyError
 
         def deficient(*args, **kwargs):
-            raise RankDeficiencyError("support Gram is singular")
+            raise np.linalg.LinAlgError("support Gram is singular")
         monkeypatch.setattr(experiments, "cp_conditions", deficient)
         cfg = tmp_path / "lasso.cfg"
         cfg.write_text('family=dg\nfamily_args={"s": 1}\nk=2\nsigma=0.01\n'
@@ -597,6 +606,17 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "support Gram is singular"
+
+    def test_sweep_csv(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text('family=dg\nfamily_args={"s": 1}\nk_range=1,2,3\n'
+                       'trials=2\nseed=2\n')
+        csv = tmp_path / "sweep.csv"
+        assert main(["experiment", "--config", str(cfg), "--csv", str(csv)]) == 0
+        lines = csv.read_text().strip().splitlines()
+        assert lines[0].startswith("k,trials,converged,")
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["1", "2"], ["2", "2"], ["3", "2"]]
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -647,6 +667,8 @@ class TestExperiment:
         "lasso lam negative": ({"solver": "lasso", "sigma": "0.1", "lam": "-2"},
                                "lam must be positive"),
         "bp sigma": ({"sigma": "0.5"}, "the bp floor study is noiseless"),
+        "magnitudes unknown": ({"magnitudes": "gaussian"},
+                               "unknown magnitude model 'gaussian'"),
         "lasso sweep": ({"solver": "lasso", "sigma": "0.1", "k_range": "1,2"},
                         "a floor study runs bp, not solver=lasso"),
         "k_range empty": ({"k_range": ""}, "k_range needs at least one k"),

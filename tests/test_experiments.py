@@ -149,6 +149,17 @@ class TestLassoStudy:
         assert json.loads(rep.to_json(include_runtime=False)) == {
             k: v for k, v in payload.items() if k != "runtime_seconds"}
 
+    def test_uninvertible_supports_do_not_end_the_study(self):
+        # at k = 13 on dg s=1 (m = 16) some drawn supports have a singular
+        # or near-singular Gram; they fail the conditions, as in the floor
+        # study's certificate, and the study completes
+        rep = sk.run_lasso_study(dg_config(k=13, sigma=0.1, trials=64, seed=1,
+                                           solver="lasso"))
+        assert len(rep.records) == 64
+        assert rep.aggregate["frac_cond_inverse_gram"] == 0.0
+        payload = json.loads(rep.to_json())
+        assert payload["aggregate"]["frac_cond_all"] == 0.0
+
     def test_non_finite_report_is_refused(self):
         rep = ExperimentReport("lasso_study", {}, 0, 0, [], {"ratio_max": float("nan")})
         with pytest.raises(ValueError, match="not JSON compliant"):
@@ -221,7 +232,7 @@ def test_blocked_mu(build, exact, monkeypatch):
 def test_records_csv(tmp_path):
     rep = sk.run_recovery_floor(dg_config(trials=5))
     path = tmp_path / "records.csv"
-    records_csv(rep, path)
+    records_csv(rep.records, path)
     rows = path.read_text().strip().splitlines()
     assert len(rows) == 6
 

@@ -12,8 +12,8 @@ import stripkit as sk
 from stripkit import solvers
 from stripkit.dictionaries import Dictionary, frame_spectrum
 from stripkit.experiments import TRIAL_BLOCK, ExperimentConfig, _trial_instance
-from stripkit.solvers import (SolverInputError, _BallProjector, _boundary_refit,
-                              _lasso_columns, _polish_candidate,
+from stripkit.solvers import (SolverInputError, _boundary_refit, _lasso_columns,
+                              _multiplier, _polish_candidate, _project,
                               lasso_kkt_residual)
 
 
@@ -128,6 +128,17 @@ class TestBasisPursuit:
         with pytest.raises(SolverInputError, match="not in the range of Phi"):
             sk.basis_pursuit(d, np.array([0.0, 0.0, 1.0]), 0.0)
 
+    def test_infeasible_row_of_a_block(self):
+        # one row out of range leaves the whole noiseless block infeasible
+        entries = np.zeros((3, 2))
+        entries[0, 0] = 1.0
+        entries[1, 1] = 1.0
+        d = Dictionary("rank2", entries)
+        ys = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 2.0, 0.0]])
+        with pytest.raises(SolverInputError, match="not in the range of Phi"):
+            solvers._bp_columns(d, ys, 0.0)
+        assert all(res.converged for res in solvers._bp_columns(d, ys[[0, 2]], 0.0))
+
     def test_zero_eps_on_a_rank_deficient_frame(self):
         # y in range(Phi) is matched; the null direction of Phi Phi^T is dropped
         entries = np.zeros((3, 3))
@@ -239,54 +250,59 @@ def projection_case(seed, spread, rank_deficient=False):
     a = (u * svals) @ v.T
     y = rng.standard_normal(m)
     vec = rng.standard_normal(n)
-    proj = _BallProjector(a, y[None], 1.0, frame_spectrum(a))
-    dt = proj.v.T @ (a @ vec - y)
-    null_mass = float(np.linalg.norm(dt[~proj.rank_mask]))
+    _, v, mask = frame_spectrum(a)
+    dt = v.T @ (a @ vec - y)
+    null_mass = float(np.linalg.norm(dt[~mask]))
     return a, y, vec, dt, float(np.linalg.norm(dt)), null_mass
+
+
+def project_one(a, y, eps, vec):
+    """The projection of vec onto {x : ||A x - y|| <= eps}."""
+    return _project(a, frame_spectrum(a), y[None], np.array([eps]), vec[None])[0]
 
 
 class TestBallProjector:
     @staticmethod
-    def check_multiplier(a, y, dt, eps):
-        proj = _BallProjector(a, y[None], eps, frame_spectrum(a))
-        lam = proj.multiplier(dt, eps)
-        ref = bisection_multiplier(dt, proj.w, eps)
+    def check_multiplier(a, dt, eps):
+        w = frame_spectrum(a)[0]
+        lam = _multiplier(w, dt, eps)
+        ref = bisection_multiplier(dt, w, eps)
         # both searches stop on a bracket of width 1e-15 * max(1, lam), so
         # below lam = 1 the agreement has that absolute floor
         assert abs(lam - ref) <= 1e-12 * ref + 2e-15
-        # the returned end is feasible in the projector's own arithmetic
-        assert math.sqrt(float(((dt / (1.0 + lam * proj.w)) ** 2).sum())) <= eps
-        return proj, lam
+        # the returned end is feasible in the projection's own arithmetic
+        assert math.sqrt(float(((dt / (1.0 + lam * w)) ** 2).sum())) <= eps
+        return lam
 
     @pytest.mark.parametrize("seed", range(24))
     @pytest.mark.parametrize("rank_deficient", [False, True])
     def test_newton_matches_bisection(self, seed, rank_deficient):
         a, y, vec, dt, r, null_mass = projection_case(seed, 0.3, rank_deficient)
         eps = null_mass + (r - null_mass) * (0.05 + 0.9 * (seed % 7) / 6)
-        proj, _ = self.check_multiplier(a, y, dt, eps)
-        assert np.linalg.norm(a @ proj(vec[None])[0] - y) <= eps * (1 + 1e-12)
+        self.check_multiplier(a, dt, eps)
+        assert np.linalg.norm(a @ project_one(a, y, eps, vec) - y) <= eps * (1 + 1e-12)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_wide_spectra(self, seed):
         # singular values over two decades: the multiplier still matches, but
         # rounding in A p - y can exceed 1e-12 of eps, for either search
         a, y, vec, dt, r, null_mass = projection_case(100 + seed, 1.0, seed % 2 == 1)
-        self.check_multiplier(a, y, dt, null_mass + 0.5 * (r - null_mass))
+        self.check_multiplier(a, dt, null_mass + 0.5 * (r - null_mass))
 
     @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6])
     def test_eps_just_below_residual(self, gap):
         for seed in range(8):
             a, y, vec, dt, r, _ = projection_case(200 + seed, 0.3)
             eps = r * (1.0 - gap)
-            proj, lam = self.check_multiplier(a, y, dt, eps)
+            lam = self.check_multiplier(a, dt, eps)
             assert 0.0 < lam < 10.0 * gap
-            assert np.linalg.norm(a @ proj(vec[None])[0] - y) <= eps * (1 + 1e-12)
+            assert np.linalg.norm(a @ project_one(a, y, eps, vec) - y) <= eps * (1 + 1e-12)
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-9, 1e-12])
     def test_very_large_multiplier(self, scale):
         for seed in range(8):
             a, y, vec, dt, r, _ = projection_case(300 + seed, 0.3)
-            _, lam = self.check_multiplier(a, y, dt, r * scale)
+            lam = self.check_multiplier(a, dt, r * scale)
             assert lam > 0.1 / scale
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-8])
@@ -295,7 +311,7 @@ class TestBallProjector:
         # ulps of lam; the probes past a converged step must still cross it
         for seed in range(12):
             a, y, vec, dt, r, null_mass = projection_case(500 + seed, 0.3, True)
-            self.check_multiplier(a, y, dt, null_mass * (1.0 + gap))
+            self.check_multiplier(a, dt, null_mass * (1.0 + gap))
 
     def test_singular_frame_operator_raises(self):
         # zero rows make A A^T exactly singular: the residual mass on them
@@ -308,14 +324,14 @@ class TestBallProjector:
             y = rng.standard_normal(m)
             vec = rng.standard_normal(2 * m)
             eps = 0.5 * float(np.linalg.norm(y[rank:]))
-            proj = _BallProjector(a, y[None], eps, frame_spectrum(a))
-            dt = proj.v.T @ (a @ vec - y)
+            w, v, _ = frame_spectrum(a)
+            dt = v.T @ (a @ vec - y)
             with pytest.raises(SolverInputError, match="projection failed"):
-                bisection_multiplier(dt, proj.w, eps)
+                bisection_multiplier(dt, w, eps)
             with pytest.raises(SolverInputError, match="projection failed"):
-                proj.multiplier(dt, eps)
+                _multiplier(w, dt, eps)
             with pytest.raises(SolverInputError, match="projection failed"):
-                proj(vec[None])
+                project_one(a, y, eps, vec)
 
 
 def test_error_supports_contraction_inequality():
@@ -698,12 +714,12 @@ class TestBpColumns:
         assert sk.basis_pursuit(d, easy, 0.0).iterations == 25
         assert sk.basis_pursuit(d, hard, 0.0).iterations > 60
         widths = []
-        project = solvers._BallProjector.__call__
+        project = solvers._project
 
-        def spy(self, vec):
-            widths.append(vec.shape[0])
-            return project(self, vec)
-        monkeypatch.setattr(solvers._BallProjector, "__call__", spy)
+        def spy(a, spectrum, y, eps, rows):
+            widths.append(rows.shape[0])
+            return project(a, spectrum, y, eps, rows)
+        monkeypatch.setattr(solvers, "_project", spy)
         monkeypatch.setattr(solvers, "MAX_ITER", 60)
         zero, cert, capped = solvers._bp_columns(
             d, np.array([np.zeros(d.m), easy, hard]), 0.0)
@@ -891,6 +907,25 @@ class TestCpConditions:
         conds = sk.cp_conditions(identity8, np.array([0]), np.array([1.0]), z)
         assert not conds.noise_correlation_ok
         assert conds.margins["noise_correlation"] < 0
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-7])
+    def test_uninvertible_support_fails_without_raising(self, angle):
+        # two equal columns (lambda_min <= 0) and two at an angle of 1e-7
+        # (condition about 4e14, past CONDITION_LIMIT) follow the rule of
+        # dual_certificate: both conditions on the support fail with None
+        # margins, and the noise condition is still evaluated
+        entries = np.zeros((4, 3))
+        entries[0, 0] = 1.0
+        entries[:2, 1] = math.cos(angle), math.sin(angle)
+        entries[2, 2] = 1.0
+        d = Dictionary("pair", entries)
+        support, signs = np.array([0, 1]), np.array([1.0, -1.0])
+        assert not sk.dual_certificate(d, support, signs).valid
+        conds = sk.cp_conditions(d, support, signs, np.zeros(4))
+        assert not (conds.inverse_gram_ok or conds.certificate_ok or conds.all_ok)
+        assert conds.noise_correlation_ok
+        assert conds.margins == {"inverse_gram": None, "certificate": None,
+                                 "noise_correlation": 2 * math.sqrt(math.log(3))}
 
     def test_margins_match_direct_formulas(self):
         d = sk.build_gaussian(16, 40, seed=9)
