@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Optional
@@ -96,38 +96,30 @@ class _Slot:
     """What the estimators know of one dictionary at one k: its Gram (None
     past N = 3000) and ``tables``, which maps "strip" and "sinc" to that
     statistic of every row of ``_enumerate_supports(N, k)``, each built at
-    its first read. ``ref`` never keeps the dictionary alive."""
-    ref: weakref.ref
+    its first read."""
     gram: Optional[np.ndarray]
     k: int
     tables: dict = field(default_factory=dict)
 
 
-# the slot of the last (dictionary, k) certified; emptied when that
-# dictionary is collected
-_last: Optional[_Slot] = None
-
-
-def _release(ref: weakref.ref) -> None:
-    global _last
-    if _last is not None and _last.ref is ref:
-        _last = None
+# the slot of the last (dictionary, k) certified, keyed by that dictionary,
+# which it never keeps alive; emptied when the dictionary is collected
+_last: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _slot(d: Dictionary, k: int) -> _Slot:
     """The slot of (d, k): the last one if it holds this very dictionary at
     k; else a new one, which keeps the last one's Gram when only k changed.
-    A ``Dictionary`` is immutable and compared by identity, so equal copies
+    A ``Dictionary`` is immutable and hashed by identity, so equal copies
     share nothing."""
-    global _last
-    slot = _last
-    if slot is None or slot.ref() is not d:
+    slot = _last.get(d)
+    if slot is None:
+        _last.clear()
         # the full Gram while it still fits comfortably (15-18 ms to form on
         # dg s=2), kept for the next call on this dictionary
-        slot = _Slot(weakref.ref(d, _release), d.gram() if d.N <= 3000 else None, k)
+        slot = _last[d] = _Slot(d.gram() if d.N <= 3000 else None, k)
     elif slot.k != k:
-        slot = _Slot(slot.ref, slot.gram, k)
-    _last = slot
+        slot = _last[d] = _Slot(slot.gram, k)
     return slot
 
 
@@ -429,12 +421,7 @@ class SufficientConditionVerdict:
     derived: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "condition": self.condition, "inputs": self.inputs,
-            "satisfied": self.satisfied, "slack": self.slack,
-            "derived": self.derived,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
 
 def _verdict(condition, inputs, slack, derived=None):
@@ -468,13 +455,8 @@ _ABC_LATTICE = np.geomspace(1e-6, 0.99, 12)
 def _best_on_lattice(evaluate, key, *axes):
     """The verdict ``evaluate(*point)`` over the product of ``axes`` whose
     worst entry of ``derived[key]`` is largest; the first such point wins."""
-    best = None
-    for point in product(*axes):
-        v = evaluate(*point)
-        score = min(v.derived[key].values())
-        if best is None or score > best[0]:
-            best = (score, v)
-    return best[1]
+    return max((evaluate(*point) for point in product(*axes)),
+               key=lambda v: min(v.derived[key].values()))
 
 
 def _ratio(rhs: float, lhs: float) -> float:

@@ -18,6 +18,7 @@ import inspect
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -75,8 +76,7 @@ def _cmd_analyze(args) -> int:
                 str(l): coh.pless_residual(dist, l) for l in args.pless}
         if args.strength is not None:
             res = coh.oa_strength(code, args.strength)
-            payload["oa_strength"] = {"strength": res.strength,
-                                      "exact": res.exact, "note": res.note}
+            payload["oa_strength"] = asdict(res)
     _emit(payload, args.out)
     return 0
 
@@ -171,9 +171,10 @@ def _cmd_gv(args) -> int:
         result = gv.gv_random(spec, args.seed)
     width, mu = gv.code_width(result.code)
     if args.out:
-        d = dc.from_binary_code(result.code, name=f"gv(l={spec.l},mu={spec.mu_target})")
-        d.params.update({"family": "gv", "l": spec.l, "mu_target": spec.mu_target,
-                         "m": spec.m, "derandomized": args.derandomize})
+        d = dc.from_binary_code(
+            result.code, name=f"gv(l={spec.l},mu={spec.mu_target})",
+            params={"family": "gv", "l": spec.l, "mu_target": spec.mu_target,
+                    "m": spec.m, "derandomized": args.derandomize})
         dc.save_dictionary(d, args.out)
     print(json.dumps({
         "schema_version": 1, "m": spec.m, "l": spec.l, "N": result.code.N,

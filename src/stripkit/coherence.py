@@ -7,7 +7,7 @@ linear or not, has strength t iff its centered distance moments of orders
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb, isfinite
 
@@ -30,12 +30,7 @@ class CoherenceProfile:
     gram_offdiag_count: int   # distinct off-diagonal |Gram| values at tolerance
 
     def as_dict(self) -> dict:
-        return {
-            "mu": self.mu, "mean_sq": self.mean_sq,
-            "max_avg_sq": self.max_avg_sq, "theta": self.theta,
-            "invariant": self.invariant, "spectral_norm": self.spectral_norm,
-            "gram_offdiag_count": self.gram_offdiag_count,
-        }
+        return asdict(self)
 
 
 def spectral_norm(d: Dictionary) -> float:

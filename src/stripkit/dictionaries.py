@@ -392,13 +392,16 @@ def build_etf_paley(q: int) -> Dictionary:
                       params={"family": "etf_paley", "q": q})
 
 
-def from_binary_code(code: BinaryCode, name: str = "code") -> Dictionary:
-    """Bipolar image of a binary code: bit 0 -> +1/sqrt(m), bit 1 -> -1/sqrt(m)."""
+def from_binary_code(code: BinaryCode, name: str = "code",
+                     params: Optional[dict] = None) -> Dictionary:
+    """Bipolar image of a binary code: bit 0 -> +1/sqrt(m), bit 1 -> -1/sqrt(m).
+    ``params`` extend, or override, the family "binary_code"."""
     if code.N < 1:
         raise FamilyError("empty code")
     entries = np.full((code.m, code.N), 1.0 / np.sqrt(code.m))
     np.negative(entries, out=entries, where=code.bits().T.view(bool))
-    return Dictionary(name, entries, params={"family": "binary_code"}, code=code)
+    return Dictionary(name, entries, params={"family": "binary_code", **(params or {})},
+                      code=code)
 
 
 def delsarte_goethals_code(s: int) -> BinaryCode:
@@ -432,12 +435,12 @@ def build_delsarte_goethals(s: int, r: int = 0) -> Dictionary:
     if r != 0:
         raise FamilyError(f"(s={s}, r={r}) unsupported: only r=0 is constructed")
     d = from_binary_code(delsarte_goethals_code(s),
-                         name=f"delsarte_goethals(s={s},r={r})")
+                         name=f"delsarte_goethals(s={s},r={r})",
+                         params={"family": "delsarte_goethals", "s": s, "r": r,
+                                 "antipode_free": True})
     # exact contract check: d.mu reads the weights of the distance-invariant code
     if d.mu > 1 / np.sqrt(d.m) + 1e-12:
         raise FamilyError(f"code violates the coherence contract: mu={d.mu:.4f}")
-    d.params.update({"family": "delsarte_goethals", "s": s, "r": r,
-                     "antipode_free": True})
     return d
 
 

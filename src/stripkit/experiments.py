@@ -31,7 +31,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -316,7 +316,8 @@ def run_lasso_study(config: ExperimentConfig,
     fractions and the compressed-error ratio distribution; no floor assertion
     (the guarantee constant is not pinned numerically)."""
     config.validate()
-    check_recovery_inputs(sigma=config.sigma, solver="lasso")
+    if config.solver != "lasso":
+        raise ValueError(f"a lasso study runs lasso, not solver={config.solver}")
     t0 = time.perf_counter()
     d = d or config.load_dictionary()
     records = _run_trials(_lasso_block, d, config)
@@ -344,22 +345,18 @@ def sweep(config: ExperimentConfig,
     d = d or config.load_dictionary()
     reports = []
     for k in config.k_range:
-        sub = ExperimentConfig(**{**asdict(config), "k": int(k), "k_range": None})
+        sub = replace(config, k=int(k), k_range=None)
         reports.append(run_recovery_floor(sub, d))
     return reports
 
 
 def sweep_csv(reports: list, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "trials", "converged", "frac_l2", "frac_l1",
-                         "frac_both", "support_rate"])
-        for rep in reports:
-            writer.writerow([
-                rep.config["k"], rep.trials, rep.converged,
-                rep.aggregate["frac_l2"], rep.aggregate["frac_l1"],
-                rep.aggregate["frac_both"], rep.aggregate["support_rate"],
-            ])
+    """One CSV row per ``sweep`` report: its k, trials, converged and rates."""
+    rates = ("frac_l2", "frac_l1", "frac_both", "support_rate")
+    records_csv([{"k": rep.config["k"], "trials": rep.trials,
+                  "converged": rep.converged,
+                  **{key: rep.aggregate[key] for key in rates}}
+                 for rep in reports], path)
 
 
 def records_csv(records: list, path) -> None:

@@ -4,8 +4,9 @@ Basis Pursuit runs operator-splitting (ADMM; Boyd et al. 2011) on the
 constrained form with an exact projection onto {x : ||Phi x - y|| <= eps}.
 The projection diagonalizes Phi Phi^T once and finds its multiplier by a
 safeguarded Newton solve of the secular equation, returning the feasible end
-of its bracket. Convergence is certified a posteriori through an
-independently constructed dual-feasible point, so ``converged=True`` always
+of its bracket, or the minimum-norm correction where the multiplier leaves
+float arithmetic (a tiny eps). Convergence is certified a posteriori through
+an independently constructed dual-feasible point, so ``converged=True`` always
 means a verified duality gap, never just small iterate motion. Polishing
 tries a refit on the detected support before the raw iterate and stops at
 the first certified candidate. The sign fit of a dense iterate (a support of
@@ -209,23 +210,38 @@ def _row_norms(p: np.ndarray) -> np.ndarray:
 
 def _multiplier(w: np.ndarray, dt: np.ndarray, eps: float) -> float:
     """The lam >= 0 with ||dt / (1 + lam w)|| = eps, to within
-    1e-15 * max(1, lam) and on its feasible side (needs eps < ||dt||).
+    1e-15 * max(1, lam) and on its feasible side (needs eps < ||dt||), for
+    the ascending eigenvalues w of ``frame_spectrum``.
 
-    Safeguarded Newton on the secular equation
+    As lam grows the residual falls to the mass of dt on the zero
+    eigenvalues (those off the spectrum's mask): an eps at or below that
+    mass is refused. Safeguarded Newton on the secular equation
     phi(lam) = 1/||dt / (1 + lam w)|| - 1/eps, which is increasing and
     concave, so a step from the infeasible side stays infeasible and
     converges monotonically. The bracket [lo, hi] has lo infeasible and
     hi feasible; a step that leaves it falls back to bisection (or to
-    growing lo while no feasible point is known). Returns hi.
+    growing lo while no feasible point is known). Returns hi, or the limit
+    inf, where the projection is the minimum-norm correction, once lam is
+    past float arithmetic: 1/eps overflows (a subnormal eps), every term of
+    the residual underflows to zero, the next lam w overflows, or no float
+    lam is found to reach eps.
     """
-    eps = float(eps)
+    eps, top = float(eps), float(w[-1])
+    floor = 1e-14 * top         # frame_spectrum's mask keeps w above it
+    if w[0] <= floor and float(np.linalg.norm(dt[w <= floor])) >= eps:
+        raise SolverInputError("projection failed: eps is not above the "
+                               "residual outside the range of Phi")
     target = 1.0 / eps
+    if target == math.inf:
+        return math.inf
     lo, hi, lam = 0.0, math.inf, 0.0
     probe = 0.5e-15     # relative width of a probe past a converged step
     for _ in range(200):
         den = 1.0 + lam * w
         qq = (dt / den) ** 2
         f = float(qq.sum())
+        if f == 0.0:
+            return math.inf
         r = math.sqrt(f)
         feasible = r <= eps
         if feasible:
@@ -234,7 +250,8 @@ def _multiplier(w: np.ndarray, dt: np.ndarray, eps: float) -> float:
             lo = lam
         if hi < math.inf and hi - lo <= 1e-15 * max(1.0, hi):
             break
-        slope = float((qq * w / den).sum()) / (f * r) if f > 0.0 else 0.0
+        fr = f * r        # underflows to zero near a tiny eps
+        slope = float((qq * w / den).sum()) / fr if fr > 0.0 else 0.0
         nxt = lam + ((target - 1.0 / r) / slope if slope > 0.0 else math.inf)
         # a step within the probe width means the root is within reach:
         # probe just past it, to the other side of the bracket; the width
@@ -248,11 +265,9 @@ def _multiplier(w: np.ndarray, dt: np.ndarray, eps: float) -> float:
             probe *= 2.0
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi) if hi < math.inf else 4.0 * max(lo, 0.25)
-        if nxt > 1e30:
-            raise SolverInputError("projection failed; frame operator singular?")
+        if nxt * top == math.inf:
+            return math.inf
         lam = nxt
-    if hi == math.inf:
-        raise SolverInputError("projection failed; frame operator singular?")
     return hi
 
 
@@ -274,7 +289,10 @@ def _project(a: np.ndarray, spectrum, y: np.ndarray, eps: np.ndarray,
         for dt, e, stays in zip(coef, eps, inside):
             if not stays:
                 lam = _multiplier(w, dt, e)
-                np.divide(lam * dt, 1.0 + lam * w, out=dt)
+                if lam < math.inf:
+                    np.divide(lam * dt, 1.0 + lam * w, out=dt)
+                else:       # the minimum-norm correction, as at eps zero
+                    dt /= np.where(mask, w, np.inf)
     out = rows - (coef @ v.T) @ a
     if np.count_nonzero(inside):
         out[inside] = rows[inside]

@@ -464,6 +464,14 @@ class TestRecover:
         assert [r["trial"] for r in payload["records"]] == [0, 1, 2]
         assert len(csv.read_text().strip().splitlines()) == 4
 
+    def test_tiny_noise_radius(self, dg_file, capsys):
+        # eps far below the residual's rounding is reached, not refused
+        capsys.readouterr()
+        assert main(["recover", "--dict", str(dg_file), "--k", "2", "--eps", "1e-30",
+                     "--sigma", "0.01"]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert len(records) == 10 and all(r["converged"] for r in records)
+
     # sha256 of the whole stdout on dg s=1, k=2, 10 trials, seed 3; pins the
     # solver floats (iterations, objectives, errors) of each route
     PINNED = {

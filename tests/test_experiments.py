@@ -125,6 +125,11 @@ class TestLassoStudy:
         with pytest.raises(ValueError):
             sk.run_lasso_study(dg_config(sigma=0.0, solver="lasso"))
 
+    def test_rejects_a_bp_config(self):
+        cfg = ExperimentConfig(family="dg", family_args={"s": 1}, k=2, trials=2)
+        with pytest.raises(ValueError, match="a lasso study runs lasso, not solver=bp"):
+            sk.run_lasso_study(cfg)
+
     def test_gaussian_study(self):
         cfg = ExperimentConfig(family="gaussian",
                                family_args={"m": 32, "N": 64, "seed": 5},

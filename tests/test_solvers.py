@@ -213,6 +213,48 @@ class TestNoisyBasisPursuit:
         assert not short.converged and short.info["certified_by"] is None
         assert short.info["polish_calls"] == 1
 
+    @pytest.mark.parametrize("eps", [1e-28, 1e-30, 1e-100, 1e-150, 1e-300, 1e-307,
+                                     5e-324])
+    def test_tiny_noise_radius_is_reached(self, eps):
+        # the multiplier grows like 1/eps. Here f r underflows at 1e-150,
+        # every residual term at 1e-300, lam w overflows at 1e-307 and 1/eps
+        # at 5e-324; past float arithmetic the projection takes its limit,
+        # the minimum-norm correction
+        d = sk.build_delsarte_goethals(1)
+        x = sk.sample_generic_signal(d.N, 2, "unit", sk.derive_rng(1, "e")).x
+        res = sk.basis_pursuit(d, d.entries @ x, eps)
+        assert res.converged and res.feas_residual <= solvers.FEAS_TOL
+        assert np.abs(res.x_hat - x).max() <= 1e-12
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_row_without_a_polish_candidate(self, monkeypatch, sigma, capped):
+        # no polish candidate is ever feasible: the row still finishes, on
+        # its last iterate, converged exactly when that iterate is feasible
+        # and its own duality gap certifies it
+        polished, verdicts = [], []
+        certified = solvers._certified
+
+        def no_candidate(a, frame, y, eps, x, z, nu_admm=None):
+            polished.append(x.copy())
+
+        def certified_spy(x, gap):
+            verdicts.append(certified(x, gap))
+            return verdicts[-1]
+        monkeypatch.setattr(solvers, "_polish_candidate", no_candidate)
+        monkeypatch.setattr(solvers, "_certified", certified_spy)
+        if capped:      # a polish period, so the last iterate is polished
+            monkeypatch.setattr(solvers, "MAX_ITER", 2 * solvers.CHECK_EVERY)
+        d = sk.build_delsarte_goethals(1)
+        obs = noisy_instance(d, 2, sigma, 0)
+        res = sk.basis_pursuit(d, obs.y, obs.eps_noise)
+        assert res.info["polish_calls"] == len(polished) > 0
+        assert np.array_equal(res.x_hat, polished[-1] * np.linalg.norm(obs.y))
+        feasible = res.feas_residual <= solvers.FEAS_TOL
+        assert res.converged == (feasible and verdicts == [True])
+        assert res.converged != capped
+        assert res.info["certified_by"] == ("iterate" if res.converged else None)
+
 
 def bisection_multiplier(dt, w, eps):
     """The ball projector's former multiplier search, kept as an oracle:
