@@ -5,7 +5,9 @@ constrained form with an exact projection onto {x : ||Phi x - y|| <= eps}.
 The projection diagonalizes Phi Phi^T once and finds its multiplier by a
 safeguarded Newton solve of the secular equation, returning the feasible end
 of its bracket, or the minimum-norm correction where the multiplier leaves
-float arithmetic (a tiny eps). Convergence is certified a posteriori through
+float arithmetic (a tiny eps) or where eps is at or below a residual off the
+range of Phi that rounding explains (the 1e-9 max(1, ||y||) that eps = 0
+forgives too). Convergence is certified a posteriori through
 an independently constructed dual-feasible point, so ``converged=True`` always
 means a verified duality gap, never just small iterate motion. Polishing
 tries a refit on the detected support before the raw iterate and stops at
@@ -23,12 +25,13 @@ support in view. ``info`` records the duality gap, which candidate was
 certified (``certified_by``) and the number of polish calls. Both solvers
 read the eigenpairs of Phi Phi^T from the dictionary's cached ``frame``.
 One ADMM kernel solves every column of an m x T observation matrix at once:
-its unsettled columns are held as rows, each step makes two block products
-with Phi and small ones with the eigenbasis, in preallocated buffers, and
-each column is polished on its own on the CHECK_EVERY schedule and leaves
-the block when it certifies, meets the 1e-13 stop or reaches the cap;
-``basis_pursuit`` is its one-column call, which runs the very products of a
-one-vector loop.
+its unsettled columns are held as rows beside their images under Phi, and
+each step makes one dense block product with Phi (the projection's
+correction), one over the nonzero columns of z and small ones with the
+eigenbasis, in preallocated buffers. Each column is polished on its own on
+the CHECK_EVERY schedule, once z has a support, and leaves the block when
+it certifies, meets the 1e-13 stop or reaches the cap; ``basis_pursuit`` is
+its one-column call.
 Lasso runs accelerated proximal gradient at the fixed step 1/L, L the
 largest of those eigenvalues, restarts its momentum when the step turns
 against it, and is accepted only on a coordinatewise subgradient check,
@@ -208,17 +211,19 @@ def _row_norms(p: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(p, p))
 
 
-def _multiplier(w: np.ndarray, dt: np.ndarray, eps: float) -> float:
+def _multiplier(w: np.ndarray, dt: np.ndarray, eps: float,
+                forgive: float = 0.0) -> float:
     """The lam >= 0 with ||dt / (1 + lam w)|| = eps, to within
     1e-15 * max(1, lam) and on its feasible side (needs eps < ||dt||), for
     the ascending eigenvalues w of ``frame_spectrum``.
 
     As lam grows the residual falls to the mass of dt on the zero
     eigenvalues (those off the spectrum's mask): an eps at or below that
-    mass is refused. Safeguarded Newton on the secular equation
-    phi(lam) = 1/||dt / (1 + lam w)|| - 1/eps, which is increasing and
-    concave, so a step from the infeasible side stays infeasible and
-    converges monotonically. The bracket [lo, hi] has lo infeasible and
+    mass is refused, unless the mass is at most ``forgive`` (rounding off
+    the range): then the limit inf is returned, as at eps zero. Safeguarded
+    Newton on the secular equation phi(lam) = 1/||dt / (1 + lam w)|| - 1/eps,
+    which is increasing and concave, so a step from the infeasible side
+    stays infeasible and converges monotonically. The bracket [lo, hi] has lo infeasible and
     hi feasible; a step that leaves it falls back to bisection (or to
     growing lo while no feasible point is known). Returns hi, or the limit
     inf, where the projection is the minimum-norm correction, once lam is
@@ -228,9 +233,13 @@ def _multiplier(w: np.ndarray, dt: np.ndarray, eps: float) -> float:
     """
     eps, top = float(eps), float(w[-1])
     floor = 1e-14 * top         # frame_spectrum's mask keeps w above it
-    if w[0] <= floor and float(np.linalg.norm(dt[w <= floor])) >= eps:
-        raise SolverInputError("projection failed: eps is not above the "
-                               "residual outside the range of Phi")
+    if w[0] <= floor:
+        null_mass = float(np.linalg.norm(dt[w <= floor]))
+        if null_mass >= eps:
+            if null_mass > forgive:
+                raise SolverInputError("projection failed: eps is not above the "
+                                       "residual outside the range of Phi")
+            return math.inf
     target = 1.0 / eps
     if target == math.inf:
         return math.inf
@@ -271,32 +280,47 @@ def _multiplier(w: np.ndarray, dt: np.ndarray, eps: float) -> float:
     return hi
 
 
+def _rounding_off_range(y: np.ndarray) -> np.ndarray:
+    """For each row y_j of y, the mass off the range of A that is taken for
+    rounding, not for an observation outside it: 1e-9 max(1, ||y_j||)."""
+    return 1e-9 * np.maximum(1.0, _row_norms(y))
+
+
 def _project(a: np.ndarray, spectrum, y: np.ndarray, eps: np.ndarray,
-             rows: np.ndarray) -> np.ndarray:
+             rows: np.ndarray, image: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact Euclidean projection of each row of the T x n ``rows`` onto
     {x : ||A x - y_j|| <= eps_j}, for the rows y_j of the T x m ``y`` and the
     T ``eps``, all zero or all positive; ``spectrum`` is
     ``frame_spectrum(a)``. With eps zero the caller has checked that each
-    y_j is in the range of A."""
+    y_j is in the range of A; with eps positive, an eps_j at or below a
+    ``_rounding_off_range`` residual off the range gets the correction made
+    at eps zero. ``image``, when given, is ``rows @ a.T``: the projection
+    reads it in place of that product and runs in place, writing the result
+    over ``rows`` (which it returns) and the result's image over ``image``,
+    formed in the eigenbasis as image - (coef w) V^T."""
     w, v, mask = spectrum
-    d = rows @ a.T - y
+    if image is None:
+        image, rows = rows @ a.T, rows.copy()
+    d = image - y
     inside = _row_norms(d) <= eps      # rows already in their ball stay
     coef = d @ v
     if not eps.any():
         # the minimum-norm correction, in the range of A A^T
         coef /= np.where(mask, w, np.inf)
     else:
-        for dt, e, stays in zip(coef, eps, inside):
+        forgive = _rounding_off_range(y)
+        for dt, e, f, stays in zip(coef, eps, forgive, inside):
             if not stays:
-                lam = _multiplier(w, dt, e)
+                lam = _multiplier(w, dt, e, f)
                 if lam < math.inf:
                     np.divide(lam * dt, 1.0 + lam * w, out=dt)
                 else:       # the minimum-norm correction, as at eps zero
                     dt /= np.where(mask, w, np.inf)
-    out = rows - (coef @ v.T) @ a
     if np.count_nonzero(inside):
-        out[inside] = rows[inside]
-    return out
+        coef[inside] = 0.0
+    rows -= (coef @ v.T) @ a
+    image -= (coef * w) @ v.T
+    return rows
 
 
 def _support_fit(a: np.ndarray, support, r: np.ndarray):
@@ -406,16 +430,25 @@ def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
     one ``eps_noise``, as T results; the caller has checked d, eps_noise and ys.
     At eps_noise = 0 a row outside the range of Phi is a ``SolverInputError``.
 
-    One ADMM runs over the unsettled rows with two block products per step,
-    in buffers allocated once per block width. Each row is polished on its
-    own on the CHECK_EVERY schedule and leaves the block when it certifies,
-    meets the 1e-13 stop or reaches MAX_ITER, so its iterations, polish calls
-    and convergence are its own. Settled rows leave the block as in
+    One ADMM runs over the unsettled rows, in buffers allocated once per
+    block width. Beside z and u it keeps their images z A^T and u A^T, so a
+    step makes one dense product with A, the projection's m -> N correction:
+    the image of z - u is read off the kept ones, x's image comes from the
+    projection in m-space, z's new image is a product over the block's
+    nonzero columns of z, and u's follows u's own update. Each scheduled
+    check re-anchors u's image from the dual lift's product u A^T, so its
+    rounding drifts for at most CHECK_EVERY steps. Each row is polished on
+    its own on the CHECK_EVERY schedule, but only once z has an entry above
+    SUPPORT_THRESHOLD (before that there is no support to refit, and the
+    dense iterate's sign fit cannot certify), and leaves the block when it
+    certifies, meets the 1e-13 stop or reaches MAX_ITER, so its iterations,
+    polish calls and convergence are its own; a row that never polished is
+    reported on its iterate. Settled rows leave the block as in
     ``_lasso_columns``, but at once, not in groups of LASSO_GROUP, so a row's
     floats depend on its own row and on the rows still beside it at each
     step: a gemm rounds a row by the block's width. A support refit depends
     only on the support and signs it was fitted on, which are read off the
-    iterate. T = 1 runs the very gemv and dot calls of a one-vector loop.
+    iterate.
     """
     a = d.entries
     spectrum = d.frame
@@ -438,37 +471,59 @@ def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
         # range of A leaves the set empty
         w, v, mask = spectrum
         null_mass = _row_norms(ys @ v[:, ~mask])
-        if (null_mass > 1e-9 * np.maximum(1.0, _row_norms(ys))).any():
+        if (null_mass > _rounding_off_range(ys)).any():
             raise SolverInputError("y is not in the range of Phi; eps=0 infeasible")
-    z = _project(a, spectrum, ys, es, np.zeros((live.size, d.N)))
-    u = np.zeros_like(z)
+    # the block keeps the images z A^T and u A^T beside z and u
+    z_img = np.zeros((live.size, d.m))
+    z = _project(a, spectrum, ys, es, np.zeros((live.size, d.N)), z_img)
+    u, u_img = np.zeros_like(z), np.zeros_like(z_img)
     # the step runs in these buffers, with the operands and association of
-    # xr = OVER_RELAX x + (1 - OVER_RELAX) z, z_new = soft(xr + u), u + xr - z_new
-    scratch, xr, z_new = (np.empty_like(z) for _ in range(3))
+    # xr = OVER_RELAX x + (1 - OVER_RELAX) z, z_new = soft(xr + u), u + xr - z_new,
+    # and of the same rules on the images: x's comes from the projection,
+    # z_new's from its nonzero columns alone
+    x, scratch, xr, z_new = (np.empty_like(z) for _ in range(4))
+    image, xr_img, z_new_img = (np.empty_like(z_img) for _ in range(3))
     best = [None] * width
     polish_calls = [0] * width
     for it in range(1, MAX_ITER + 1):
-        np.subtract(z, u, out=scratch)
-        # a fresh array: best[j] keeps views of it
-        x = _project(a, spectrum, ys, es, scratch)
+        np.subtract(z, u, out=x)
+        np.subtract(z_img, u_img, out=image)
+        # projected in place: x and its image; a row's result is built
+        # from a view of x before the next step overwrites it
+        _project(a, spectrum, ys, es, x, image)
         np.multiply(x, OVER_RELAX, out=xr)
         np.multiply(z, 1.0 - OVER_RELAX, out=scratch)
         np.add(xr, scratch, out=xr)
         np.add(xr, u, out=scratch)
         _soft(scratch, 1.0 / RHO, out=z_new)
-        np.add(u, xr, out=u)
-        np.subtract(u, z_new, out=u)
+        np.subtract(scratch, z_new, out=u)      # u + xr is xr + u, bit for bit
+        cols = np.flatnonzero(z_new.any(axis=0))
+        np.matmul(z_new[:, cols], a[:, cols].T, out=z_new_img)
+        np.multiply(image, OVER_RELAX, out=xr_img)
+        np.multiply(z_img, 1.0 - OVER_RELAX, out=image)
+        np.add(xr_img, image, out=xr_img)
+        np.add(u_img, xr_img, out=u_img)
+        np.subtract(u_img, z_new_img, out=u_img)
         # the larger of the primal and dual residuals
         np.subtract(x, z_new, out=scratch)
         np.subtract(z_new, z, out=xr)
         motion = np.maximum(_row_norms(scratch), RHO * _row_norms(xr))
-        z, z_new = z_new, z
+        z, z_new, z_img, z_new_img = z_new, z, z_new_img, z_img
         scheduled = it % CHECK_EVERY == 0
         if not (scheduled or it == MAX_ITER or motion.min() < 1e-12):
             continue
         done = (motion < 1e-13) | (it == MAX_ITER)
         due = np.arange(live.size) if scheduled else np.flatnonzero(motion < 1e-12)
-        for i, nu_admm in zip(due, _range_solve(*spectrum, RHO * u[due] @ a.T)):
+        # the dual lift's product re-anchors u's kept image, so its rounding
+        # drifts for at most CHECK_EVERY steps
+        u_img[due] = u[due] @ a.T
+        ready = (np.abs(z[due]) > SUPPORT_THRESHOLD).any(axis=1)
+        for i, nu_admm, has_support in zip(due, _range_solve(*spectrum, RHO * u_img[due]),
+                                           ready):
+            if not has_support:
+                # nothing to refit, and the dense iterate's sign fit, the
+                # costliest step of a polish, cannot certify while z is zero
+                continue
             j = live[i]
             polish_calls[j] += 1
             cand = _polish_candidate(a, spectrum, ys[i], es[i], x[i], z[i], nu_admm)
@@ -493,8 +548,10 @@ def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
         if done.all():
             break
         keep = ~done
-        live, ys, es, z, u = live[keep], ys[keep], es[keep], z[keep], u[keep]
-        scratch, xr, z_new = (np.empty_like(z) for _ in range(3))
+        live, ys, es, z, u, z_img, u_img = (
+            arr[keep] for arr in (live, ys, es, z, u, z_img, u_img))
+        x, scratch, xr, z_new = (np.empty_like(z) for _ in range(4))
+        image, xr_img, z_new_img = (np.empty_like(z_img) for _ in range(3))
     return out
 
 

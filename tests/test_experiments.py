@@ -67,6 +67,21 @@ class TestRecoveryFloor:
         full = sk.run_recovery_floor(dg_config()).to_json()
         assert "runtime_seconds" in full and "runtime_seconds" not in a
 
+    def test_dg_s3_verdicts_past_sqrt_m(self):
+        # dg s=3 (256 x 32768) at k=8 and 4 trials: every count and verdict,
+        # pinned under the kernel that formed Phi (z - u) densely and polished
+        # every check, so a faster kernel cannot move them
+        rep = sk.run_recovery_floor(ExperimentConfig(
+            family="dg", family_args={"s": 3}, k=8, trials=4, seed=2026))
+        verdicts = [{key: value for key, value in r.items() if not isinstance(value, float)}
+                    for r in rep.records]
+        assert [(r["converged"], r["iterations"], r["support_recovered"])
+                for r in verdicts] == [(True, 225, True), (True, 275, True),
+                                       (True, 275, True), (True, 250, True)]
+        assert all(r["ok_l2"] and r["ok_l1"] and r["ok_both"] for r in verdicts)
+        assert [r["certificate_valid"] for r in verdicts] == [True, False, False, False]
+        assert rep.converged == 4 and rep.floor_passed
+
     def test_accounting(self):
         rep = sk.run_recovery_floor(dg_config())
         assert rep.trials == len(rep.records)
@@ -100,11 +115,13 @@ class TestOffsupportFloor:
         # re-pinned when the floor studies moved to one block solve: these
         # compressible trials are certified on the ADMM iterate, whose last
         # digits follow the block's gemm rounding (err_off_l1 moved by at
-        # most 7.4e-14); test_pinned_verdicts holds everything else
+        # most 7.4e-14); re-pinned again when BP kept the images of z and u
+        # instead of forming Phi (z - u) (90 of 445 fields moved, each by at
+        # most 1.2e-13); test_pinned_verdicts holds everything else
         text = sk.run_offsupport_floor(dg_config(magnitudes="compressible", trials=30)
                                        ).to_json(include_runtime=False)
         assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
-                == "3ddc80384d5199a59e92a92973423a545507615ed38eb377c6abab5a12419e03")
+                == "7be243b96f3e84b176fff3692a0f18f1a07dc5556e038dd6c12b084f021ffb0f")
 
     def test_pinned_verdicts(self):
         # the same payload without the float fields of its records: every

@@ -211,7 +211,9 @@ class TestNoisyBasisPursuit:
         one_short_iteration(monkeypatch)
         short = sk.basis_pursuit(d, obs.y, obs.eps_noise)
         assert not short.converged and short.info["certified_by"] is None
-        assert short.info["polish_calls"] == 1
+        # one step leaves z at zero: the check has no support to refit, so
+        # it polishes nothing and counts no polish call
+        assert short.info["polish_calls"] == 0
 
     @pytest.mark.parametrize("eps", [1e-28, 1e-30, 1e-100, 1e-150, 1e-300, 1e-307,
                                      5e-324])
@@ -225,6 +227,31 @@ class TestNoisyBasisPursuit:
         res = sk.basis_pursuit(d, d.entries @ x, eps)
         assert res.converged and res.feas_residual <= solvers.FEAS_TOL
         assert np.abs(res.x_hat - x).max() <= 1e-12
+
+    def test_rounding_off_the_range_is_forgiven_at_every_radius(self):
+        # rank 4 in m = 8: y = Phi x carries a rounding-level mass off the
+        # range of Phi, which eps = 0 forgives and so does every eps > 0,
+        # however far below that mass
+        g = sk.build_gaussian(4, 20, seed=1)
+        d = Dictionary("stacked", np.vstack([g.entries, g.entries]) / math.sqrt(2.0))
+        assert np.count_nonzero(d.frame[2]) == 4
+        x = np.zeros(d.N)
+        x[2], x[7] = 1.0, -1.0
+        y = d.entries @ x
+        base = sk.basis_pursuit(d, y, 0.0)
+        assert base.converged and np.abs(base.x_hat - x).max() <= 1e-12
+        for eps in (1e-30, 1e-20, 1e-16, 1e-14, 1e-10):
+            res = sk.basis_pursuit(d, y, eps)
+            assert res.converged and res.iterations == base.iterations
+            assert np.abs(res.x_hat - base.x_hat).max() <= 1e-9
+        # a y with a mass of 1e-6 off the range is refused below that radius
+        off = y + 1e-6 * np.repeat([1.0, -1.0], 4) / math.sqrt(8.0)
+        with pytest.raises(SolverInputError, match="not in the range of Phi"):
+            sk.basis_pursuit(d, off, 0.0)
+        for eps in (1e-30, 1e-8, 9e-7):
+            with pytest.raises(SolverInputError, match="projection failed"):
+                sk.basis_pursuit(d, off, eps)
+        assert sk.basis_pursuit(d, off, 2e-6).converged
 
     @pytest.mark.parametrize("sigma", [0.0, 0.01])
     @pytest.mark.parametrize("capped", [False, True])
@@ -709,9 +736,12 @@ def bp_block(d, k, count, model="unit", sigma=0.0, seed=5):
 
 class TestBpColumns:
     def test_width_one_is_the_one_vector_loop(self):
-        # pinned from the one-vector ADMM loop that the block kernel
-        # replaced, on solves certified on the raw iterate, whose floats
-        # carry every product of the loop
+        # the block kernel at width 1, on solves certified on the raw
+        # iterate, whose floats carry every product of a step: the
+        # projection's one dense product, z's image from its nonzero columns
+        # and u's kept image. Re-pinned when the kernel stopped forming
+        # Phi (z - u) densely: x_hat moved by at most 3.2e-14, and no
+        # iteration count, polish count or certificate route moved
         d = sk.build_delsarte_goethals(1)
         cfg = ExperimentConfig(family="dg", family_args={"s": 1}, k=2, eps=0.1,
                                trials=10, seed=3, magnitudes="compressible")
@@ -719,7 +749,7 @@ class TestBpColumns:
                    for t in range(10)]
         assert all(r.info["certified_by"] == "iterate" for r in results)
         assert (bp_digest(results)
-                == "16231a589eb08d3db7337d9e71ef186ceeeff06ec1a042416a64bf94ed0a814f")
+                == "7904fb7a68a91a84018ed8f39b6632fa55070e1d970555f08a4199a033eef7ec")
 
     @pytest.mark.parametrize("s, k, count, model, sigma", [
         (1, 2, 12, "unit", 0.0),
@@ -758,9 +788,9 @@ class TestBpColumns:
         widths = []
         project = solvers._project
 
-        def spy(a, spectrum, y, eps, rows):
+        def spy(a, spectrum, y, eps, rows, image=None):
             widths.append(rows.shape[0])
-            return project(a, spectrum, y, eps, rows)
+            return project(a, spectrum, y, eps, rows, image)
         monkeypatch.setattr(solvers, "_project", spy)
         monkeypatch.setattr(solvers, "MAX_ITER", 60)
         zero, cert, capped = solvers._bp_columns(
@@ -773,6 +803,60 @@ class TestBpColumns:
         inside = solvers._bp_columns(d, np.array([0.01 * easy, easy]), 0.05)[0]
         assert inside.converged and inside.iterations == 0 and not inside.x_hat.any()
 
+
+    def test_kept_images_match_the_products(self, monkeypatch):
+        # 1000 steps past sqrt(m) on dg s=1, no candidate ever certified:
+        # the image of z - u that each projection reads, kept by the step's
+        # own rules and re-anchored from u A^T at every check, stays the
+        # product it stands for, and so does the image of x that the
+        # projection writes back
+        monkeypatch.setattr(solvers, "MAX_ITER", 1000)
+        monkeypatch.setattr(solvers, "OBJ_TOL", -1.0)
+        d = sk.build_family("dg", s=1)
+        ys, _ = bp_block(d, 5, 3, seed=0)
+        drift = []
+        project = solvers._project
+
+        def off(image, rows):
+            ref = rows @ d.entries.T
+            return (np.linalg.norm(image - ref, axis=1)
+                    / (1.0 + np.linalg.norm(ref, axis=1))).max()
+
+        def spy(a, spectrum, y, eps, rows, image=None):
+            read = off(image, rows)
+            out = project(a, spectrum, y, eps, rows, image)
+            drift.append(max(read, off(image, out)))
+            return out
+        monkeypatch.setattr(solvers, "_project", spy)
+        block = solvers._bp_columns(d, ys.T, 0.0)
+        assert max(res.iterations for res in block) == 1000 == len(drift) - 1
+        assert max(drift) <= 1e-12
+
+    def test_polished_once_z_has_a_support(self, monkeypatch):
+        # dg s=2 at k=4: z is still zero at the first check, so that check
+        # polishes nothing and counts no polish call; the next two do
+        d = sk.build_family("dg", s=2)
+        y = bp_block(d, 4, 1)[0][:, 0]
+        polished = []
+        polish = solvers._polish_candidate
+
+        def spy(a, frame, y, eps, x, z, nu_admm=None):
+            polished.append(z.copy())
+            return polish(a, frame, y, eps, x, z, nu_admm)
+        monkeypatch.setattr(solvers, "_polish_candidate", spy)
+        res = sk.basis_pursuit(d, y, 0.0)
+        assert res.converged and res.iterations == 3 * solvers.CHECK_EVERY
+        assert res.info["polish_calls"] == len(polished) == 2
+        assert all((np.abs(z) > solvers.SUPPORT_THRESHOLD).any() for z in polished)
+        # capped at that first check, the row never leaves z = 0: it is
+        # still reported, on its iterate's own gap, unpolished and uncertified
+        monkeypatch.setattr(solvers, "MAX_ITER", solvers.CHECK_EVERY)
+        polished.clear()
+        capped = sk.basis_pursuit(d, y, 0.0)
+        assert not capped.converged and capped.iterations == solvers.CHECK_EVERY
+        assert capped.info["certified_by"] is None
+        assert capped.info["polish_calls"] == 0 and not polished
+        assert capped.info["duality_gap"] > 0 and capped.x_hat.any()
 
     def test_certified_column_is_reported_converged(self):
         # the gap of 1.5e-8 at ||x||_1 = 0.5 sits exactly on the certificate's
