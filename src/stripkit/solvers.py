@@ -302,7 +302,7 @@ def _project(a: np.ndarray, spectrum, y: np.ndarray, eps: np.ndarray,
     if image is None:
         image, rows = rows @ a.T, rows.copy()
     d = image - y
-    inside = _row_norms(d) <= eps      # rows already in their ball stay
+    inside = _row_norms(d) <= eps
     coef = d @ v
     if not eps.any():
         # the minimum-norm correction, in the range of A A^T
@@ -316,8 +316,7 @@ def _project(a: np.ndarray, spectrum, y: np.ndarray, eps: np.ndarray,
                     np.divide(lam * dt, 1.0 + lam * w, out=dt)
                 else:       # the minimum-norm correction, as at eps zero
                     dt /= np.where(mask, w, np.inf)
-    if np.count_nonzero(inside):
-        coef[inside] = 0.0
+    coef[inside] = 0.0      # rows already in their ball stay
     rows -= (coef @ v.T) @ a
     image -= (coef * w) @ v.T
     return rows
