@@ -223,13 +223,13 @@ def _multiplier(w: np.ndarray, dt: np.ndarray, eps: float,
     the range): then the limit inf is returned, as at eps zero. Safeguarded
     Newton on the secular equation phi(lam) = 1/||dt / (1 + lam w)|| - 1/eps,
     which is increasing and concave, so a step from the infeasible side
-    stays infeasible and converges monotonically. The bracket [lo, hi] has lo infeasible and
-    hi feasible; a step that leaves it falls back to bisection (or to
-    growing lo while no feasible point is known). Returns hi, or the limit
-    inf, where the projection is the minimum-norm correction, once lam is
-    past float arithmetic: 1/eps overflows (a subnormal eps), every term of
-    the residual underflows to zero, the next lam w overflows, or no float
-    lam is found to reach eps.
+    stays infeasible and converges monotonically. The bracket [lo, hi] has
+    lo infeasible and hi feasible; a step that leaves it falls back to
+    bisection (or to growing lo while no feasible point is known). Returns
+    hi, or the limit inf, where the projection is the minimum-norm
+    correction, once lam is past float arithmetic: 1/eps overflows (a
+    subnormal eps), every term of the residual underflows to zero, the next
+    lam w overflows, or no float lam is found to reach eps.
     """
     eps, top = float(eps), float(w[-1])
     floor = 1e-14 * top         # frame_spectrum's mask keeps w above it
@@ -517,8 +517,8 @@ def _bp_columns(d: Dictionary, ys: np.ndarray, eps_noise: float) -> list:
         # drifts for at most CHECK_EVERY steps
         u_img[due] = u[due] @ a.T
         ready = (np.abs(z[due]) > SUPPORT_THRESHOLD).any(axis=1)
-        for i, nu_admm, has_support in zip(due, _range_solve(*spectrum, RHO * u_img[due]),
-                                           ready):
+        nus = _range_solve(*spectrum, RHO * u_img[due])
+        for i, nu_admm, has_support in zip(due, nus, ready):
             if not has_support:
                 # nothing to refit, and the dense iterate's sign fit, the
                 # costliest step of a polish, cannot certify while z is zero

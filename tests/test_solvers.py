@@ -803,7 +803,6 @@ class TestBpColumns:
         inside = solvers._bp_columns(d, np.array([0.01 * easy, easy]), 0.05)[0]
         assert inside.converged and inside.iterations == 0 and not inside.x_hat.any()
 
-
     def test_kept_images_match_the_products(self, monkeypatch):
         # 1000 steps past sqrt(m) on dg s=1, no candidate ever certified:
         # the image of z - u that each projection reads, kept by the step's
