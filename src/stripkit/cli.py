@@ -190,15 +190,11 @@ def _cmd_experiment(args) -> int:
         config.seed = args.seed
     if args.jobs is not None:
         config.jobs = args.jobs
-    if config.k_range:
-        reports = ex.sweep(config)
-        if args.csv:
-            ex.sweep_csv(reports, args.csv)
-    else:
-        run = ex.run_lasso_study if config.solver == "lasso" else ex.run_recovery_floor
-        reports = [run(config)]
-        if args.csv:
-            ex.records_csv(reports[0].records, args.csv)
+    reports = ex.sweep(config)
+    if args.csv and config.k_range:
+        ex.sweep_csv(reports, args.csv)
+    elif args.csv:
+        ex.records_csv(reports[0].records, args.csv)
     payload = [r.as_dict() for r in reports]
     _emit(payload if config.k_range else payload[0], args.out)
     return 1 if any(r.floor_asserted and not r.floor_passed for r in reports) else 0

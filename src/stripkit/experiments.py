@@ -1,26 +1,22 @@
-"""End-to-end recovery studies: guarantee floors, Lasso ratio reports, and
-phase-transition sweeps.
+"""Recovery studies: guarantee floors, Lasso ratio reports and sweeps over k.
 
-Each trial draws its instance from its own rng stream (seed, "trial", t).
-Trials run in fixed blocks of TRIAL_BLOCK consecutive indices, one block per
-worker task with jobs > 1 and several blocks. A Lasso block is one
-multi-column solve, padded to the full block width with zero observations;
-the solve sheds settled columns only in whole groups of solvers.LASSO_GROUP
-(8), widths at which a gemm rounds a column the same, so the floats of
-record t depend only on (seed, t) (pinned by
+A study kind is one entry of ``_STUDIES``. ``run_recovery_floor``,
+``run_offsupport_floor`` and ``run_lasso_study`` each run one kind; ``sweep``
+runs the kind the config's solver selects at each k of k_range.
+
+Trial t draws its instance from the rng stream (seed, "trial", t), and trials
+run in blocks of TRIAL_BLOCK indices (``_run_trials``). Reports are
+byte-identical across reruns and worker counts. Lasso reports are so across
+trial counts too: a Lasso block is padded to its full width and sheds settled
+columns only in whole groups of solvers.LASSO_GROUP (8), widths at which a
+gemm rounds a column the same (pinned by
 test_lasso_records_do_not_depend_on_trial_count in tests/test_experiments.py
-and the TestLassoColumns digests in tests/test_solvers.py). A noiseless BP
-block is one block solve over the block's trials, unpadded: a column leaves
-the solve when it settles, so padding would only add work. Reports are
-therefore byte-identical across reruns and worker counts, and Lasso reports
-across trial counts too. A BP record is not bound to its trial count: a
-shorter study may cut its last block short, and a gemm rounds a column by
-the block's width, so the ADMM iterate drifts in its last digits. A refit
-estimate depends only on the support and signs it was fitted on, but which
-support is detected, whether the refit certifies and at which iteration
-still follow the iterate, and an estimate certified on the iterate moves
-with it. The wall-clock runtime is the only non-reproducible field and is
-kept out of the comparison payload.
+and the TestLassoColumns digests in tests/test_solvers.py). A BP record is
+not: a shorter study may cut its last block short, a gemm rounds a column by
+the block's width, and the support detected, whether its refit certifies and
+at which iteration all follow the drifting ADMM iterate. The wall-clock
+runtime is the only non-reproducible field and is kept out of the comparison
+payload.
 """
 
 from __future__ import annotations
@@ -32,7 +28,8 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -138,22 +135,8 @@ class ExperimentReport:
                           allow_nan=False)
 
 
-def _binomial_margin(floor: float, trials: int) -> float:
-    return 3.0 * math.sqrt(max(floor * (1.0 - floor), 0.0) / trials)
-
-
-def _fraction(records, key, converged_only=True):
-    pool = [r for r in records if r["converged"]] if converged_only else records
-    if not pool:
-        return 0.0
-    return sum(1 for r in pool if r[key]) / len(pool)
-
-
-def _uniform_recovery_threshold(mu: float) -> float:
-    """Sparsity below which l1 recovery is guaranteed for every sign pattern."""
-    if mu <= 0:
-        return math.inf
-    return 0.5 * (1.0 + 1.0 / mu)
+def _fraction(pool, key) -> float:
+    return sum(1 for r in pool if r[key]) / len(pool) if pool else 0.0
 
 
 def _trial_instance(d: Dictionary, config: ExperimentConfig, t: int) -> SignalInstance:
@@ -222,61 +205,18 @@ _BP_FRACTIONS = {"frac_l2": "ok_l2", "frac_l1": "ok_l1", "frac_both": "ok_both",
                  "support_rate": "support_recovered"}
 
 
-def _floor_study(config: ExperimentConfig, d: Optional[Dictionary], kind: str,
-                 multiplier: float, clause: str, keys) -> ExperimentReport:
-    """Noiseless BP trials against the floor 1 - multiplier * eps, decided by
-    the aggregate ``clause``; the report keeps the aggregate ``keys``.
-
-    The floor is asserted (exit-code relevant) only from MIN_TRIALS_FOR_FLOOR
-    trials and in the deterministic-oracle regime k < (1 + 1/mu)/2. At k = 0
-    the zero signal is recovered exactly and no trial runs.
-    """
-    config.validate()
-    if config.solver != "bp":
-        raise ValueError(f"a floor study runs bp, not solver={config.solver}")
-    t0 = time.perf_counter()
-    d = d or config.load_dictionary()
-    floor = max(0.0, 1.0 - multiplier * config.eps)
-    if config.k == 0:
-        agg = {**dict.fromkeys(_BP_FRACTIONS, 1.0),
-               "mean_err_on_l2": 0.0, "median_err_on_l2": 0.0}
-        return ExperimentReport(kind, asdict(config), 0, 0, [],
-                                {key: agg[key] for key in keys}, floor=floor,
-                                runtime_seconds=time.perf_counter() - t0)
-    records = _run_trials(_bp_block, d, config)
+def _bp_aggregate(records, keys=(*_BP_FRACTIONS, "mean_err_on_l2",
+                                  "median_err_on_l2")) -> dict:
+    """The BP rates (among converged trials) and on-support errors named in
+    ``keys``. No record is a floor study at k = 0, whose zero signal is
+    recovered exactly: every rate 1 and every error 0."""
     conv = [r for r in records if r["converged"]]
-    agg = {name: _fraction(records, key) for name, key in _BP_FRACTIONS.items()}
-    errs = [r["err_on_l2"] for r in conv]
-    agg["mean_err_on_l2"] = float(np.mean(errs)) if conv else None
-    agg["median_err_on_l2"] = float(np.median(errs)) if conv else None
-    margin = _binomial_margin(floor, config.trials)
-    asserted = (config.trials >= MIN_TRIALS_FOR_FLOOR
-                and config.k < _uniform_recovery_threshold(d.mu))
-    return ExperimentReport(kind, asdict(config), config.trials, len(conv),
-                            records, {key: agg[key] for key in keys},
-                            floor=floor, floor_margin=margin,
-                            floor_asserted=asserted,
-                            floor_passed=agg[clause] >= floor - margin,
-                            runtime_seconds=time.perf_counter() - t0)
-
-
-def run_recovery_floor(config: ExperimentConfig,
-                       d: Optional[Dictionary] = None) -> ExperimentReport:
-    """Noiseless Basis Pursuit study against the 1 - 3 eps guarantee floor.
-
-    Per trial: generic random signal, y = Phi x, BP at eps = 0, both error
-    bounds evaluated; the floor is checked on the fraction meeting both.
-    """
-    return _floor_study(config, d, "bp_floor", 3.0, "frac_both",
-                        (*_BP_FRACTIONS, "mean_err_on_l2", "median_err_on_l2"))
-
-
-def run_offsupport_floor(config: ExperimentConfig,
-                         d: Optional[Dictionary] = None) -> ExperimentReport:
-    """Off-support l1 bound study with the weaker 1 - 4 eps floor: aggregates
-    only the l1 clause plus support detection."""
-    return _floor_study(config, d, "bp_offsupport_floor", 4.0, "frac_l1",
-                        ("frac_l1", "support_rate", "frac_certificate"))
+    errs = [r["err_on_l2"] for r in conv] if records else [0.0]
+    agg = {name: _fraction(conv, key) if records else 1.0
+           for name, key in _BP_FRACTIONS.items()}
+    agg["mean_err_on_l2"] = float(np.mean(errs)) if errs else None
+    agg["median_err_on_l2"] = float(np.median(errs)) if errs else None
+    return {key: agg[key] for key in keys}
 
 
 def _lasso_block(d: Dictionary, config: ExperimentConfig, block: range) -> list:
@@ -295,14 +235,17 @@ def _lasso_record(d: Dictionary, config: ExperimentConfig, t: int,
                   inst: SignalInstance, res: RecoveryResult) -> dict:
     conds = cp_conditions(d, inst.support, inst.signs, inst.z)
     compressed_err = float(np.linalg.norm(d.entries @ (inst.x - res.x_hat)) ** 2)
-    ratio = compressed_err / (config.k * math.log(d.N) * config.sigma ** 2)
+    scale = config.k * math.log(d.N) * config.sigma ** 2
+    if not scale > 0:
+        raise ValueError(f"the Lasso ratio divides by k ln(N) sigma^2 = {scale!r}: it needs"
+                         f" N >= 2 (N={d.N}) and sigma^2 > 0 (sigma={config.sigma!r})")
     return {
         "trial": t,
         "converged": bool(res.converged),
         "iterations": res.iterations,
         "kkt_residual": res.kkt_residual,
         "compressed_err_sq": compressed_err,
-        "ratio": ratio,
+        "ratio": compressed_err / scale,
         "cond_inverse_gram": conds.inverse_gram_ok,
         "cond_noise_correlation": conds.noise_correlation_ok,
         "cond_certificate": conds.certificate_ok,
@@ -310,52 +253,112 @@ def _lasso_record(d: Dictionary, config: ExperimentConfig, t: int,
     }
 
 
+def _lasso_aggregate(records) -> dict:
+    """Each condition's fraction over all trials; the ratio's max and median
+    over the converged ones."""
+    ratios = [r["ratio"] for r in records if r["converged"]]
+    conds = ("cond_inverse_gram", "cond_noise_correlation", "cond_certificate",
+             "cond_all")
+    return {**{f"frac_{key}": _fraction(records, key) for key in conds},
+            "ratio_max": max(ratios) if ratios else None,
+            "ratio_median": float(np.median(ratios)) if ratios else None}
+
+
+class _Study(NamedTuple):
+    solver: str
+    block: Callable                 # block worker for _run_trials
+    aggregate: Callable             # records -> the report's aggregate
+    floor: Optional[tuple] = None   # (c, clause): floor 1 - c eps on aggregate[clause]
+    rates: Optional[tuple] = None   # aggregate keys of a sweep CSV row (None: all)
+
+
+_STUDIES = {
+    "bp_floor": _Study("bp", _bp_block, _bp_aggregate, (3.0, "frac_both"),
+                       ("frac_l2", "frac_l1", "frac_both", "support_rate")),
+    "bp_offsupport_floor": _Study("bp", _bp_block, partial(
+        _bp_aggregate, keys=("frac_l1", "support_rate", "frac_certificate")),
+        (4.0, "frac_l1")),
+    "lasso_study": _Study("lasso", _lasso_block, _lasso_aggregate),
+}
+
+
+def _run_study(kind: str, config: ExperimentConfig,
+               d: Optional[Dictionary]) -> ExperimentReport:
+    """The study ``kind`` of _STUDIES: its trials, their aggregate and its
+    floor, if it has one, with a 3-sigma binomial margin.
+
+    A floor is asserted (exit-code relevant) only from MIN_TRIALS_FOR_FLOOR
+    trials and where l1 recovers every sign pattern, k < (1 + 1/mu)/2. A floor
+    study at k = 0 runs no trial: the zero signal is recovered exactly.
+    """
+    study = _STUDIES[kind]
+    config.validate()
+    if config.solver != study.solver:
+        raise ValueError(f"a {study.solver} study runs {study.solver}, "
+                         f"not solver={config.solver}")
+    t0 = time.perf_counter()
+    d = d or config.load_dictionary()
+    skip = config.k == 0 and study.floor is not None
+    records = [] if skip else _run_trials(study.block, d, config)
+    rep = ExperimentReport(kind, asdict(config), len(records),
+                           sum(r["converged"] for r in records), records,
+                           study.aggregate(records))
+    if study.floor is not None:
+        multiplier, clause = study.floor
+        rep.floor = floor = max(0.0, 1.0 - multiplier * config.eps)
+        if records:
+            rep.floor_margin = 3.0 * math.sqrt(floor * (1.0 - floor) / config.trials)
+            rep.floor_asserted = (config.trials >= MIN_TRIALS_FOR_FLOOR
+                                  and (d.mu <= 0 or config.k < 0.5 * (1.0 + 1.0 / d.mu)))
+            rep.floor_passed = rep.aggregate[clause] >= floor - rep.floor_margin
+    rep.runtime_seconds = time.perf_counter() - t0
+    return rep
+
+
+def run_recovery_floor(config: ExperimentConfig,
+                       d: Optional[Dictionary] = None) -> ExperimentReport:
+    """Noiseless Basis Pursuit study against the 1 - 3 eps guarantee floor.
+
+    Per trial: generic random signal, y = Phi x, BP at eps = 0, both error
+    bounds evaluated; the floor is checked on the fraction meeting both.
+    """
+    return _run_study("bp_floor", config, d)
+
+
+def run_offsupport_floor(config: ExperimentConfig,
+                         d: Optional[Dictionary] = None) -> ExperimentReport:
+    """Off-support l1 bound study with the weaker 1 - 4 eps floor: aggregates
+    only the l1 clause plus support detection."""
+    return _run_study("bp_offsupport_floor", config, d)
+
+
 def run_lasso_study(config: ExperimentConfig,
                     d: Optional[Dictionary] = None) -> ExperimentReport:
     """Lasso at the standard 2 sqrt(2 ln N) regularization: condition
     fractions and the compressed-error ratio distribution; no floor assertion
     (the guarantee constant is not pinned numerically)."""
-    config.validate()
-    if config.solver != "lasso":
-        raise ValueError(f"a lasso study runs lasso, not solver={config.solver}")
-    t0 = time.perf_counter()
-    d = d or config.load_dictionary()
-    records = _run_trials(_lasso_block, d, config)
-    conv = [r for r in records if r["converged"]]
-    ratios = [r["ratio"] for r in conv]
-    agg = {
-        "frac_cond_inverse_gram": _fraction(records, "cond_inverse_gram", False),
-        "frac_cond_noise_correlation": _fraction(records, "cond_noise_correlation", False),
-        "frac_cond_certificate": _fraction(records, "cond_certificate", False),
-        "frac_cond_all": _fraction(records, "cond_all", False),
-        "ratio_max": max(ratios) if ratios else None,
-        "ratio_median": float(np.median(ratios)) if ratios else None,
-    }
-    return ExperimentReport("lasso_study", asdict(config), config.trials,
-                            len(conv), records, agg,
-                            runtime_seconds=time.perf_counter() - t0)
+    return _run_study("lasso_study", config, d)
 
 
 def sweep(config: ExperimentConfig,
           d: Optional[Dictionary] = None) -> list:
-    """run_recovery_floor per k in k_range; one report each."""
+    """One report per k in k_range, or the one at k without a k_range, each
+    from the study config.solver selects (bp_floor or lasso_study)."""
     config.validate()
-    if not config.k_range:
-        raise ValueError("sweep needs a k_range")
+    kind = next(kind for kind, study in _STUDIES.items()
+                if study.solver == config.solver)
     d = d or config.load_dictionary()
-    reports = []
-    for k in config.k_range:
-        sub = replace(config, k=int(k), k_range=None)
-        reports.append(run_recovery_floor(sub, d))
-    return reports
+    return [_run_study(kind, replace(config, k=int(k), k_range=None), d)
+            for k in config.k_range or [config.k]]
 
 
 def sweep_csv(reports: list, path) -> None:
-    """One CSV row per ``sweep`` report: its k, trials, converged and rates."""
-    rates = ("frac_l2", "frac_l1", "frac_both", "support_rate")
+    """One CSV row per ``sweep`` report: its k, trials, converged and the
+    aggregate keys its study's ``rates`` name (None: every key)."""
     records_csv([{"k": rep.config["k"], "trials": rep.trials,
                   "converged": rep.converged,
-                  **{key: rep.aggregate[key] for key in rates}}
+                  **{key: rep.aggregate[key]
+                     for key in _STUDIES[rep.kind].rates or rep.aggregate}}
                  for rep in reports], path)
 
 

@@ -19,6 +19,7 @@ from stripkit.solvers import SolverInputError
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 SRC = Path(__file__).resolve().parent.parent / "src"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def load_schema(name):
@@ -626,6 +627,51 @@ class TestExperiment:
         assert [line.split(",")[:2] for line in lines[1:]] == [
             ["1", "2"], ["2", "2"], ["3", "2"]]
 
+    def test_lasso_sweep(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text('family=dg\nfamily_args={"s": 1}\nk_range=1,2\nsigma=0.1\n'
+                       'solver=lasso\ntrials=2\nseed=2\n')
+        out, csv = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out),
+                     "--csv", str(csv)]) == 0
+        payload = json.loads(out.read_text())
+        assert [report["config"]["k"] for report in payload] == [1, 2]
+        for report in payload:
+            jsonschema.validate(report, load_schema("experiment_report.v1.json"))
+            assert report["kind"] == "lasso_study"
+        lines = csv.read_text().strip().splitlines()
+        assert len(lines) == 3
+        assert lines[0] == ("k,trials,converged,frac_cond_inverse_gram,"
+                            "frac_cond_noise_correlation,frac_cond_certificate,"
+                            "frac_cond_all,ratio_max,ratio_median")
+
+    def test_lasso_on_one_column_exits_2(self, tmp_path, capsys):
+        # k ln N is 0 at N = 1: the ratio once divided by it and exited 1
+        # with a traceback
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text('family=gaussian\nfamily_args={"m": 3, "N": 1}\nk=1\n'
+                       'sigma=0.1\nlam=1\nsolver=lasso\ntrials=2\n')
+        out = tmp_path / "report.json"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "needs N >= 2 (N=1)" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
+    def test_phase_transition_pinned(self, tmp_path):
+        # configs/phase_transition_dg1.cfg: the whole JSON without its
+        # runtimes and the CSV bytes, pinned before the study drivers were
+        # merged into one
+        out, csv = tmp_path / "pt.json", tmp_path / "pt.csv"
+        assert main(["experiment", "--config", str(CONFIGS / "phase_transition_dg1.cfg"),
+                     "--out", str(out), "--csv", str(csv)]) == 0
+        payload = json.loads(out.read_text())
+        for report in payload:
+            report.pop("runtime_seconds")
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
+                == "703944f3e1fe977e2eb0b6c2d79cc6fbab313eab9eae0e5c3da087c8efe36c4c")
+        assert (hashlib.sha256(csv.read_bytes()).hexdigest()
+                == "4db80611b6259734e13587ef2d25512e586186a878367742519288e6a2012a9f")
+
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mystery=1\n")
@@ -677,8 +723,6 @@ class TestExperiment:
         "bp sigma": ({"sigma": "0.5"}, "the bp floor study is noiseless"),
         "magnitudes unknown": ({"magnitudes": "gaussian"},
                                "unknown magnitude model 'gaussian'"),
-        "lasso sweep": ({"solver": "lasso", "sigma": "0.1", "k_range": "1,2"},
-                        "a floor study runs bp, not solver=lasso"),
         "k_range empty": ({"k_range": ""}, "k_range needs at least one k"),
         "family_args negative seed": ({"family": "gaussian",
                                        "family_args": '{"m": 4, "N": 8, "seed": -1}'},

@@ -2,6 +2,7 @@ import hashlib
 import json
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,23 @@ class TestLassoStudy:
         payload = json.loads(rep.to_json())
         assert payload["aggregate"]["frac_cond_all"] == 0.0
 
+    def test_refuses_a_ratio_scale_that_underflows(self):
+        # sigma^2 underflows to 0 while lam sigma^2 does not: the ratio once
+        # divided by 0
+        cfg = dg_config(trials=2, sigma=1e-170, lam=1e300, solver="lasso")
+        with pytest.raises(ValueError, match=r"sigma\^2 > 0 \(sigma=1e-170\)"):
+            sk.run_lasso_study(cfg)
+
+    def test_pinned_payload(self):
+        # dg s=1, k=2, sigma=0.01, 6 trials, seed 0: every record float and
+        # aggregate of a whole Lasso study report, pinned before the study
+        # drivers were merged into one
+        rep = sk.run_lasso_study(dg_config(k=2, sigma=0.01, trials=6, seed=0,
+                                           solver="lasso"))
+        text = rep.to_json(include_runtime=False)
+        assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
+                == "c91b9141c692f51fd157ddc136356557b87258b2da939364b2d1ead34fc15d68")
+
     def test_non_finite_report_is_refused(self):
         rep = ExperimentReport("lasso_study", {}, 0, 0, [], {"ratio_max": float("nan")})
         with pytest.raises(ValueError, match="not JSON compliant"):
@@ -202,6 +220,28 @@ class TestSweep:
         rows = path.read_text().strip().splitlines()
         assert rows[0].startswith("k,") and len(rows) == 6
 
+
+    @pytest.mark.parametrize("run, over, k_range", [
+        (sk.run_recovery_floor, {}, [0, 1, 3]),
+        (sk.run_lasso_study, {"sigma": 0.01, "solver": "lasso"}, [1, 3]),
+    ], ids=["bp", "lasso"])
+    def test_each_report_is_the_direct_run_at_its_k(self, run, over, k_range):
+        d = sk.build_delsarte_goethals(1)
+        cfg = dg_config(k_range=k_range, trials=6, **over)
+        swept = [rep.to_json(include_runtime=False) for rep in sk.sweep(cfg, d=d)]
+        assert swept == [run(replace(cfg, k=k, k_range=None), d=d).to_json(
+            include_runtime=False) for k in k_range]
+
+    @pytest.mark.parametrize("over", [{}, {"sigma": 0.01, "solver": "lasso"}],
+                             ids=["bp", "lasso"])
+    def test_jobs_do_not_change_a_sweep(self, over, monkeypatch):
+        # three blocks of 4 per k, spread over two workers
+        monkeypatch.setattr(sk.experiments, "TRIAL_BLOCK", 4)
+        texts = [[rep.to_json(include_runtime=False)
+                  for rep in sk.sweep(dg_config(k_range=[1, 3], trials=10, jobs=jobs,
+                                                **over))]
+                 for jobs in (1, 2)]
+        assert texts[0] == texts[1]
 
     def test_gram_formed_once_per_dictionary(self, monkeypatch):
         calls = []
