@@ -68,10 +68,12 @@ class ExperimentConfig:
             raise ValueError("configure exactly one of family / dictionary_path")
         if not isinstance(self.family_args, dict):
             raise ValueError("family_args must be a JSON object")
-        if self.k < 0:
-            raise ValueError("k must be nonnegative")
         if self.k_range == []:
             raise ValueError("k_range needs at least one k")
+        if min([self.k, *(self.k_range or ())]) < 0:
+            raise ValueError("k must be nonnegative")
+        if self.solver == "lasso" and 0 in (self.k_range or [self.k]):
+            raise ValueError("the lasso study needs k >= 1: its ratio divides by k")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         check_seed(self.seed)

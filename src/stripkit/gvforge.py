@@ -10,9 +10,11 @@ out-of-band codewords, as in Porat and Rothschild (IEEE Trans. IT, 2011).
 Codewords with equal decided weight and pending row parity contribute alike,
 so each decision sums over a histogram of those pairs: the pending parities
 of a group of codeword indices double from the previous group's and the bit
-just decided, and the per-weight probabilities come from one Pascal prefix
-row of binomial counts, stepped down a row per generator row. All
-probabilities are dyadic rationals, so the bookkeeping stays in exact
+just decided, and the per-weight probabilities come from one Pascal row of
+binomial counts, stepped down a row per generator row. By Pascal's rule a
+decision's two branches average to the expectation before it, so one exact
+sum decides each bit, and the decided ones are updated once per row.
+All probabilities are dyadic rationals, so the bookkeeping stays in exact
 integer arithmetic (numerator at scale 2^m), equal to a per-codeword sum.
 
 A spec is refused up front (``GvSpecError``) when m, given or auto-sized,
@@ -25,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from operator import mul
 from typing import Optional
 
@@ -133,14 +134,13 @@ def gv_random(spec: GvSpec, seed: int) -> GvResult:
                     out_of_band=bad)
 
 
-def _step_down(prefix: list) -> list:
-    """Pascal prefix row r - 1 from row r, a row r being
-    prefix[x + 1] = sum_{j<=x} C(r, j) for x = 0..r with prefix[0] = 0.
-    Pascal's rule C(r, x) = C(r-1, x) + C(r-1, x-1) gives
-    prefix_r[x + 1] = prefix_(r-1)[x + 1] + prefix_(r-1)[x], solved for
-    prefix_(r-1)[x + 1] from x = 0 up."""
+def _step_down(row: list) -> list:
+    """Pascal row r - 1 from row r, a row r being C(r, x) for x = 0..r:
+    Pascal's rule C(r, x) = C(r-1, x) + C(r-1, x-1) solved for C(r-1, x)
+    from x = 0 up. Prefix rows, prefix[x + 1] = sum_{j<=x} C(r, j) with
+    prefix[0] = 0, obey the same rule and step down alike."""
     last = 0                     # each entry is v minus the one before it
-    return [last := v - last for v in prefix[:-1]]
+    return [last := v - last for v in row[:-1]]
 
 
 def gv_derandomized(spec: GvSpec) -> GvResult:
@@ -154,41 +154,29 @@ def gv_derandomized(spec: GvSpec) -> GvResult:
     masked by r) double: P_0 = [0] and P_{j+1} = [P_j, P_j xor b_j], where
     b_j is the bit just decided. So one buffer holds them, and the slice
     the doubling fills, P_j xor b_j, is also the row-i bit each index of
-    group j adds to its decided ones. The running expectation (kept as an
-    exact integer numerator at scale 2^m) never increases because each
-    decided bit picks the smaller branch of an average.
+    group j adds to its decided ones, at the row's end, as they are read
+    only at decision j. The running expectation (kept as an exact integer
+    numerator at scale 2^m) never increases because each decided bit picks
+    the smaller branch of an average.
 
     Every index in a group has m - i rows left, so its change under either
-    branch depends only on its (decided ones o, pending parity) pair: it
-    moves from the row's table before[o] to after[o] ("stay") or to
-    after[o + 1] ("move"). Both tables are formed once per row, over the
-    decided-ones range only, from one Pascal prefix row of binomial counts
-    that steps down a row per generator row; a row's after table is the
-    next row's before table. Each branch sum is then one exact integer dot
-    product of the pair counts with the stay and move differences, the same
-    integer a per-codeword loop adds up.
+    branch depends only on its (decided ones o, pending parity) pair: its
+    row-i bit adds 0 or 1 to o. With r = m - 1 - i rows left after the
+    row, Pascal's rule makes its out-of-band probability before the row the
+    mean of those at o and o + 1 after it. Adding 0 changes it by half
+    their difference, 2^-(r+1) (C(r, lo-1-o) - C(r, hi-o)), and adding 1 by
+    minus that, so the bit-1 sum is minus the bit-0 sum. One Pascal row of
+    binomial counts, stepped down a row per generator row, gives these
+    changes once per row over the decided-ones range only. A decision is
+    then one exact integer dot product of the pair counts with them, the
+    same integer a per-codeword loop adds up; its bit is 0 unless that sum
+    is positive.
     """
     m, l, N = spec.m, spec.l, spec.N
     lo, hi = spec.band
     scale = 1 << m
-
-    def outside(prefix: list, least: int, most: int) -> list:
-        """2^m P(out of band) for least..most decided ones, ``prefix`` being
-        the Pascal prefix row P of the r rows left: the count inside the band
-        is P(hi + 1 - o) - P(lo - o), with P(x) = 0 below the row and 2^r
-        above it."""
-        r = len(prefix) - 2
-        shift = m - r
-        below = max(most - lo, 0)
-        ext = [0] * below + prefix + prefix[-1:] * max(hi - least - r, 0)
-        upper = ext[below + hi + 1 - most:below + hi + 2 - least]
-        lower = ext[below + lo - most:below + lo + 1 - least]
-        return [scale - ((u - v) << shift)
-                for u, v in zip(reversed(upper), reversed(lower))]
-
-    prefix = list(accumulate((math.comb(m, x) for x in range(m + 1)), initial=0))
-    after = outside(prefix, 0, 0)
-    total = (N - 1) * after[0]
+    binom = [math.comb(m, x) for x in range(m + 1)]
+    total = (N - 1) * (scale - sum(binom[lo:hi + 1]))
     initial = Fraction(total, scale)
     if initial >= 1:
         auto = spec.auto_m()
@@ -205,31 +193,29 @@ def gv_derandomized(spec: GvSpec) -> GvResult:
     groups = [(twice[size:2 * size], parity[:size], parity[size:2 * size])
               for size in (1 << j for j in range(l))]
     rows = []
-    # after[k] is 2^m P(out of band) for first + k decided ones and m - i
-    # rows left: the before table of row i
-    first = 0
+    pad = [0] * (m + 1)
 
-    for _ in range(m):
+    for i in range(m):
         low, high = int(twice[1:].min()) // 2, int(twice[1:].max()) // 2
-        before = after[low - first:high - first + 1]
-        prefix = _step_down(prefix)
-        first, after = low, outside(prefix, low, high + 1)
-        stay = [a - b for a, b in zip(after, before)]
-        move = [a - b for a, b in zip(after[1:], before)]
-        # differences per key 2 (o - low) + parity under bit 0, resp. bit 1
-        diffs = ([d for pair in zip(stay, move) for d in pair],
-                 [d for pair in zip(move, stay) for d in pair])
+        binom = _step_down(binom)
+        ext = pad + binom + pad          # ext[x + m + 1] = C(r, x), r = m - 1 - i
+        # an index at o ones changes the expectation by stay[o] (at scale 2^m)
+        # when it adds 0 and by -stay[o] when it adds 1; under bit 0 the
+        # index of key 2 (o - low) + parity adds its parity
+        stay = [(ext[lo + m - o] - ext[hi + m + 1 - o]) << i
+                for o in range(low, high + 1)]
+        diffs = [d for s in stay for d in (s, -s)]
         row = []
         for group, pending, row_bits in groups:
             counts = np.bincount(group + pending)[2 * low:].tolist()
-            delta = [sum(map(mul, counts, d)) for d in diffs]
-            bit = 0 if delta[0] <= delta[1] else 1
+            delta = sum(map(mul, counts, diffs))
+            bit = 0 if delta <= 0 else 1
             row.append(bit)
-            total += delta[bit]
+            total -= abs(delta)              # the smaller of delta and -delta
             trace.append(Fraction(total, scale))
             np.bitwise_xor(pending, bit, out=row_bits)
-            group += row_bits            # twice, as group holds 2 x ones
-            group += row_bits
+        # group j's row bits are left in parity[2^j:2^(j+1)]; parity[0] = 0
+        twice += 2 * parity
         rows.append(row)
 
     generator = np.array(rows, dtype=np.uint8)

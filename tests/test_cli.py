@@ -724,6 +724,9 @@ class TestExperiment:
         "magnitudes unknown": ({"magnitudes": "gaussian"},
                                "unknown magnitude model 'gaussian'"),
         "k_range empty": ({"k_range": ""}, "k_range needs at least one k"),
+        "k_range negative": ({"k_range": "1,2,-1"}, "k must be nonnegative"),
+        "lasso k_range zero": ({"k_range": "1,2,0", "solver": "lasso", "sigma": "0.01"},
+                               "the lasso study needs k >= 1"),
         "family_args negative seed": ({"family": "gaussian",
                                        "family_args": '{"m": 4, "N": 8, "seed": -1}'},
                                       "seed must be nonnegative, got -1"),

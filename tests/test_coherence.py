@@ -359,14 +359,15 @@ class TestExactLevels:
         assert peak <= 2 ** 20
 
     def test_dg_s3_is_fast(self, monkeypatch):
-        # the blocked scan took about 17 s for mu and 26 s for the profile
+        # the blocked scan took about 17 s for mu and 26 s for the profile;
+        # CPU time of this process, so a loaded host does not fail the bounds
         d = sk.build_delsarte_goethals(3)
         no_scan(monkeypatch)
-        start = time.perf_counter()
+        start = time.process_time()
         mu = d.mu
-        mu_s = time.perf_counter() - start
+        mu_s = time.process_time() - start
         p = sk.coherence_profile(d)
-        profile_s = time.perf_counter() - start - mu_s
+        profile_s = time.process_time() - start - mu_s
         assert mu == p.mu == 1 / 16 and p.gram_offdiag_count == 2
         assert mu_s < 0.1 and profile_s < 0.5
 

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -47,10 +48,12 @@ class _BandTables:
         return (total - self.inside(decided_ones, remaining)) << (self.m - remaining)
 
 
-def per_codeword_oracle(spec: GvSpec):
+def per_codeword_oracle(spec: GvSpec, branches: Optional[list] = None):
     """Reference derandomization: the per-codeword decision loop, one exact
     ``outside_scaled`` difference per codeword and branch. Returns
-    (generator, expectation trace), or None when the band is infeasible."""
+    (generator, expectation trace), or None when the band is infeasible.
+    A given ``branches`` list receives (E_before, E_0, E_1) per decision:
+    the expectation before it and under either bit."""
     m, l, N = spec.m, spec.l, spec.N
     lo, hi = spec.band
     tables = _BandTables(m, lo, hi)
@@ -77,6 +80,9 @@ def per_codeword_oracle(spec: GvSpec):
                     par = partial[u] ^ b
                     delta[b] += tables.outside_scaled(ones[u] + par, rem) - old
             bit = 0 if delta[0] <= delta[1] else 1
+            if branches is not None:
+                branches.append(tuple(Fraction(total + d, scale)
+                                      for d in (0, delta[0], delta[1])))
             generator[i, j] = bit
             total += delta[bit]
             trace.append(Fraction(total, scale))
@@ -237,7 +243,7 @@ class TestGvDerandomized:
         assert res.success and res.out_of_band == 0
 
     def test_band_memory_one_row(self):
-        # one Pascal prefix row of m + 2 integers below 2^m is held at a
+        # one Pascal row of m + 1 integers below 2^m is held at a
         # time, about 0.6 MiB at m = 2048; a table of every row 0..m peaks
         # at 392 MiB
         spec = GvSpec(l=4, mu_target=0.1, m=2048)
@@ -279,6 +285,19 @@ class TestGvDerandomizedOracle:
         else:
             assert res.code.generator.tobytes() == generator.tobytes()
             assert np.array_equal(res.code.bits(), words)
+
+    @pytest.mark.parametrize("l, mu, m", ORACLE_GRID)
+    def test_branches_average_to_the_expectation_before(self, l, mu, m):
+        # the rule that lets gv_derandomized decide each bit from one sum:
+        # by Pascal's rule the two branch expectations average to the one
+        # before, so bit 1 changes it by minus what bit 0 does
+        spec = GvSpec(l=l, mu_target=mu, m=m)
+        branches = []
+        if per_codeword_oracle(spec, branches) is None:
+            assert branches == []
+            return
+        assert len(branches) == spec.m * spec.l
+        assert all(e0 + e1 == 2 * before for before, e0, e1 in branches)
 
     def test_pinned_l12_digest(self):
         # generator and trace of the per-codeword implementation at l=12
@@ -323,6 +342,11 @@ def test_step_down_walks_pascal_rows(m):
     for r in range(m - 1, -1, -1):
         row = _step_down(row)
         assert row == rows[r]
+    # gv_derandomized steps the binomial row itself, by the same rule
+    row = [math.comb(m, x) for x in range(m + 1)]
+    for r in range(m - 1, -1, -1):
+        row = _step_down(row)
+        assert row == [math.comb(r, x) for x in range(r + 1)]
 
 
 class TestCodeWidth:
